@@ -1,4 +1,4 @@
-.PHONY: check test bench bench-smoke bench-json trace replay-golden chaos top farm farm-soak farm-chaos load
+.PHONY: check test bench bench-smoke trace replay-golden chaos top farm farm-soak farm-chaos load
 
 # Tier-1 gate: gofmt, vet, build, full test suite, race tests on the
 # concurrency-heavy core and replay packages, golden-trace verification,
@@ -23,19 +23,10 @@ bench:
 bench-smoke:
 	go test -run='^$$' -bench='BenchmarkDiplomatCall' -benchtime=100x .
 
-# Machine-readable benchmark dump: the tiled-rasterizer worker series
-# (BenchmarkRasterTiles/workers=1..8), the replay benchmarks, the batched
-# boundary-crossing series (BenchmarkReplayBatch, off + caps 1/16/64/256
-# with crossings and batched-call counts), and the farm throughput grid
-# (BenchmarkFarm/d{N}s{M}), plus the farm resilience series
-# (BenchmarkFarmResilience/fail{0,5,20}, throughput and frame P95 under
-# injected failure with retries), and the sustained-load series
-# (BenchmarkReplayLoad/k{1,4,16}, sessions/sec with frame P95/P99 and
-# drops), written to BENCH_10.json with the host core count so scaling
-# numbers are interpretable. The series is then diffed against the most
-# recent previous BENCH_*.json (warn-only, ±15%).
-bench-json:
-	./scripts/benchjson.sh BENCH_10.json
+# The repository benchmark (bench/, BENCHMARK.json) is the only throughput
+# and regression harness: `bash bench/run.sh` runs its workloads with the
+# host-speed correction and noise bands that single-iteration `go test
+# -bench` dumps lack; bench/ab.sh compares two revisions on one host.
 
 # Long chaos soak: golden traces under many generated fault schedules, with
 # the recovery invariants checked for every seed. Tier-1 runs 8 seeds (see
@@ -60,17 +51,16 @@ farm:
 	go run ./cmd/cycadafarm -devices 2 -sessions 8 \
 		-trace internal/replay/testdata/passmark-2d.cytr -verify
 
-# Sustained-load demo with live telemetry: 4 concurrent session loops
-# replaying the PassMark 2D golden trace for 15s, with /metrics, /healthz,
-# /snapshot, and /events served on :9090 — scrape with `cycadatop -connect
-# http://127.0.0.1:9090` from another terminal while it runs. Override with
-# LOAD_N/LOAD_DUR/LOAD_ADDR.
+# Sustained-load demo with live telemetry: a LOAD_N-device farm replaying
+# the PassMark 2D golden trace 200 times through admission control,
+# watchdogs and failover, with /metrics, /healthz, /snapshot, and /events
+# served on LOAD_ADDR — scrape with `cycadatop -connect
+# http://127.0.0.1:9090` from another terminal while it runs.
 LOAD_N ?= 4
-LOAD_DUR ?= 15s
 LOAD_ADDR ?= 127.0.0.1:9090
 load:
-	go run ./cmd/cycadareplay load -i internal/replay/testdata/passmark-2d.cytr \
-		-n $(LOAD_N) -dur $(LOAD_DUR) -listen $(LOAD_ADDR)
+	go run ./cmd/cycadafarm -devices $(LOAD_N) -sessions 200 \
+		-trace internal/replay/testdata/passmark-2d.cytr -listen $(LOAD_ADDR)
 
 # Heavier farm soak under the race detector: more devices and sessions than
 # the tier-1 run in check.sh. Override with SOAK_DEVICES/SOAK_SESSIONS.

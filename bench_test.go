@@ -6,10 +6,8 @@ package cycada
 // benches additionally measure the real Go-level cost of the mechanisms.
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"cycada/internal/core/diplomat"
 	"cycada/internal/core/system"
@@ -549,37 +547,6 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportMetric(float64(len(tr.Events)*b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkReplayLoad drives the sustained-load generator at fixed
-// concurrency over the PassMark 2D golden trace: K worker loops each boot
-// their own stack and replay back-to-back for a fixed wall window,
-// recycling the compositor between sessions like farm slots. sessions/sec
-// is the delivered throughput, frame-p95-us/frame-p99-us the run's present
-// percentiles in virtual-time microseconds, and drops the presents
-// abandoned after retries — the series BENCH_10.json tracks and the
-// telemetry plane reports live via its rolling windows.
-func BenchmarkReplayLoad(b *testing.B) {
-	tr := loadGoldenTrace(b, "passmark-2d.cytr")
-	for _, k := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			var last *replay.LoadResult
-			for i := 0; i < b.N; i++ {
-				res, err := replay.Load(tr, replay.LoadConfig{
-					Concurrency: k,
-					Duration:    500 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.PerSec, "sessions/sec")
-			b.ReportMetric(last.FrameP95.Micros(), "frame-p95-us")
-			b.ReportMetric(last.FrameP99.Micros(), "frame-p99-us")
-			b.ReportMetric(float64(last.Drops), "drops")
-		})
-	}
-}
-
 // BenchmarkReplayBatch sweeps the command-encoder batch cap over the
 // draw-call-heavy PassMark 3D golden trace: the `crossings` metric is the
 // persona-boundary window count per replay (the number batching exists to
@@ -606,21 +573,4 @@ func BenchmarkReplayBatch(b *testing.B) {
 			b.ReportMetric(float64(batched), "batched-calls")
 		})
 	}
-}
-
-// BenchmarkReplayParallel replays the same decoded trace from GOMAXPROCS
-// goroutines at once. Replays are independent (each boots its own kernel and
-// process), so on an N-core machine throughput scales with min(workers, N);
-// single-core runners see sequential numbers.
-func BenchmarkReplayParallel(b *testing.B) {
-	tr := loadGoldenTrace(b, "passmark-2d.cytr")
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := replay.Play(tr, replay.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.ReportMetric(float64(len(tr.Events)*b.N)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -1,13 +1,11 @@
-// Command cycadareplay records, replays, verifies, and benchmarks traces of
+// Command cycadareplay records, replays, verifies, and inspects traces of
 // the cross-persona graphics command stream.
 //
 // Usage:
 //
 //	cycadareplay record -scenario passmark-2d -o trace.cytr
-//	cycadareplay replay -i trace.cytr [-n 3] [-batch 64] [-faults seed=7,rate=0.05]
+//	cycadareplay replay -i trace.cytr [-n 3] [-batch 64] [-faults seed=7,rate=0.05] [-listen :9090]
 //	cycadareplay verify [-batch 64] trace.cytr [more.cytr ...]
-//	cycadareplay bench -i trace.cytr -workers 8 [-n 64] [-batch 64]
-//	cycadareplay load -i trace.cytr -n 4 -dur 10s [-batch 64] [-listen :9090]
 //	cycadareplay stat -i trace.cytr [-top 15]
 //
 // record runs a workload (PassMark sections or a WebKit tile-upload sequence)
@@ -16,21 +14,22 @@
 // Android stack with no iOS app code present. verify additionally checks
 // per-present screen checksums and the final frame against the recorded
 // values — the differential regression gate used on the golden traces in
-// internal/replay/testdata. bench replays independent copies across worker
-// goroutines and reports replays/sec. stat prints a per-call-kind histogram.
+// internal/replay/testdata. stat prints a per-call-kind histogram.
 //
-// With -batch N, replay/verify/bench drive GLES events through the batched
-// command encoder (runs of batchable calls cross the persona boundary in one
+// With -batch N, replay/verify drive GLES events through the batched command
+// encoder (runs of batchable calls cross the persona boundary in one
 // impersonation window of at most N calls) instead of one crossing per call.
 // The logical call stream — and therefore every differential check — is
 // identical either way; 0 (the default) keeps the serial path.
 //
-// load drives sustained replay sessions — N concurrent stacks replaying the
-// trace back-to-back for a wall-clock duration — and reports sustained
-// sessions/sec plus rolling-window frame percentiles and retry/drop rates.
-// With -listen (load, replay, and bench) an embedded telemetry server
-// exposes /metrics (Prometheus text), /snapshot and /healthz (JSON), and
-// /events (SSE incident stream) while the run executes.
+// With -listen, replay runs an embedded telemetry server exposing /metrics
+// (Prometheus text), /snapshot and /healthz (JSON), and /events (SSE incident
+// stream) while the run executes.
+//
+// Sustained load and replay throughput are cycadafarm's job:
+// `cycadafarm -devices K -sessions N -trace trace.cytr -listen addr` replays
+// the trace on K stacks behind admission control, watchdogs and failover,
+// reports sessions/sec, and serves farm-wide rolling windows on /metrics.
 package main
 
 import (
@@ -59,10 +58,6 @@ func main() {
 		err = cmdReplay(os.Args[2:])
 	case "verify":
 		err = cmdVerify(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
-	case "load":
-		err = cmdLoad(os.Args[2:])
 	case "stat":
 		err = cmdStat(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -82,13 +77,12 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   cycadareplay record -scenario <name> -o <file>   capture a workload (scenarios: %v)
-  cycadareplay replay -i <file> [-n N] [-batch B] [-faults S]  re-drive a trace N times (with S, chaos mode: seed=7,rate=0.05,points=binder+egl_present)
+  cycadareplay replay -i <file> [-n N] [-batch B] [-faults S] [-listen addr]  re-drive a trace N times (with S, chaos mode: seed=7,rate=0.05,points=binder+egl_present)
   cycadareplay verify [-batch B] <file> [file ...] replay with differential frame checks
-  cycadareplay bench -i <file> -workers N [-n M] [-batch B]  parallel replay throughput
-  cycadareplay load -i <file> [-n K] [-dur D] [-batch B] [-listen addr]  sustained K-way load with windowed stats
   (-batch B: encode GLES runs into boundary batches of <= B calls; 0 = serial)
   (-listen addr: serve /metrics /snapshot /healthz /events during the run)
   cycadareplay stat -i <file> [-top N]             per-call-kind histogram
+sustained load and throughput: cycadafarm -devices K -sessions N -trace <file> [-listen addr]
 `, harness.Scenarios())
 }
 
@@ -229,41 +223,9 @@ func cmdVerify(args []string) error {
 	return nil
 }
 
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	in := fs.String("i", "", "input trace file (required)")
-	workers := fs.Int("workers", 1, "parallel replay workers")
-	n := fs.Int("n", 32, "total replays")
-	batch := fs.Int("batch", 0, "batched-encoder cap per boundary crossing (0 = serial)")
-	listen := fs.String("listen", "", "serve telemetry on this address during the run")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("bench: -i is required")
-	}
-	if *listen != "" {
-		srv, err := serveDefaultTelemetry(*listen)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	}
-	tr, err := replay.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	res, err := replay.Bench(tr, *workers, *n, replay.Options{BatchCap: *batch})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("bench %q: %d replays, %d workers, %v wall, %.1f replays/sec\n",
-		tr.Label, res.Replays, res.Workers, res.Wall.Round(1000000), res.PerSec)
-	return nil
-}
-
 // serveDefaultTelemetry starts the exposition server over the process-wide
-// default registries (what replay/bench kernels record into) with a rotating
-// 1s window set. Used by the subcommands whose stacks attach to the default
-// registries; load wires its own run-scoped registries instead.
+// default registries (what each replay's kernel records into) with a
+// rotating 1s window set.
 func serveDefaultTelemetry(addr string) (*telemetry.Server, error) {
 	obs.DefaultHistograms.SetEnabled(true)
 	win := obs.NewWindows(time.Second, 60)
@@ -275,80 +237,6 @@ func serveDefaultTelemetry(addr string) (*telemetry.Server, error) {
 	win.Start()
 	fmt.Printf("telemetry: listening on %s\n", srv.URL())
 	return srv, nil
-}
-
-func cmdLoad(args []string) error {
-	fs := flag.NewFlagSet("load", flag.ExitOnError)
-	in := fs.String("i", "", "input trace file (required)")
-	n := fs.Int("n", 4, "concurrent session loops (stacks)")
-	dur := fs.Duration("dur", 10*time.Second, "wall-clock run length")
-	batch := fs.Int("batch", 0, "batched-encoder cap per boundary crossing (0 = serial)")
-	listen := fs.String("listen", "", "serve telemetry on this address during the run")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("load: -i is required")
-	}
-	tr, err := replay.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-
-	// One shared registry pair for the whole run, tracked by a rotating
-	// window set so /metrics (and the final report) carry current rolling
-	// percentiles and rates rather than since-boot aggregates.
-	hists := obs.NewHistograms()
-	ctrs := obs.NewCounters()
-	win := obs.NewWindows(time.Second, 60)
-	win.Track(hists)
-	win.TrackCounters(ctrs)
-	win.Start()
-	defer win.Stop()
-	if *listen != "" {
-		srv, err := telemetry.Serve(*listen, telemetry.Options{Windows: win})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		srv.AddHistograms("load", hists)
-		srv.AddCounters("load", ctrs)
-		srv.AddFlight("load", obs.DefaultFlight)
-		fmt.Printf("telemetry: listening on %s\n", srv.URL())
-	}
-
-	res, err := replay.Load(tr, replay.LoadConfig{
-		Concurrency: *n,
-		Duration:    *dur,
-		BatchCap:    *batch,
-		Hists:       hists,
-		Counters:    ctrs,
-	})
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("load %q: %d sessions in %v across %d workers (%.1f sessions/sec sustained)\n",
-		tr.Label, res.Sessions, res.Wall.Round(time.Millisecond), res.Workers, res.PerSec)
-	fmt.Printf("frames: %d  p50=%.1fus p95=%.1fus p99=%.1fus max=%.1fus\n",
-		res.Frames, res.FrameP50.Micros(), res.FrameP95.Micros(),
-		res.FrameP99.Micros(), res.FrameMax.Micros())
-	fmt.Printf("present health: retries=%d (%.2f/sec) drops=%d (%.2f/sec)\n",
-		res.Retries, float64(res.Retries)/res.Wall.Seconds(),
-		res.Drops, float64(res.Drops)/res.Wall.Seconds())
-
-	// The rolling tail: what a live scrape would have answered just before
-	// the run ended (capture the final partial interval first).
-	win.Rotate()
-	for _, span := range []time.Duration{10 * time.Second, 60 * time.Second} {
-		if ws, ok := win.Hist("egl-present", span); ok && ws.Count > 0 {
-			fmt.Printf("window %3.0fs: frames=%d rate=%.1f/sec p50=%.1fus p95=%.1fus p99=%.1fus\n",
-				span.Seconds(), ws.Count, ws.Rate(),
-				ws.P50().Micros(), ws.P95().Micros(), ws.P99().Micros())
-		}
-		if cw, ok := win.Counter(replay.LoadSessionsCtr, span); ok {
-			fmt.Printf("window %3.0fs: sessions=%d (%.1f/sec)\n", span.Seconds(), cw.Delta, cw.Rate())
-		}
-	}
-	return nil
 }
 
 func cmdStat(args []string) error {

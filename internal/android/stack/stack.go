@@ -90,6 +90,8 @@ type Userspace struct {
 	Linker *linker.Linker
 	Bionic *libc.Lib
 	EGL    *egl.Lib
+
+	sys *System
 }
 
 // UserConfig parameterizes process creation.
@@ -134,11 +136,29 @@ func (s *System) NewUserspace(cfg UserConfig) (*Userspace, error) {
 	if cfg.EGL.PipelinedPresents {
 		eglLib.EnablePipelinedPresents(proc)
 	}
-	u := &Userspace{Proc: proc, Linker: l, Bionic: bionic, EGL: eglLib}
+	u := &Userspace{Proc: proc, Linker: l, Bionic: bionic, EGL: eglLib, sys: s}
 	s.mu.Lock()
 	s.users = append(s.users, u)
 	s.mu.Unlock()
 	return u, nil
+}
+
+// Close ends the process: its present pipeline is drained and its presenter
+// thread exited, and the system and kernel drop it, so a stack that serves
+// session after session retains nothing of the sessions it served. The
+// process must be idle. Idempotent.
+func (u *Userspace) Close() {
+	u.EGL.DisablePipelinedPresents()
+	s := u.sys
+	s.mu.Lock()
+	for i, x := range s.users {
+		if x == u {
+			s.users = append(s.users[:i], s.users[i+1:]...)
+			break
+		}
+	}
+	s.mu.Unlock()
+	s.Kernel.ExitProcess(u.Proc)
 }
 
 // Shutdown tears the stack down for decommissioning: every userspace's

@@ -18,22 +18,10 @@ import (
 //
 // A Batcher is built from the same Config as the library's diplomats, so the
 // personas, hooks, and poison policy are identical to the serial path.
-type Batcher struct {
-	foreign  kernel.Persona
-	domestic kernel.Persona
-	hooks    *Hooks
-	poison   func(t *kernel.Thread)
-}
+type Batcher struct{ boundary }
 
 // NewBatcher creates a batch dispatcher for one diplomatic library.
-func NewBatcher(cfg Config) *Batcher {
-	return &Batcher{
-		foreign:  cfg.Foreign,
-		domestic: cfg.Domestic,
-		hooks:    cfg.Hooks,
-		poison:   cfg.Poison,
-	}
-}
+func NewBatcher(cfg Config) *Batcher { return &Batcher{newBoundary(cfg)} }
 
 // Dispatch runs every frame of the batch inside a single impersonation
 // window on t (the batch's owner thread). lookup maps a frame's FuncID to
@@ -56,30 +44,26 @@ func (b *Batcher) Dispatch(t *kernel.Thread, batch *callconv.Batch, lookup func(
 	start := t.VTime()
 
 	// Step 2, once: prelude in the foreign persona.
-	runHooks(t, b.hooks, true)
+	b.runHooks(t, true)
 
 	// The window-open seam: an injected batch_flush fault means the single
 	// shared window could not be established. Nothing has crossed yet, so the
 	// postlude rebalances the prelude and the caller re-dispatches serially.
 	if inj := t.Faults(); inj != nil {
 		if ferr := inj.Fail(fault.PointBatchFlush); ferr != nil {
-			runHooks(t, b.hooks, false)
+			b.runHooks(t, false)
 			t.TraceEnd(sp)
 			return false, ferr
 		}
 	}
 
-	c := t.Costs()
-	// Step 3, once: the encoded run is stored across the boundary.
-	t.ChargeCPU(c.ArgSave)
-	// Step 4, once: set_persona to the domestic persona.
-	if perr := t.SetPersona(b.domestic); perr != nil {
-		runHooks(t, b.hooks, false)
+	// Steps 3-5, once: the encoded run is stored across the boundary, the
+	// persona switches, and the run is restored bridge-side.
+	if perr := b.enter(t); perr != nil {
+		b.runHooks(t, false)
 		t.TraceEnd(sp)
 		return false, perr
 	}
-	// Step 5, once: the run is restored bridge-side.
-	t.ChargeCPU(c.ArgRestore)
 
 	var poisoned bool
 	for i := 0; i < batch.Len(); i++ {
@@ -92,22 +76,17 @@ func (b *Batcher) Dispatch(t *kernel.Thread, batch *callconv.Batch, lookup func(
 		}
 	}
 
-	domesticErrno := t.Errno()
-	// Step 7, once: return values saved.
-	t.ChargeCPU(c.RetSaveRestore / 2)
-	// Step 8, once: set_persona back to the foreign persona.
-	if perr := t.SetPersona(b.foreign); perr != nil {
+	// Steps 7-9, once: return values saved, the persona switches back, and
+	// the domestic TLS values are converted into foreign TLS.
+	if perr := b.leave(t, t.Errno()); perr != nil {
 		t.TraceEnd(sp)
 		return true, perr
 	}
-	// Step 9, once: domestic TLS values converted into foreign TLS.
-	t.ChargeCPU(c.ErrnoConvert)
-	t.SetErrnoIn(b.foreign, domesticErrno)
 
 	// Step 10, once: postlude in the foreign persona.
-	runHooks(t, b.hooks, false)
+	b.runHooks(t, false)
 	// Step 11, once: control returns to the encoder.
-	t.ChargeCPU(c.RetSaveRestore / 2)
+	t.ChargeCPU(t.Costs().RetSaveRestore / 2)
 	t.FlightRecord(obs.FlightSpan, obs.CatBatch, "batch:dispatch", int64(t.VTime()-start))
 	t.TraceEnd(sp)
 	return true, err

@@ -91,16 +91,13 @@ type Diplomat struct {
 	// their coalesced aegl_bridge_* helper.
 	Target string
 
-	foreign  kernel.Persona
-	domestic kernel.Persona
+	boundary
 
 	link   *linker.Linker
 	lib    *linker.Handle
 	libFor func(t *kernel.Thread) *linker.Handle
 
-	hooks   *Hooks
 	wrapper Wrapper
-	poison  func(t *kernel.Thread)
 	// met is the diplomat's profile metric, resolved once at construction so
 	// the per-call record is two atomic adds on the caller's stripe (no
 	// global mutex, no map lookup). Nil when no profiler is configured or the
@@ -171,14 +168,11 @@ func New(cfg Config, name string, kind Kind, wrapper Wrapper) (*Diplomat, error)
 	d := &Diplomat{
 		Name:      name,
 		Kind:      kind,
-		foreign:   cfg.Foreign,
-		domestic:  cfg.Domestic,
+		boundary:  newBoundary(cfg),
 		link:      cfg.Linker,
 		lib:       cfg.Library,
 		libFor:    cfg.LibraryFor,
-		hooks:     cfg.Hooks,
 		wrapper:   wrapper,
-		poison:    cfg.Poison,
 		spanName:  "diplomat:" + name,
 		panicName: "diplomat_panic:" + name,
 		// Resolved once from the registry current at construction: diplomats
@@ -233,7 +227,26 @@ func (e *PanicError) Unwrap() error {
 // sequence. For Direct and Multi kinds the domestic entry point has the same
 // name as the diplomat; Indirect and DataDependent kinds route through their
 // wrapper.
-func (d *Diplomat) Call(t *kernel.Thread, args ...any) (ret any) {
+func (d *Diplomat) Call(t *kernel.Thread, args ...any) any {
+	return d.call(t, args, nil)
+}
+
+// CallFrame is Call for the typed calling convention: same §3 sequence, same
+// vclock costs, zero heap allocations on the direct path. Direct and Multi
+// diplomats hand the frame straight to the domestic symbol; wrapper kinds
+// materialize the boxed []any view and run through the legacy wrapper path.
+func (d *Diplomat) CallFrame(t *kernel.Thread, fr *callconv.Frame) any {
+	if d.wrapper != nil {
+		return d.call(t, fr.Args(), nil)
+	}
+	return d.call(t, nil, fr)
+}
+
+// call runs one diplomat call: the span, steps 2, 10 and 11 around the
+// domestic invocation, the crash seam, and panic isolation. fr, when set,
+// is the typed frame of a wrapper-less call; otherwise args is the boxed
+// argument list.
+func (d *Diplomat) call(t *kernel.Thread, args []any, fr *callconv.Frame) (ret any) {
 	// Unimplemented diplomats return before any profiling: the ten
 	// never-called Table 2 functions must not appear in the Figure 7-10
 	// profiles.
@@ -253,7 +266,7 @@ func (d *Diplomat) Call(t *kernel.Thread, args ...any) (ret any) {
 	}()
 
 	// Step 2: prelude in the foreign persona.
-	d.runHook(t, true)
+	d.runHooks(t, true)
 	if inj := t.Faults(); inj != nil {
 		if err := inj.Fail(fault.PointDiplomatPanic); err != nil {
 			panic(err)
@@ -262,55 +275,14 @@ func (d *Diplomat) Call(t *kernel.Thread, args ...any) (ret any) {
 
 	if d.wrapper != nil {
 		ret = d.wrapper(t, func(name string, inner ...any) any {
-			return d.invokeDomestic(t, name, inner...)
+			return d.invoke(t, callconv.Intern(name), inner, nil)
 		}, args)
 	} else {
-		ret = d.invokeDomesticOwn(t, args...)
+		ret = d.invoke(t, d.funcID(), args, fr)
 	}
 
 	// Step 10: postlude in the foreign persona.
-	d.runHook(t, false)
-
-	// Step 11: return value restored from the stack, control returns.
-	t.ChargeCPU(t.Costs().RetSaveRestore / 2)
-	d.finish(t, start)
-	t.TraceEnd(sp)
-	return ret
-}
-
-// CallFrame is Call for the typed calling convention: same §3 sequence, same
-// vclock costs, zero heap allocations on the direct path. Direct and Multi
-// diplomats hand the frame straight to the domestic symbol; wrapper kinds
-// materialize the boxed []any view and run through the legacy wrapper path.
-func (d *Diplomat) CallFrame(t *kernel.Thread, fr *callconv.Frame) (ret any) {
-	if d.Kind == Unimplemented {
-		return ErrUnimplemented
-	}
-	if d.wrapper != nil {
-		return d.Call(t, fr.Args()...)
-	}
-	sp := t.TraceBegin(obs.CatDiplomat, d.spanName)
-	start := t.VTime()
-
-	// Panic isolation, as in Call; open-coded defer keeps the path 0-alloc.
-	defer func() {
-		if r := recover(); r != nil {
-			ret = d.recovered(t, r, sp, start)
-		}
-	}()
-
-	// Step 2: prelude in the foreign persona.
-	d.runHook(t, true)
-	if inj := t.Faults(); inj != nil {
-		if err := inj.Fail(fault.PointDiplomatPanic); err != nil {
-			panic(err)
-		}
-	}
-
-	ret = d.invokeDomesticFrame(t, fr)
-
-	// Step 10: postlude in the foreign persona.
-	d.runHook(t, false)
+	d.runHooks(t, false)
 
 	// Step 11: return value restored from the stack, control returns.
 	t.ChargeCPU(t.Costs().RetSaveRestore / 2)
@@ -331,7 +303,7 @@ func (d *Diplomat) finish(t *kernel.Thread, start vclock.Duration) {
 	t.FlightRecord(obs.FlightSpan, obs.CatDiplomat, d.spanName, int64(dur))
 }
 
-// recovered is the panic-isolation path shared by Call and CallFrame. The
+// recovered is the panic-isolation path of every serial call. The
 // thread may have died anywhere in the §3 sequence — possibly still in the
 // domestic persona, with the prelude's gate held — so recovery restores the
 // foreign persona, reports a persona-safe errno (ENOMEM, the closest POSIX
@@ -346,7 +318,7 @@ func (d *Diplomat) recovered(t *kernel.Thread, r any, sp obs.Span, start vclock.
 	}
 	safely(func() { t.SetPersona(d.foreign) })
 	safely(func() { t.SetErrnoIn(d.foreign, int(kernel.ENOMEM)) })
-	safely(func() { d.runHook(t, false) })
+	safely(func() { d.runHooks(t, false) })
 	if d.poison != nil {
 		safely(func() { d.poison(t) })
 	}
@@ -363,14 +335,25 @@ func (d *Diplomat) recovered(t *kernel.Thread, r any, sp obs.Span, start vclock.
 	return &PanicError{Diplomat: d.Name, Reason: r, CallIndex: -1}
 }
 
-func (d *Diplomat) runHook(t *kernel.Thread, prelude bool) {
-	runHooks(t, d.hooks, prelude)
+// boundary is what every crossing into one diplomatic library shares: the
+// two personas, the library-wide hooks, and the poison policy. Diplomat and
+// Batcher both embed it, so the serial and the batched path run the same
+// implementation of each §3 step.
+type boundary struct {
+	foreign  kernel.Persona
+	domestic kernel.Persona
+	hooks    *Hooks
+	poison   func(t *kernel.Thread)
 }
 
-// runHooks dispatches a library's prelude or postlude with its configured
-// cost. Package-level so the batch dispatcher can run the hooks once per
-// window rather than once per call.
-func runHooks(t *kernel.Thread, h *Hooks, prelude bool) {
+func newBoundary(cfg Config) boundary {
+	return boundary{foreign: cfg.Foreign, domestic: cfg.Domestic, hooks: cfg.Hooks, poison: cfg.Poison}
+}
+
+// runHooks dispatches the library's prelude (step 2) or postlude (step 10)
+// with its configured cost.
+func (b *boundary) runHooks(t *kernel.Thread, prelude bool) {
+	h := b.hooks
 	if h == nil {
 		// No prelude/postlude configured: the basic Cycada diplomat (the
 		// Table 3 "Diplomat" row).
@@ -395,14 +378,35 @@ func runHooks(t *kernel.Thread, h *Hooks, prelude bool) {
 	}
 }
 
-// invokeDomestic performs steps 1 and 3-9 for a wrapper-chosen entry point:
-// resolve (once), save arguments, switch persona, invoke, convert errno,
-// switch back.
-func (d *Diplomat) invokeDomestic(t *kernel.Thread, name string, args ...any) any {
-	id, ok := callconv.LookupID(name)
-	if !ok {
-		id = callconv.Intern(name)
+// enter performs steps 3-5: arguments stored on the stack, set_persona to
+// the domestic persona, arguments restored.
+func (b *boundary) enter(t *kernel.Thread) error {
+	c := t.Costs()
+	t.ChargeCPU(c.ArgSave)
+	if err := t.SetPersona(b.domestic); err != nil {
+		return err
 	}
+	t.ChargeCPU(c.ArgRestore)
+	return nil
+}
+
+// leave performs steps 7-9: return value saved, set_persona back to the
+// foreign persona, and the domestic errno converted into foreign TLS.
+func (b *boundary) leave(t *kernel.Thread, domesticErrno int) error {
+	c := t.Costs()
+	t.ChargeCPU(c.RetSaveRestore / 2)
+	if err := t.SetPersona(b.foreign); err != nil {
+		return err
+	}
+	t.ChargeCPU(c.ErrnoConvert)
+	t.SetErrnoIn(b.foreign, domesticErrno)
+	return nil
+}
+
+// invoke performs steps 1 and 3-9 for one domestic entry point: resolve
+// (cached), enter the domestic persona, invoke the symbol — with the typed
+// frame when fr is set, the boxed args otherwise — and leave.
+func (d *Diplomat) invoke(t *kernel.Thread, id callconv.FuncID, args []any, fr *callconv.Frame) any {
 	sym, err := d.resolve(t, id)
 	if err != nil {
 		// Resolution failure is a bridge bug surfaced to the caller.
@@ -410,111 +414,22 @@ func (d *Diplomat) invokeDomestic(t *kernel.Thread, name string, args ...any) an
 	}
 	var sp obs.Span
 	if t.TraceEnabled() { // guarded: the span name concatenation allocates
-		sp = t.TraceBegin(obs.CatDiplomat, "domestic:"+name)
+		sp = t.TraceBegin(obs.CatDiplomat, "domestic:"+callconv.Name(id))
 	}
-	c := t.Costs()
-
-	// Step 3: arguments stored on the stack.
-	t.ChargeCPU(c.ArgSave)
-	// Step 4: set_persona to the domestic persona.
-	if err := t.SetPersona(d.domestic); err != nil {
+	if err := d.enter(t); err != nil {
 		t.TraceEnd(sp)
 		return err
 	}
-	// Step 5: arguments restored.
-	t.ChargeCPU(c.ArgRestore)
 	// Step 6: direct invocation through the cached symbol.
-	ret := sym.Call(t, args...)
-	domesticErrno := t.Errno()
-	// Step 7: return value saved.
-	t.ChargeCPU(c.RetSaveRestore / 2)
-	// Step 8: set_persona back to the foreign persona.
-	if err := t.SetPersona(d.foreign); err != nil {
-		t.TraceEnd(sp)
-		return err
+	var ret any
+	if fr != nil {
+		ret = sym.CallFrame(t, fr)
+	} else {
+		ret = sym.Call(t, args...)
 	}
-	// Step 9: domestic TLS values such as errno converted into foreign TLS.
-	t.ChargeCPU(c.ErrnoConvert)
-	t.SetErrnoIn(d.foreign, domesticErrno)
-	t.TraceEnd(sp)
-	return ret
-}
-
-// invokeDomesticOwn is invokeDomestic for the diplomat's own entry point
-// (Name, or Target when set), resolved through the interned FuncID.
-func (d *Diplomat) invokeDomesticOwn(t *kernel.Thread, args ...any) any {
-	sym, err := d.resolve(t, d.funcID())
-	if err != nil {
-		return err
+	if err := d.leave(t, t.Errno()); err != nil {
+		ret = err
 	}
-	var sp obs.Span
-	if t.TraceEnabled() {
-		sp = t.TraceBegin(obs.CatDiplomat, "domestic:"+callconv.Name(d.funcID()))
-	}
-	c := t.Costs()
-
-	// Step 3: arguments stored on the stack.
-	t.ChargeCPU(c.ArgSave)
-	// Step 4: set_persona to the domestic persona.
-	if err := t.SetPersona(d.domestic); err != nil {
-		t.TraceEnd(sp)
-		return err
-	}
-	// Step 5: arguments restored.
-	t.ChargeCPU(c.ArgRestore)
-	// Step 6: direct invocation through the cached symbol.
-	ret := sym.Call(t, args...)
-	domesticErrno := t.Errno()
-	// Step 7: return value saved.
-	t.ChargeCPU(c.RetSaveRestore / 2)
-	// Step 8: set_persona back to the foreign persona.
-	if err := t.SetPersona(d.foreign); err != nil {
-		t.TraceEnd(sp)
-		return err
-	}
-	// Step 9: domestic TLS values such as errno converted into foreign TLS.
-	t.ChargeCPU(c.ErrnoConvert)
-	t.SetErrnoIn(d.foreign, domesticErrno)
-	t.TraceEnd(sp)
-	return ret
-}
-
-// invokeDomesticFrame is invokeDomesticOwn on the typed fast path: the frame
-// crosses the persona switch untouched and reaches the domestic symbol's
-// FrameFn without materializing []any.
-func (d *Diplomat) invokeDomesticFrame(t *kernel.Thread, fr *callconv.Frame) any {
-	sym, err := d.resolve(t, d.funcID())
-	if err != nil {
-		return err
-	}
-	var sp obs.Span
-	if t.TraceEnabled() {
-		sp = t.TraceBegin(obs.CatDiplomat, "domestic:"+callconv.Name(d.funcID()))
-	}
-	c := t.Costs()
-
-	// Step 3: arguments stored on the stack.
-	t.ChargeCPU(c.ArgSave)
-	// Step 4: set_persona to the domestic persona.
-	if err := t.SetPersona(d.domestic); err != nil {
-		t.TraceEnd(sp)
-		return err
-	}
-	// Step 5: arguments restored.
-	t.ChargeCPU(c.ArgRestore)
-	// Step 6: direct invocation through the cached symbol.
-	ret := sym.CallFrame(t, fr)
-	domesticErrno := t.Errno()
-	// Step 7: return value saved.
-	t.ChargeCPU(c.RetSaveRestore / 2)
-	// Step 8: set_persona back to the foreign persona.
-	if err := t.SetPersona(d.foreign); err != nil {
-		t.TraceEnd(sp)
-		return err
-	}
-	// Step 9: domestic TLS values such as errno converted into foreign TLS.
-	t.ChargeCPU(c.ErrnoConvert)
-	t.SetErrnoIn(d.foreign, domesticErrno)
 	t.TraceEnd(sp)
 	return ret
 }

@@ -21,7 +21,7 @@ func TestIOSAppRegistersSnapshotSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer app.ReleaseSnapshotSources()
+	defer app.Close()
 
 	text := obs.Snapshot().Text()
 	for _, sec := range []string{
@@ -40,7 +40,7 @@ func TestIOSAppRegistersSnapshotSources(t *testing.T) {
 		t.Fatalf("dlr section missing the global namespace:\n%s", text)
 	}
 
-	app.ReleaseSnapshotSources()
+	app.Close()
 	after := obs.Snapshot().Text()
 	if strings.Contains(after, "snaptest") {
 		t.Fatalf("released sources still polled:\n%s", after)
@@ -57,7 +57,7 @@ func TestIOSAppSkipsSourcesWhenGateOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer app.ReleaseSnapshotSources()
+	defer app.Close()
 	if strings.Contains(obs.Snapshot().Text(), "gatedapp") {
 		t.Fatal("sources registered while the gate was off")
 	}

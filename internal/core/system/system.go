@@ -126,14 +126,19 @@ type IOSApp struct {
 	snapUnregs []func()
 }
 
-// ReleaseSnapshotSources unregisters the introspection sources NewIOSApp
-// registered for this app. Tools that boot several systems in one process
-// (or tests) call it so obs.Snapshot never polls torn-down state.
-func (a *IOSApp) ReleaseSnapshotSources() {
+// Close ends the app when its session is over: it unregisters the
+// introspection sources NewIOSApp registered (so obs.Snapshot never polls
+// torn-down state), drains the app's present pipeline, and removes its
+// userspace and process from the stack. A reused stack — a farm device, a
+// replay target — therefore retains nothing of the apps it ran. Closing
+// charges no virtual time and counts no syscall. The app must be idle.
+// Idempotent.
+func (a *IOSApp) Close() {
 	for _, unreg := range a.snapUnregs {
 		unreg()
 	}
 	a.snapUnregs = nil
+	a.Android.Close()
 }
 
 // Main returns the app's main thread.

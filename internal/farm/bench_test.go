@@ -13,9 +13,8 @@ import (
 )
 
 // BenchmarkFarm measures scheduler throughput (sessions/sec) across a
-// devices x sessions grid of verified golden-trace replays — the series
-// scripts/benchjson.sh records in BENCH_7.json. Scaling devices should
-// scale throughput until the host runs out of cores.
+// devices x sessions grid of verified golden-trace replays. Scaling devices
+// should scale throughput until the host runs out of cores.
 func BenchmarkFarm(b *testing.B) {
 	tr, err := replay.ReadFile(filepath.Join("..", "replay", "testdata", "webkit-tiles.cytr"))
 	if err != nil {

@@ -264,7 +264,7 @@ func (d *Device) runSession(sys *system.Cycada, s *Session) Result {
 	}
 
 	// Recycle: the session's app process is gone (each body creates and
-	// releases its own), so dropping the layers and clearing the screen
+	// closes its own), so dropping the layers and clearing the screen
 	// returns the stack to the state a fresh boot would present.
 	sys.Android.Flinger.Reset()
 	res.Ran = time.Since(started)
@@ -307,7 +307,7 @@ func (d *Device) runBody(sys *system.Cycada, s *Session, res *Result) (err error
 		if err != nil {
 			return err
 		}
-		defer app.ReleaseSnapshotSources()
+		defer app.Close()
 		return harness.RunScenarioApp(app, s.spec.Scenario)
 	}
 }

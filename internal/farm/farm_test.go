@@ -90,7 +90,7 @@ func TestFarmScenarioChecksumIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewIOSApp: %v", err)
 		}
-		defer app.ReleaseSnapshotSources()
+		defer app.Close()
 		if err := harness.RunScenarioApp(app, name); err != nil {
 			t.Fatalf("single-stack %s: %v", name, err)
 		}

@@ -273,19 +273,24 @@ func Decode(data []byte) (*Trace, error) {
 	d := &decoder{r: bytes.NewReader(body)}
 	tr := &Trace{}
 	tr.Label = d.rawStr()
-	tr.ScreenW = int(d.uvarint())
-	tr.ScreenH = int(d.uvarint())
-	nstr := d.uvarint()
-	d.strs = make([]string, 0, nstr)
+	sw, sh := d.uvarint(), d.uvarint()
+	if err := checkFrame(sw, sh); d.err == nil && err != nil {
+		return nil, fmt.Errorf("replay: screen: %w", err)
+	}
+	tr.ScreenW, tr.ScreenH = int(sw), int(sh)
+	// Counts are bounded by the bytes left (every string and event takes at
+	// least one), and capacity beyond preallocCap grows only with the
+	// elements actually decoded, so no header can size a large allocation.
+	nstr := d.count()
+	d.strs = make([]string, 0, min(nstr, preallocCap))
 	for i := uint64(0); i < nstr; i++ {
 		d.strs = append(d.strs, d.rawStr())
 	}
-	nev := d.uvarint()
-	const maxEvents = 1 << 24 // sanity bound against corrupt headers
-	if nev > maxEvents {
-		return nil, fmt.Errorf("replay: implausible event count %d", nev)
+	nev := d.count()
+	if d.err != nil {
+		return nil, fmt.Errorf("replay: corrupt header: %w", d.err)
 	}
-	tr.Events = make([]Event, 0, nev)
+	tr.Events = make([]Event, 0, min(nev, preallocCap))
 	for i := uint64(0); i < nev; i++ {
 		ev, err := d.event()
 		if err != nil {
@@ -294,12 +299,14 @@ func Decode(data []byte) (*Trace, error) {
 		tr.Events = append(tr.Events, ev)
 	}
 	if d.byteVal() == 1 {
-		w := int(d.uvarint())
-		h := int(d.uvarint())
-		if w <= 0 || h <= 0 || w*h > 1<<26 {
-			return nil, fmt.Errorf("replay: implausible final frame %dx%d", w, h)
+		w, h := d.uvarint(), d.uvarint()
+		if err := checkFrame(w, h); err != nil {
+			return nil, fmt.Errorf("replay: final frame: %w", err)
 		}
-		img := gpu.NewImage(w, h)
+		if w*h*4 > uint64(d.r.Len()) {
+			return nil, fmt.Errorf("replay: final frame %dx%d: only %d pixel bytes left", w, h, d.r.Len())
+		}
+		img := gpu.NewImage(int(w), int(h))
 		if _, err := io.ReadFull(d.r, img.Pix); err != nil {
 			return nil, fmt.Errorf("replay: final frame pixels: %w", err)
 		}
@@ -309,6 +316,19 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("replay: corrupt trace: %w", d.err)
 	}
 	return tr, nil
+}
+
+// preallocCap bounds the capacity Decode reserves from a count it read.
+const preallocCap = 1 << 12
+
+// checkFrame rejects image geometry no recording produces. Each side is
+// checked on its own first, so the product cannot wrap.
+func checkFrame(w, h uint64) error {
+	const maxPixels = 1 << 26
+	if w == 0 || h == 0 || w > maxPixels || h > maxPixels || w*h > maxPixels {
+		return fmt.Errorf("implausible geometry %dx%d", w, h)
+	}
+	return nil
 }
 
 type decoder struct {
@@ -341,6 +361,19 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// count reads an element count and fails when it exceeds the bytes left.
+func (d *decoder) count() uint64 {
+	n := d.uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(d.r.Len()) {
+		d.fail(fmt.Errorf("implausible count %d with %d bytes left", n, d.r.Len()))
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) varint() int64 {
 	v, err := binary.ReadVarint(d.r)
 	if err != nil {
@@ -362,9 +395,8 @@ func (d *decoder) u32() uint32 {
 func (d *decoder) f32() float32 { return math.Float32frombits(d.u32()) }
 
 func (d *decoder) rawStr() string {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(d.r.Len()) {
-		d.fail(fmt.Errorf("bad string length %d", n))
+	n := d.count()
+	if d.err != nil {
 		return ""
 	}
 	buf := make([]byte, n)
@@ -391,12 +423,8 @@ func (d *decoder) tableStr() string {
 // distinguishes "no data" (nil) from data, and zero-length non-nil slices do
 // not occur at the boundary, so collapsing the two preserves semantics.
 func (d *decoder) bytesVal() []byte {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(d.r.Len()) {
-		d.fail(fmt.Errorf("bad byte-slice length %d", n))
-		return nil
-	}
-	if n == 0 {
+	n := d.count()
+	if d.err != nil || n == 0 {
 		return nil
 	}
 	buf := make([]byte, n)
@@ -413,14 +441,11 @@ func (d *decoder) event() (Event, error) {
 		TID:  int(d.uvarint()),
 		Name: d.tableStr(),
 	}
-	nargs := d.uvarint()
+	nargs := d.count()
 	if d.err != nil {
 		return ev, d.err
 	}
-	if nargs > uint64(d.r.Len()) {
-		return ev, fmt.Errorf("implausible arg count %d", nargs)
-	}
-	ev.Args = make([]any, 0, nargs)
+	ev.Args = make([]any, 0, min(nargs, preallocCap))
 	for i := uint64(0); i < nargs; i++ {
 		ev.Args = append(ev.Args, d.value())
 	}
@@ -464,12 +489,8 @@ func (d *decoder) value() any {
 	case vBytes:
 		return d.bytesVal()
 	case vF32Slice:
-		n := d.uvarint()
-		if d.err != nil || n > uint64(d.r.Len()) {
-			d.fail(fmt.Errorf("bad []float32 length %d", n))
-			return nil
-		}
-		if n == 0 {
+		n := d.count()
+		if d.err != nil || n == 0 {
 			return []float32(nil)
 		}
 		out := make([]float32, n)
@@ -478,12 +499,8 @@ func (d *decoder) value() any {
 		}
 		return out
 	case vU16Slice:
-		n := d.uvarint()
-		if d.err != nil || n > uint64(d.r.Len()) {
-			d.fail(fmt.Errorf("bad []uint16 length %d", n))
-			return nil
-		}
-		if n == 0 {
+		n := d.count()
+		if d.err != nil || n == 0 {
 			return []uint16(nil)
 		}
 		out := make([]uint16, n)
@@ -492,12 +509,8 @@ func (d *decoder) value() any {
 		}
 		return out
 	case vU32Slice:
-		n := d.uvarint()
-		if d.err != nil || n > uint64(d.r.Len()) {
-			d.fail(fmt.Errorf("bad []uint32 length %d", n))
-			return nil
-		}
-		if n == 0 {
+		n := d.count()
+		if d.err != nil || n == 0 {
 			return []uint32(nil)
 		}
 		out := make([]uint32, n)

@@ -40,7 +40,7 @@ type Options struct {
 	// its boot state (see sflinger.Flinger.Reset), and the caller must not
 	// run anything else on the stack during the replay — checksum
 	// verification reads the shared scan-out image. The replay still creates
-	// (and tears down the introspection sources of) its own app process.
+	// its own app process and closes it when done.
 	System *system.Cycada
 }
 
@@ -91,7 +91,7 @@ func Play(tr *Trace, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer p.app.ReleaseSnapshotSources()
+	defer p.app.Close()
 	if opts.System != nil && opts.Faults != nil {
 		// On a caller-owned stack the injector must not outlive the replay.
 		defer opts.System.Android.Kernel.SetFaultInjector(nil)

@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"cycada/internal/harness"
@@ -158,21 +159,32 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// Concurrent replays of a shared decoded trace; meaningful under -race.
+// Concurrent batched replays of one shared decoded trace, each on its own
+// stack; meaningful under -race.
 func TestParallelReplay(t *testing.T) {
 	tr, err := replay.ReadFile(filepath.Join("testdata", "webkit-tiles.cytr"))
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	res, err := replay.Bench(tr, 4, 8, replay.Options{BatchCap: 16})
-	if err != nil {
-		t.Fatalf("Bench: %v", err)
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2 && errs[w] == nil; i++ {
+				var res *replay.Result
+				if res, errs[w] = replay.Play(tr, replay.Options{Verify: true, BatchCap: 16}); errs[w] == nil {
+					errs[w] = res.VerifyError()
+				}
+			}
+		}()
 	}
-	if res.Replays != 8 || res.Workers != 4 {
-		t.Fatalf("Bench result = %+v, want 8 replays on 4 workers", res)
-	}
-	if res.PerSec <= 0 {
-		t.Fatalf("PerSec = %v, want > 0", res.PerSec)
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", w, err)
+		}
 	}
 }
 

@@ -340,7 +340,7 @@ func TestCopyParallelMatchesCopy(t *testing.T) {
 // --- Throughput scaling ---
 
 // BenchmarkRasterTiles measures tiled raster throughput as the worker pool
-// grows; scripts/benchjson.sh records the series as the PR's perf artifact.
+// grows.
 func BenchmarkRasterTiles(b *testing.B) {
 	verts, idx := scene(120, 1)
 	for _, workers := range []int{1, 2, 4, 8} {

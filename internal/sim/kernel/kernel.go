@@ -312,6 +312,15 @@ func (k *Kernel) binderService(name string) (BinderService, error) {
 	return s, nil
 }
 
+// ExitProcess reaps a finished process: the kernel forgets it, so nothing
+// the process built stays reachable through the kernel. Like the rest of
+// teardown it charges no virtual time and counts no syscall. Idempotent.
+func (k *Kernel) ExitProcess(p *Process) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	delete(k.procs, p.pid)
+}
+
 // Processes returns a snapshot of live processes.
 func (k *Kernel) Processes() []*Process {
 	k.mu.Lock()

@@ -45,6 +45,14 @@ for cap in 1 16 64 256; do
 	go run ./cmd/cycadareplay verify -batch "$cap" internal/replay/testdata/*.cytr
 done
 
+echo "== fuzz smoke (replay.Decode reads CYTR files from outside the program)"
+# A short minimization budget keeps the 10 s on mutation: minimizing one
+# new input re-encodes a whole trace many times.
+go test ./internal/replay -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
+
+echo "== bench/ tests (pinned virtual times, layer accounting, BENCHMARK.json contract)"
+(cd bench && go test ./...)
+
 echo "== batched chaos smoke (faults injected mid-batch via cycadareplay)"
 go run ./cmd/cycadareplay replay -i internal/replay/testdata/passmark-3d.cytr \
 	-batch 16 -n 4 -faults seed=7,rate=0.05 >/dev/null
@@ -81,41 +89,49 @@ if [ "$obs_gate_ok" != 1 ]; then
 	exit 1
 fi
 
-echo "== telemetry smoke (load generator with -listen: /metrics, /healthz, /snapshot)"
-# Boot the sustained-load generator with an embedded telemetry server on an
-# ephemeral port, scrape /metrics while it runs and validate the exposition
-# with the Prometheus-text parser, then pipe the JSON endpoints through
-# jsoncheck. The load must outlive the scrapes, hence the generous -dur.
-tmplog=$(mktemp)
-go run ./cmd/cycadareplay load -i internal/replay/testdata/passmark-2d.cytr \
-	-n 2 -dur 12s -listen 127.0.0.1:0 >"$tmplog" 2>&1 &
-loadpid=$!
+echo "== telemetry smoke (farm with -listen: /metrics, /healthz, /snapshot)"
+# Boot a two-device farm with an embedded telemetry server on an ephemeral
+# port, scrape /metrics while it replays and validate the exposition with the
+# Prometheus-text parser (the farm's device-state gauges included), then pipe
+# the JSON endpoints through jsoncheck. The checkers are built first so the
+# scrapes take milliseconds and land while the sessions are still running.
+tmpdir=$(mktemp -d)
+go build -o "$tmpdir/promcheck" ./scripts/promcheck
+go build -o "$tmpdir/jsoncheck" ./scripts/jsoncheck.go
+go build -o "$tmpdir/cycadafarm" ./cmd/cycadafarm
+"$tmpdir/cycadafarm" -devices 2 -sessions 32 -trace internal/replay/testdata/passmark-2d.cytr \
+	-listen 127.0.0.1:0 >"$tmpdir/farm.log" 2>&1 &
+farmpid=$!
 url=""
 for i in $(seq 1 60); do
-	url=$(awk '/^telemetry: listening on / { print $4; exit }' "$tmplog")
+	url=$(awk '/^telemetry: listening on / { print $4; exit }' "$tmpdir/farm.log")
 	[ -n "$url" ] && break
 	sleep 0.25
 done
 if [ -z "$url" ]; then
 	echo "telemetry smoke failed: server address never printed" >&2
-	cat "$tmplog" >&2
-	kill "$loadpid" 2>/dev/null || true
+	cat "$tmpdir/farm.log" >&2
+	kill "$farmpid" 2>/dev/null || true
 	exit 1
 fi
-go run ./scripts/promcheck "$url/metrics" >/dev/null
-go run ./scripts/promcheck -raw "$url/healthz" | go run ./scripts/jsoncheck.go
-go run ./scripts/promcheck -raw "$url/snapshot" | go run ./scripts/jsoncheck.go
-if ! wait "$loadpid"; then
-	echo "telemetry smoke failed: load generator exited non-zero" >&2
-	cat "$tmplog" >&2
+if ! "$tmpdir/promcheck" -print "$url/metrics" | grep -q '^cycada_farm_device_state{'; then
+	echo "telemetry smoke failed: /metrics has no cycada_farm_device_state" >&2
+	kill "$farmpid" 2>/dev/null || true
 	exit 1
 fi
-if ! grep -q "sustained" "$tmplog"; then
-	echo "telemetry smoke failed: load summary missing" >&2
-	cat "$tmplog" >&2
+"$tmpdir/promcheck" -raw "$url/healthz" | "$tmpdir/jsoncheck"
+"$tmpdir/promcheck" -raw "$url/snapshot" | "$tmpdir/jsoncheck"
+if ! wait "$farmpid"; then
+	echo "telemetry smoke failed: farm exited non-zero" >&2
+	cat "$tmpdir/farm.log" >&2
 	exit 1
 fi
-rm -f "$tmplog"
+if ! grep -q "sessions/sec" "$tmpdir/farm.log"; then
+	echo "telemetry smoke failed: farm summary missing" >&2
+	cat "$tmpdir/farm.log" >&2
+	exit 1
+fi
+rm -rf "$tmpdir"
 
 echo "== cycadatop smoke (live introspection snapshot)"
 top=$(go run ./cmd/cycadatop)
