@@ -43,7 +43,6 @@ func TegraProfile() engine.Profile {
 // VendorLib is one loaded instance of the vendor library.
 type VendorLib struct {
 	eng    *engine.Lib
-	syms   map[string]linker.Fn
 	frames map[string]callconv.FrameFn
 }
 
@@ -52,11 +51,8 @@ type VendorLib struct {
 // vendor library rather than dlsym-ing every call).
 func (v *VendorLib) Engine() *engine.Lib { return v.eng }
 
-// Symbols implements linker.Instance.
-func (v *VendorLib) Symbols() map[string]linker.Fn { return v.syms }
-
-// FrameSymbols implements linker.FrameInstance: the typed fast path into the
-// same surface.
+// FrameSymbols implements linker.FrameInstance: the library's whole GLES
+// surface, one typed frame symbol per entry point.
 func (v *VendorLib) FrameSymbols() map[string]callconv.FrameFn { return v.frames }
 
 // Finalize implements linker.Finalizer: replica teardown releases the
@@ -81,7 +77,6 @@ func Blueprint() *linker.Blueprint {
 			surface := append(registry.AndroidSurface(), registry.TegraUnadvertised()...)
 			return &VendorLib{
 				eng:    eng,
-				syms:   symbols.Build(eng, surface, "NV"),
 				frames: symbols.BuildFrames(eng, surface, "NV"),
 			}, nil
 		},

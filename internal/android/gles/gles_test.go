@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cycada/internal/android/libc"
+	"cycada/internal/core/callconv"
 	"cycada/internal/gles/registry"
 	"cycada/internal/linker"
 	"cycada/internal/sim/kernel"
@@ -52,7 +53,7 @@ func TestTegraProfile(t *testing.T) {
 
 func TestSymbolSurfaceCoversAndroidPlusUnadvertised(t *testing.T) {
 	_, v, _ := load(t)
-	syms := v.Symbols()
+	syms := v.FrameSymbols()
 	for _, name := range registry.AndroidSurface() {
 		if _, ok := syms[name]; !ok {
 			t.Errorf("missing advertised symbol %s", name)
@@ -100,11 +101,14 @@ func TestNVDependencyChainIsPrivatePerReplica(t *testing.T) {
 func TestStubSymbolsAreCallable(t *testing.T) {
 	th, v, _ := load(t)
 	// A stub entry point (never modelled) must be callable and counted.
-	fn := v.Symbols()["glStencilMask"]
+	fn := v.FrameSymbols()["glStencilMask"]
 	if fn == nil {
 		t.Fatal("glStencilMask missing")
 	}
-	fn(th, uint32(0xFF))
+	fr := callconv.Acquire(callconv.Intern("glStencilMask"))
+	fr.PushU32(0xFF)
+	fn(th, fr)
+	fr.Release()
 	if v.Engine().CallCount("glStencilMask") != 1 {
 		t.Fatal("stub call not counted")
 	}

@@ -16,7 +16,7 @@
 //     one []byte, one []float32, one string, one opaque handle). Callers push
 //     arguments into typed slots — no interface boxing — and the boxed []any
 //     view is materialized lazily, only when an observer (replay tap, trace
-//     span, legacy wrapper) actually needs it.
+//     span, diplomat wrapper) actually needs it.
 package callconv
 
 import (

@@ -8,9 +8,10 @@ import (
 	"cycada/internal/sim/kernel"
 )
 
-// FrameFn is the typed fast-path ABI: a symbol implementation that reads its
-// arguments from a Frame's typed slots instead of a boxed []any. Symbols
-// that provide a FrameFn are invoked with zero per-call heap allocations.
+// FrameFn is the typed ABI every GLES entry point is implemented in: a
+// symbol implementation that reads its arguments from a Frame's typed slots
+// instead of a boxed []any, so it is invoked with zero per-call heap
+// allocations.
 type FrameFn func(t *kernel.Thread, fr *Frame) any
 
 // Slot capacities. The widest real GLES entry points are glOrthof/glFrustumf
@@ -25,7 +26,7 @@ const (
 )
 
 // argKind tags one pushed argument so Args can rebuild the boxed view in the
-// exact order and with the exact Go types the legacy []any path used —
+// exact order and with the exact Go types the arguments were pushed with —
 // record/replay byte-identity depends on it.
 type argKind uint8
 
@@ -134,7 +135,7 @@ func (fr *Frame) PushF32(v float32) {
 
 // PushBytes appends the frame's single []byte argument (pixel data). A nil
 // slice is a valid argument and materializes as a typed-nil []byte, exactly
-// as the boxed path passed it.
+// as a boxed caller passes it.
 func (fr *Frame) PushBytes(v []byte) {
 	if fr.hasKind(argBytes) {
 		panic("callconv: frame carries at most one []byte arg")
@@ -184,8 +185,7 @@ func (fr *Frame) hasKind(k argKind) bool {
 
 // Typed accessors, indexed per kind in push order: Int(0) is the first int
 // pushed regardless of what surrounded it. Out-of-range reads return zero
-// values, mirroring the defensive argI/argU helpers of the boxed symbol
-// implementations.
+// values, so a short argument list reads as zeros, never a panic.
 
 // Int returns the i-th int argument.
 func (fr *Frame) Int(i int) int {
@@ -229,15 +229,22 @@ func (fr *Frame) Handle() any { return fr.handle }
 // whose arities are fixed at compile time — keep panicking on misuse.
 var ErrTooManyArgs = errors.New("callconv: too many arguments")
 
+// ErrUnframeable is returned by FrameArgs for a legal-length argument list
+// whose shape no frame can hold: more scalars of one kind than the fixed
+// arrays carry, or several arguments of a singleton kind. No real GLES
+// entry point has such a shape.
+var ErrUnframeable = errors.New("callconv: argument list does not fit a frame")
+
 // BuildFrame converts a boxed argument list into a typed frame without ever
 // panicking. It returns (frame, true, nil) when every argument fits the
 // typed slots, (nil, false, nil) when the shape is legal but unframeable —
 // more scalars of one kind than the fixed arrays hold, or several arguments
-// of a singleton kind — in which case the caller falls back to the boxed
-// path, and (nil, false, ErrTooManyArgs) when the list overflows MaxArgs.
-// The materialized Args() view of a built frame is identical, in order and
-// Go types, to the input list, so observers (record/replay taps) see the
-// same bytes either way.
+// of a singleton kind — and (nil, false, ErrTooManyArgs) when the list
+// overflows MaxArgs. The built frame's Args() view is the input list itself,
+// so observers (record/replay taps, wrapper diplomats) see the same values,
+// in the same order and Go types, without a second boxing. Like the slices
+// it carries, args is borrowed: the caller must not modify it until the
+// frame is released.
 func BuildFrame(id FuncID, args []any) (*Frame, bool, error) {
 	if len(args) > MaxArgs {
 		return nil, false, fmt.Errorf("%w: %d args for %q (max %d)", ErrTooManyArgs, len(args), Name(id), MaxArgs)
@@ -295,13 +302,34 @@ func BuildFrame(id FuncID, args []any) (*Frame, bool, error) {
 			return nil, false, nil
 		}
 	}
+	if len(args) > 0 {
+		fr.args = args
+	}
 	return fr, true, nil
+}
+
+// FrameArgs frames a boxed argument list at an API boundary, where there is
+// no boxed implementation to fall back to: an unframeable or over-long list
+// sets errno EINVAL on t and returns an error wrapping ErrUnframeable or
+// ErrTooManyArgs. The caller releases the returned frame.
+func FrameArgs(t *kernel.Thread, id FuncID, args []any) (*Frame, error) {
+	fr, framed, err := BuildFrame(id, args)
+	if err == nil && !framed {
+		err = fmt.Errorf("%w: %q", ErrUnframeable, Name(id))
+	}
+	if err != nil {
+		t.SetErrno(int(kernel.EINVAL))
+		return nil, err
+	}
+	return fr, nil
 }
 
 // Args materializes the boxed []any view of the frame, preserving the exact
 // push order and Go types of every argument. This is the lazy path observers
-// use: replay taps, trace spans, and legacy Wrapper code. It allocates, so
-// the hot path must only reach it when such an observer is active. The view
+// and foreign-side logic use: replay taps, trace spans, the wrappers of
+// indirect and data-dependent diplomats, and the boxed libraries (EGL,
+// libEGLbridge) a frame can reach. It allocates for a pushed frame, so the
+// hot path must only reach it when such a consumer is active. The view
 // is cached until Release, so multiple observers of one call share it.
 func (fr *Frame) Args() []any {
 	if fr.nArg == 0 {

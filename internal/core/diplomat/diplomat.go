@@ -234,7 +234,7 @@ func (d *Diplomat) Call(t *kernel.Thread, args ...any) any {
 // CallFrame is Call for the typed calling convention: same §3 sequence, same
 // vclock costs, zero heap allocations on the direct path. Direct and Multi
 // diplomats hand the frame straight to the domestic symbol; wrapper kinds
-// materialize the boxed []any view and run through the legacy wrapper path.
+// read the frame's []any view and run their foreign-side wrapper logic.
 func (d *Diplomat) CallFrame(t *kernel.Thread, fr *callconv.Frame) any {
 	if d.wrapper != nil {
 		return d.call(t, fr.Args(), nil)

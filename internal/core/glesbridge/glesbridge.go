@@ -51,13 +51,10 @@ type Bridge struct {
 	dips  map[string]*diplomat.Diplomat
 	kinds map[string]diplomat.Kind
 	// byID indexes the same diplomats by interned FuncID, so Call and the
-	// frame path replace the per-call map[string] lookup with a slice index.
+	// batch path replace the per-call map[string] lookup with a slice index.
 	byID []*diplomat.Diplomat
 
-	// symsOnce builds the exported closure maps exactly once; Symbols used to
-	// rebuild all 344 closures on every invocation.
-	symsOnce  sync.Once
-	syms      map[string]linker.Fn
+	// frameSyms is the exported surface: one closure per diplomat.
 	frameSyms map[string]callconv.FrameFn
 
 	// tap, when set, observes every successful diplomatic call (record/
@@ -94,21 +91,10 @@ func (b *Bridge) SetTap(t tap.Tap) {
 	b.tap.Store(&tapBox{t: t})
 }
 
-// invoke runs one diplomat and reports it to the tap on success.
-func (b *Bridge) invoke(t *kernel.Thread, d *diplomat.Diplomat, name string, args []any) any {
-	b.crossings.Add(1)
-	ret := d.Call(t, args...)
-	if box := b.tap.Load(); box != nil {
-		if err, failed := ret.(error); !failed || err == nil {
-			box.t.Call(t, tap.GLES, name, args, ret)
-		}
-	}
-	return ret
-}
-
-// invokeFrame runs one diplomat on the typed fast path. The boxed []any view
-// is materialized lazily — only when the record/replay tap is active; with
-// the tap off the call completes without a single heap allocation.
+// invokeFrame runs one diplomat and reports it to the tap on success. The
+// boxed []any view is materialized lazily — only when the record/replay tap
+// is active; with the tap off a direct call completes without a single heap
+// allocation.
 func (b *Bridge) invokeFrame(t *kernel.Thread, d *diplomat.Diplomat, name string, fr *callconv.Frame) any {
 	b.crossings.Add(1)
 	ret := d.CallFrame(t, fr)
@@ -211,6 +197,12 @@ func New(cfg Config) (*Bridge, error) {
 		}
 		return nil
 	}
+	b.frameSyms = make(map[string]callconv.FrameFn, len(b.dips))
+	for name, d := range b.dips {
+		b.frameSyms[name] = func(t *kernel.Thread, fr *callconv.Frame) any {
+			return b.invokeFrame(t, d, name, fr)
+		}
+	}
 	return b, nil
 }
 
@@ -232,15 +224,23 @@ func (b *Bridge) Census() map[diplomat.Kind]int {
 // Functions reports the total bridged surface (344).
 func (b *Bridge) Functions() int { return len(b.dips) }
 
-// Call invokes a bridged function by name. The diplomat is found through the
-// intern table plus a slice index rather than the bridge's own name map.
+// Call invokes a bridged function by name with a boxed argument list (trace
+// replay, app code calling by name). The diplomat is found through the
+// intern table plus a slice index; the list is framed once and takes the
+// same path as a linked frame call. A list no frame can carry sets errno
+// EINVAL and returns the bridge's invalid-arguments error.
 func (b *Bridge) Call(t *kernel.Thread, name string, args ...any) any {
-	if id, ok := callconv.LookupID(name); ok && int(id) < len(b.byID) {
-		if d := b.byID[id]; d != nil {
-			return b.invoke(t, d, name, args)
-		}
+	id, ok := callconv.LookupID(name)
+	if !ok || int(id) >= len(b.byID) || b.byID[id] == nil {
+		return fmt.Errorf("glesbridge: %s is not an iOS GLES function", name)
 	}
-	return fmt.Errorf("glesbridge: %s is not an iOS GLES function", name)
+	fr, err := callconv.FrameArgs(t, id, args)
+	if err != nil {
+		return fmt.Errorf("%w: %s: %w", kernelEINVAL, name, err)
+	}
+	ret := b.invokeFrame(t, b.byID[id], name, fr)
+	fr.Release()
+	return ret
 }
 
 // BatchHistName names the flushed-batch-size histogram in the kernel's
@@ -308,44 +308,11 @@ func (b *Bridge) Crossings() uint64 { return b.crossings.Load() }
 // windows.
 func (b *Bridge) BatchedCalls() uint64 { return b.batchedCalls.Load() }
 
-// CallID invokes a bridged function by interned FuncID on the boxed path.
-func (b *Bridge) CallID(t *kernel.Thread, id callconv.FuncID, args ...any) any {
-	if int(id) < len(b.byID) {
-		if d := b.byID[id]; d != nil {
-			return b.invoke(t, d, callconv.Name(id), args)
-		}
-	}
-	return fmt.Errorf("glesbridge: function id %d is not an iOS GLES function", id)
-}
-
-// Symbols implements linker.Instance: the full iOS GLES surface. The closure
-// map is built once and reused — it used to be rebuilt on every invocation.
-func (b *Bridge) Symbols() map[string]linker.Fn {
-	b.symsOnce.Do(b.buildSymbolMaps)
-	return b.syms
-}
-
-// FrameSymbols implements linker.FrameInstance: the typed fast-path surface.
-// Every bridged function accepts a frame; wrapper kinds materialize it
-// internally, direct kinds carry it through to the vendor library untouched.
-func (b *Bridge) FrameSymbols() map[string]callconv.FrameFn {
-	b.symsOnce.Do(b.buildSymbolMaps)
-	return b.frameSyms
-}
-
-func (b *Bridge) buildSymbolMaps() {
-	b.syms = make(map[string]linker.Fn, len(b.dips))
-	b.frameSyms = make(map[string]callconv.FrameFn, len(b.dips))
-	for name, d := range b.dips {
-		name, d := name, d
-		b.syms[name] = func(t *kernel.Thread, args ...any) any {
-			return b.invoke(t, d, name, args)
-		}
-		b.frameSyms[name] = func(t *kernel.Thread, fr *callconv.Frame) any {
-			return b.invokeFrame(t, d, name, fr)
-		}
-	}
-}
+// FrameSymbols implements linker.FrameInstance: the full iOS GLES surface,
+// built once in New. Every bridged function takes a frame; wrapper kinds
+// read its []any view, direct kinds carry it through to the vendor library
+// untouched.
+func (b *Bridge) FrameSymbols() map[string]callconv.FrameFn { return b.frameSyms }
 
 // Blueprint returns the bridge's blueprint under Apple's library name; the
 // Cycada system registers it instead of the Apple vendor library.
@@ -403,7 +370,7 @@ func (b *Bridge) indirectWrapper(name string) (diplomat.Wrapper, bool) {
 			if len(args) < 4 {
 				return kernelEINVAL
 			}
-			return domestic("glTexImage2D", args[2], args[3], args[1], nil)
+			return domestic("glTexImage2D", args[2], args[3], args[1], []byte(nil))
 		}, true
 	case "glTextureStorage2DEXT":
 		// (texture, levels, format, w, h): direct-state access split into a
@@ -418,7 +385,7 @@ func (b *Bridge) indirectWrapper(name string) (diplomat.Wrapper, bool) {
 			if err, ok := domestic("glBindTexture", engine.Texture2D, args[0]).(error); ok && err != nil {
 				return err
 			}
-			return domestic("glTexImage2D", args[3], args[4], args[2], nil)
+			return domestic("glTexImage2D", args[3], args[4], args[2], []byte(nil))
 		}, true
 	case "glTextureRangeAPPLE":
 		// A storage hint: re-expressed as a texture parameter.

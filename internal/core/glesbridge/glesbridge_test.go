@@ -182,7 +182,7 @@ func TestUnknownFunctionRejected(t *testing.T) {
 
 func TestSymbolsExposeWholeSurface(t *testing.T) {
 	a, _ := app(t)
-	syms := a.Bridge.Symbols()
+	syms := a.Bridge.FrameSymbols()
 	if len(syms) != 344 {
 		t.Fatalf("symbol surface = %d, want 344", len(syms))
 	}

@@ -219,10 +219,6 @@ func TestRowBytesZeroSizeReadPixels(t *testing.T) {
 
 func TestSymbolMapsAreCached(t *testing.T) {
 	a, _ := app(t)
-	s1, s2 := a.Bridge.Symbols(), a.Bridge.Symbols()
-	if reflect.ValueOf(s1).Pointer() != reflect.ValueOf(s2).Pointer() {
-		t.Fatal("Symbols() rebuilt its closure map")
-	}
 	f1, f2 := a.Bridge.FrameSymbols(), a.Bridge.FrameSymbols()
 	if reflect.ValueOf(f1).Pointer() != reflect.ValueOf(f2).Pointer() {
 		t.Fatal("FrameSymbols() rebuilt its closure map")

@@ -9,7 +9,9 @@
 // interned once into a package-level FuncID, arguments travel in a pooled
 // typed frame, and resolution goes through the linker's lock-free flat
 // cache — so a facade call reaches the bound library without boxing its
-// arguments or hashing a name.
+// arguments or hashing a name. Call, the by-name entry for runtime-built
+// argument lists, frames its list once and takes the same path: every GLES
+// library exports its entry points only as typed frames.
 package glesapi
 
 import (
@@ -154,34 +156,22 @@ func (g *GL) Has(name string) bool {
 // dispatch). Unlike the typed wrappers — whose shapes are fixed at compile
 // time and may rely on the internal builders' panics — Call is an API
 // boundary fed with runtime-constructed argument lists, so it never panics:
-// an unresolvable name or an argument list no real GLES entry point could
-// carry surfaces as an EINVAL-style error return. Framable calls take the
-// typed fast path; shapes the frame cannot hold fall back to the boxed path.
+// the list is framed once and takes the typed path of the wrappers, and an
+// unresolvable name or an argument list no frame can carry (no real GLES
+// entry point has such a shape) surfaces as an EINVAL-style error return.
 func (g *GL) Call(t *kernel.Thread, name string, args ...any) any {
 	id, ok := callconv.LookupID(name)
 	if !ok {
 		id = callconv.Intern(name)
 	}
-	s, err := g.link.DlsymID(g.h, id)
-	if err != nil {
+	if _, err := g.link.DlsymID(g.h, id); err != nil {
 		return fmt.Errorf("glesapi: %w", err)
 	}
-	fr, framed, err := callconv.BuildFrame(id, args)
+	fr, err := callconv.FrameArgs(t, id, args)
 	if err != nil {
-		t.SetErrno(int(kernel.EINVAL))
 		return fmt.Errorf("glesapi: %s: %w", name, err)
 	}
-	if framed {
-		if g.enc.enabled.Load() && g.enc.encode(t, fr) {
-			return nil
-		}
-		ret := s.CallFrame(t, fr)
-		fr.Release()
-		return ret
-	}
-	// Unframeable shapes dispatch boxed; anything queued must land first.
-	g.FlushBatch(t)
-	return s.Call(t, args...)
+	return g.call(t, fr)
 }
 
 // --- Typed wrappers for the surface the workloads use ---

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cycada/internal/core/callconv"
+	"cycada/internal/core/system"
 	"cycada/internal/ios/iosys"
 	"cycada/internal/sim/kernel"
 )
@@ -62,16 +63,51 @@ func TestCallFramedMatchesTypedWrapper(t *testing.T) {
 	}
 }
 
-func TestCallUnframeableShapeFallsBackToBoxed(t *testing.T) {
-	us, th := boot(t)
-	// Nine ints exceed the frame's int slots; the call must fall back to the
-	// boxed path (whose defensive arg helpers ignore the extras), not error
-	// or panic.
-	args := make([]any, 9)
-	for i := range args {
-		args[i] = 0
+func TestCallUnframeableArgsReturnEINVAL(t *testing.T) {
+	// Every GLES entry point is implemented once, as a typed frame: a boxed
+	// argument list no frame can carry has no fallback and must come back
+	// as an error with errno EINVAL — never a panic — on the facade (native
+	// and Cycada bindings) and on the bridge's by-name entry.
+	us, nth := boot(t)
+	sys := system.New(system.Config{})
+	app, err := sys.NewIOSApp(system.AppConfig{Name: "glesapi-test"})
+	if err != nil {
+		t.Fatalf("NewIOSApp: %v", err)
 	}
-	if ret := us.GL.Call(th, "glViewport", args...); ret != nil {
-		t.Fatalf("boxed-fallback glViewport returned %v", ret)
+	cth := app.Main()
+	nineInts := make([]any, 9)
+	for i := range nineInts {
+		nineInts[i] = 0
+	}
+	callers := []struct {
+		name string
+		th   *kernel.Thread
+		call func(th *kernel.Thread, name string, args ...any) any
+	}{
+		{"native GL.Call", nth, us.GL.Call},
+		{"cycada GL.Call", cth, app.GL.Call},
+		{"Bridge.Call", cth, app.Bridge.Call},
+	}
+	cases := []struct {
+		name string
+		args []any
+		want error
+	}{
+		{"nine ints", nineInts, callconv.ErrUnframeable},
+		{"two untyped nils", []any{nil, nil}, callconv.ErrUnframeable},
+		{"13 args", make([]any, callconv.MaxArgs+1), callconv.ErrTooManyArgs},
+	}
+	for _, c := range callers {
+		for _, tc := range cases {
+			c.th.SetErrno(0)
+			ret := c.call(c.th, "glViewport", tc.args...)
+			err, ok := ret.(error)
+			if !ok || !errors.Is(err, tc.want) {
+				t.Errorf("%s(glViewport, %s) = %T %v, want error wrapping %v", c.name, tc.name, ret, ret, tc.want)
+			}
+			if c.th.Errno() != int(kernel.EINVAL) {
+				t.Errorf("%s(glViewport, %s): errno = %d, want EINVAL", c.name, tc.name, c.th.Errno())
+			}
+		}
 	}
 }

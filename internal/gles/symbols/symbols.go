@@ -1,37 +1,43 @@
 // Package symbols builds the dynamic-linker symbol table of a vendor GLES
-// library: every function in the platform's surface becomes a callable
-// symbol with the simulated C ABI (thread + opaque arguments), implemented
-// entry points dispatch into the engine, and the rest resolve to costed
-// stubs. Diplomats dlsym through this table exactly as the paper's step 1
-// describes ("a diplomat loads the appropriate domestic library and locates
-// the required entry point").
+// library: every function in the platform's surface becomes a typed frame
+// symbol (callconv.FrameFn) with the simulated C ABI, implemented entry
+// points dispatch into the engine, and the rest resolve to costed stubs.
+// Diplomats dlsym through this table exactly as the paper's step 1 describes
+// ("a diplomat loads the appropriate domestic library and locates the
+// required entry point"). Each entry point is implemented once, here, in
+// the frame convention; boxed callers reach it through linker.Symbol.Call.
 package symbols
 
 import (
+	"cycada/internal/core/callconv"
 	"cycada/internal/gles/engine"
-	"cycada/internal/linker"
 	"cycada/internal/sim/gpu"
 	"cycada/internal/sim/kernel"
 )
 
-// Build returns the exported symbol table for a vendor library over eng.
-// surface lists every entry point the library must export; fenceSuffix is
-// "NV" for the Tegra library and "APPLE" for the Apple library, selecting
+// BuildFrames returns the exported symbol table for a vendor library over
+// eng: a FrameFn for every entry point in surface, reading arguments from
+// the frame's typed slots. The slot layout of each function is fixed by the
+// glesapi facade: scalars in declaration order, pixel data in the []byte
+// slot, vertex data in the []float32 slot, and formats/matrices/ID lists in
+// the handle slot. Entry points outside the implemented set become costed
+// stub frames, so every exported symbol stays allocation-free. fenceSuffix
+// is "NV" for the Tegra library and "APPLE" for the Apple library, selecting
 // which fence extension family the library implements (§4.1's worked
 // example of an indirect diplomat).
-func Build(eng *engine.Lib, surface []string, fenceSuffix string) map[string]linker.Fn {
-	impl := implemented(eng)
-	for name, fn := range fenceFns(eng, fenceSuffix) {
+func BuildFrames(eng *engine.Lib, surface []string, fenceSuffix string) map[string]callconv.FrameFn {
+	impl := implementedFrames(eng)
+	for name, fn := range fenceFrameFns(eng, fenceSuffix) {
 		impl[name] = fn
 	}
-	out := make(map[string]linker.Fn, len(surface))
+	out := make(map[string]callconv.FrameFn, len(surface))
 	for _, name := range surface {
 		if fn, ok := impl[name]; ok {
 			out[name] = fn
 			continue
 		}
 		name := name
-		out[name] = func(t *kernel.Thread, args ...any) any {
+		out[name] = func(t *kernel.Thread, fr *callconv.Frame) any {
 			eng.Stub(t, name)
 			return nil
 		}
@@ -39,329 +45,257 @@ func Build(eng *engine.Lib, surface []string, fenceSuffix string) map[string]lin
 	return out
 }
 
-// Argument extraction helpers: the simulated C ABI passes opaque values, so
-// adapters convert defensively, treating missing arguments as zero.
-func argI(args []any, i int) int {
-	if i < len(args) {
-		switch v := args[i].(type) {
-		case int:
-			return v
-		case uint32:
-			return int(v)
-		case float32:
-			return int(v)
-		}
-	}
-	return 0
+func frameFormat(fr *callconv.Frame) gpu.Format {
+	f, _ := fr.Handle().(gpu.Format)
+	return f
 }
 
-func argU(args []any, i int) uint32 {
-	if i < len(args) {
-		switch v := args[i].(type) {
-		case uint32:
-			return v
-		case int:
-			return uint32(v)
-		}
-	}
-	return 0
+func frameMat4(fr *callconv.Frame) gpu.Mat4 {
+	m, _ := fr.Handle().(gpu.Mat4)
+	return m
 }
 
-func argF(args []any, i int) float32 {
-	if i < len(args) {
-		switch v := args[i].(type) {
-		case float32:
-			return v
-		case float64:
-			return float32(v)
-		case int:
-			return float32(v)
-		}
-	}
-	return 0
+func frameIDs(fr *callconv.Frame) []uint32 {
+	u, _ := fr.Handle().([]uint32)
+	return u
 }
 
-func argS(args []any, i int) string {
-	if i < len(args) {
-		if s, ok := args[i].(string); ok {
-			return s
-		}
-	}
-	return ""
+func frameU16s(fr *callconv.Frame) []uint16 {
+	u, _ := fr.Handle().([]uint16)
+	return u
 }
 
-func argB(args []any, i int) []byte {
-	if i < len(args) {
-		if b, ok := args[i].([]byte); ok {
-			return b
-		}
-	}
-	return nil
-}
-
-func argFs(args []any, i int) []float32 {
-	if i < len(args) {
-		if f, ok := args[i].([]float32); ok {
-			return f
-		}
-	}
-	return nil
-}
-
-func argIDs(args []any, i int) []uint32 {
-	if i < len(args) {
-		if u, ok := args[i].([]uint32); ok {
-			return u
-		}
-	}
-	return nil
-}
-
-func argU16s(args []any, i int) []uint16 {
-	if i < len(args) {
-		if u, ok := args[i].([]uint16); ok {
-			return u
-		}
-	}
-	return nil
-}
-
-func implemented(e *engine.Lib) map[string]linker.Fn {
-	return map[string]linker.Fn{
-		"glGetError":  func(t *kernel.Thread, a ...any) any { return e.GetError(t) },
-		"glGetString": func(t *kernel.Thread, a ...any) any { return e.GetString(t, argU(a, 0)) },
-		"glClearColor": func(t *kernel.Thread, a ...any) any {
-			e.ClearColor(t, argF(a, 0), argF(a, 1), argF(a, 2), argF(a, 3))
+func implementedFrames(e *engine.Lib) map[string]callconv.FrameFn {
+	return map[string]callconv.FrameFn{
+		"glGetError":  func(t *kernel.Thread, fr *callconv.Frame) any { return e.GetError(t) },
+		"glGetString": func(t *kernel.Thread, fr *callconv.Frame) any { return e.GetString(t, fr.U32(0)) },
+		"glClearColor": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.ClearColor(t, fr.F32(0), fr.F32(1), fr.F32(2), fr.F32(3))
 			return nil
 		},
-		"glClear":   func(t *kernel.Thread, a ...any) any { e.Clear(t, argU(a, 0)); return nil },
-		"glEnable":  func(t *kernel.Thread, a ...any) any { e.Enable(t, argU(a, 0)); return nil },
-		"glDisable": func(t *kernel.Thread, a ...any) any { e.Disable(t, argU(a, 0)); return nil },
-		"glBlendFunc": func(t *kernel.Thread, a ...any) any {
-			e.BlendFunc(t, argU(a, 0), argU(a, 1))
+		"glClear":   func(t *kernel.Thread, fr *callconv.Frame) any { e.Clear(t, fr.U32(0)); return nil },
+		"glEnable":  func(t *kernel.Thread, fr *callconv.Frame) any { e.Enable(t, fr.U32(0)); return nil },
+		"glDisable": func(t *kernel.Thread, fr *callconv.Frame) any { e.Disable(t, fr.U32(0)); return nil },
+		"glBlendFunc": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.BlendFunc(t, fr.U32(0), fr.U32(1))
 			return nil
 		},
-		"glViewport": func(t *kernel.Thread, a ...any) any {
-			e.Viewport(t, argI(a, 0), argI(a, 1), argI(a, 2), argI(a, 3))
+		"glViewport": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Viewport(t, fr.Int(0), fr.Int(1), fr.Int(2), fr.Int(3))
 			return nil
 		},
-		"glScissor": func(t *kernel.Thread, a ...any) any {
-			e.Scissor(t, argI(a, 0), argI(a, 1), argI(a, 2), argI(a, 3))
+		"glScissor": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Scissor(t, fr.Int(0), fr.Int(1), fr.Int(2), fr.Int(3))
 			return nil
 		},
-		"glGenTextures": func(t *kernel.Thread, a ...any) any { return e.GenTextures(t, argI(a, 0)) },
-		"glBindTexture": func(t *kernel.Thread, a ...any) any {
-			e.BindTexture(t, argU(a, 0), argU(a, 1))
+		"glGenTextures": func(t *kernel.Thread, fr *callconv.Frame) any { return e.GenTextures(t, fr.Int(0)) },
+		"glBindTexture": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.BindTexture(t, fr.U32(0), fr.U32(1))
 			return nil
 		},
-		"glActiveTexture": func(t *kernel.Thread, a ...any) any { e.ActiveTexture(t, argI(a, 0)); return nil },
-		"glTexImage2D": func(t *kernel.Thread, a ...any) any {
-			format, _ := a[2].(gpu.Format)
-			e.TexImage2D(t, argI(a, 0), argI(a, 1), format, argB(a, 3))
+		"glActiveTexture": func(t *kernel.Thread, fr *callconv.Frame) any { e.ActiveTexture(t, fr.Int(0)); return nil },
+		"glTexImage2D": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.TexImage2D(t, fr.Int(0), fr.Int(1), frameFormat(fr), fr.Bytes())
 			return nil
 		},
-		"glTexSubImage2D": func(t *kernel.Thread, a ...any) any {
-			format, _ := a[4].(gpu.Format)
-			e.TexSubImage2D(t, argI(a, 0), argI(a, 1), argI(a, 2), argI(a, 3), format, argB(a, 5))
+		"glTexSubImage2D": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.TexSubImage2D(t, fr.Int(0), fr.Int(1), fr.Int(2), fr.Int(3), frameFormat(fr), fr.Bytes())
 			return nil
 		},
-		"glTexParameteri": func(t *kernel.Thread, a ...any) any {
-			e.TexParameteri(t, argU(a, 0), argI(a, 1))
+		"glTexParameteri": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.TexParameteri(t, fr.U32(0), fr.Int(0))
 			return nil
 		},
-		"glDeleteTextures": func(t *kernel.Thread, a ...any) any { e.DeleteTextures(t, argIDs(a, 0)); return nil },
-		"glEGLImageTargetTexture2DOES": func(t *kernel.Thread, a ...any) any {
-			img, _ := a[0].(*engine.EGLImage)
+		"glDeleteTextures": func(t *kernel.Thread, fr *callconv.Frame) any { e.DeleteTextures(t, frameIDs(fr)); return nil },
+		"glEGLImageTargetTexture2DOES": func(t *kernel.Thread, fr *callconv.Frame) any {
+			img, _ := fr.Handle().(*engine.EGLImage)
 			e.EGLImageTargetTexture2D(t, img)
 			return nil
 		},
-		"glGenBuffers": func(t *kernel.Thread, a ...any) any { return e.GenBuffers(t, argI(a, 0)) },
-		"glBindBuffer": func(t *kernel.Thread, a ...any) any {
-			e.BindBuffer(t, argU(a, 0), argU(a, 1))
+		"glGenBuffers": func(t *kernel.Thread, fr *callconv.Frame) any { return e.GenBuffers(t, fr.Int(0)) },
+		"glBindBuffer": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.BindBuffer(t, fr.U32(0), fr.U32(1))
 			return nil
 		},
-		"glBufferData": func(t *kernel.Thread, a ...any) any {
-			e.BufferData(t, argU(a, 0), argFs(a, 1), argU16s(a, 2))
+		"glBufferData": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.BufferData(t, fr.U32(0), fr.Floats(), frameU16s(fr))
 			return nil
 		},
-		"glDeleteBuffers": func(t *kernel.Thread, a ...any) any { e.DeleteBuffers(t, argIDs(a, 0)); return nil },
+		"glDeleteBuffers": func(t *kernel.Thread, fr *callconv.Frame) any { e.DeleteBuffers(t, frameIDs(fr)); return nil },
 
-		"glGenFramebuffers": func(t *kernel.Thread, a ...any) any { return e.GenFramebuffers(t, argI(a, 0)) },
-		"glBindFramebuffer": func(t *kernel.Thread, a ...any) any {
-			e.BindFramebuffer(t, argU(a, 0), argU(a, 1))
+		"glGenFramebuffers": func(t *kernel.Thread, fr *callconv.Frame) any { return e.GenFramebuffers(t, fr.Int(0)) },
+		"glBindFramebuffer": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.BindFramebuffer(t, fr.U32(0), fr.U32(1))
 			return nil
 		},
-		"glFramebufferTexture2D": func(t *kernel.Thread, a ...any) any {
-			e.FramebufferTexture2D(t, argU(a, 0))
+		"glFramebufferTexture2D": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.FramebufferTexture2D(t, fr.U32(0))
 			return nil
 		},
-		"glFramebufferRenderbuffer": func(t *kernel.Thread, a ...any) any {
-			e.FramebufferRenderbuffer(t, argU(a, 0))
+		"glFramebufferRenderbuffer": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.FramebufferRenderbuffer(t, fr.U32(0))
 			return nil
 		},
-		"glCheckFramebufferStatus": func(t *kernel.Thread, a ...any) any { return e.CheckFramebufferStatus(t) },
-		"glDeleteFramebuffers": func(t *kernel.Thread, a ...any) any {
-			e.DeleteFramebuffers(t, argIDs(a, 0))
+		"glCheckFramebufferStatus": func(t *kernel.Thread, fr *callconv.Frame) any { return e.CheckFramebufferStatus(t) },
+		"glDeleteFramebuffers": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.DeleteFramebuffers(t, frameIDs(fr))
 			return nil
 		},
-		"glGenRenderbuffers": func(t *kernel.Thread, a ...any) any { return e.GenRenderbuffers(t, argI(a, 0)) },
-		"glBindRenderbuffer": func(t *kernel.Thread, a ...any) any {
-			e.BindRenderbuffer(t, argU(a, 0), argU(a, 1))
+		"glGenRenderbuffers": func(t *kernel.Thread, fr *callconv.Frame) any { return e.GenRenderbuffers(t, fr.Int(0)) },
+		"glBindRenderbuffer": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.BindRenderbuffer(t, fr.U32(0), fr.U32(1))
 			return nil
 		},
-		"glRenderbufferStorage": func(t *kernel.Thread, a ...any) any {
-			e.RenderbufferStorage(t, argI(a, 0), argI(a, 1))
+		"glRenderbufferStorage": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.RenderbufferStorage(t, fr.Int(0), fr.Int(1))
 			return nil
 		},
-		"glDeleteRenderbuffers": func(t *kernel.Thread, a ...any) any {
-			e.DeleteRenderbuffers(t, argIDs(a, 0))
+		"glDeleteRenderbuffers": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.DeleteRenderbuffers(t, frameIDs(fr))
 			return nil
 		},
-		"glGetRenderbufferParameteriv": func(t *kernel.Thread, a ...any) any {
+		"glGetRenderbufferParameteriv": func(t *kernel.Thread, fr *callconv.Frame) any {
 			w, h := e.RenderbufferSize(t)
 			return [2]int{w, h}
 		},
 
-		"glPixelStorei": func(t *kernel.Thread, a ...any) any {
-			e.PixelStorei(t, argU(a, 0), argI(a, 1))
+		"glPixelStorei": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.PixelStorei(t, fr.U32(0), fr.Int(0))
 			return nil
 		},
-		"glReadPixels": func(t *kernel.Thread, a ...any) any {
-			return e.ReadPixels(t, argI(a, 0), argI(a, 1), argI(a, 2), argI(a, 3))
+		"glReadPixels": func(t *kernel.Thread, fr *callconv.Frame) any {
+			return e.ReadPixels(t, fr.Int(0), fr.Int(1), fr.Int(2), fr.Int(3))
 		},
-		"glFlush":       func(t *kernel.Thread, a ...any) any { e.Flush(t); return nil },
-		"glFinish":      func(t *kernel.Thread, a ...any) any { e.Finish(t); return nil },
-		"glGetIntegerv": func(t *kernel.Thread, a ...any) any { return e.GetIntegerv(t, argU(a, 0)) },
+		"glFlush":       func(t *kernel.Thread, fr *callconv.Frame) any { e.Flush(t); return nil },
+		"glFinish":      func(t *kernel.Thread, fr *callconv.Frame) any { e.Finish(t); return nil },
+		"glGetIntegerv": func(t *kernel.Thread, fr *callconv.Frame) any { return e.GetIntegerv(t, fr.U32(0)) },
 
-		"glCreateShader": func(t *kernel.Thread, a ...any) any { return e.CreateShader(t, argU(a, 0)) },
-		"glShaderSource": func(t *kernel.Thread, a ...any) any {
-			e.ShaderSource(t, argU(a, 0), argS(a, 1))
+		"glCreateShader": func(t *kernel.Thread, fr *callconv.Frame) any { return e.CreateShader(t, fr.U32(0)) },
+		"glShaderSource": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.ShaderSource(t, fr.U32(0), fr.Str())
 			return nil
 		},
-		"glCompileShader": func(t *kernel.Thread, a ...any) any { e.CompileShader(t, argU(a, 0)); return nil },
-		"glGetShaderiv": func(t *kernel.Thread, a ...any) any {
-			return e.GetShaderiv(t, argU(a, 0), argU(a, 1))
+		"glCompileShader": func(t *kernel.Thread, fr *callconv.Frame) any { e.CompileShader(t, fr.U32(0)); return nil },
+		"glGetShaderiv": func(t *kernel.Thread, fr *callconv.Frame) any {
+			return e.GetShaderiv(t, fr.U32(0), fr.U32(1))
 		},
-		"glGetShaderInfoLog": func(t *kernel.Thread, a ...any) any { return e.GetShaderInfoLog(t, argU(a, 0)) },
-		"glDeleteShader":     func(t *kernel.Thread, a ...any) any { e.DeleteShader(t, argU(a, 0)); return nil },
-		"glCreateProgram":    func(t *kernel.Thread, a ...any) any { return e.CreateProgram(t) },
-		"glAttachShader": func(t *kernel.Thread, a ...any) any {
-			e.AttachShader(t, argU(a, 0), argU(a, 1))
+		"glGetShaderInfoLog": func(t *kernel.Thread, fr *callconv.Frame) any { return e.GetShaderInfoLog(t, fr.U32(0)) },
+		"glDeleteShader":     func(t *kernel.Thread, fr *callconv.Frame) any { e.DeleteShader(t, fr.U32(0)); return nil },
+		"glCreateProgram":    func(t *kernel.Thread, fr *callconv.Frame) any { return e.CreateProgram(t) },
+		"glAttachShader": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.AttachShader(t, fr.U32(0), fr.U32(1))
 			return nil
 		},
-		"glLinkProgram": func(t *kernel.Thread, a ...any) any { e.LinkProgram(t, argU(a, 0)); return nil },
-		"glGetProgramiv": func(t *kernel.Thread, a ...any) any {
-			return e.GetProgramiv(t, argU(a, 0), argU(a, 1))
+		"glLinkProgram": func(t *kernel.Thread, fr *callconv.Frame) any { e.LinkProgram(t, fr.U32(0)); return nil },
+		"glGetProgramiv": func(t *kernel.Thread, fr *callconv.Frame) any {
+			return e.GetProgramiv(t, fr.U32(0), fr.U32(1))
 		},
-		"glGetProgramInfoLog": func(t *kernel.Thread, a ...any) any { return e.GetProgramInfoLog(t, argU(a, 0)) },
-		"glUseProgram":        func(t *kernel.Thread, a ...any) any { e.UseProgram(t, argU(a, 0)); return nil },
-		"glDeleteProgram":     func(t *kernel.Thread, a ...any) any { e.DeleteProgram(t, argU(a, 0)); return nil },
-		"glGetAttribLocation": func(t *kernel.Thread, a ...any) any {
-			return e.GetAttribLocation(t, argU(a, 0), argS(a, 1))
+		"glGetProgramInfoLog": func(t *kernel.Thread, fr *callconv.Frame) any { return e.GetProgramInfoLog(t, fr.U32(0)) },
+		"glUseProgram":        func(t *kernel.Thread, fr *callconv.Frame) any { e.UseProgram(t, fr.U32(0)); return nil },
+		"glDeleteProgram":     func(t *kernel.Thread, fr *callconv.Frame) any { e.DeleteProgram(t, fr.U32(0)); return nil },
+		"glGetAttribLocation": func(t *kernel.Thread, fr *callconv.Frame) any {
+			return e.GetAttribLocation(t, fr.U32(0), fr.Str())
 		},
-		"glGetUniformLocation": func(t *kernel.Thread, a ...any) any {
-			return e.GetUniformLocation(t, argU(a, 0), argS(a, 1))
+		"glGetUniformLocation": func(t *kernel.Thread, fr *callconv.Frame) any {
+			return e.GetUniformLocation(t, fr.U32(0), fr.Str())
 		},
-		"glUniform1i": func(t *kernel.Thread, a ...any) any { e.Uniform1i(t, argI(a, 0), argI(a, 1)); return nil },
-		"glUniform1f": func(t *kernel.Thread, a ...any) any { e.Uniform1f(t, argI(a, 0), argF(a, 1)); return nil },
-		"glUniform2f": func(t *kernel.Thread, a ...any) any {
-			e.Uniform2f(t, argI(a, 0), argF(a, 1), argF(a, 2))
+		"glUniform1i": func(t *kernel.Thread, fr *callconv.Frame) any { e.Uniform1i(t, fr.Int(0), fr.Int(1)); return nil },
+		"glUniform1f": func(t *kernel.Thread, fr *callconv.Frame) any { e.Uniform1f(t, fr.Int(0), fr.F32(0)); return nil },
+		"glUniform2f": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Uniform2f(t, fr.Int(0), fr.F32(0), fr.F32(1))
 			return nil
 		},
-		"glUniform3f": func(t *kernel.Thread, a ...any) any {
-			e.Uniform3f(t, argI(a, 0), argF(a, 1), argF(a, 2), argF(a, 3))
+		"glUniform3f": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Uniform3f(t, fr.Int(0), fr.F32(0), fr.F32(1), fr.F32(2))
 			return nil
 		},
-		"glUniform4f": func(t *kernel.Thread, a ...any) any {
-			e.Uniform4f(t, argI(a, 0), argF(a, 1), argF(a, 2), argF(a, 3), argF(a, 4))
+		"glUniform4f": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Uniform4f(t, fr.Int(0), fr.F32(0), fr.F32(1), fr.F32(2), fr.F32(3))
 			return nil
 		},
-		"glUniformMatrix4fv": func(t *kernel.Thread, a ...any) any {
-			m, _ := a[1].(gpu.Mat4)
-			e.UniformMatrix4fv(t, argI(a, 0), m)
+		"glUniformMatrix4fv": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.UniformMatrix4fv(t, fr.Int(0), frameMat4(fr))
 			return nil
 		},
-		"glVertexAttribPointer": func(t *kernel.Thread, a ...any) any {
-			e.VertexAttribPointer(t, argI(a, 0), argI(a, 1), argFs(a, 2))
+		"glVertexAttribPointer": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.VertexAttribPointer(t, fr.Int(0), fr.Int(1), fr.Floats())
 			return nil
 		},
-		"glEnableVertexAttribArray": func(t *kernel.Thread, a ...any) any {
-			e.EnableVertexAttribArray(t, argI(a, 0))
+		"glEnableVertexAttribArray": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.EnableVertexAttribArray(t, fr.Int(0))
 			return nil
 		},
-		"glDisableVertexAttribArray": func(t *kernel.Thread, a ...any) any {
-			e.DisableVertexAttribArray(t, argI(a, 0))
+		"glDisableVertexAttribArray": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.DisableVertexAttribArray(t, fr.Int(0))
 			return nil
 		},
-		"glDrawArrays": func(t *kernel.Thread, a ...any) any {
-			e.DrawArrays(t, argU(a, 0), argI(a, 1), argI(a, 2))
+		"glDrawArrays": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.DrawArrays(t, fr.U32(0), fr.Int(0), fr.Int(1))
 			return nil
 		},
-		"glDrawElements": func(t *kernel.Thread, a ...any) any {
-			e.DrawElements(t, argU(a, 0), argU16s(a, 1))
+		"glDrawElements": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.DrawElements(t, fr.U32(0), frameU16s(fr))
 			return nil
 		},
 
 		// GLES 1 fixed function.
-		"glMatrixMode":   func(t *kernel.Thread, a ...any) any { e.MatrixMode(t, argU(a, 0)); return nil },
-		"glLoadIdentity": func(t *kernel.Thread, a ...any) any { e.LoadIdentity(t); return nil },
-		"glLoadMatrixf": func(t *kernel.Thread, a ...any) any {
-			m, _ := a[0].(gpu.Mat4)
-			e.LoadMatrixf(t, m)
+		"glMatrixMode":   func(t *kernel.Thread, fr *callconv.Frame) any { e.MatrixMode(t, fr.U32(0)); return nil },
+		"glLoadIdentity": func(t *kernel.Thread, fr *callconv.Frame) any { e.LoadIdentity(t); return nil },
+		"glLoadMatrixf": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.LoadMatrixf(t, frameMat4(fr))
 			return nil
 		},
-		"glMultMatrixf": func(t *kernel.Thread, a ...any) any {
-			m, _ := a[0].(gpu.Mat4)
-			e.MultMatrixf(t, m)
+		"glMultMatrixf": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.MultMatrixf(t, frameMat4(fr))
 			return nil
 		},
-		"glOrthof": func(t *kernel.Thread, a ...any) any {
-			e.Orthof(t, argF(a, 0), argF(a, 1), argF(a, 2), argF(a, 3), argF(a, 4), argF(a, 5))
+		"glOrthof": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Orthof(t, fr.F32(0), fr.F32(1), fr.F32(2), fr.F32(3), fr.F32(4), fr.F32(5))
 			return nil
 		},
-		"glFrustumf": func(t *kernel.Thread, a ...any) any {
-			e.Frustumf(t, argF(a, 0), argF(a, 1), argF(a, 2), argF(a, 3), argF(a, 4), argF(a, 5))
+		"glFrustumf": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Frustumf(t, fr.F32(0), fr.F32(1), fr.F32(2), fr.F32(3), fr.F32(4), fr.F32(5))
 			return nil
 		},
-		"glPushMatrix": func(t *kernel.Thread, a ...any) any { e.PushMatrix(t); return nil },
-		"glPopMatrix":  func(t *kernel.Thread, a ...any) any { e.PopMatrix(t); return nil },
-		"glRotatef": func(t *kernel.Thread, a ...any) any {
-			e.Rotatef(t, argF(a, 0), argF(a, 1), argF(a, 2), argF(a, 3))
+		"glPushMatrix": func(t *kernel.Thread, fr *callconv.Frame) any { e.PushMatrix(t); return nil },
+		"glPopMatrix":  func(t *kernel.Thread, fr *callconv.Frame) any { e.PopMatrix(t); return nil },
+		"glRotatef": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Rotatef(t, fr.F32(0), fr.F32(1), fr.F32(2), fr.F32(3))
 			return nil
 		},
-		"glTranslatef": func(t *kernel.Thread, a ...any) any {
-			e.Translatef(t, argF(a, 0), argF(a, 1), argF(a, 2))
+		"glTranslatef": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Translatef(t, fr.F32(0), fr.F32(1), fr.F32(2))
 			return nil
 		},
-		"glScalef": func(t *kernel.Thread, a ...any) any {
-			e.Scalef(t, argF(a, 0), argF(a, 1), argF(a, 2))
+		"glScalef": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Scalef(t, fr.F32(0), fr.F32(1), fr.F32(2))
 			return nil
 		},
-		"glColor4f": func(t *kernel.Thread, a ...any) any {
-			e.Color4f(t, argF(a, 0), argF(a, 1), argF(a, 2), argF(a, 3))
+		"glColor4f": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.Color4f(t, fr.F32(0), fr.F32(1), fr.F32(2), fr.F32(3))
 			return nil
 		},
-		"glEnableClientState":  func(t *kernel.Thread, a ...any) any { e.EnableClientState(t, argU(a, 0)); return nil },
-		"glDisableClientState": func(t *kernel.Thread, a ...any) any { e.DisableClientState(t, argU(a, 0)); return nil },
-		"glVertexPointer": func(t *kernel.Thread, a ...any) any {
-			e.VertexPointer(t, argI(a, 0), argFs(a, 1))
+		"glEnableClientState":  func(t *kernel.Thread, fr *callconv.Frame) any { e.EnableClientState(t, fr.U32(0)); return nil },
+		"glDisableClientState": func(t *kernel.Thread, fr *callconv.Frame) any { e.DisableClientState(t, fr.U32(0)); return nil },
+		"glVertexPointer": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.VertexPointer(t, fr.Int(0), fr.Floats())
 			return nil
 		},
-		"glColorPointer": func(t *kernel.Thread, a ...any) any {
-			e.ColorPointer(t, argI(a, 0), argFs(a, 1))
+		"glColorPointer": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.ColorPointer(t, fr.Int(0), fr.Floats())
 			return nil
 		},
-		"glTexCoordPointer": func(t *kernel.Thread, a ...any) any {
-			e.TexCoordPointer(t, argI(a, 0), argFs(a, 1))
+		"glTexCoordPointer": func(t *kernel.Thread, fr *callconv.Frame) any {
+			e.TexCoordPointer(t, fr.Int(0), fr.Floats())
 			return nil
 		},
-		"glTexEnvi":    func(t *kernel.Thread, a ...any) any { e.TexEnvi(t, argU(a, 0), argI(a, 1)); return nil },
-		"glShadeModel": func(t *kernel.Thread, a ...any) any { e.ShadeModel(t, argU(a, 0)); return nil },
+		"glTexEnvi":    func(t *kernel.Thread, fr *callconv.Frame) any { e.TexEnvi(t, fr.U32(0), fr.Int(0)); return nil },
+		"glShadeModel": func(t *kernel.Thread, fr *callconv.Frame) any { e.ShadeModel(t, fr.U32(0)); return nil },
 	}
 }
 
-// fenceFns builds the fence extension family for the given vendor suffix.
-func fenceFns(e *engine.Lib, suffix string) map[string]linker.Fn {
+// fenceFrameFns builds the typed fence extension family for a vendor suffix.
+func fenceFrameFns(e *engine.Lib, suffix string) map[string]callconv.FrameFn {
 	if suffix == "" {
 		return nil
 	}
@@ -370,13 +304,13 @@ func fenceFns(e *engine.Lib, suffix string) map[string]linker.Fn {
 	test := "glTestFence" + suffix
 	finish := "glFinishFence" + suffix
 	del := "glDeleteFences" + suffix
-	return map[string]linker.Fn{
-		gen: func(t *kernel.Thread, a ...any) any { return e.GenFences(t, gen, argI(a, 0)) },
-		set: func(t *kernel.Thread, a ...any) any { e.SetFence(t, set, argU(a, 0)); return nil },
-		test: func(t *kernel.Thread, a ...any) any {
-			return e.TestFence(t, test, argU(a, 0))
+	return map[string]callconv.FrameFn{
+		gen: func(t *kernel.Thread, fr *callconv.Frame) any { return e.GenFences(t, gen, fr.Int(0)) },
+		set: func(t *kernel.Thread, fr *callconv.Frame) any { e.SetFence(t, set, fr.U32(0)); return nil },
+		test: func(t *kernel.Thread, fr *callconv.Frame) any {
+			return e.TestFence(t, test, fr.U32(0))
 		},
-		finish: func(t *kernel.Thread, a ...any) any { e.FinishFence(t, finish, argU(a, 0)); return nil },
-		del:    func(t *kernel.Thread, a ...any) any { e.DeleteFences(t, del, argIDs(a, 0)); return nil },
+		finish: func(t *kernel.Thread, fr *callconv.Frame) any { e.FinishFence(t, finish, fr.U32(0)); return nil },
+		del:    func(t *kernel.Thread, fr *callconv.Frame) any { e.DeleteFences(t, del, frameIDs(fr)); return nil },
 	}
 }

@@ -45,7 +45,6 @@ func AppleProfile() engine.Profile {
 // VendorLib is one loaded instance of the Apple vendor library.
 type VendorLib struct {
 	eng    *engine.Lib
-	syms   map[string]linker.Fn
 	frames map[string]callconv.FrameFn
 }
 
@@ -53,11 +52,8 @@ type VendorLib struct {
 // against it).
 func (v *VendorLib) Engine() *engine.Lib { return v.eng }
 
-// Symbols implements linker.Instance.
-func (v *VendorLib) Symbols() map[string]linker.Fn { return v.syms }
-
-// FrameSymbols implements linker.FrameInstance: the typed fast path into the
-// same surface.
+// FrameSymbols implements linker.FrameInstance: the library's whole GLES
+// surface, one typed frame symbol per entry point.
 func (v *VendorLib) FrameSymbols() map[string]callconv.FrameFn { return v.frames }
 
 // Finalize implements linker.Finalizer.
@@ -85,17 +81,9 @@ func Blueprint() *linker.Blueprint {
 		New: func(ctx *linker.LoadContext) (linker.Instance, error) {
 			libSystem := ctx.Dep(libc.LibName(kernel.PersonaIOS)).(*libc.Lib)
 			eng := engine.NewLib(AppleProfile(), libSystem)
-			syms := symbols.Build(eng, registry.IOSSurface(), "APPLE")
 			frames := symbols.BuildFrames(eng, registry.IOSSurface(), "APPLE")
 			// Apple's modified glGetString accepts the non-standard
 			// parameter returning Apple-proprietary extensions (§4.1).
-			base := syms["glGetString"]
-			syms["glGetString"] = func(t *kernel.Thread, a ...any) any {
-				if name, ok := a[0].(uint32); ok && name == engine.AppleExtensionsQ {
-					return AppleExtensionString()
-				}
-				return base(t, a...)
-			}
 			frameBase := frames["glGetString"]
 			frames["glGetString"] = func(t *kernel.Thread, fr *callconv.Frame) any {
 				if fr.U32(0) == engine.AppleExtensionsQ {
@@ -103,7 +91,7 @@ func Blueprint() *linker.Blueprint {
 				}
 				return frameBase(t, fr)
 			}
-			return &VendorLib{eng: eng, syms: syms, frames: frames}, nil
+			return &VendorLib{eng: eng, frames: frames}, nil
 		},
 	}
 }

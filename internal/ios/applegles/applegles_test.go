@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cycada/internal/android/libc"
+	"cycada/internal/core/callconv"
 	"cycada/internal/gles/engine"
 	"cycada/internal/gles/registry"
 	"cycada/internal/linker"
@@ -29,6 +30,21 @@ func load(t *testing.T) (*kernel.Thread, *VendorLib, *linker.Linker) {
 	return p.Main(), h.Instance().(*VendorLib), l
 }
 
+// call invokes one of v's frame symbols with a boxed argument list.
+func call(t *testing.T, th *kernel.Thread, v *VendorLib, name string, args ...any) any {
+	t.Helper()
+	fn, ok := v.FrameSymbols()[name]
+	if !ok {
+		t.Fatalf("%s missing", name)
+	}
+	fr, framed, err := callconv.BuildFrame(callconv.Intern(name), args)
+	if !framed || err != nil {
+		t.Fatalf("BuildFrame(%s, %v) = (framed=%v, err=%v)", name, args, framed, err)
+	}
+	defer fr.Release()
+	return fn(th, fr)
+}
+
 func TestAppleProfile(t *testing.T) {
 	prof := AppleProfile()
 	if prof.Vendor != "Apple Inc." || !strings.Contains(prof.Renderer, "PowerVR") {
@@ -50,13 +66,14 @@ func TestAppleProfile(t *testing.T) {
 
 func TestSurfaceIs344Functions(t *testing.T) {
 	_, v, _ := load(t)
-	if got := len(v.Symbols()); got != len(registry.IOSSurface()) {
+	syms := v.FrameSymbols()
+	if got := len(syms); got != len(registry.IOSSurface()) {
 		t.Fatalf("symbols = %d, want %d", got, len(registry.IOSSurface()))
 	}
-	if _, ok := v.Symbols()["glSetFenceAPPLE"]; !ok {
+	if _, ok := syms["glSetFenceAPPLE"]; !ok {
 		t.Fatal("glSetFenceAPPLE missing from the Apple library")
 	}
-	if _, ok := v.Symbols()["glSetFenceNV"]; ok {
+	if _, ok := syms["glSetFenceNV"]; ok {
 		t.Fatal("Apple library exports NV_fence")
 	}
 }
@@ -72,7 +89,7 @@ func TestAppleGetStringExtension(t *testing.T) {
 	if err := v.Engine().MakeCurrent(th, ctx); err != nil {
 		t.Fatal(err)
 	}
-	got := v.Symbols()["glGetString"](th, engine.AppleExtensionsQ)
+	got := call(t, th, v, "glGetString", engine.AppleExtensionsQ)
 	s, ok := got.(string)
 	if !ok || !strings.Contains(s, "GL_APPLE_fence") {
 		t.Fatalf("Apple extensions query = %v", got)
@@ -81,7 +98,7 @@ func TestAppleGetStringExtension(t *testing.T) {
 		t.Fatal("AppleExtensionString mismatch")
 	}
 	// Standard parameters still work.
-	if got := v.Symbols()["glGetString"](th, engine.Vendor); got != "Apple Inc." {
+	if got := call(t, th, v, "glGetString", engine.Vendor); got != "Apple Inc." {
 		t.Fatalf("vendor = %v", got)
 	}
 }
@@ -95,15 +112,14 @@ func TestAppleFenceFamilyWorks(t *testing.T) {
 	if err := v.Engine().MakeCurrent(th, ctx); err != nil {
 		t.Fatal(err)
 	}
-	syms := v.Symbols()
-	ids := syms["glGenFencesAPPLE"](th, 1).([]uint32)
-	syms["glSetFenceAPPLE"](th, ids[0])
-	if syms["glTestFenceAPPLE"](th, ids[0]).(bool) {
+	ids := call(t, th, v, "glGenFencesAPPLE", 1).([]uint32)
+	call(t, th, v, "glSetFenceAPPLE", ids[0])
+	if call(t, th, v, "glTestFenceAPPLE", ids[0]).(bool) {
 		t.Fatal("fence signaled early")
 	}
-	syms["glFlush"](th)
-	if !syms["glTestFenceAPPLE"](th, ids[0]).(bool) {
+	call(t, th, v, "glFlush")
+	if !call(t, th, v, "glTestFenceAPPLE", ids[0]).(bool) {
 		t.Fatal("fence not signaled after flush")
 	}
-	syms["glDeleteFencesAPPLE"](th, ids)
+	call(t, th, v, "glDeleteFencesAPPLE", ids)
 }

@@ -28,21 +28,25 @@ import (
 	"cycada/internal/sim/mem"
 )
 
-// Fn is the uniform simulated C ABI: every exported symbol is callable with
-// a calling thread and opaque arguments. Typed wrappers (the gles, egl, …
-// packages) sit on top of this for ergonomic use.
+// Fn is the boxed simulated C ABI: a symbol callable with a calling thread
+// and opaque arguments. libc, EGL, gralloc and the other non-GLES libraries
+// export their symbols in this form.
 type Fn func(t *kernel.Thread, args ...any) any
 
 // Instance is one loaded copy of a library: its private global state plus
-// its exported symbol table.
-type Instance interface {
+// its exported symbols, published through BoxedInstance, FrameInstance, or
+// both; a name exported both ways resolves to its frame implementation.
+type Instance any
+
+// BoxedInstance is implemented by instances that export boxed Fn symbols.
+type BoxedInstance interface {
 	Symbols() map[string]Fn
 }
 
-// FrameInstance is optionally implemented by instances that also export
-// typed frame implementations (the callconv fast path). A symbol present in
-// both maps is invoked through its FrameFn when the caller supplies a frame,
-// and through Fn otherwise.
+// FrameInstance is implemented by instances that export typed frame
+// implementations (the callconv calling convention). The three GLES
+// libraries export every entry point this way and only this way; boxed
+// callers reach them through Symbol.Call's adapter.
 type FrameInstance interface {
 	FrameSymbols() map[string]callconv.FrameFn
 }
@@ -103,24 +107,37 @@ type Blueprint struct {
 }
 
 // Symbol is a resolved symbol: a unique simulated virtual address plus the
-// callable function. Frame, when non-nil, is the typed fast-path entry the
-// exporting instance provided via FrameSymbols.
+// one implementation its library exports — Frame for typed frame symbols,
+// Fn for boxed ones.
 type Symbol struct {
 	Name  string
 	Addr  uint64
 	Fn    Fn
 	Frame callconv.FrameFn
+	id    callconv.FuncID // interned Name, for the boxed-to-frame adapter
 }
 
-// Call invokes the symbol, charging the through-pointer call cost.
+// Call invokes the symbol with a boxed argument list, charging the
+// through-pointer call cost. A frame symbol is reached through the one
+// boxed adapter: the list is framed once by callconv.FrameArgs and dispatched
+// through CallFrame. A list no frame can carry sets errno EINVAL and returns
+// the error; there is no second, boxed implementation to fall back to.
 func (s Symbol) Call(t *kernel.Thread, args ...any) any {
-	t.ChargeCPU(t.Costs().SymbolDeref)
-	return s.Fn(t, args...)
+	if s.Frame == nil {
+		t.ChargeCPU(t.Costs().SymbolDeref)
+		return s.Fn(t, args...)
+	}
+	fr, err := callconv.FrameArgs(t, s.id, args)
+	if err != nil {
+		return fmt.Errorf("linker: %s: %w", s.Name, err)
+	}
+	ret := s.CallFrame(t, fr)
+	fr.Release()
+	return ret
 }
 
 // CallFrame invokes the symbol with a typed frame, charging the same
-// through-pointer cost as Call. Symbols without a typed implementation fall
-// back to the boxed Fn by materializing the frame's []any view.
+// through-pointer cost as Call. Boxed symbols receive the frame's []any view.
 func (s Symbol) CallFrame(t *kernel.Thread, fr *callconv.Frame) any {
 	t.ChargeCPU(t.Costs().SymbolDeref)
 	if s.Frame != nil {
@@ -351,22 +368,35 @@ func (l *Linker) loadLocked(t *kernel.Thread, name string, ns *namespace, replic
 
 	// Assign each exported symbol a deterministic, unique address inside the
 	// replica's image: base + 16*index over the sorted symbol names.
-	syms := inst.Symbols()
+	var syms map[string]Fn
+	if bi, ok := inst.(BoxedInstance); ok {
+		syms = bi.Symbols()
+	}
 	var frames map[string]callconv.FrameFn
 	if fi, ok := inst.(FrameInstance); ok {
 		frames = fi.FrameSymbols()
 	}
-	names := make([]string, 0, len(syms))
+	names := make([]string, 0, len(syms)+len(frames))
 	for n := range syms {
 		names = append(names, n)
 	}
+	for n := range frames {
+		if _, dup := syms[n]; !dup {
+			names = append(names, n)
+		}
+	}
 	sort.Strings(names)
-	lib.symbols = make(map[string]Symbol, len(syms))
+	lib.symbols = make(map[string]Symbol, len(names))
 	for i, n := range names {
 		// Interning every export keeps FuncIDs independent of call order, so
 		// the flat per-library resolution caches stay dense.
-		callconv.Intern(n)
-		lib.symbols[n] = Symbol{Name: n, Addr: mapping.Base + uint64(16*(i+1)), Fn: syms[n], Frame: frames[n]}
+		s := Symbol{Name: n, Addr: mapping.Base + uint64(16*(i+1)), id: callconv.Intern(n)}
+		if fn, ok := frames[n]; ok {
+			s.Frame = fn
+		} else {
+			s.Fn = syms[n]
+		}
+		lib.symbols[n] = s
 	}
 	return lib, nil
 }
@@ -418,7 +448,7 @@ func (l *Linker) Dlsym(h *Handle, sym string) (Symbol, error) {
 func (l *Linker) DlsymID(h *Handle, id callconv.FuncID) (Symbol, error) {
 	lib := h.lib
 	if tab := lib.resolved.Load(); tab != nil && int(id) < len(*tab) {
-		if s := (*tab)[id]; s.Fn != nil {
+		if s := (*tab)[id]; s.Fn != nil || s.Frame != nil {
 			return s, nil
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cycada/internal/core/callconv"
 	"cycada/internal/sim/kernel"
 	"cycada/internal/sim/vclock"
 )
@@ -318,5 +319,43 @@ func TestSymbolAddressesWithinImage(t *testing.T) {
 		if m.Name != "lib:libnvos.so#0" {
 			t.Fatalf("symbol %s resolved to mapping %q", name, m.Name)
 		}
+	}
+}
+
+// frameLib exports one typed frame symbol and nothing boxed, like the GLES
+// libraries.
+type frameLib struct{}
+
+func (frameLib) FrameSymbols() map[string]callconv.FrameFn {
+	return map[string]callconv.FrameFn{
+		"add": func(t *kernel.Thread, fr *callconv.Frame) any { return fr.Int(0) + int(fr.U32(0)) },
+	}
+}
+
+func TestFrameSymbolBoxedAdapter(t *testing.T) {
+	th, l := testEnv(t)
+	l.MustRegister(&Blueprint{Name: "libframe.so", New: func(ctx *LoadContext) (Instance, error) {
+		return frameLib{}, nil
+	}})
+	h, err := l.Dlopen(th, "libframe.so")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.DlsymID(h, callconv.Intern("add"))
+	if err != nil || s.Frame == nil || s.Fn != nil {
+		t.Fatalf("DlsymID(add) = %+v, %v; want a frame-only symbol", s, err)
+	}
+	// Boxed callers reach the frame implementation through Call.
+	if got := s.Call(th, 40, uint32(2)); got != 42 {
+		t.Fatalf("boxed Call(add, 40, 2) = %v, want 42", got)
+	}
+	// A list no frame can carry is an EINVAL error, not a panic.
+	th.SetErrno(0)
+	ret := s.Call(th, nil, nil)
+	if err, ok := ret.(error); !ok || !errors.Is(err, callconv.ErrUnframeable) {
+		t.Fatalf("Call(add, nil, nil) = %v, want ErrUnframeable", ret)
+	}
+	if th.Errno() != int(kernel.EINVAL) {
+		t.Fatalf("errno = %d, want EINVAL", th.Errno())
 	}
 }

@@ -269,7 +269,8 @@ func (p *player) encodeGLES(t *kernel.Thread, name string, args []any) (bool, er
 	}
 	fr, framed, err := callconv.BuildFrame(id, args)
 	if err != nil || !framed {
-		// Unframeable shapes ride the serial boxed path, as on the facade.
+		// Unframeable shapes go down the serial path, which reports them
+		// as EINVAL exactly as the facade does.
 		return false, p.flushBatch()
 	}
 	if p.batch != nil && p.batch.Owner() != t {

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"cycada/internal/core/callconv"
 	"cycada/internal/harness"
 	"cycada/internal/replay"
 )
@@ -156,6 +157,43 @@ func TestGoldenTraces(t *testing.T) {
 				t.Fatalf("golden trace incompletely verified: %+v", res)
 			}
 		})
+	}
+}
+
+// TestGoldenGLESEventsFrame checks that every recorded GLES call fits a
+// typed frame. Replay dispatches GLES events only through frames — the
+// libraries export no boxed twin — so an unframeable event would replay as
+// an EINVAL error instead of the recorded call.
+func TestGoldenGLESEventsFrame(t *testing.T) {
+	goldens, err := filepath.Glob("testdata/*.cytr")
+	if err != nil {
+		t.Fatalf("glob: %v", err)
+	}
+	if len(goldens) != 3 {
+		t.Fatalf("golden traces = %d, want 3", len(goldens))
+	}
+	for _, path := range goldens {
+		tr, err := replay.ReadFile(path)
+		if err != nil {
+			t.Fatalf("ReadFile %s: %v", path, err)
+		}
+		n := 0
+		for i, ev := range tr.Events {
+			if ev.Kind != replay.KGLES {
+				continue
+			}
+			n++
+			fr, framed, err := callconv.BuildFrame(callconv.Intern(ev.Name), ev.Args)
+			if !framed || err != nil {
+				t.Errorf("%s event %d %s%v: BuildFrame = (framed=%v, err=%v), want (true, nil)",
+					filepath.Base(path), i, ev.Name, ev.Args, framed, err)
+				continue
+			}
+			fr.Release()
+		}
+		if n == 0 {
+			t.Errorf("%s: no GLES events", filepath.Base(path))
+		}
 	}
 }
 

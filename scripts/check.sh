@@ -34,6 +34,23 @@ go test -race ./internal/farm -run 'TestFarmSoak' -soak.devices=2 -soak.sessions
 echo "== farm chaos (self-healing invariants under -race: watchdog, quarantine, failover)"
 go test -race ./internal/farm -run 'TestFarmChaos|TestFarmFailoverVerifiesIdentically' -chaosfarm.seeds=2
 
+echo "== reproduction gate (cycadabench -exp all byte-identical to the committed golden)"
+# Every table, figure and functionality check of the paper, on the virtual
+# clock only: the output is deterministic across processes and hosts, so any
+# difference is a change in what the reproduction reports. A change that
+# means to move a number regenerates the golden with
+#   go run ./cmd/cycadabench -exp all > cmd/cycadabench/testdata/all.golden
+# and says why in its description.
+repro=$(mktemp -d)
+go build -o "$repro/cycadabench" ./cmd/cycadabench
+"$repro/cycadabench" -exp all >"$repro/all.txt"
+if ! diff -u cmd/cycadabench/testdata/all.golden "$repro/all.txt"; then
+	echo "reproduction gate failed: cycadabench -exp all differs from cmd/cycadabench/testdata/all.golden" >&2
+	rm -rf "$repro"
+	exit 1
+fi
+rm -rf "$repro"
+
 echo "== replay golden traces (serial)"
 go run ./cmd/cycadareplay verify internal/replay/testdata/*.cytr
 
