@@ -55,6 +55,7 @@ type programObj struct {
 	attribs      map[string]int // name -> location
 	uniforms     map[string]int
 	uniformNames []string // location-indexed
+	samplers     []bool   // location-indexed: a sampler2D in either stage
 	values       map[int]uniformValue
 }
 

@@ -66,7 +66,9 @@ func (l *Lib) DrawElements(t *kernel.Thread, mode uint32, indices []uint16) {
 }
 
 // drawProgrammable runs the GLES 2 pipeline: vertex shader per vertex,
-// fragment shader per covered pixel.
+// fragment shader per covered pixel. The draw's uniforms are bound once, and
+// every stage runs over pooled MiniSL frames: one for the vertices, one per
+// raster tile.
 func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count int, indices []int) {
 	prog := ctx.currentProgram()
 	if prog == nil || !prog.ok {
@@ -78,41 +80,44 @@ func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count
 		ctx.setErr(InvalidFramebufferOperation)
 		return
 	}
-	uniforms := ctx.buildUniforms(prog)
+	b := ctx.bindUniforms(prog)
 
+	// Resolve each attribute declaration's source once per draw; a disabled
+	// or unknown one reads as (0, 0, 0, 1).
+	decls := prog.linked.VS.Attributes
+	feeds := make([]*vertexAttrib, len(decls))
+	data := make([][]float32, len(decls))
+	for i, d := range decls {
+		if a := ctx.attribSource(prog.attribs[d.Name]); a != nil && a.enabled {
+			feeds[i], data[i] = a, ctx.attribData(a)
+		}
+	}
+	attrs := make([]minisl.Value, len(decls))
+	nvary := len(prog.linked.VaryNames)
+	varys := make([]gpu.Vec4, count*nvary)
 	verts := make([]gpu.TVert, count)
-	attrVals := make(map[string]minisl.Value, len(prog.attribs))
+	vf := b.Frame(minisl.Vertex)
+	defer vf.Release()
 	for i := 0; i < count; i++ {
 		vi := first + i
-		for name, loc := range prog.attribs {
-			a := ctx.attribSource(loc)
-			if a == nil || !a.enabled {
-				attrVals[name] = minisl.Vec(4, 0, 0, 0, 1)
-				continue
+		for j, a := range feeds {
+			v := minisl.Vec(4, 0, 0, 0, 1)
+			if a != nil {
+				v.Width = a.size
+				base := vi * a.size
+				for c := 0; c < a.size && base+c < len(data[j]); c++ {
+					v.V[c] = data[j][base+c]
+				}
 			}
-			data := ctx.attribData(a)
-			base := vi * a.size
-			var comps [4]float32
-			comps[3] = 1
-			for c := 0; c < a.size && base+c < len(data); c++ {
-				comps[c] = data[base+c]
-			}
-			attrVals[name] = minisl.Vec(a.size, comps[:]...)
+			attrs[j] = v
 		}
-		pos, vary, err := prog.linked.RunVertex(attrVals, uniforms)
+		vary := varys[i*nvary : (i+1)*nvary : (i+1)*nvary]
+		pos, err := vf.RunVertex(attrs, vary)
 		if err != nil {
 			ctx.setErr(InvalidOperation)
 			return
 		}
 		verts[i] = gpu.TVert{Pos: pos, Vary: vary}
-	}
-
-	frag := func(vary []gpu.Vec4) (gpu.Vec4, int) {
-		col, fetches, err := prog.linked.RunFragment(vary, uniforms)
-		if err != nil {
-			return gpu.Vec4{1, 0, 1, 1}, fetches // magenta = shader fault
-		}
-		return col, fetches
 	}
 
 	// Rasterize on the kernel's bounded worker pool; tiles are merged
@@ -122,35 +127,24 @@ func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count
 	var stats gpu.Stats
 	switch mode {
 	case Lines:
-		stats = gpu.DrawLines(tgt, verts, indices, frag, st)
+		stats = gpu.DrawLines(tgt, verts, indices, b, st)
 	default:
-		stats = gpu.DrawTriangles(tgt, verts, expandMode(mode, indices), frag, st)
+		stats = gpu.DrawTriangles(tgt, verts, expandMode(mode, indices), b, st)
 	}
 	ctx.chargeStats(t, stats, true)
 }
 
-// buildUniforms materializes the program's uniform values, resolving sampler
-// uniforms through the context's texture units.
-func (ctx *Context) buildUniforms(prog *programObj) map[string]minisl.Value {
-	samplerNames := map[string]bool{}
-	for _, d := range prog.vs.compiled.Uniforms {
-		if d.Type == "sampler2D" {
-			samplerNames[d.Name] = true
-		}
-	}
-	for _, d := range prog.fs.compiled.Uniforms {
-		if d.Type == "sampler2D" {
-			samplerNames[d.Name] = true
-		}
-	}
-	out := make(map[string]minisl.Value, len(prog.uniformNames))
-	for loc, name := range prog.uniformNames {
+// bindUniforms binds the program's uniform values for one draw, resolving
+// sampler uniforms through the context's texture units.
+func (ctx *Context) bindUniforms(prog *programObj) *minisl.Binding {
+	b := prog.linked.Bind()
+	for loc := range prog.uniformNames {
 		v, ok := prog.values[loc]
 		if !ok {
 			continue
 		}
 		switch {
-		case samplerNames[name]:
+		case prog.samplers[loc]:
 			unit := v.i
 			var tex *textureObj
 			if unit >= 0 && unit < len(ctx.boundTex) {
@@ -160,19 +154,19 @@ func (ctx *Context) buildUniforms(prog *programObj) map[string]minisl.Value {
 				tex = ctx.lookupTexture(id)
 			}
 			if tex != nil && tex.img != nil {
-				out[name] = minisl.Sampler(&gpu.Texture{Img: tex.img, Repeat: tex.repeat})
+				b.Set(loc, minisl.Sampler(&gpu.Texture{Img: tex.img, Repeat: tex.repeat}))
 			} else {
-				out[name] = minisl.Sampler(nil)
+				b.Set(loc, minisl.Sampler(nil))
 			}
 		case v.mat != nil:
-			out[name] = minisl.Mat(*v.mat)
+			b.Set(loc, minisl.Mat(*v.mat))
 		case v.n == 0:
-			out[name] = minisl.Float(float32(v.i))
+			b.Set(loc, minisl.Float(float32(v.i)))
 		default:
-			out[name] = minisl.Vec(v.n, v.f[:]...)
+			b.Set(loc, minisl.Vec(v.n, v.f[:]...))
 		}
 	}
-	return out
+	return b
 }
 
 func (ctx *Context) attribSource(loc int) *vertexAttrib {

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"cycada/internal/sim/gpu"
 	"cycada/internal/sim/gpu/minisl"
@@ -211,25 +211,19 @@ func (l *Lib) LinkProgram(t *kernel.Thread, prog uint32) {
 	// Locations: attributes in declaration order; uniforms across both
 	// stages sorted by name.
 	p.attribs = map[string]int{}
-	for i, d := range p.vs.compiled.Attributes {
+	for i, d := range linked.VS.Attributes {
 		p.attribs[d.Name] = i
 	}
-	names := map[string]bool{}
-	for _, d := range p.vs.compiled.Uniforms {
-		names[d.Name] = true
-	}
-	for _, d := range p.fs.compiled.Uniforms {
-		names[d.Name] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	p.uniforms = map[string]int{}
-	p.uniformNames = sorted
-	for i, n := range sorted {
+	p.uniformNames = linked.UniformNames
+	p.uniforms = make(map[string]int, len(p.uniformNames))
+	p.samplers = make([]bool, len(p.uniformNames))
+	for i, n := range p.uniformNames {
 		p.uniforms[n] = i
+	}
+	for _, d := range append(slices.Clip(linked.VS.Uniforms), linked.FS.Uniforms...) {
+		if d.Type == "sampler2D" {
+			p.samplers[p.uniforms[d.Name]] = true
+		}
 	}
 	t.ChargeCPU(t.Costs().ShaderLinkBase + vclock.Duration(linked.Tokens)*t.Costs().ShaderCompileTok)
 }

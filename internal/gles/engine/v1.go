@@ -315,13 +315,13 @@ func (ctx *Context) drawFixed(t *kernel.Thread, mode uint32, first, count int, i
 		verts[i] = gpu.TVert{Pos: mvp.MulVec(pos), Vary: []gpu.Vec4{col, uv}}
 	}
 
-	frag := func(vary []gpu.Vec4) (gpu.Vec4, int) {
+	frag := gpu.FragFn(func(vary []gpu.Vec4) (gpu.Vec4, int) {
 		col := vary[0]
 		if tex != nil {
 			return col.Mul(tex.Sample(vary[1][0], vary[1][1])), 1
 		}
 		return col, 0
-	}
+	})
 
 	// Rasterize on the kernel's bounded worker pool, as in the GLES 2 path.
 	st := ctx.renderState()

@@ -157,7 +157,7 @@ func fullscreenQuad(col Vec4) ([]TVert, []int) {
 	return []TVert{mk(-1, -1), mk(1, -1), mk(1, 1), mk(-1, 1)}, []int{0, 1, 2, 0, 2, 3}
 }
 
-func colorFrag(vary []Vec4) (Vec4, int) { return vary[0], 0 }
+var colorFrag FragFn = func(vary []Vec4) (Vec4, int) { return vary[0], 0 }
 
 func TestDrawTrianglesFullscreenQuad(t *testing.T) {
 	im := NewImage(16, 16)
@@ -249,7 +249,7 @@ func TestBlendModes(t *testing.T) {
 		t.Fatalf("alpha blend R = %d, want ~178", c.R)
 	}
 	im.Fill(RGBA{200, 0, 0, 255})
-	DrawTriangles(tgt, verts, idx, func([]Vec4) (Vec4, int) { return Vec4{0.5, 0, 0, 1}, 0 }, RenderState{Blend: BlendAdditive})
+	DrawTriangles(tgt, verts, idx, FragFn(func([]Vec4) (Vec4, int) { return Vec4{0.5, 0, 0, 1}, 0 }), RenderState{Blend: BlendAdditive})
 	if got := im.At(1, 1).R; got != 255 {
 		t.Fatalf("additive blend should saturate, got %d", got)
 	}

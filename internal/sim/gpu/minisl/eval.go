@@ -3,7 +3,9 @@ package minisl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"cycada/internal/sim/gpu"
 )
@@ -43,12 +45,17 @@ func (v Value) Vec4() gpu.Vec4 {
 	return out
 }
 
-// Program is a linked vertex+fragment shader pair.
+// Program is a linked vertex+fragment shader pair. Each stage owns a pool of
+// frames, so concurrent draws and the tiles of one draw shade without
+// sharing evaluation state.
 type Program struct {
 	VS, FS    *Shader
 	VaryNames []string // sorted; defines the varying slot order
-	varySlots map[string]int
-	Tokens    int
+	// UniformNames lists both stages' uniforms, sorted, each name once: the
+	// index order Binding.Set takes.
+	UniformNames []string
+	Tokens       int
+	vs, fs       *stage
 }
 
 // LinkError is a GLES-style link failure.
@@ -57,7 +64,8 @@ type LinkError struct{ Msg string }
 func (e *LinkError) Error() string { return "link error: " + e.Msg }
 
 // Link validates that every varying the fragment shader reads is written by
-// the vertex shader and assigns varying slots.
+// the vertex shader, assigns varying and uniform indices, and lays out each
+// stage's frame.
 func Link(vs, fs *Shader) (*Program, error) {
 	if vs == nil || fs == nil {
 		return nil, &LinkError{Msg: "missing shader"}
@@ -69,7 +77,6 @@ func Link(vs, fs *Shader) (*Program, error) {
 	for _, d := range vs.Varyings {
 		vsVary[d.Name] = d.Type
 	}
-	names := make([]string, 0, len(vs.Varyings))
 	for _, d := range fs.Varyings {
 		typ, ok := vsVary[d.Name]
 		if !ok {
@@ -79,22 +86,183 @@ func Link(vs, fs *Shader) (*Program, error) {
 			return nil, &LinkError{Msg: "varying " + d.Name + " type mismatch"}
 		}
 	}
+	p := &Program{VS: vs, FS: fs, Tokens: vs.Tokens + fs.Tokens}
 	for n := range vsVary {
-		names = append(names, n)
+		p.VaryNames = append(p.VaryNames, n)
 	}
-	sort.Strings(names)
-	slots := make(map[string]int, len(names))
-	for i, n := range names {
-		slots[n] = i
+	sort.Strings(p.VaryNames)
+	for _, d := range append(slices.Clip(vs.Uniforms), fs.Uniforms...) {
+		if !slices.Contains(p.UniformNames, d.Name) {
+			p.UniformNames = append(p.UniformNames, d.Name)
+		}
 	}
-	return &Program{VS: vs, FS: fs, VaryNames: names, varySlots: slots, Tokens: vs.Tokens + fs.Tokens}, nil
+	sort.Strings(p.UniformNames)
+	p.vs, p.fs = newStage(p, vs), newStage(p, fs)
+	return p, nil
 }
 
-// env is an execution environment for one shader invocation.
-type env struct {
-	vars     map[string]Value
-	fetches  int
-	maxSteps int
+// stage is one shader's frame layout within a linked program. An invocation
+// starts by writing, in this order (a later write wins where names
+// collide): the inputs (vertex attributes, or fragment varyings), the
+// uniforms it may have overwritten, the vertex shader's zeroed varyings,
+// and the stage output.
+type stage struct {
+	sh        *Shader
+	def       []bool        // slots defined when an invocation starts
+	uniforms  []uniformSlot // this stage's uniforms, each name once
+	uniformAt []int         // Program.UniformNames index -> uniforms index, or -1
+	mutable   []int         // uniforms indexes rewritten every invocation
+	attribs   []input       // vertex: attribute declaration index -> slot
+	varyIn    []input       // fragment: VaryNames index -> slot
+	varyZero  []input       // vertex: varyings zeroed every invocation
+	varyOut   []int         // vertex: slot of each VaryNames entry
+	out       int           // slot of gl_Position or gl_FragColor
+	frames    sync.Pool     // *Frame
+}
+
+type uniformSlot struct {
+	slot int
+	zero Value // read while the binding leaves the uniform unset
+}
+
+type input struct {
+	index int // into the attribute values or the varyings
+	slot  int
+	width int // fragment varyings: the vertex shader's declared width
+	zero  Value
+}
+
+func newStage(p *Program, sh *Shader) *stage {
+	st := &stage{sh: sh, def: make([]bool, len(sh.written)), out: sh.slots[specialOut(sh.Kind)]}
+	// rewritten marks slots an invocation writes before or while it runs;
+	// a uniform living there cannot stay bound from the previous one.
+	rewritten := slices.Clone(sh.written)
+	rewritten[st.out] = true
+	st.def[st.out] = true
+	if sh.Kind == Vertex {
+		for i, d := range sh.Attributes {
+			st.attribs = append(st.attribs, input{index: i, slot: sh.slots[d.Name], zero: zeroOf(d.Type)})
+		}
+		for _, d := range sh.Varyings {
+			st.varyZero = append(st.varyZero, input{slot: sh.slots[d.Name], zero: zeroOf(d.Type)})
+		}
+		for _, n := range p.VaryNames {
+			st.varyOut = append(st.varyOut, sh.slots[n])
+		}
+	} else {
+		for i, n := range p.VaryNames {
+			if s, ok := sh.slots[n]; ok {
+				d := declOf(p.VS.Varyings, n)
+				st.varyIn = append(st.varyIn, input{index: i, slot: s, width: widthOf(d.Type), zero: zeroOf(d.Type)})
+			}
+		}
+	}
+	for _, ins := range [][]input{st.attribs, st.varyIn, st.varyZero} {
+		for _, in := range ins {
+			st.def[in.slot], rewritten[in.slot] = true, true
+		}
+	}
+	st.uniformAt = make([]int, len(p.UniformNames))
+	for i := range st.uniformAt {
+		st.uniformAt[i] = -1
+	}
+	for _, d := range sh.Uniforms {
+		i := sort.SearchStrings(p.UniformNames, d.Name)
+		u := uniformSlot{slot: sh.slots[d.Name], zero: zeroOf(d.Type)}
+		if k := st.uniformAt[i]; k >= 0 {
+			st.uniforms[k] = u // a repeated declaration's type wins
+			continue
+		}
+		st.uniformAt[i] = len(st.uniforms)
+		st.uniforms = append(st.uniforms, u)
+		st.def[u.slot] = true
+	}
+	for k, u := range st.uniforms {
+		if rewritten[u.slot] {
+			st.mutable = append(st.mutable, k)
+		}
+	}
+	return st
+}
+
+// Binding holds one draw's uniform values, in each stage's slot order. Set
+// every uniform before taking frames; the frames read the binding until
+// they are released.
+type Binding struct {
+	p      *Program
+	vs, fs []Value
+}
+
+// Bind returns a binding in which every uniform is its declared type's
+// zero value.
+func (p *Program) Bind() *Binding {
+	b := &Binding{p: p, vs: make([]Value, len(p.vs.uniforms)), fs: make([]Value, len(p.fs.uniforms))}
+	for k, u := range p.vs.uniforms {
+		b.vs[k] = u.zero
+	}
+	for k, u := range p.fs.uniforms {
+		b.fs[k] = u.zero
+	}
+	return b
+}
+
+// Set binds uniform i, an index into the program's UniformNames, in every
+// stage that declares it.
+func (b *Binding) Set(i int, v Value) {
+	if k := b.p.vs.uniformAt[i]; k >= 0 {
+		b.vs[k] = v
+	}
+	if k := b.p.fs.uniformAt[i]; k >= 0 {
+		b.fs[k] = v
+	}
+}
+
+// Frame takes a frame for the given stage from the program's pool, loaded
+// with b's uniforms. Release it when the invocations are done.
+func (b *Binding) Frame(k Kind) *Frame {
+	st, uni := b.p.fs, b.fs
+	if k == Vertex {
+		st, uni = b.p.vs, b.vs
+	}
+	f, _ := st.frames.Get().(*Frame)
+	if f == nil {
+		n := len(st.sh.written)
+		f = &Frame{st: st, vals: make([]Value, n), def: make([]bool, n), scratch: make([]Value, st.sh.scratch)}
+	}
+	f.uni = uni
+	for k, u := range st.uniforms {
+		f.vals[u.slot] = uni[k]
+	}
+	return f
+}
+
+// Acquire implements gpu.FragShader: every tile shades through its own
+// fragment frame.
+func (b *Binding) Acquire() gpu.Fragment { return b.Frame(Fragment) }
+
+// Release implements gpu.FragShader.
+func (b *Binding) Release(f gpu.Fragment) { f.(*Frame).Release() }
+
+// Frame is one stage's evaluation state: a Value per slot, a "defined" bit
+// per slot, scratch for call arguments, and the step and fetch counters.
+// Every run resets what an invocation can observe — the defined bits, the
+// counters, the inputs, the outputs and any uniform the shader overwrites —
+// so one frame runs a tile's fragments, or a draw's vertices, without
+// allocating. A Frame is not safe for concurrent use.
+type Frame struct {
+	st      *stage
+	vals    []Value
+	def     []bool
+	uni     []Value // the binding's values for st.uniforms
+	scratch []Value
+	steps   int // statements left before the step limit
+	fetches int
+}
+
+// Release returns f to its program's pool.
+func (f *Frame) Release() {
+	f.uni = nil
+	f.st.frames.Put(f)
 }
 
 type evalError struct {
@@ -106,62 +274,80 @@ func (e *evalError) Error() string { return fmt.Sprintf("runtime: line %d: %s", 
 
 const defaultMaxSteps = 100000
 
-// RunVertex executes the vertex shader for one vertex. attribs and uniforms
-// are keyed by declaration name. It returns the clip-space position and the
-// varying values in slot order.
-func (p *Program) RunVertex(attribs, uniforms map[string]Value) (gpu.Vec4, []gpu.Vec4, error) {
-	e := &env{vars: make(map[string]Value, 8+len(attribs)+len(uniforms)), maxSteps: defaultMaxSteps}
-	for _, d := range p.VS.Attributes {
-		if v, ok := attribs[d.Name]; ok {
-			e.vars[d.Name] = v
-		} else {
-			e.vars[d.Name] = zeroOf(d.Type)
-		}
-	}
-	loadUniforms(e, p.VS.Uniforms, uniforms)
-	for _, d := range p.VS.Varyings {
-		e.vars[d.Name] = zeroOf(d.Type)
-	}
-	e.vars["gl_Position"] = Vec(4)
-	if err := e.runBlock(p.VS.body); err != nil {
-		return gpu.Vec4{}, nil, err
-	}
-	vary := make([]gpu.Vec4, len(p.VaryNames))
-	for i, n := range p.VaryNames {
-		vary[i] = e.vars[n].V
-	}
-	return e.vars["gl_Position"].V, vary, nil
+// faultColor is what a fragment whose shader faults at run time shades.
+var faultColor = gpu.Vec4{1, 0, 1, 1} // magenta
+
+// begin resets the defined bits and the counters for a new invocation.
+func (f *Frame) begin() {
+	copy(f.def, f.st.def)
+	f.steps = defaultMaxSteps
+	f.fetches = 0
 }
 
-// RunFragment executes the fragment shader for one fragment with varyings in
-// slot order. It returns gl_FragColor and the texture fetch count.
-func (p *Program) RunFragment(vary []gpu.Vec4, uniforms map[string]Value) (gpu.Vec4, int, error) {
-	e := &env{vars: make(map[string]Value, 8+len(uniforms)), maxSteps: defaultMaxSteps}
-	for i, n := range p.VaryNames {
-		d := declOf(p.VS.Varyings, n)
-		w := widthOf(d.Type)
-		if i < len(vary) {
-			e.vars[n] = Value{Width: w, V: vary[i]}
+// restoreUniforms rebinds the uniforms an invocation may have overwritten.
+func (f *Frame) restoreUniforms() {
+	for _, k := range f.st.mutable {
+		f.vals[f.st.uniforms[k].slot] = f.uni[k]
+	}
+}
+
+// RunVertex executes the vertex shader for one vertex. attribs holds the
+// attribute values in declaration order; a missing one reads as zero. The
+// varyings are written to vary, which needs room for len(VaryNames), in
+// VaryNames order. It returns gl_Position.
+func (f *Frame) RunVertex(attribs []Value, vary []gpu.Vec4) (gpu.Vec4, error) {
+	st := f.st
+	f.begin()
+	for _, in := range st.attribs {
+		if in.index < len(attribs) {
+			f.vals[in.slot] = attribs[in.index]
 		} else {
-			e.vars[n] = zeroOf(d.Type)
+			f.vals[in.slot] = in.zero
 		}
 	}
-	loadUniforms(e, p.FS.Uniforms, uniforms)
-	e.vars["gl_FragColor"] = Vec(4)
-	if err := e.runBlock(p.FS.body); err != nil {
+	f.restoreUniforms()
+	for _, in := range st.varyZero {
+		f.vals[in.slot] = in.zero
+	}
+	f.vals[st.out] = Vec(4)
+	if err := f.runBlock(st.sh.body); err != nil {
+		return gpu.Vec4{}, err
+	}
+	for i, s := range st.varyOut {
+		vary[i] = f.vals[s].V
+	}
+	return f.vals[st.out].V, nil
+}
+
+// RunFragment executes the fragment shader for one fragment with varyings
+// in VaryNames order. It returns gl_FragColor and the texture fetch count;
+// a faulting run counts no fetches.
+func (f *Frame) RunFragment(vary []gpu.Vec4) (gpu.Vec4, int, error) {
+	st := f.st
+	f.begin()
+	for _, in := range st.varyIn {
+		if in.index < len(vary) {
+			f.vals[in.slot] = Value{Width: in.width, V: vary[in.index]}
+		} else {
+			f.vals[in.slot] = in.zero
+		}
+	}
+	f.restoreUniforms()
+	f.vals[st.out] = Vec(4)
+	if err := f.runBlock(st.sh.body); err != nil {
 		return gpu.Vec4{}, 0, err
 	}
-	return e.vars["gl_FragColor"].V, e.fetches, nil
+	return f.vals[st.out].V, f.fetches, nil
 }
 
-func loadUniforms(e *env, decls []Decl, uniforms map[string]Value) {
-	for _, d := range decls {
-		if v, ok := uniforms[d.Name]; ok {
-			e.vars[d.Name] = v
-		} else {
-			e.vars[d.Name] = zeroOf(d.Type)
-		}
+// Shade implements gpu.Fragment: a fragment whose shader faults at run time
+// shades magenta.
+func (f *Frame) Shade(vary []gpu.Vec4) (gpu.Vec4, int) {
+	col, fetches, err := f.RunFragment(vary)
+	if err != nil {
+		return faultColor, 0
 	}
+	return col, fetches
 }
 
 func declOf(ds []Decl, name string) Decl {
@@ -197,40 +383,43 @@ func zeroOf(typ string) Value {
 	}
 }
 
-func (e *env) runBlock(body []stmt) error {
+func (f *Frame) runBlock(body []stmt) error {
 	for _, s := range body {
-		if err := e.runStmt(s); err != nil {
+		if err := f.runStmt(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (e *env) runStmt(s stmt) error {
-	if e.maxSteps--; e.maxSteps <= 0 {
+func (f *Frame) runStmt(s stmt) error {
+	if f.steps--; f.steps <= 0 {
 		return &evalError{msg: "shader exceeded step limit"}
 	}
 	switch st := s.(type) {
-	case declStmt:
-		v := zeroOf(st.typ)
+	case *declStmt:
+		v := st.zero
 		if st.init != nil {
-			iv, err := e.eval(st.init)
+			iv, err := f.eval(st.init)
 			if err != nil {
 				return err
 			}
-			v = coerce(iv, st.typ)
+			v = iv
+			if st.width > 0 {
+				v = coerceWidth(iv, st.width)
+			}
 		}
-		e.vars[st.name] = v
+		f.vals[st.slot], f.def[st.slot] = v, true
 		return nil
-	case assignStmt:
-		v, err := e.eval(st.val)
+	case *assignStmt:
+		v, err := f.eval(st.val)
 		if err != nil {
 			return err
 		}
-		cur, ok := e.vars[st.name]
-		if !ok {
+		if !f.def[st.slot] {
 			return &evalError{line: st.line, msg: "assignment to undeclared " + st.name}
 		}
+		cur := &f.vals[st.slot]
 		if st.swizzle == "" {
 			if cur.M != nil && v.M == nil {
 				return &evalError{line: st.line, msg: "cannot assign scalar to matrix " + st.name}
@@ -238,121 +427,114 @@ func (e *env) runStmt(s stmt) error {
 			if cur.Width > 0 {
 				v = coerceWidth(v, cur.Width)
 			}
-			e.vars[st.name] = v
+			*cur = v
 			return nil
 		}
 		if len(st.swizzle) != 1 {
 			return &evalError{line: st.line, msg: "only single-component swizzle writes supported"}
 		}
-		idx := swizzleIndex(rune(st.swizzle[0]))
-		cur.V[idx] = v.V[0]
-		e.vars[st.name] = cur
+		cur.V[swizzleIndex(rune(st.swizzle[0]))] = v.V[0]
 		return nil
-	case ifStmt:
-		c, err := e.eval(st.cond)
+	case *ifStmt:
+		c, err := f.eval(st.cond)
 		if err != nil {
 			return err
 		}
 		if c.V[0] != 0 {
-			return e.runBlock(st.then)
+			return f.runBlock(st.then)
 		}
-		return e.runBlock(st.els)
-	case forStmt:
-		if err := e.runStmt(st.init); err != nil {
+		return f.runBlock(st.els)
+	case *forStmt:
+		if err := f.runStmt(st.init); err != nil {
 			return err
 		}
 		for {
-			c, err := e.eval(st.cond)
+			c, err := f.eval(st.cond)
 			if err != nil {
 				return err
 			}
 			if c.V[0] == 0 {
 				return nil
 			}
-			if err := e.runBlock(st.body); err != nil {
+			if err := f.runBlock(st.body); err != nil {
 				return err
 			}
-			if err := e.runStmt(st.post); err != nil {
+			if err := f.runStmt(st.post); err != nil {
 				return err
 			}
-			if e.maxSteps <= 0 {
+			if f.steps <= 0 {
 				return &evalError{msg: "shader loop exceeded step limit"}
 			}
 		}
 	default:
-		return &evalError{msg: fmt.Sprintf("unknown statement %T", s)}
+		panic(fmt.Sprintf("minisl: unknown statement %T", s))
 	}
 }
 
-func (e *env) eval(x expr) (Value, error) {
+func (f *Frame) eval(x expr) (Value, error) {
 	switch ex := x.(type) {
-	case numExpr:
-		return Float(ex.v), nil
-	case varExpr:
-		v, ok := e.vars[ex.name]
-		if !ok {
+	case *numExpr:
+		return ex.v, nil
+	case *varExpr:
+		if !f.def[ex.slot] {
 			return Value{}, &evalError{line: ex.line, msg: "undefined variable " + ex.name}
 		}
-		return v, nil
-	case swizzleExpr:
-		base, err := e.eval(ex.base)
+		return f.vals[ex.slot], nil
+	case *swizzleExpr:
+		base, err := f.eval(ex.base)
 		if err != nil {
 			return Value{}, err
 		}
 		var out gpu.Vec4
-		for i, c := range ex.sw {
-			out[i] = base.V[swizzleIndex(c)]
+		for i, c := range ex.idx[:ex.n] {
+			out[i] = base.V[c]
 		}
-		return Value{Width: len(ex.sw), V: out}, nil
-	case unaryExpr:
-		v, err := e.eval(ex.x)
+		return Value{Width: ex.n, V: out}, nil
+	case *unaryExpr:
+		v, err := f.eval(ex.x)
 		if err != nil {
 			return Value{}, err
 		}
-		switch ex.op {
-		case "-":
+		if !ex.not {
 			return Value{Width: v.Width, V: v.V.Scale(-1)}, nil
-		case "!":
-			if v.V[0] == 0 {
-				return Float(1), nil
-			}
-			return Float(0), nil
 		}
-		return Value{}, &evalError{msg: "unknown unary " + ex.op}
-	case binExpr:
-		return e.evalBin(ex)
-	case callExpr:
-		return e.evalCall(ex)
+		if v.V[0] == 0 {
+			return Float(1), nil
+		}
+		return Float(0), nil
+	case *binExpr:
+		return f.evalBin(ex)
+	case *callExpr:
+		return f.evalCall(ex)
 	default:
-		return Value{}, &evalError{msg: fmt.Sprintf("unknown expression %T", x)}
+		panic(fmt.Sprintf("minisl: unknown expression %T", x))
 	}
 }
 
-func (e *env) evalBin(ex binExpr) (Value, error) {
-	l, err := e.eval(ex.l)
+func (f *Frame) evalBin(ex *binExpr) (Value, error) {
+	l, err := f.eval(ex.l)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := e.eval(ex.r)
+	r, err := f.eval(ex.r)
 	if err != nil {
 		return Value{}, err
 	}
-	switch ex.op {
-	case "<", ">", "<=", ">=", "==", "!=":
+	if ex.op >= opLT {
 		a, b := l.V[0], r.V[0]
-		res := false
+		var res bool
 		switch ex.op {
-		case "<":
+		case opLT:
 			res = a < b
-		case ">":
+		case opGT:
 			res = a > b
-		case "<=":
+		case opLE:
 			res = a <= b
-		case ">=":
+		case opGE:
 			res = a >= b
-		case "==":
+		case opEQ:
 			res = a == b
-		case "!=":
+		case opNE:
 			res = a != b
 		}
 		if res {
@@ -362,7 +544,7 @@ func (e *env) evalBin(ex binExpr) (Value, error) {
 	}
 	// Matrix forms.
 	if l.M != nil || r.M != nil {
-		if ex.op != "*" {
+		if ex.op != opMul {
 			return Value{}, &evalError{line: ex.line, msg: "matrices support only *"}
 		}
 		switch {
@@ -375,48 +557,44 @@ func (e *env) evalBin(ex binExpr) (Value, error) {
 		}
 	}
 	// Scalar broadcast.
-	lw, rw := l.Width, r.Width
-	w := lw
-	if rw > w {
-		w = rw
-	}
+	w := max(l.Width, r.Width)
 	lv, rv := broadcast(l, w), broadcast(r, w)
 	var out gpu.Vec4
 	switch ex.op {
-	case "+":
+	case opAdd:
 		out = lv.Add(rv)
-	case "-":
+	case opSub:
 		out = lv.Sub(rv)
-	case "*":
+	case opMul:
 		out = lv.Mul(rv)
-	case "/":
+	case opDiv:
 		for i := 0; i < 4; i++ {
 			if rv[i] != 0 {
 				out[i] = lv[i] / rv[i]
 			}
 		}
-	default:
-		return Value{}, &evalError{line: ex.line, msg: "unknown operator " + ex.op}
 	}
 	return Value{Width: w, V: out}, nil
 }
 
-func (e *env) evalCall(ex callExpr) (Value, error) {
-	args := make([]Value, len(ex.args))
+func (ex *callExpr) fail(msg string) (Value, error) {
+	return Value{}, &evalError{line: ex.line, msg: ex.name + ": " + msg}
+}
+
+func (f *Frame) evalCall(ex *callExpr) (Value, error) {
+	args := f.scratch[ex.base : ex.base+len(ex.args)]
 	for i, a := range ex.args {
-		v, err := e.eval(a)
+		v, err := f.eval(a)
 		if err != nil {
 			return Value{}, err
 		}
 		args[i] = v
 	}
-	bad := func(msg string) (Value, error) {
-		return Value{}, &evalError{line: ex.line, msg: ex.fn + ": " + msg}
-	}
 	switch ex.fn {
-	case "vec2", "vec3", "vec4":
-		w := int(ex.fn[3] - '0')
-		var comps []float32
+	case fnVec2, fnVec3, fnVec4:
+		w := int(ex.fn-fnVec2) + 2
+		var comps gpu.Vec4
+		n := 0
 		for _, a := range args {
 			aw := a.Width
 			if aw == 0 {
@@ -424,103 +602,105 @@ func (e *env) evalCall(ex callExpr) (Value, error) {
 			}
 			// A single scalar argument splats (vec4(1.0)).
 			if len(args) == 1 && aw == 1 {
-				for i := 0; i < w; i++ {
-					comps = append(comps, a.V[0])
+				for n < w {
+					comps[n] = a.V[0]
+					n++
 				}
 				break
 			}
-			for i := 0; i < aw && len(comps) < w; i++ {
-				comps = append(comps, a.V[i])
+			for i := 0; i < aw && n < w; i++ {
+				comps[n] = a.V[i]
+				n++
 			}
 		}
-		if len(comps) < w {
-			return bad(fmt.Sprintf("needs %d components, got %d", w, len(comps)))
+		if n < w {
+			return ex.fail(fmt.Sprintf("needs %d components, got %d", w, n))
 		}
-		return Vec(w, comps...), nil
-	case "texture2D":
+		return Value{Width: w, V: comps}, nil
+	case fnTexture2D:
 		if len(args) != 2 {
-			return bad("needs (sampler, vec2)")
+			return ex.fail("needs (sampler, vec2)")
 		}
-		e.fetches++
+		f.fetches++
 		c := args[0].Sampler.Sample(args[1].V[0], args[1].V[1])
 		return Value{Width: 4, V: c}, nil
-	case "clamp":
+	case fnClamp:
 		if len(args) != 3 {
-			return bad("needs 3 args")
+			return ex.fail("needs 3 args")
 		}
 		var out gpu.Vec4
 		for i := 0; i < 4; i++ {
 			out[i] = minf(maxf(args[0].V[i], args[1].V[0]), args[2].V[0])
 		}
 		return Value{Width: args[0].Width, V: out}, nil
-	case "min", "max", "pow":
+	case fnMin, fnMax, fnPow:
 		if len(args) != 2 {
-			return bad("needs 2 args")
+			return ex.fail("needs 2 args")
 		}
 		w := args[0].Width
 		a, b := broadcast(args[0], w), broadcast(args[1], w)
 		var out gpu.Vec4
 		for i := 0; i < 4; i++ {
 			switch ex.fn {
-			case "min":
+			case fnMin:
 				out[i] = minf(a[i], b[i])
-			case "max":
+			case fnMax:
 				out[i] = maxf(a[i], b[i])
-			case "pow":
+			case fnPow:
 				out[i] = float32(math.Pow(float64(a[i]), float64(b[i])))
 			}
 		}
 		return Value{Width: w, V: out}, nil
-	case "dot":
+	case fnDot:
 		if len(args) != 2 {
-			return bad("needs 2 args")
+			return ex.fail("needs 2 args")
 		}
 		var s float32
 		for i := 0; i < args[0].Width; i++ {
 			s += args[0].V[i] * args[1].V[i]
 		}
 		return Float(s), nil
-	case "mix":
+	case fnMix:
 		if len(args) != 3 {
-			return bad("needs 3 args")
+			return ex.fail("needs 3 args")
 		}
 		t := args[2].V[0]
 		w := args[0].Width
 		out := args[0].V.Scale(1 - t).Add(broadcast(args[1], w).Scale(t))
 		return Value{Width: w, V: out}, nil
-	case "fract", "floor", "abs", "sin", "cos":
+	case fnFract, fnFloor, fnAbs, fnSin, fnCos:
 		if len(args) != 1 {
-			return bad("needs 1 arg")
+			return ex.fail("needs 1 arg")
 		}
 		var out gpu.Vec4
 		for i := 0; i < 4; i++ {
-			f := float64(args[0].V[i])
+			x := float64(args[0].V[i])
 			switch ex.fn {
-			case "fract":
-				out[i] = float32(f - math.Floor(f))
-			case "floor":
-				out[i] = float32(math.Floor(f))
-			case "abs":
-				out[i] = float32(math.Abs(f))
-			case "sin":
-				out[i] = float32(math.Sin(f))
-			case "cos":
-				out[i] = float32(math.Cos(f))
+			case fnFract:
+				out[i] = float32(x - math.Floor(x))
+			case fnFloor:
+				out[i] = float32(math.Floor(x))
+			case fnAbs:
+				out[i] = float32(math.Abs(x))
+			case fnSin:
+				out[i] = float32(math.Sin(x))
+			case fnCos:
+				out[i] = float32(math.Cos(x))
 			}
 		}
 		return Value{Width: args[0].Width, V: out}, nil
-	case "length":
+	case fnLength:
 		if len(args) != 1 {
-			return bad("needs 1 arg")
+			return ex.fail("needs 1 arg")
 		}
 		var s float64
 		for i := 0; i < args[0].Width; i++ {
 			s += float64(args[0].V[i]) * float64(args[0].V[i])
 		}
 		return Float(float32(math.Sqrt(s))), nil
-	case "normalize":
+	case fnNormalize:
 		if len(args) != 1 {
-			return bad("needs 1 arg")
+			return ex.fail("needs 1 arg")
 		}
 		var s float64
 		for i := 0; i < args[0].Width; i++ {
@@ -532,15 +712,8 @@ func (e *env) evalCall(ex callExpr) (Value, error) {
 		}
 		return Value{Width: args[0].Width, V: args[0].V.Scale(1 / n)}, nil
 	default:
-		return bad("unknown function")
+		return ex.fail("unknown function")
 	}
-}
-
-func coerce(v Value, typ string) Value {
-	if typ == "mat4" || typ == "sampler2D" {
-		return v
-	}
-	return coerceWidth(v, widthOf(typ))
 }
 
 func coerceWidth(v Value, w int) Value {
@@ -558,7 +731,7 @@ func broadcast(v Value, w int) gpu.Vec4 {
 	return v.V
 }
 
-func swizzleIndex(c rune) int {
+func swizzleIndex(c rune) uint8 {
 	switch c {
 	case 'x', 'r':
 		return 0

@@ -1,0 +1,353 @@
+package minisl
+
+import (
+	"fmt"
+	"go/ast"
+	goparser "go/parser"
+	gotoken "go/token"
+	"math"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"cycada/internal/sim/gpu"
+)
+
+// treeShaderFiles are the Go files, relative to this package, that embed
+// the tree's MiniSL sources.
+var treeShaderFiles = []string{
+	"../../../core/eglbridge/blit.go",
+	"../../../workloads/passmark/passmark.go",
+	"../../../webkit/browser.go",
+	"../../../harness/blit.go",
+	"../../../../examples/photoeditor/main.go",
+	"../../../../examples/quickstart/main.go",
+	"minisl_test.go",
+	"frame_test.go",
+}
+
+// shaderSources returns every string literal in file that holds a MiniSL
+// main function, so the tests run the sources the programs ship rather than
+// copies of them.
+func shaderSources(tb testing.TB, file string) []string {
+	tb.Helper()
+	f, err := goparser.ParseFile(gotoken.NewFileSet(), file, nil, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		lit, ok := n.(*ast.BasicLit)
+		if !ok || lit.Kind != gotoken.STRING {
+			return true
+		}
+		if src, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(src, "void main") {
+			out = append(out, src)
+		}
+		return true
+	})
+	return out
+}
+
+// linkFile links the vertex and fragment shader embedded in one file.
+func linkFile(t *testing.T, file string) *Program {
+	t.Helper()
+	var vs, fs *Shader
+	for _, src := range shaderSources(t, file) {
+		if strings.Contains(src, "gl_FragColor") {
+			fs = compile(t, src, Fragment)
+		} else {
+			vs = compile(t, src, Vertex)
+		}
+	}
+	p, err := Link(vs, fs)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return p
+}
+
+// bindAll binds every uniform of p to a value of its declared type: a
+// sampler gets tex.
+func bindAll(p *Program, tex *gpu.Texture) *Binding {
+	b := p.Bind()
+	for i, n := range p.UniformNames {
+		for _, d := range slices.Concat(p.VS.Uniforms, p.FS.Uniforms) {
+			if d.Name != n {
+				continue
+			}
+			switch d.Type {
+			case "sampler2D":
+				b.Set(i, Sampler(tex))
+			case "mat4":
+				b.Set(i, Mat(gpu.Identity().Translate(0.5, 0, 0)))
+			default:
+				b.Set(i, Vec(widthOf(d.Type), 0.75, 0.5, 0.25, 1))
+			}
+		}
+	}
+	return b
+}
+
+func testTexture() *gpu.Texture {
+	img := gpu.NewImage(4, 4)
+	img.Fill(gpu.RGBA{R: 40, G: 200, B: 90, A: 255})
+	return &gpu.Texture{Img: img}
+}
+
+// TestRunFragmentDoesNotAllocate holds fragment shading to zero allocations:
+// the present blit, PassMark's complex-scene shader and the WebKit tile
+// shader, each with its sampler bound.
+func TestRunFragmentDoesNotAllocate(t *testing.T) {
+	for _, file := range []string{
+		"../../../core/eglbridge/blit.go",
+		"../../../workloads/passmark/passmark.go",
+		"../../../webkit/browser.go",
+	} {
+		t.Run(filepath.Base(filepath.Dir(file)), func(t *testing.T) {
+			p := linkFile(t, file)
+			f := bindAll(p, testTexture()).Frame(Fragment)
+			defer f.Release()
+			vary := make([]gpu.Vec4, len(p.VaryNames))
+			for i := range vary {
+				vary[i] = gpu.Vec4{0.3, 0.6, 0.2, 1}
+			}
+			if _, _, err := f.RunFragment(vary); err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(200, func() { f.RunFragment(vary) }); n != 0 {
+				t.Fatalf("RunFragment allocates %v times per fragment, want 0", n)
+			}
+		})
+	}
+}
+
+// TestFrameReuseIsInvisible runs invocations back to back on one frame:
+// nothing the first one did may show in the second.
+func TestFrameReuseIsInvisible(t *testing.T) {
+	vs := compile(t, "varying float v_take; void main(){ gl_Position = vec4(0.0); v_take = 1.0; }", Vertex)
+	taken, skipped := []gpu.Vec4{{1}}, []gpu.Vec4{{0}}
+	run := func(t *testing.T, fsSrc string, uniforms map[string]Value, vary ...[]gpu.Vec4) (cols []gpu.Vec4, fetches []int, errs []error) {
+		t.Helper()
+		p, err := Link(vs, compile(t, fsSrc, Fragment))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := bind(p, uniforms).Frame(Fragment)
+		defer f.Release()
+		for _, v := range vary {
+			col, n, err := f.RunFragment(v)
+			cols, fetches, errs = append(cols, col), append(fetches, n), append(errs, err)
+		}
+		return cols, fetches, errs
+	}
+
+	t.Run("local-declared-on-skipped-branch", func(t *testing.T) {
+		for _, tc := range []struct{ use, want string }{
+			{"gl_FragColor = vec4(t);", "undefined variable t"},
+			{"t = 0.5; gl_FragColor = vec4(1.0);", "assignment to undeclared t"},
+		} {
+			src := "varying float v_take; void main(){ if (v_take > 0.5) { float t = 0.25; } " + tc.use + " }"
+			_, _, errs := run(t, src, nil, taken, skipped)
+			if errs[0] != nil {
+				t.Fatalf("%s: first invocation: %v", tc.use, errs[0])
+			}
+			if errs[1] == nil || !strings.Contains(errs[1].Error(), tc.want) {
+				t.Fatalf("%s: second invocation err = %v, want %q", tc.use, errs[1], tc.want)
+			}
+		}
+	})
+
+	t.Run("gl_FragColor-starts-at-zero", func(t *testing.T) {
+		cols, _, errs := run(t, "varying float v_take; void main(){ if (v_take > 0.5) { gl_FragColor = vec4(1.0); } }", nil, taken, skipped)
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatal(errs)
+		}
+		if cols[0] != (gpu.Vec4{1, 1, 1, 1}) || cols[1] != (gpu.Vec4{}) {
+			t.Fatalf("colors = %v, want white then zero", cols)
+		}
+	})
+
+	t.Run("overwritten-uniform-is-rebound", func(t *testing.T) {
+		cols, _, errs := run(t, "uniform float u_a; void main(){ u_a = u_a + 1.0; gl_FragColor = vec4(u_a); }",
+			map[string]Value{"u_a": Float(2)}, nil, nil)
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatal(errs)
+		}
+		if cols[0][0] != 3 || cols[1][0] != 3 {
+			t.Fatalf("colors = %v, want 3 both times", cols)
+		}
+	})
+
+	t.Run("fetches-count-per-invocation", func(t *testing.T) {
+		_, fetches, errs := run(t, "varying float v_take; uniform sampler2D u_tex; void main(){ gl_FragColor = texture2D(u_tex, vec2(v_take)); }",
+			map[string]Value{"u_tex": Sampler(testTexture())}, taken, taken)
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatal(errs)
+		}
+		if fetches[0] != 1 || fetches[1] != 1 {
+			t.Fatalf("fetches = %v, want 1 each", fetches)
+		}
+	})
+
+	t.Run("step-budget-resets", func(t *testing.T) {
+		// The first invocation runs away; the second needs 60000 of its
+		// 100000 steps, so it fails if any of the first one's spending
+		// carried over.
+		cols, _, errs := run(t, `
+varying float v_take;
+void main() {
+  float x = 0.0;
+  if (v_take > 0.5) {
+    for (float i = 0.0; i < 1.0; i *= 1.0) { x += 1.0; }
+  }
+  for (float j = 0.0; j < 30000.0; j += 1.0) { x += 1.0; }
+  gl_FragColor = vec4(x);
+}`, nil, taken, skipped)
+		if errs[0] == nil || !strings.Contains(errs[0].Error(), "step limit") {
+			t.Fatalf("runaway invocation err = %v, want step limit", errs[0])
+		}
+		if errs[1] != nil || cols[1][0] != 30000 {
+			t.Fatalf("second invocation = %v, %v; want 30000", cols[1], errs[1])
+		}
+	})
+}
+
+// FuzzCompile compiles arbitrary source, links it with a minimal partner
+// shader, binds every uniform, and runs it twice on one frame: it must never
+// panic, and reusing the frame must not change the result.
+func FuzzCompile(f *testing.F) {
+	for _, file := range treeShaderFiles {
+		for _, src := range shaderSources(f, file) {
+			f.Add(src)
+		}
+	}
+	tex := testTexture()
+	f.Fuzz(func(t *testing.T, src string) {
+		if fs, err := Compile(src, Fragment); err == nil {
+			var vsSrc strings.Builder
+			for _, d := range fs.Varyings {
+				vsSrc.WriteString("varying " + d.Type + " " + d.Name + ";")
+			}
+			vsSrc.WriteString("void main(){ gl_Position = vec4(0.0); }")
+			vs, err := Compile(vsSrc.String(), Vertex)
+			if err != nil {
+				t.Fatalf("partner vertex shader: %v", err)
+			}
+			p, err := Link(vs, fs)
+			if err != nil {
+				return // repeated varyings of differing types do not link
+			}
+			fr := bindAll(p, tex).Frame(Fragment)
+			defer fr.Release()
+			vary := make([]gpu.Vec4, len(p.VaryNames))
+			for i := range vary {
+				vary[i] = gpu.Vec4{0.25, 0.5, 0.75, 1}
+			}
+			c1, n1, e1 := fr.RunFragment(vary)
+			c2, n2, e2 := fr.RunFragment(vary)
+			if !sameVec(c1, c2) || n1 != n2 || errString(e1) != errString(e2) {
+				t.Fatalf("frame reuse changed the result: (%v, %d, %v) then (%v, %d, %v)", c1, n1, e1, c2, n2, e2)
+			}
+		}
+		if vs, err := Compile(src, Vertex); err == nil {
+			var fsSrc strings.Builder
+			for _, d := range vs.Varyings {
+				fsSrc.WriteString("varying " + d.Type + " " + d.Name + ";")
+			}
+			fsSrc.WriteString("void main(){ gl_FragColor = vec4(1.0); }")
+			fs, err := Compile(fsSrc.String(), Fragment)
+			if err != nil {
+				t.Fatalf("partner fragment shader: %v", err)
+			}
+			p, err := Link(vs, fs)
+			if err != nil {
+				return // repeated varyings of differing types do not link
+			}
+			fr := bindAll(p, tex).Frame(Vertex)
+			defer fr.Release()
+			attribs := make([]Value, len(vs.Attributes))
+			for i := range attribs {
+				attribs[i] = Vec(4, 0.5, 0.25, 0, 1)
+			}
+			v1, v2 := make([]gpu.Vec4, len(p.VaryNames)), make([]gpu.Vec4, len(p.VaryNames))
+			p1, e1 := fr.RunVertex(attribs, v1)
+			p2, e2 := fr.RunVertex(attribs, v2)
+			same := sameVec(p1, p2) && errString(e1) == errString(e2)
+			for i := range v1 {
+				same = same && sameVec(v1[i], v2[i])
+			}
+			if !same {
+				t.Fatalf("frame reuse changed the result: (%v, %v, %v) then (%v, %v, %v)", p1, v1, e1, p2, v2, e2)
+			}
+		}
+	})
+}
+
+// sameVec compares bit patterns, so NaN results compare equal.
+func sameVec(a, b gpu.Vec4) bool {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestConcurrentDrawsShareProgram shades with one linked program from several
+// goroutines at once, each draw binding its own texture and rendering its
+// tiles on several workers: every image must match its serial rendering.
+func TestConcurrentDrawsShareProgram(t *testing.T) {
+	p := linkFile(t, "../../../core/eglbridge/blit.go")
+	quad := []gpu.TVert{
+		{Pos: gpu.Vec4{-1, -1, 0, 1}, Vary: []gpu.Vec4{{0, 1}}},
+		{Pos: gpu.Vec4{1, -1, 0, 1}, Vary: []gpu.Vec4{{1, 1}}},
+		{Pos: gpu.Vec4{1, 1, 0, 1}, Vary: []gpu.Vec4{{1, 0}}},
+		{Pos: gpu.Vec4{-1, 1, 0, 1}, Vary: []gpu.Vec4{{0, 0}}},
+	}
+	idx := []int{0, 1, 2, 0, 2, 3}
+	draw := func(g int, pool *gpu.Pool) (uint32, gpu.Stats) {
+		img := gpu.NewImage(8, 8)
+		for y := 0; y < 8; y++ {
+			for x := 0; x < 8; x++ {
+				img.Set(x, y, gpu.RGBA{R: uint8(32 * g), G: uint8(30 * x), B: uint8(30 * y), A: 255})
+			}
+		}
+		dst := gpu.NewImage(150, 90)
+		stats := gpu.DrawTriangles(gpu.NewTarget(dst), quad, idx, bindAll(p, &gpu.Texture{Img: img}), gpu.RenderState{Pool: pool})
+		return dst.Checksum(), stats
+	}
+	const draws = 4
+	var want [draws]uint32
+	for g := range want {
+		want[g], _ = draw(g, nil)
+	}
+	pool := gpu.NewPool(4)
+	errs := make(chan error, draws)
+	for g := 0; g < draws; g++ {
+		go func() {
+			for range 3 {
+				sum, stats := draw(g, pool)
+				if sum != want[g] || stats.TexFetches != 150*90 {
+					errs <- fmt.Errorf("draw %d: checksum %08x, %d fetches; serial %08x, %d", g, sum, stats.TexFetches, want[g], 150*90)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range draws {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

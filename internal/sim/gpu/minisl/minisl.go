@@ -2,10 +2,15 @@
 // for the simulated GPU's programmable (GLES 2) pipeline.
 //
 // The real system hands shader source to a closed vendor compiler inside
-// libGLESv2; the simulation compiles a GLSL subset to an AST and interprets
-// it per vertex and per fragment. This keeps glCompileShader/glLinkProgram
-// genuinely expensive (proportional to token count — visible as the
-// glLinkProgram spike in Figure 9) and makes shader-based paths such as
+// libGLESv2; the simulation compiles a GLSL subset to an AST whose every
+// identifier is resolved to a slot index, and Link lays out each stage's
+// frame: a flat, slot-indexed array of Values with a "defined" bit per slot.
+// A draw binds its uniforms into slot order once (Program.Bind); each raster
+// tile then takes its own pooled Frame and runs the fragment shader over it
+// per pixel, resetting only what one invocation can observe, so shading
+// allocates nothing per vertex or fragment. glCompileShader/glLinkProgram
+// stay expensive on the virtual clock (proportional to token count — visible
+// as the glLinkProgram spike in Figure 9), and shader-based paths such as
 // Cycada's presentRenderbuffer blit do real per-pixel work.
 //
 // Supported subset: global declarations with the attribute / uniform /
@@ -19,7 +24,10 @@
 package minisl
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -47,7 +55,10 @@ type Decl struct {
 	Type string // "float", "vec2".."vec4", "mat4", "sampler2D"
 }
 
-// Shader is a compiled shader.
+// Shader is a compiled shader. Compile resolves every identifier the source
+// names — its declarations, its locals, the stage's special output and any
+// name it only reads — to a slot index, so evaluation runs over a flat frame
+// of Values instead of looking names up.
 type Shader struct {
 	Kind       Kind
 	Attributes []Decl
@@ -56,6 +67,9 @@ type Shader struct {
 	Tokens     int // total token count (drives compile cost)
 	body       []stmt
 	src        string
+	slots      map[string]int // identifier -> slot
+	written    []bool         // slot-indexed: an assignment or declaration target
+	scratch    int            // call-argument Values one invocation needs
 }
 
 // Source returns the original source text.
@@ -72,16 +86,21 @@ func (e *CompileError) Error() string {
 }
 
 // ---- AST ----
+//
+// Identifiers are slot indices into the invocation's frame; the name stays
+// only for runtime error messages.
 
 type stmt interface{ isStmt() }
 
 type declStmt struct {
-	name string
-	typ  string
-	init expr // may be nil
+	slot  int
+	zero  Value // the declared type's zero value
+	width int   // coercion width of the declared type; 0 for mat4/sampler2D
+	init  expr  // may be nil
 }
 
 type assignStmt struct {
+	slot    int
 	name    string
 	swizzle string // optional single-component write target, e.g. "x"
 	val     expr
@@ -100,49 +119,103 @@ type forStmt struct {
 	body []stmt
 }
 
-func (declStmt) isStmt()   {}
-func (assignStmt) isStmt() {}
-func (ifStmt) isStmt()     {}
-func (forStmt) isStmt()    {}
+func (*declStmt) isStmt()   {}
+func (*assignStmt) isStmt() {}
+func (*ifStmt) isStmt()     {}
+func (*forStmt) isStmt()    {}
 
 type expr interface{ isExpr() }
 
-type numExpr struct{ v float32 }
+type numExpr struct{ v Value }
 
 type varExpr struct {
+	slot int
 	name string
 	line int
 }
 
 type swizzleExpr struct {
 	base expr
-	sw   string
-	line int
+	idx  [4]uint8 // component indices
+	n    int      // swizzle length
+}
+
+type binOp uint8
+
+const (
+	opAdd binOp = iota
+	opSub
+	opMul
+	opDiv
+	opLT
+	opGT
+	opLE
+	opGE
+	opEQ
+	opNE
+)
+
+var binOps = map[string]binOp{
+	"+": opAdd, "-": opSub, "*": opMul, "/": opDiv,
+	"<": opLT, ">": opGT, "<=": opLE, ">=": opGE, "==": opEQ, "!=": opNE,
 }
 
 type binExpr struct {
-	op   string
+	op   binOp
 	l, r expr
 	line int
 }
 
 type unaryExpr struct {
-	op string
-	x  expr
+	not bool // '!' rather than '-'
+	x   expr
+}
+
+// builtin identifies a callee; an unknown name fails only when the call runs.
+type builtin uint8
+
+const (
+	fnUnknown builtin = iota
+	fnVec2
+	fnVec3
+	fnVec4
+	fnTexture2D
+	fnClamp
+	fnMin
+	fnMax
+	fnPow
+	fnDot
+	fnMix
+	fnFract
+	fnFloor
+	fnAbs
+	fnSin
+	fnCos
+	fnLength
+	fnNormalize
+)
+
+var builtins = map[string]builtin{
+	"vec2": fnVec2, "vec3": fnVec3, "vec4": fnVec4, "texture2D": fnTexture2D,
+	"clamp": fnClamp, "min": fnMin, "max": fnMax, "pow": fnPow, "dot": fnDot,
+	"mix": fnMix, "fract": fnFract, "floor": fnFloor, "abs": fnAbs,
+	"sin": fnSin, "cos": fnCos, "length": fnLength, "normalize": fnNormalize,
 }
 
 type callExpr struct {
-	fn   string
+	fn   builtin
+	name string
 	args []expr
+	base int // the arguments' offset in the frame's scratch Values
 	line int
 }
 
-func (numExpr) isExpr()     {}
-func (varExpr) isExpr()     {}
-func (swizzleExpr) isExpr() {}
-func (binExpr) isExpr()     {}
-func (unaryExpr) isExpr()   {}
-func (callExpr) isExpr()    {}
+func (*numExpr) isExpr()     {}
+func (*varExpr) isExpr()     {}
+func (*swizzleExpr) isExpr() {}
+func (*binExpr) isExpr()     {}
+func (*unaryExpr) isExpr()   {}
+func (*callExpr) isExpr()    {}
 
 // ---- Lexer ----
 
@@ -194,11 +267,13 @@ func lex(src string) ([]token, error) {
 			for l.pos < len(l.src) && (unicode.IsDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
 				l.pos++
 			}
-			var f float64
-			if _, err := fmt.Sscanf(string(l.src[start:l.pos]), "%g", &f); err != nil {
-				return nil, &CompileError{Line: l.line, Msg: "bad number " + string(l.src[start:l.pos])}
+			text := string(l.src[start:l.pos])
+			// A well-formed literal too large for float32 reads as ±Inf.
+			f, err := strconv.ParseFloat(text, 32)
+			if err != nil && !errors.Is(err, strconv.ErrRange) {
+				return nil, &CompileError{Line: l.line, Msg: "bad number " + text}
 			}
-			l.emit("num", string(l.src[start:l.pos]), float32(f))
+			l.emit("num", text, float32(f))
 		default:
 			two := ""
 			if l.pos+1 < len(l.src) {
@@ -237,14 +312,23 @@ func (l *lexer) emit(kind, text string, num float32) {
 // ---- Parser ----
 
 type parser struct {
-	toks []token
-	pos  int
-	sh   *Shader
+	toks     []token
+	pos      int
+	sh       *Shader
+	callBase int // scratch offset for the arguments of the next call parsed
 }
 
 var typeNames = map[string]bool{
 	"float": true, "vec2": true, "vec3": true, "vec4": true,
 	"mat4": true, "sampler2D": true,
+}
+
+// specialOut names each stage's built-in output.
+func specialOut(k Kind) string {
+	if k == Vertex {
+		return "gl_Position"
+	}
+	return "gl_FragColor"
 }
 
 // Compile compiles MiniSL source into a Shader.
@@ -253,11 +337,30 @@ func Compile(src string, kind Kind) (*Shader, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, sh: &Shader{Kind: kind, Tokens: len(toks), src: src}}
+	p := &parser{toks: toks, sh: &Shader{Kind: kind, Tokens: len(toks), src: src, slots: map[string]int{}}}
+	p.slot(specialOut(kind))
 	if err := p.parseTop(); err != nil {
 		return nil, err
 	}
 	return p.sh, nil
+}
+
+// slot resolves an identifier to its frame slot, allocating one on first use.
+func (p *parser) slot(name string) int {
+	if s, ok := p.sh.slots[name]; ok {
+		return s
+	}
+	s := len(p.sh.written)
+	p.sh.slots[name] = s
+	p.sh.written = append(p.sh.written, false)
+	return s
+}
+
+// target resolves an assignment or declaration target.
+func (p *parser) target(name string) int {
+	s := p.slot(name)
+	p.sh.written[s] = true
+	return s
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -316,6 +419,7 @@ func (p *parser) parseTop() error {
 			case "varying":
 				p.sh.Varyings = append(p.sh.Varyings, d)
 			}
+			p.slot(d.Name)
 		case t.text == "void":
 			p.pos++
 			if _, err := p.expect("ident", "main"); err != nil {
@@ -386,7 +490,7 @@ func (p *parser) parseStmt() (stmt, error) {
 				return nil, err
 			}
 		}
-		return ifStmt{cond: cond, then: then, els: els}, nil
+		return &ifStmt{cond: cond, then: then, els: els}, nil
 	case t.text == "for":
 		p.pos++
 		if _, err := p.expect("punct", "("); err != nil {
@@ -417,7 +521,7 @@ func (p *parser) parseStmt() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return forStmt{init: init, cond: cond, post: post, body: body}, nil
+		return &forStmt{init: init, cond: cond, post: post, body: body}, nil
 	default:
 		s, err := p.parseSimpleStmt()
 		if err != nil {
@@ -447,7 +551,11 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 				return nil, err
 			}
 		}
-		return declStmt{name: name.text, typ: typ, init: init}, nil
+		d := &declStmt{slot: p.target(name.text), zero: zeroOf(typ), init: init}
+		if typ != "mat4" && typ != "sampler2D" {
+			d.width = widthOf(typ)
+		}
+		return d, nil
 	}
 	name, err := p.expect("ident", "")
 	if err != nil {
@@ -459,8 +567,13 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !validSwizzle(swt.text) {
+			return nil, &CompileError{Line: swt.line, Msg: "invalid swizzle ." + swt.text}
+		}
 		sw = swt.text
 	}
+	slot := p.target(name.text)
+	self := &varExpr{slot: slot, name: name.text, line: name.line}
 	// Compound assignment and increment forms.
 	op := p.cur().text
 	switch op {
@@ -471,18 +584,18 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 			return nil, err
 		}
 		if op != "=" {
-			val = binExpr{op: op[:1], l: varExpr{name: name.text, line: name.line}, r: val, line: name.line}
+			val = &binExpr{op: binOps[op[:1]], l: self, r: val, line: name.line}
 		}
-		return assignStmt{name: name.text, swizzle: sw, val: val, line: name.line}, nil
+		return &assignStmt{slot: slot, name: name.text, swizzle: sw, val: val, line: name.line}, nil
 	case "++", "--":
 		p.pos++
-		o := "+"
+		o := opAdd
 		if op == "--" {
-			o = "-"
+			o = opSub
 		}
-		return assignStmt{
-			name: name.text, swizzle: sw, line: name.line,
-			val: binExpr{op: o, l: varExpr{name: name.text, line: name.line}, r: numExpr{v: 1}, line: name.line},
+		return &assignStmt{
+			slot: slot, name: name.text, swizzle: sw, line: name.line,
+			val: &binExpr{op: o, l: self, r: &numExpr{v: Float(1)}, line: name.line},
 		}, nil
 	}
 	return nil, &CompileError{Line: name.line, Msg: "expected assignment after " + name.text}
@@ -492,60 +605,29 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 func (p *parser) parseExpr() (expr, error) { return p.parseCmp() }
 
 func (p *parser) parseCmp() (expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		op := p.cur().text
-		if p.cur().kind != "punct" || (op != "<" && op != ">" && op != "<=" && op != ">=" && op != "==" && op != "!=") {
-			return l, nil
-		}
-		line := p.next().line
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		l = binExpr{op: op, l: l, r: r, line: line}
-	}
+	return p.parseBinary(p.parseAdd, "<", ">", "<=", ">=", "==", "!=")
 }
 
-func (p *parser) parseAdd() (expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		op := p.cur().text
-		if p.cur().kind != "punct" || (op != "+" && op != "-") {
-			return l, nil
-		}
-		line := p.next().line
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = binExpr{op: op, l: l, r: r, line: line}
-	}
-}
+func (p *parser) parseAdd() (expr, error) { return p.parseBinary(p.parseMul, "+", "-") }
 
-func (p *parser) parseMul() (expr, error) {
-	l, err := p.parseUnary()
+func (p *parser) parseMul() (expr, error) { return p.parseBinary(p.parseUnary, "*", "/") }
+
+// parseBinary parses a left-associative chain of operand separated by any of
+// ops.
+func (p *parser) parseBinary(operand func() (expr, error), ops ...string) (expr, error) {
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		op := p.cur().text
-		if p.cur().kind != "punct" || (op != "*" && op != "/") {
-			return l, nil
-		}
-		line := p.next().line
-		r, err := p.parseUnary()
+	for p.cur().kind == "punct" && slices.Contains(ops, p.cur().text) {
+		t := p.next()
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = binExpr{op: op, l: l, r: r, line: line}
+		l = &binExpr{op: binOps[t.text], l: l, r: r, line: t.line}
 	}
+	return l, nil
 }
 
 func (p *parser) parseUnary() (expr, error) {
@@ -555,7 +637,7 @@ func (p *parser) parseUnary() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return unaryExpr{op: op, x: x}, nil
+		return &unaryExpr{not: op == "!", x: x}, nil
 	}
 	return p.parsePostfix()
 }
@@ -573,7 +655,11 @@ func (p *parser) parsePostfix() (expr, error) {
 		if !validSwizzle(sw.text) {
 			return nil, &CompileError{Line: sw.line, Msg: "invalid swizzle ." + sw.text}
 		}
-		e = swizzleExpr{base: e, sw: sw.text, line: sw.line}
+		s := &swizzleExpr{base: e, n: len(sw.text)}
+		for i, c := range sw.text {
+			s.idx[i] = swizzleIndex(c)
+		}
+		e = s
 	}
 	return e, nil
 }
@@ -583,29 +669,13 @@ func (p *parser) parsePrimary() (expr, error) {
 	switch {
 	case t.kind == "num":
 		p.pos++
-		return numExpr{v: t.num}, nil
+		return &numExpr{v: Float(t.num)}, nil
 	case t.kind == "ident":
 		p.pos++
 		if p.accept("punct", "(") {
-			var args []expr
-			if !p.accept("punct", ")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if p.accept("punct", ")") {
-						break
-					}
-					if _, err := p.expect("punct", ","); err != nil {
-						return nil, err
-					}
-				}
-			}
-			return callExpr{fn: t.text, args: args, line: t.line}, nil
+			return p.parseCall(t)
 		}
-		return varExpr{name: t.text, line: t.line}, nil
+		return &varExpr{slot: p.slot(t.text), name: t.text, line: t.line}, nil
 	case t.kind == "punct" && t.text == "(":
 		p.pos++
 		e, err := p.parseExpr()
@@ -619,6 +689,33 @@ func (p *parser) parsePrimary() (expr, error) {
 	default:
 		return nil, &CompileError{Line: t.line, Msg: "unexpected token " + t.text}
 	}
+}
+
+// parseCall parses a call's arguments after its opening parenthesis. An
+// argument is stored in the frame's scratch Values once evaluated, so calls
+// nested inside argument k start their own arguments at base+k: every
+// argument still pending is above them, every finished one below.
+func (p *parser) parseCall(fn token) (expr, error) {
+	c := &callExpr{fn: builtins[fn.text], name: fn.text, base: p.callBase, line: fn.line}
+	defer func() { p.callBase = c.base }()
+	if !p.accept("punct", ")") {
+		for {
+			p.callBase = c.base + len(c.args)
+			a, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			c.args = append(c.args, a)
+			if p.accept("punct", ")") {
+				break
+			}
+			if _, err := p.expect("punct", ","); err != nil {
+				return nil, err
+			}
+		}
+	}
+	p.sh.scratch = max(p.sh.scratch, c.base+len(c.args))
+	return c, nil
 }
 
 func validSwizzle(s string) bool {

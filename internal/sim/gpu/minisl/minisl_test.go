@@ -48,6 +48,24 @@ func link(t *testing.T) *Program {
 	return p
 }
 
+// bind binds uniforms by name, leaving the rest unset.
+func bind(p *Program, uniforms map[string]Value) *Binding {
+	b := p.Bind()
+	for i, n := range p.UniformNames {
+		if v, ok := uniforms[n]; ok {
+			b.Set(i, v)
+		}
+	}
+	return b
+}
+
+// runFragment shades one fragment on a fresh binding.
+func runFragment(p *Program, vary []gpu.Vec4, uniforms map[string]Value) (gpu.Vec4, int, error) {
+	f := bind(p, uniforms).Frame(Fragment)
+	defer f.Release()
+	return f.RunFragment(vary)
+}
+
 func TestCompileCollectsDeclarations(t *testing.T) {
 	sh := compile(t, quadVS, Vertex)
 	if len(sh.Attributes) != 2 || sh.Attributes[0].Name != "a_position" {
@@ -77,6 +95,9 @@ func TestCompileErrors(t *testing.T) {
 		{"unterminated", "void main(){ gl_FragColor = vec4(1.0);", Fragment, "unterminated"},
 		{"bad-swizzle", "void main(){ vec4 v = vec4(1.0); gl_FragColor = v.qq; }", Fragment, "invalid swizzle"},
 		{"missing-semi", "void main(){ float x = 1.0 }", Fragment, "expected"},
+		{"number-two-points", "void main(){ gl_FragColor = vec4(1.2.3); }", Fragment, "bad number 1.2.3"},
+		{"number-double-point", "void main(){ gl_FragColor = vec4(1..5); }", Fragment, "bad number 1..5"},
+		{"bad-swizzle-write", "void main(){ vec4 v = vec4(1.0); v.q = 1.0; gl_FragColor = v; }", Fragment, "invalid swizzle .q"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,13 +133,10 @@ func TestLinkValidatesVaryings(t *testing.T) {
 func TestVertexShaderTransforms(t *testing.T) {
 	p := link(t)
 	mvp := gpu.Identity().Translate(1, 0, 0)
-	pos, vary, err := p.RunVertex(
-		map[string]Value{
-			"a_position": Vec(4, 0.5, 0, 0, 1),
-			"a_texcoord": Vec(2, 0.25, 0.75),
-		},
-		map[string]Value{"u_mvp": Mat(mvp)},
-	)
+	f := bind(p, map[string]Value{"u_mvp": Mat(mvp)}).Frame(Vertex)
+	defer f.Release()
+	vary := make([]gpu.Vec4, len(p.VaryNames))
+	pos, err := f.RunVertex([]Value{Vec(4, 0.5, 0, 0, 1), Vec(2, 0.25, 0.75)}, vary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +152,7 @@ func TestFragmentShaderSamplesTexture(t *testing.T) {
 	p := link(t)
 	img := gpu.NewImage(2, 2)
 	img.Fill(gpu.RGBA{G: 255, A: 255})
-	col, fetches, err := p.RunFragment(
+	col, fetches, err := runFragment(p,
 		[]gpu.Vec4{{0.5, 0.5, 0, 0}},
 		map[string]Value{
 			"u_tex":   Sampler(&gpu.Texture{Img: img}),
@@ -172,14 +190,14 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _, err := p.RunFragment(nil, map[string]Value{"u_n": Float(4)})
+	col, _, err := runFragment(p, nil, map[string]Value{"u_n": Float(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(col[0]-0.5)) > 1e-5 || col[1] != 1 {
 		t.Fatalf("color = %v, want (0.5, 1, 0, 1)", col)
 	}
-	col, _, err = p.RunFragment(nil, map[string]Value{"u_n": Float(2)})
+	col, _, err = runFragment(p, nil, map[string]Value{"u_n": Float(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +221,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.RunFragment(nil, nil); err == nil {
+	if _, _, err := runFragment(p, nil, nil); err == nil {
 		t.Fatal("runaway loop did not abort")
 	}
 }
@@ -217,7 +235,7 @@ func TestBuiltins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col, _, err := p.RunFragment(nil, uniforms)
+		col, _, err := runFragment(p, nil, uniforms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +281,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _, err := p.RunFragment(nil, nil)
+	col, _, err := runFragment(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +307,7 @@ func TestRuntimeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := p.RunFragment(nil, nil); err == nil {
+		if _, _, err := runFragment(p, nil, nil); err == nil {
 			t.Errorf("no runtime error for %q", src)
 		}
 	}
@@ -311,7 +329,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _, err := p.RunFragment(nil, nil)
+	col, _, err := runFragment(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

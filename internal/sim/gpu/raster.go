@@ -81,12 +81,35 @@ type TVert struct {
 	Vary []Vec4 // per-pipeline varying slots
 }
 
-// FragFn shades one fragment from interpolated varyings, returning the
-// color and the number of texture fetches it performed. Tiled rasterization
-// invokes the fragment function from multiple goroutines concurrently, so it
-// must not mutate shared state (the engine's shader evaluators are pure:
-// each invocation builds its own environment).
+// Fragment shades one fragment from interpolated varyings, returning the
+// color and the number of texture fetches it performed.
+type Fragment interface {
+	Shade(vary []Vec4) (Vec4, int)
+}
+
+// FragShader is a draw's fragment stage. Tiled rasterization renders tiles
+// on several goroutines at once, so every tile takes its own Fragment with
+// Acquire, on the goroutine that renders it, and hands it back with Release
+// when the tile is done. A Fragment is therefore never shared between
+// goroutines and may reuse scratch state — a MiniSL frame — from one
+// fragment to the next.
+type FragShader interface {
+	Acquire() Fragment
+	Release(Fragment)
+}
+
+// FragFn is a stateless fragment stage: one pure function, which every tile
+// shares.
 type FragFn func(vary []Vec4) (Vec4, int)
+
+// Shade implements Fragment.
+func (f FragFn) Shade(vary []Vec4) (Vec4, int) { return f(vary) }
+
+// Acquire implements FragShader.
+func (f FragFn) Acquire() Fragment { return f }
+
+// Release implements FragShader.
+func (FragFn) Release(Fragment) {}
 
 // Texture is a sampleable image.
 type Texture struct {
@@ -182,7 +205,7 @@ func topLeft(dx, dy float32) bool {
 // Rasterization is tiled: triangles are binned into TileSize-square tiles
 // and tiles render concurrently on st.Pool. Tiles own disjoint pixels, so
 // the output is byte-identical for any worker count.
-func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragFn, st RenderState) Stats {
+func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, st RenderState) Stats {
 	var stats Stats
 	stats.Vertices = len(verts)
 	if dst == nil || dst.Color == nil || frag == nil {
@@ -286,7 +309,9 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragFn, st Re
 	st.Pool.Run(len(work), func(i int) {
 		id := work[i]
 		x0, y0, x1, y1 := grid.bounds(id)
-		rasterTile(img, depth, tris, bins[id], x0, y0, x1-1, y1-1, maxVary, frag, st.Blend, &tileStats[i])
+		shade := frag.Acquire()
+		rasterTile(img, depth, tris, bins[id], x0, y0, x1-1, y1-1, maxVary, shade, st.Blend, &tileStats[i])
+		frag.Release(shade)
 	})
 	for i := range tileStats {
 		stats.Add(tileStats[i])
@@ -297,7 +322,7 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragFn, st Re
 // rasterTile rasterizes one tile's binned triangles into the inclusive pixel
 // rectangle [tx0,tx1] x [ty0,ty1]. It touches only pixels inside the tile,
 // so concurrent calls on distinct tiles never write the same memory.
-func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, tx1, ty1, maxVary int, frag FragFn, mode BlendMode, out *Stats) {
+func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, tx1, ty1, maxVary int, frag Fragment, mode BlendMode, out *Stats) {
 	vary := make([]Vec4, maxVary)
 	for _, ti := range bin {
 		tr := &tris[ti]
@@ -347,7 +372,7 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 				for vi := 0; vi < nvary; vi++ {
 					vary[vi] = tr.a.vary[vi].Scale(w0).Add(tr.b.vary[vi].Scale(w1)).Add(tr.c.vary[vi].Scale(w2))
 				}
-				col, fetches := frag(vary[:nvary])
+				col, fetches := frag.Shade(vary[:nvary])
 				out.TexFetches += fetches
 				out.ShaderEvals++
 				writeFragment(img, x, y, FromVec(col), mode, out)
@@ -404,7 +429,7 @@ func clipBounds(img *Image, st RenderState) (x0, y0, x1, y1 int) {
 // modes (overwrite, alpha, additive), with Blended counted accordingly.
 // Line rasterization is serial — segments may revisit pixels, so they are
 // not tile-disjoint — but draws are cheap relative to triangle fills.
-func DrawLines(dst *Target, verts []TVert, indices []int, frag FragFn, st RenderState) Stats {
+func DrawLines(dst *Target, verts []TVert, indices []int, frag FragShader, st RenderState) Stats {
 	var stats Stats
 	stats.Vertices = len(verts)
 	if dst == nil || dst.Color == nil || frag == nil {
@@ -425,6 +450,8 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragFn, st Render
 		nvary = len(verts[0].Vary)
 	}
 	vary := make([]Vec4, nvary)
+	shade := frag.Acquire()
+	defer frag.Release(shade)
 	for i := 0; i+1 < len(indices); i += 2 {
 		va := toScreen(verts[indices[i]], vp)
 		vb := toScreen(verts[indices[i+1]], vp)
@@ -446,7 +473,7 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragFn, st Render
 			for vi := 0; vi < nvary; vi++ {
 				vary[vi] = va.vary[vi].Scale(1 - t).Add(vb.vary[vi].Scale(t))
 			}
-			col, fetches := frag(vary)
+			col, fetches := shade.Shade(vary)
 			stats.TexFetches += fetches
 			stats.ShaderEvals++
 			writeFragment(img, x, y, FromVec(col), st.Blend, &stats)

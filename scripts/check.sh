@@ -22,8 +22,8 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu ./internal/farm ./internal/obs/..."
-go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu ./internal/farm ./internal/obs/...
+echo "== go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/engine ./internal/farm ./internal/obs/..."
+go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/engine ./internal/farm ./internal/obs/...
 
 echo "== chaos smoke (fault-injection invariants under -race, serial and batched)"
 go test -race ./internal/replay -run 'TestChaos' -chaos.seeds=8
@@ -66,6 +66,11 @@ echo "== fuzz smoke (replay.Decode reads CYTR files from outside the program)"
 # A short minimization budget keeps the 10 s on mutation: minimizing one
 # new input re-encodes a whole trace many times.
 go test ./internal/replay -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
+
+echo "== fuzz smoke (MiniSL compile, link, bind and run: no panic, frame reuse invisible)"
+# A runaway shader spends its whole step budget, so one input can cost
+# milliseconds; the short minimization budget keeps the 10 s on mutation.
+go test ./internal/sim/gpu/minisl -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
 
 echo "== bench/ tests (pinned virtual times, layer accounting, BENCHMARK.json contract)"
 (cd bench && go test ./...)
