@@ -55,10 +55,10 @@ type RGBA struct{ R, G, B, A uint8 }
 // FromVec converts a normalized [0,1] color vector to 8-bit.
 func FromVec(v Vec4) RGBA {
 	return RGBA{
-		R: uint8(clampf(v[0], 0, 1)*255 + 0.5),
-		G: uint8(clampf(v[1], 0, 1)*255 + 0.5),
-		B: uint8(clampf(v[2], 0, 1)*255 + 0.5),
-		A: uint8(clampf(v[3], 0, 1)*255 + 0.5),
+		R: uint8(float32(clampf(v[0], 0, 1)*255) + 0.5),
+		G: uint8(float32(clampf(v[1], 0, 1)*255) + 0.5),
+		B: uint8(float32(clampf(v[2], 0, 1)*255) + 0.5),
+		A: uint8(float32(clampf(v[3], 0, 1)*255) + 0.5),
 	}
 }
 

@@ -28,8 +28,15 @@ func (v Vec4) Mul(o Vec4) Vec4 { return Vec4{v[0] * o[0], v[1] * o[1], v[2] * o[
 
 // Dot returns the 4-component dot product.
 func (v Vec4) Dot(o Vec4) float32 {
-	return v[0]*o[0] + v[1]*o[1] + v[2]*o[2] + v[3]*o[3]
+	return float32(v[0]*o[0]) + float32(v[1]*o[1]) + float32(v[2]*o[2]) + float32(v[3]*o[3])
 }
+
+// Every product that feeds a sum in this package is written float32(a*b):
+// the conversion rounds the product, which the Go spec says forbids fusing
+// it with the sum into one FMA instruction. amd64 never fuses float32, but
+// arm64 does; without the roundings, coverage, colours and therefore virtual
+// time would differ between the two. scripts/check.sh disassembles an arm64
+// build and fails on any fused instruction in this module.
 
 // Mat4 is a 4x4 column-major matrix, matching OpenGL conventions.
 type Mat4 [16]float32
@@ -46,7 +53,7 @@ func (m Mat4) MulMat(o Mat4) Mat4 {
 		for row := 0; row < 4; row++ {
 			var sum float32
 			for k := 0; k < 4; k++ {
-				sum += m[k*4+row] * o[c*4+k]
+				sum += float32(m[k*4+row] * o[c*4+k])
 			}
 			r[c*4+row] = sum
 		}
@@ -58,7 +65,7 @@ func (m Mat4) MulMat(o Mat4) Mat4 {
 func (m Mat4) MulVec(v Vec4) Vec4 {
 	var r Vec4
 	for row := 0; row < 4; row++ {
-		r[row] = m[row]*v[0] + m[4+row]*v[1] + m[8+row]*v[2] + m[12+row]*v[3]
+		r[row] = float32(m[row]*v[0]) + float32(m[4+row]*v[1]) + float32(m[8+row]*v[2]) + float32(m[12+row]*v[3])
 	}
 	return r
 }

@@ -2,7 +2,6 @@ package minisl
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -45,8 +44,8 @@ func (v Value) Vec4() gpu.Vec4 {
 	return out
 }
 
-// Program is a linked vertex+fragment shader pair. Each stage owns a pool of
-// frames, so concurrent draws and the tiles of one draw shade without
+// Program is a linked vertex+fragment shader pair. Concurrent draws and the
+// tiles of one draw each take a frame of their own, so they shade without
 // sharing evaluation state.
 type Program struct {
 	VS, FS    *Shader
@@ -108,7 +107,8 @@ func Link(vs, fs *Shader) (*Program, error) {
 // and the stage output.
 type stage struct {
 	sh        *Shader
-	def       []bool        // slots defined when an invocation starts
+	lanes     int           // invocations one frame runs at once
+	def       []uint64      // slot-indexed: all lanes for slots defined at entry, else none
 	uniforms  []uniformSlot // this stage's uniforms, each name once
 	uniformAt []int         // Program.UniformNames index -> uniforms index, or -1
 	mutable   []int         // uniforms indexes rewritten every invocation
@@ -117,7 +117,6 @@ type stage struct {
 	varyZero  []input       // vertex: varyings zeroed every invocation
 	varyOut   []int         // vertex: slot of each VaryNames entry
 	out       int           // slot of gl_Position or gl_FragColor
-	frames    sync.Pool     // *Frame
 }
 
 type uniformSlot struct {
@@ -132,13 +131,22 @@ type input struct {
 	zero  Value
 }
 
+// allLanes is a defined-mask with every lane set.
+const allLanes = ^uint64(0)
+
 func newStage(p *Program, sh *Shader) *stage {
-	st := &stage{sh: sh, def: make([]bool, len(sh.written)), out: sh.slots[specialOut(sh.Kind)]}
+	// A vertex is transformed on its own; fragments are shaded a span at a
+	// time, one lane per fragment.
+	lanes := 1
+	if sh.Kind == Fragment {
+		lanes = gpu.SpanSize
+	}
+	st := &stage{sh: sh, lanes: lanes, def: make([]uint64, len(sh.written)), out: sh.slots[specialOut(sh.Kind)]}
 	// rewritten marks slots an invocation writes before or while it runs;
 	// a uniform living there cannot stay bound from the previous one.
 	rewritten := slices.Clone(sh.written)
 	rewritten[st.out] = true
-	st.def[st.out] = true
+	st.def[st.out] = allLanes
 	if sh.Kind == Vertex {
 		for i, d := range sh.Attributes {
 			st.attribs = append(st.attribs, input{index: i, slot: sh.slots[d.Name], zero: zeroOf(d.Type)})
@@ -159,7 +167,7 @@ func newStage(p *Program, sh *Shader) *stage {
 	}
 	for _, ins := range [][]input{st.attribs, st.varyIn, st.varyZero} {
 		for _, in := range ins {
-			st.def[in.slot], rewritten[in.slot] = true, true
+			st.def[in.slot], rewritten[in.slot] = allLanes, true
 		}
 	}
 	st.uniformAt = make([]int, len(p.UniformNames))
@@ -175,7 +183,7 @@ func newStage(p *Program, sh *Shader) *stage {
 		}
 		st.uniformAt[i] = len(st.uniforms)
 		st.uniforms = append(st.uniforms, u)
-		st.def[u.slot] = true
+		st.def[u.slot] = allLanes
 	}
 	for k, u := range st.uniforms {
 		if rewritten[u.slot] {
@@ -217,21 +225,23 @@ func (b *Binding) Set(i int, v Value) {
 	}
 }
 
-// Frame takes a frame for the given stage from the program's pool, loaded
-// with b's uniforms. Release it when the invocations are done.
+// Frame takes a frame for the given stage, loaded with b's uniforms in
+// every lane. Release it when the invocations are done.
 func (b *Binding) Frame(k Kind) *Frame {
 	st, uni := b.p.fs, b.fs
 	if k == Vertex {
 		st, uni = b.p.vs, b.vs
 	}
-	f, _ := st.frames.Get().(*Frame)
-	if f == nil {
-		n := len(st.sh.written)
-		f = &Frame{st: st, vals: make([]Value, n), def: make([]bool, n), scratch: make([]Value, st.sh.scratch)}
+	f := takeFrame()
+	if f.st != st {
+		f.layout(st)
 	}
 	f.uni = uni
 	for k, u := range st.uniforms {
-		f.vals[u.slot] = uni[k]
+		cell := f.cell(u.slot)
+		for l := range cell {
+			cell[l] = uni[k]
+		}
 	}
 	return f
 }
@@ -243,27 +253,87 @@ func (b *Binding) Acquire() gpu.Fragment { return b.Frame(Fragment) }
 // Release implements gpu.FragShader.
 func (b *Binding) Release(f gpu.Fragment) { f.(*Frame).Release() }
 
-// Frame is one stage's evaluation state: a Value per slot, a "defined" bit
-// per slot, scratch for call arguments, and the step and fetch counters.
-// Every run resets what an invocation can observe — the defined bits, the
+// Frame is one stage's evaluation state for up to its stage's lane count of
+// invocations at once: one lane per invocation (a single lane for vertices,
+// gpu.SpanSize for fragments). It holds, cell-major, a Value per lane for
+// every slot, constant and temporary of the compiled shader; per slot, the
+// lanes in which it is defined; and per lane, the steps left before the step
+// limit, the texture fetches and the runtime error. Every run resets what an
+// invocation can observe in the lanes it uses — the defined bits, the
 // counters, the inputs, the outputs and any uniform the shader overwrites —
-// so one frame runs a tile's fragments, or a draw's vertices, without
+// so one frame runs a tile's spans, or a draw's vertices, without
 // allocating. A Frame is not safe for concurrent use.
 type Frame struct {
 	st      *stage
-	vals    []Value
-	def     []bool
-	uni     []Value // the binding's values for st.uniforms
-	scratch []Value
-	steps   int // statements left before the step limit
-	fetches int
+	lanes   int
+	vals    []Value   // cell c's lane l at c*lanes+l
+	def     []uint64  // slot-indexed: the lanes in which it is defined
+	uni     []Value   // the binding's values for st.uniforms
+	args    [][]Value // call-argument views
+	steps   []int32
+	fetches []int
+	errs    []error
+	live    []uint8 // the lane list a run starts from
 }
 
-// Release returns f to its program's pool.
-func (f *Frame) Release() {
-	f.uni = nil
-	f.st.frames.Put(f)
+// frames is a free list of frames shared by every stage of every program. A
+// frame keeps the storage of the largest stage it has served, so once the
+// list is warm, taking a frame allocates nothing, even for a program linked
+// moments ago. Unlike a sync.Pool the list survives garbage collection — a
+// replay session collects several times — and it never holds more frames
+// than were once in use at the same time.
+var frames struct {
+	sync.Mutex
+	free []*Frame
 }
+
+func takeFrame() *Frame {
+	frames.Lock()
+	defer frames.Unlock()
+	n := len(frames.free)
+	if n == 0 {
+		return new(Frame)
+	}
+	f := frames.free[n-1]
+	frames.free = frames.free[:n-1]
+	return f
+}
+
+// layout lays f out for st, reusing its storage where it is large enough,
+// and loads the shader's constants into every lane.
+func (f *Frame) layout(st *stage) {
+	sh, n := st.sh, st.lanes
+	cells := len(sh.written) + len(sh.consts) + sh.temps
+	f.st, f.lanes = st, n
+	f.vals = slices.Grow(f.vals[:0], cells*n)[:cells*n]
+	f.def = slices.Grow(f.def[:0], len(sh.written))[:len(sh.written)]
+	f.args = slices.Grow(f.args[:0], sh.scratch)[:sh.scratch]
+	f.steps = slices.Grow(f.steps[:0], n)[:n]
+	f.fetches = slices.Grow(f.fetches[:0], n)[:n]
+	f.errs = slices.Grow(f.errs[:0], n)[:n]
+	f.live = slices.Grow(f.live[:0], n)[:n]
+	for k, v := range sh.consts {
+		cell := f.cell(len(sh.written) + k)
+		for l := range cell {
+			cell[l] = v
+		}
+	}
+}
+
+// Release returns f to the free list. The uniforms' cells are cleared, so
+// an idle frame keeps no texture alive.
+func (f *Frame) Release() {
+	for _, u := range f.st.uniforms {
+		clear(f.cell(u.slot))
+	}
+	f.uni = nil
+	frames.Lock()
+	frames.free = append(frames.free, f)
+	frames.Unlock()
+}
+
+// cell returns cell c's value in every lane.
+func (f *Frame) cell(c int) []Value { return f.vals[c*f.lanes : (c+1)*f.lanes] }
 
 type evalError struct {
 	line int
@@ -277,18 +347,28 @@ const defaultMaxSteps = 100000
 // faultColor is what a fragment whose shader faults at run time shades.
 var faultColor = gpu.Vec4{1, 0, 1, 1} // magenta
 
-// begin resets the defined bits and the counters for a new invocation.
-func (f *Frame) begin() {
-	copy(f.def, f.st.def)
-	f.steps = defaultMaxSteps
-	f.fetches = 0
+// restoreUniforms rebinds, in lanes [0, n), the uniforms an invocation may
+// have overwritten.
+func (f *Frame) restoreUniforms(n int) {
+	for _, k := range f.st.mutable {
+		cell := f.cell(f.st.uniforms[k].slot)[:n]
+		for l := range cell {
+			cell[l] = f.uni[k]
+		}
+	}
 }
 
-// restoreUniforms rebinds the uniforms an invocation may have overwritten.
-func (f *Frame) restoreUniforms() {
-	for _, k := range f.st.mutable {
-		f.vals[f.st.uniforms[k].slot] = f.uni[k]
+// run executes the shader in lanes [0, n), whose inputs are loaded: it
+// resets their defined bits and counters, then runs the compiled body over
+// them. Each lane's error is left in f.errs.
+func (f *Frame) run(n int) {
+	copy(f.def, f.st.def)
+	live := f.live[:n]
+	for l := range live {
+		live[l] = uint8(l)
+		f.steps[l], f.fetches[l], f.errs[l] = defaultMaxSteps, 0, nil
 	}
+	f.st.sh.run(f, live)
 }
 
 // RunVertex executes the vertex shader for one vertex. attribs holds the
@@ -296,58 +376,93 @@ func (f *Frame) restoreUniforms() {
 // varyings are written to vary, which needs room for len(VaryNames), in
 // VaryNames order. It returns gl_Position.
 func (f *Frame) RunVertex(attribs []Value, vary []gpu.Vec4) (gpu.Vec4, error) {
-	st := f.st
-	f.begin()
+	st, L := f.st, f.lanes
 	for _, in := range st.attribs {
 		if in.index < len(attribs) {
-			f.vals[in.slot] = attribs[in.index]
+			f.vals[in.slot*L] = attribs[in.index]
 		} else {
-			f.vals[in.slot] = in.zero
+			f.vals[in.slot*L] = in.zero
 		}
 	}
-	f.restoreUniforms()
+	f.restoreUniforms(1)
 	for _, in := range st.varyZero {
-		f.vals[in.slot] = in.zero
+		f.vals[in.slot*L] = in.zero
 	}
-	f.vals[st.out] = Vec(4)
-	if err := f.runBlock(st.sh.body); err != nil {
+	f.vals[st.out*L] = Vec(4)
+	f.run(1)
+	if err := f.errs[0]; err != nil {
 		return gpu.Vec4{}, err
 	}
 	for i, s := range st.varyOut {
-		vary[i] = f.vals[s].V
+		vary[i] = f.vals[s*L].V
 	}
-	return f.vals[st.out].V, nil
+	return f.vals[st.out*L].V, nil
+}
+
+// loadFragments loads lanes [0, n) with n fragments' varyings, fragment l's
+// at vary[l*stride:], in VaryNames order.
+func (f *Frame) loadFragments(vary []gpu.Vec4, stride, n int) {
+	st := f.st
+	for _, in := range st.varyIn {
+		cell := f.cell(in.slot)[:n]
+		if in.index >= stride {
+			for l := range cell {
+				cell[l] = in.zero
+			}
+			continue
+		}
+		for l := range cell {
+			cell[l] = Value{Width: in.width, V: vary[l*stride+in.index]}
+		}
+	}
+	f.restoreUniforms(n)
+	out := f.cell(st.out)[:n]
+	for l := range out {
+		out[l] = Value{Width: 4}
+	}
 }
 
 // RunFragment executes the fragment shader for one fragment with varyings
 // in VaryNames order. It returns gl_FragColor and the texture fetch count;
 // a faulting run counts no fetches.
 func (f *Frame) RunFragment(vary []gpu.Vec4) (gpu.Vec4, int, error) {
-	st := f.st
-	f.begin()
-	for _, in := range st.varyIn {
-		if in.index < len(vary) {
-			f.vals[in.slot] = Value{Width: in.width, V: vary[in.index]}
-		} else {
-			f.vals[in.slot] = in.zero
-		}
-	}
-	f.restoreUniforms()
-	f.vals[st.out] = Vec(4)
-	if err := f.runBlock(st.sh.body); err != nil {
+	f.loadFragments(vary, len(vary), 1)
+	f.run(1)
+	if err := f.errs[0]; err != nil {
 		return gpu.Vec4{}, 0, err
 	}
-	return f.vals[st.out].V, f.fetches, nil
+	return f.vals[f.st.out*f.lanes].V, f.fetches[0], nil
 }
 
-// Shade implements gpu.Fragment: a fragment whose shader faults at run time
-// shades magenta.
-func (f *Frame) Shade(vary []gpu.Vec4) (gpu.Vec4, int) {
-	col, fetches, err := f.RunFragment(vary)
-	if err != nil {
-		return faultColor, 0
+// ShadeSpan implements gpu.Fragment: each fragment of the span runs in a
+// lane of its own, and one whose shader faults at run time shades magenta
+// and counts no fetches.
+func (f *Frame) ShadeSpan(vary []gpu.Vec4, stride int, col []gpu.Vec4, fetches []int) {
+	f.shade(vary, stride, col, fetches, nil, faultColor)
+}
+
+// shade runs len(col) fragments, up to the frame's lane count at a time.
+// Fragment i's varyings are vary[i*stride : (i+1)*stride], in VaryNames
+// order; its gl_FragColor goes to col[i] and its fetch count to fetches[i].
+// A faulting fragment shades faulted and counts no fetches; errs, when not
+// nil, receives each fragment's runtime error.
+func (f *Frame) shade(vary []gpu.Vec4, stride int, col []gpu.Vec4, fetches []int, errs []error, faulted gpu.Vec4) {
+	for base := 0; base < len(col); base += f.lanes {
+		n := min(f.lanes, len(col)-base)
+		f.loadFragments(vary[base*stride:], stride, n)
+		f.run(n)
+		out := f.cell(f.st.out)
+		for l := range n {
+			i := base + l
+			col[i], fetches[i] = out[l].V, f.fetches[l]
+			if f.errs[l] != nil {
+				col[i], fetches[i] = faulted, 0
+			}
+			if errs != nil {
+				errs[i] = f.errs[l]
+			}
+		}
 	}
-	return col, fetches
 }
 
 func declOf(ds []Decl, name string) Decl {
@@ -383,339 +498,6 @@ func zeroOf(typ string) Value {
 	}
 }
 
-func (f *Frame) runBlock(body []stmt) error {
-	for _, s := range body {
-		if err := f.runStmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *Frame) runStmt(s stmt) error {
-	if f.steps--; f.steps <= 0 {
-		return &evalError{msg: "shader exceeded step limit"}
-	}
-	switch st := s.(type) {
-	case *declStmt:
-		v := st.zero
-		if st.init != nil {
-			iv, err := f.eval(st.init)
-			if err != nil {
-				return err
-			}
-			v = iv
-			if st.width > 0 {
-				v = coerceWidth(iv, st.width)
-			}
-		}
-		f.vals[st.slot], f.def[st.slot] = v, true
-		return nil
-	case *assignStmt:
-		v, err := f.eval(st.val)
-		if err != nil {
-			return err
-		}
-		if !f.def[st.slot] {
-			return &evalError{line: st.line, msg: "assignment to undeclared " + st.name}
-		}
-		cur := &f.vals[st.slot]
-		if st.swizzle == "" {
-			if cur.M != nil && v.M == nil {
-				return &evalError{line: st.line, msg: "cannot assign scalar to matrix " + st.name}
-			}
-			if cur.Width > 0 {
-				v = coerceWidth(v, cur.Width)
-			}
-			*cur = v
-			return nil
-		}
-		if len(st.swizzle) != 1 {
-			return &evalError{line: st.line, msg: "only single-component swizzle writes supported"}
-		}
-		cur.V[swizzleIndex(rune(st.swizzle[0]))] = v.V[0]
-		return nil
-	case *ifStmt:
-		c, err := f.eval(st.cond)
-		if err != nil {
-			return err
-		}
-		if c.V[0] != 0 {
-			return f.runBlock(st.then)
-		}
-		return f.runBlock(st.els)
-	case *forStmt:
-		if err := f.runStmt(st.init); err != nil {
-			return err
-		}
-		for {
-			c, err := f.eval(st.cond)
-			if err != nil {
-				return err
-			}
-			if c.V[0] == 0 {
-				return nil
-			}
-			if err := f.runBlock(st.body); err != nil {
-				return err
-			}
-			if err := f.runStmt(st.post); err != nil {
-				return err
-			}
-			if f.steps <= 0 {
-				return &evalError{msg: "shader loop exceeded step limit"}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("minisl: unknown statement %T", s))
-	}
-}
-
-func (f *Frame) eval(x expr) (Value, error) {
-	switch ex := x.(type) {
-	case *numExpr:
-		return ex.v, nil
-	case *varExpr:
-		if !f.def[ex.slot] {
-			return Value{}, &evalError{line: ex.line, msg: "undefined variable " + ex.name}
-		}
-		return f.vals[ex.slot], nil
-	case *swizzleExpr:
-		base, err := f.eval(ex.base)
-		if err != nil {
-			return Value{}, err
-		}
-		var out gpu.Vec4
-		for i, c := range ex.idx[:ex.n] {
-			out[i] = base.V[c]
-		}
-		return Value{Width: ex.n, V: out}, nil
-	case *unaryExpr:
-		v, err := f.eval(ex.x)
-		if err != nil {
-			return Value{}, err
-		}
-		if !ex.not {
-			return Value{Width: v.Width, V: v.V.Scale(-1)}, nil
-		}
-		if v.V[0] == 0 {
-			return Float(1), nil
-		}
-		return Float(0), nil
-	case *binExpr:
-		return f.evalBin(ex)
-	case *callExpr:
-		return f.evalCall(ex)
-	default:
-		panic(fmt.Sprintf("minisl: unknown expression %T", x))
-	}
-}
-
-func (f *Frame) evalBin(ex *binExpr) (Value, error) {
-	l, err := f.eval(ex.l)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := f.eval(ex.r)
-	if err != nil {
-		return Value{}, err
-	}
-	if ex.op >= opLT {
-		a, b := l.V[0], r.V[0]
-		var res bool
-		switch ex.op {
-		case opLT:
-			res = a < b
-		case opGT:
-			res = a > b
-		case opLE:
-			res = a <= b
-		case opGE:
-			res = a >= b
-		case opEQ:
-			res = a == b
-		case opNE:
-			res = a != b
-		}
-		if res {
-			return Float(1), nil
-		}
-		return Float(0), nil
-	}
-	// Matrix forms.
-	if l.M != nil || r.M != nil {
-		if ex.op != opMul {
-			return Value{}, &evalError{line: ex.line, msg: "matrices support only *"}
-		}
-		switch {
-		case l.M != nil && r.M != nil:
-			return Mat(l.M.MulMat(*r.M)), nil
-		case l.M != nil:
-			return Value{Width: 4, V: l.M.MulVec(r.Vec4())}, nil
-		default:
-			return Value{}, &evalError{line: ex.line, msg: "vec*mat not supported; use mat*vec"}
-		}
-	}
-	// Scalar broadcast.
-	w := max(l.Width, r.Width)
-	lv, rv := broadcast(l, w), broadcast(r, w)
-	var out gpu.Vec4
-	switch ex.op {
-	case opAdd:
-		out = lv.Add(rv)
-	case opSub:
-		out = lv.Sub(rv)
-	case opMul:
-		out = lv.Mul(rv)
-	case opDiv:
-		for i := 0; i < 4; i++ {
-			if rv[i] != 0 {
-				out[i] = lv[i] / rv[i]
-			}
-		}
-	}
-	return Value{Width: w, V: out}, nil
-}
-
-func (ex *callExpr) fail(msg string) (Value, error) {
-	return Value{}, &evalError{line: ex.line, msg: ex.name + ": " + msg}
-}
-
-func (f *Frame) evalCall(ex *callExpr) (Value, error) {
-	args := f.scratch[ex.base : ex.base+len(ex.args)]
-	for i, a := range ex.args {
-		v, err := f.eval(a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	switch ex.fn {
-	case fnVec2, fnVec3, fnVec4:
-		w := int(ex.fn-fnVec2) + 2
-		var comps gpu.Vec4
-		n := 0
-		for _, a := range args {
-			aw := a.Width
-			if aw == 0 {
-				aw = 1
-			}
-			// A single scalar argument splats (vec4(1.0)).
-			if len(args) == 1 && aw == 1 {
-				for n < w {
-					comps[n] = a.V[0]
-					n++
-				}
-				break
-			}
-			for i := 0; i < aw && n < w; i++ {
-				comps[n] = a.V[i]
-				n++
-			}
-		}
-		if n < w {
-			return ex.fail(fmt.Sprintf("needs %d components, got %d", w, n))
-		}
-		return Value{Width: w, V: comps}, nil
-	case fnTexture2D:
-		if len(args) != 2 {
-			return ex.fail("needs (sampler, vec2)")
-		}
-		f.fetches++
-		c := args[0].Sampler.Sample(args[1].V[0], args[1].V[1])
-		return Value{Width: 4, V: c}, nil
-	case fnClamp:
-		if len(args) != 3 {
-			return ex.fail("needs 3 args")
-		}
-		var out gpu.Vec4
-		for i := 0; i < 4; i++ {
-			out[i] = minf(maxf(args[0].V[i], args[1].V[0]), args[2].V[0])
-		}
-		return Value{Width: args[0].Width, V: out}, nil
-	case fnMin, fnMax, fnPow:
-		if len(args) != 2 {
-			return ex.fail("needs 2 args")
-		}
-		w := args[0].Width
-		a, b := broadcast(args[0], w), broadcast(args[1], w)
-		var out gpu.Vec4
-		for i := 0; i < 4; i++ {
-			switch ex.fn {
-			case fnMin:
-				out[i] = minf(a[i], b[i])
-			case fnMax:
-				out[i] = maxf(a[i], b[i])
-			case fnPow:
-				out[i] = float32(math.Pow(float64(a[i]), float64(b[i])))
-			}
-		}
-		return Value{Width: w, V: out}, nil
-	case fnDot:
-		if len(args) != 2 {
-			return ex.fail("needs 2 args")
-		}
-		var s float32
-		for i := 0; i < args[0].Width; i++ {
-			s += args[0].V[i] * args[1].V[i]
-		}
-		return Float(s), nil
-	case fnMix:
-		if len(args) != 3 {
-			return ex.fail("needs 3 args")
-		}
-		t := args[2].V[0]
-		w := args[0].Width
-		out := args[0].V.Scale(1 - t).Add(broadcast(args[1], w).Scale(t))
-		return Value{Width: w, V: out}, nil
-	case fnFract, fnFloor, fnAbs, fnSin, fnCos:
-		if len(args) != 1 {
-			return ex.fail("needs 1 arg")
-		}
-		var out gpu.Vec4
-		for i := 0; i < 4; i++ {
-			x := float64(args[0].V[i])
-			switch ex.fn {
-			case fnFract:
-				out[i] = float32(x - math.Floor(x))
-			case fnFloor:
-				out[i] = float32(math.Floor(x))
-			case fnAbs:
-				out[i] = float32(math.Abs(x))
-			case fnSin:
-				out[i] = float32(math.Sin(x))
-			case fnCos:
-				out[i] = float32(math.Cos(x))
-			}
-		}
-		return Value{Width: args[0].Width, V: out}, nil
-	case fnLength:
-		if len(args) != 1 {
-			return ex.fail("needs 1 arg")
-		}
-		var s float64
-		for i := 0; i < args[0].Width; i++ {
-			s += float64(args[0].V[i]) * float64(args[0].V[i])
-		}
-		return Float(float32(math.Sqrt(s))), nil
-	case fnNormalize:
-		if len(args) != 1 {
-			return ex.fail("needs 1 arg")
-		}
-		var s float64
-		for i := 0; i < args[0].Width; i++ {
-			s += float64(args[0].V[i]) * float64(args[0].V[i])
-		}
-		n := float32(math.Sqrt(s))
-		if n == 0 {
-			return args[0], nil
-		}
-		return Value{Width: args[0].Width, V: args[0].V.Scale(1 / n)}, nil
-	default:
-		return ex.fail("unknown function")
-	}
-}
-
 func coerceWidth(v Value, w int) Value {
 	if v.Width == 1 && w > 1 {
 		return Value{Width: w, V: gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}}
@@ -724,7 +506,7 @@ func coerceWidth(v Value, w int) Value {
 	return v
 }
 
-func broadcast(v Value, w int) gpu.Vec4 {
+func broadcast(v *Value, w int) gpu.Vec4 {
 	if v.Width == 1 && w > 1 {
 		return gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}
 	}

@@ -97,9 +97,10 @@ func testTexture() *gpu.Texture {
 	return &gpu.Texture{Img: img}
 }
 
-// TestRunFragmentDoesNotAllocate holds fragment shading to zero allocations:
-// the present blit, PassMark's complex-scene shader and the WebKit tile
-// shader, each with its sampler bound.
+// TestRunFragmentDoesNotAllocate holds fragment shading to zero allocations,
+// one fragment at a time and a whole span at once: the present blit,
+// PassMark's complex-scene shader and the WebKit tile shader, each with its
+// sampler bound.
 func TestRunFragmentDoesNotAllocate(t *testing.T) {
 	for _, file := range []string{
 		"../../../core/eglbridge/blit.go",
@@ -119,6 +120,14 @@ func TestRunFragmentDoesNotAllocate(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(200, func() { f.RunFragment(vary) }); n != 0 {
 				t.Fatalf("RunFragment allocates %v times per fragment, want 0", n)
+			}
+			span := make([]gpu.Vec4, gpu.SpanSize*len(vary))
+			for i := range span {
+				span[i] = vary[i%len(vary)]
+			}
+			col, fetches := make([]gpu.Vec4, gpu.SpanSize), make([]int, gpu.SpanSize)
+			if n := testing.AllocsPerRun(50, func() { f.ShadeSpan(span, len(vary), col, fetches) }); n != 0 {
+				t.Fatalf("ShadeSpan allocates %v times per span, want 0", n)
 			}
 		})
 	}
@@ -217,57 +226,48 @@ void main() {
 
 // FuzzCompile compiles arbitrary source, links it with a minimal partner
 // shader, binds every uniform, and runs it twice on one frame: it must never
-// panic, and reusing the frame must not change the result.
+// panic, and reusing the frame must not change the result. A fragment shader
+// then shades one span of distinct varyings, and a vertex shader one more
+// vertex, and each lane must match the reference evaluator.
 func FuzzCompile(f *testing.F) {
-	for _, file := range treeShaderFiles {
-		for _, src := range shaderSources(f, file) {
-			f.Add(src)
-		}
+	for _, src := range refShaders(f) {
+		f.Add(src)
 	}
-	tex := testTexture()
+	tex := refTexture()
 	f.Fuzz(func(t *testing.T, src string) {
 		if fs, err := Compile(src, Fragment); err == nil {
-			var vsSrc strings.Builder
-			for _, d := range fs.Varyings {
-				vsSrc.WriteString("varying " + d.Type + " " + d.Name + ";")
-			}
-			vsSrc.WriteString("void main(){ gl_Position = vec4(0.0); }")
-			vs, err := Compile(vsSrc.String(), Vertex)
-			if err != nil {
-				t.Fatalf("partner vertex shader: %v", err)
-			}
-			p, err := Link(vs, fs)
-			if err != nil {
+			p, ok := withPartner(t, fs)
+			if !ok {
 				return // repeated varyings of differing types do not link
 			}
-			fr := bindAll(p, tex).Frame(Fragment)
-			defer fr.Release()
+			b := bindAll(p, tex)
+			fr := b.Frame(Fragment)
 			vary := make([]gpu.Vec4, len(p.VaryNames))
 			for i := range vary {
 				vary[i] = gpu.Vec4{0.25, 0.5, 0.75, 1}
 			}
 			c1, n1, e1 := fr.RunFragment(vary)
 			c2, n2, e2 := fr.RunFragment(vary)
+			fr.Release()
 			if !sameVec(c1, c2) || n1 != n2 || errString(e1) != errString(e2) {
 				t.Fatalf("frame reuse changed the result: (%v, %d, %v) then (%v, %d, %v)", c1, n1, e1, c2, n2, e2)
 			}
+			const lanes = 8
+			stride := len(p.VaryNames)
+			span := make([]gpu.Vec4, lanes*stride)
+			for i := range span {
+				l := float32(i/max(stride, 1)) / lanes
+				span[i] = gpu.Vec4{l, 1 - l, 2*l - 0.5, float32(i%4) - l}
+			}
+			checkSpan(t, b, span, stride, lanes)
 		}
 		if vs, err := Compile(src, Vertex); err == nil {
-			var fsSrc strings.Builder
-			for _, d := range vs.Varyings {
-				fsSrc.WriteString("varying " + d.Type + " " + d.Name + ";")
-			}
-			fsSrc.WriteString("void main(){ gl_FragColor = vec4(1.0); }")
-			fs, err := Compile(fsSrc.String(), Fragment)
-			if err != nil {
-				t.Fatalf("partner fragment shader: %v", err)
-			}
-			p, err := Link(vs, fs)
-			if err != nil {
+			p, ok := withPartner(t, vs)
+			if !ok {
 				return // repeated varyings of differing types do not link
 			}
-			fr := bindAll(p, tex).Frame(Vertex)
-			defer fr.Release()
+			b := bindAll(p, tex)
+			fr := b.Frame(Vertex)
 			attribs := make([]Value, len(vs.Attributes))
 			for i := range attribs {
 				attribs[i] = Vec(4, 0.5, 0.25, 0, 1)
@@ -275,6 +275,7 @@ func FuzzCompile(f *testing.F) {
 			v1, v2 := make([]gpu.Vec4, len(p.VaryNames)), make([]gpu.Vec4, len(p.VaryNames))
 			p1, e1 := fr.RunVertex(attribs, v1)
 			p2, e2 := fr.RunVertex(attribs, v2)
+			fr.Release()
 			same := sameVec(p1, p2) && errString(e1) == errString(e2)
 			for i := range v1 {
 				same = same && sameVec(v1[i], v2[i])
@@ -282,6 +283,7 @@ func FuzzCompile(f *testing.F) {
 			if !same {
 				t.Fatalf("frame reuse changed the result: (%v, %v, %v) then (%v, %v, %v)", p1, v1, e1, p2, v2, e2)
 			}
+			checkVertex(t, b, attribs)
 		}
 	})
 }

@@ -1,0 +1,302 @@
+package minisl
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"cycada/internal/sim/gpu"
+)
+
+// divergentShaders send the lanes of one span down different paths: branches
+// that declare locals some lanes never see, loops of lane-dependent length,
+// a runaway loop some lanes enter, and per-lane type and matrix errors.
+var divergentShaders = []string{
+	// A local declared on a branch this lane did not take, read and written.
+	`varying vec4 v_a;
+void main() {
+  float x = v_a.x;
+  if (v_a.y > 0.5) { float t = v_a.z; x = x + t; } else { x = x * 2.0; }
+  if (v_a.w > 1.0) { gl_FragColor = vec4(t); } else { gl_FragColor = vec4(x, v_a.y, 0.5, 1.0); }
+}`,
+	`varying vec4 v_a;
+void main() {
+  if (v_a.x > 0.7) { float t = 1.0; }
+  if (v_a.y > 0.3) { t = 0.5; }
+  gl_FragColor = vec4(v_a.x, v_a.y, 0.0, 1.0);
+}`,
+	// Lane-dependent trip counts, fetches inside the loop, and a runaway
+	// loop for some lanes.
+	`varying vec4 v_a;
+uniform sampler2D u_tex;
+void main() {
+  float acc = 0.0;
+  for (float i = 0.0; i < v_a.x * 8.0; i += 1.0) {
+    acc += 0.125;
+    if (acc > v_a.y) { vec4 c = texture2D(u_tex, v_a.zw); acc = acc + c.g; }
+  }
+  if (v_a.w > 1.5) { for (float j = 0.0; j < 1.0; j *= 1.0) { acc += 1.0; } }
+  gl_FragColor = vec4(acc, fract(acc), 0.0, 1.0);
+}`,
+	// A step limit reached at different statements in different lanes.
+	`varying vec4 v_a;
+void main() {
+  float n = 0.0;
+  for (float i = 0.0; i < v_a.x * 20000.0; i += 1.0) { n += 1.0; n += 1.0; }
+  gl_FragColor = vec4(n / 40000.0);
+}`,
+	// Matrix errors in some lanes only.
+	`varying vec4 v_a;
+uniform mat4 u_m;
+void main() {
+  if (v_a.x > 0.5) { gl_FragColor = vec4((u_m + u_m) * vec4(1.0)); } else { gl_FragColor = u_m * v_a; }
+  if (v_a.y > 1.2) { gl_FragColor = v_a * u_m; }
+  if (v_a.z > 1.4) { u_m = 1.0; }
+}`,
+	// One slot, two widths: a constructor short of components in some lanes.
+	`varying vec4 v_a;
+void main() {
+  if (v_a.x > 0.5) { float q = v_a.y; } else { vec2 q = v_a.zw; }
+  gl_FragColor = vec4(q, q);
+  if (v_a.w > 0.2) { gl_FragColor.y = -q; }
+}`,
+	// Raw float conditions, a declaration without an initializer, and
+	// components beyond a value's width, which a wider write exposes.
+	`varying vec4 v_a;
+void main() {
+  float k;
+  vec2 s = vec2(v_a.x);
+  if (v_a.x - 0.5) { k = v_a.y; } else { k = -v_a.y; }
+  for (float i = v_a.z - 1.0; i; i = 0.0) { k += 1.0; }
+  gl_FragColor = s;
+  if (v_a.w > 0.5) { vec3 t = v_a.xyz; gl_FragColor = t; }
+  gl_FragColor.x = k;
+}`,
+	// Every builtin, with operands that differ per lane.
+	`varying vec4 v_a;
+varying vec2 v_b;
+uniform sampler2D u_tex;
+uniform vec4 u_c;
+void main() {
+  vec4 t = texture2D(u_tex, v_b);
+  float d = dot(v_a.xyz, u_c.xyz) + length(v_b) - abs(v_a.w);
+  vec2 n = normalize(v_b - vec2(0.5));
+  vec4 m = mix(t, u_c, clamp(v_a.x, 0.0, 1.0));
+  float s = sin(v_a.y) * cos(v_a.z) + pow(abs(v_a.x), 2.0) + floor(v_a.w * 3.0);
+  gl_FragColor = vec4(min(m.x, d), max(m.y, s), n.x + fract(s), !(d < 0.5));
+}`,
+}
+
+// refShaders returns every shader source the tree ships, plus the divergent
+// ones.
+func refShaders(tb testing.TB) []string {
+	var srcs []string
+	for _, file := range treeShaderFiles {
+		srcs = append(srcs, shaderSources(tb, file)...)
+	}
+	return append(srcs, divergentShaders...)
+}
+
+// withPartner links sh with a minimal shader of the other kind that declares
+// sh's varyings. ok is false when sh's varyings cannot link (a name repeated
+// with differing types).
+func withPartner(tb testing.TB, sh *Shader) (p *Program, ok bool) {
+	tb.Helper()
+	var src strings.Builder
+	for _, d := range sh.Varyings {
+		src.WriteString("varying " + d.Type + " " + d.Name + ";")
+	}
+	vs, fs := sh, sh
+	var err error
+	if sh.Kind == Fragment {
+		src.WriteString("void main(){ gl_Position = vec4(0.0); }")
+		vs, err = Compile(src.String(), Vertex)
+	} else {
+		src.WriteString("void main(){ gl_FragColor = vec4(1.0); }")
+		fs, err = Compile(src.String(), Fragment)
+	}
+	if err != nil {
+		tb.Fatalf("partner shader: %v", err)
+	}
+	p, err = Link(vs, fs)
+	return p, err == nil
+}
+
+// refTexture is a texture whose every texel differs, so where a lane
+// samples shows in its colour.
+func refTexture() *gpu.Texture {
+	img := gpu.NewImage(5, 3)
+	for y := 0; y < img.H; y++ {
+		for x := 0; x < img.W; x++ {
+			img.Set(x, y, gpu.RGBA{R: uint8(50 * x), G: uint8(80 * y), B: uint8(13*x + 7*y), A: 255})
+		}
+	}
+	return &gpu.Texture{Img: img, Repeat: true}
+}
+
+// randomVaryings returns n fragments' varyings, stride apiece, in
+// [-0.5, 2).
+func randomVaryings(rng *rand.Rand, n, stride int) []gpu.Vec4 {
+	vary := make([]gpu.Vec4, n*stride)
+	for i := range vary {
+		for c := range vary[i] {
+			vary[i][c] = rng.Float32()*2.5 - 0.5
+		}
+	}
+	return vary
+}
+
+// checkSpan shades the n fragments in vary, stride varyings apiece, as one
+// span and compares every lane's colour bits, fetch count and error with the
+// reference evaluator run on that fragment alone.
+func checkSpan(t *testing.T, b *Binding, vary []gpu.Vec4, stride, n int) {
+	t.Helper()
+	col, fetches, errs := make([]gpu.Vec4, n), make([]int, n), make([]error, n)
+	fr := b.Frame(Fragment)
+	fr.shade(vary, stride, col, fetches, errs, gpu.Vec4{})
+	fr.Release()
+	for i := range n {
+		wc, wf, we := refRunFragment(b, vary[i*stride:(i+1)*stride])
+		if !sameVec(col[i], wc) || fetches[i] != wf || errString(errs[i]) != errString(we) {
+			t.Fatalf("span of %d, lane %d: got (%v, %d, %q), reference (%v, %d, %q)",
+				n, i, col[i], fetches[i], errString(errs[i]), wc, wf, errString(we))
+		}
+	}
+}
+
+// checkVertex runs one vertex and compares gl_Position, the varyings and
+// the error with the reference evaluator.
+func checkVertex(t *testing.T, b *Binding, attribs []Value) {
+	t.Helper()
+	n := len(b.p.VaryNames)
+	got, want := make([]gpu.Vec4, n), make([]gpu.Vec4, n)
+	fr := b.Frame(Vertex)
+	pos, err := fr.RunVertex(attribs, got)
+	fr.Release()
+	wpos, werr := refRunVertex(b, attribs, want)
+	same := sameVec(pos, wpos) && errString(err) == errString(werr)
+	for i := range got {
+		same = same && (err != nil || sameVec(got[i], want[i]))
+	}
+	if !same {
+		t.Fatalf("vertex: got (%v, %v, %v), reference (%v, %v, %v)", pos, got, err, wpos, want, werr)
+	}
+}
+
+// TestSpanMatchesReference holds the lane evaluator to the reference tree
+// walker, lane by lane: every shader the tree ships and the divergent ones,
+// over spans of 1, 7, 64 and 65 fragments (one more than a frame's lanes)
+// with seeded random varyings.
+func TestSpanMatchesReference(t *testing.T) {
+	tex := refTexture()
+	for i, src := range refShaders(t) {
+		sh, err := Compile(src, Fragment)
+		if err != nil {
+			if sh, err = Compile(src, Vertex); err != nil {
+				continue // the compile-error cases
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(i)))
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			t.Parallel() // the runaway-loop shaders spend their whole step budget
+			p, ok := withPartner(t, sh)
+			if !ok {
+				t.Fatal("does not link")
+			}
+			b := bindAll(p, tex)
+			if sh.Kind == Vertex {
+				for range 16 {
+					attribs := make([]Value, len(p.VS.Attributes))
+					for a, v := range randomVaryings(rng, len(attribs), 1) {
+						attribs[a] = Vec(widthOf(p.VS.Attributes[a].Type), v[:]...)
+					}
+					checkVertex(t, b, attribs)
+				}
+				return
+			}
+			stride := len(p.VaryNames)
+			for _, n := range []int{1, 7, gpu.SpanSize, gpu.SpanSize + 1} {
+				checkSpan(t, b, randomVaryings(rng, n, stride), stride, n)
+			}
+		})
+	}
+}
+
+// TestShadeSpanFaultsPerLane checks the rasterizer's view of a span: a
+// faulting lane shades magenta and counts no fetches, and its neighbours
+// shade normally.
+func TestShadeSpanFaultsPerLane(t *testing.T) {
+	p, _ := withPartner(t, compile(t, `varying vec4 v_a; uniform sampler2D u_tex;
+void main() {
+  gl_FragColor = texture2D(u_tex, v_a.xy);
+  if (v_a.z > 0.5) { gl_FragColor = undefined_var; }
+}`, Fragment))
+	vary := []gpu.Vec4{{0.1, 0.1, 0}, {0.1, 0.1, 1}, {0.9, 0.9, 0}}
+	col, fetches := make([]gpu.Vec4, 3), make([]int, 3)
+	fr := bindAll(p, refTexture()).Frame(Fragment)
+	defer fr.Release()
+	fr.ShadeSpan(vary, 1, col, fetches)
+	if col[1] != faultColor || fetches[1] != 0 {
+		t.Fatalf("faulting lane shaded (%v, %d), want magenta and 0 fetches", col[1], fetches[1])
+	}
+	for _, i := range []int{0, 2} {
+		if col[i] == faultColor || fetches[i] != 1 {
+			t.Fatalf("lane %d shaded (%v, %d), want a texel and 1 fetch", i, col[i], fetches[i])
+		}
+	}
+}
+
+// BenchmarkShadeSpan shades full spans with the shaders the workloads run:
+// the present blit, PassMark's complex scene and the WebKit tile shader.
+func BenchmarkShadeSpan(b *testing.B) {
+	for _, file := range []string{
+		"../../../core/eglbridge/blit.go",
+		"../../../workloads/passmark/passmark.go",
+		"../../../webkit/browser.go",
+	} {
+		b.Run(filepath.Base(filepath.Dir(file)), func(b *testing.B) {
+			p := linkFile(&testing.T{}, file)
+			f := bindAll(p, refTexture()).Frame(Fragment)
+			defer f.Release()
+			stride := len(p.VaryNames)
+			vary := randomVaryings(rand.New(rand.NewSource(1)), gpu.SpanSize, stride)
+			col, fetches := make([]gpu.Vec4, gpu.SpanSize), make([]int, gpu.SpanSize)
+			b.ReportAllocs()
+			for b.Loop() {
+				f.ShadeSpan(vary, stride, col, fetches)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*gpu.SpanSize), "ns/fragment")
+		})
+	}
+}
+
+// TestTranscendentalsPinned pins the float32 results of the builtins that
+// call the standard library's transcendental functions, over a seeded sweep.
+// Those functions may fuse multiply-adds on hosts that have them, which no
+// conversion in this package can prevent: a host that disagrees fails here,
+// by name, rather than as a golden checksum mismatch.
+func TestTranscendentalsPinned(t *testing.T) {
+	p, _ := withPartner(t, compile(t, `varying vec4 v_a;
+void main() { gl_FragColor = vec4(sin(v_a.x * 8.0), cos(v_a.y * 8.0), pow(abs(v_a.z), v_a.w * 3.0), length(v_a)); }`, Fragment))
+	fr := bindAll(p, nil).Frame(Fragment)
+	defer fr.Release()
+	rng := rand.New(rand.NewSource(1))
+	sum := crc32.NewIEEE()
+	col, fetches := make([]gpu.Vec4, gpu.SpanSize), make([]int, gpu.SpanSize)
+	for range 64 {
+		fr.ShadeSpan(randomVaryings(rng, gpu.SpanSize, 1), 1, col, fetches)
+		for _, c := range col {
+			for _, x := range c {
+				binary.Write(sum, binary.LittleEndian, math.Float32bits(x))
+			}
+		}
+	}
+	if got, want := sum.Sum32(), uint32(0xfaf4c1df); got != want {
+		t.Fatalf("sin/cos/pow/length over the sweep: checksum %08x, pinned %08x", got, want)
+	}
+}

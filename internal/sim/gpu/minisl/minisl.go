@@ -2,16 +2,21 @@
 // for the simulated GPU's programmable (GLES 2) pipeline.
 //
 // The real system hands shader source to a closed vendor compiler inside
-// libGLESv2; the simulation compiles a GLSL subset to an AST whose every
-// identifier is resolved to a slot index, and Link lays out each stage's
-// frame: a flat, slot-indexed array of Values with a "defined" bit per slot.
-// A draw binds its uniforms into slot order once (Program.Bind); each raster
-// tile then takes its own pooled Frame and runs the fragment shader over it
-// per pixel, resetting only what one invocation can observe, so shading
-// allocates nothing per vertex or fragment. glCompileShader/glLinkProgram
-// stay expensive on the virtual clock (proportional to token count — visible
-// as the glLinkProgram spike in Figure 9), and shader-based paths such as
-// Cycada's presentRenderbuffer blit do real per-pixel work.
+// libGLESv2; the simulation compiles a GLSL subset once, at Compile: every
+// identifier is resolved to a slot index, and the AST is turned into a tree
+// of Go closures that each run one node over a span of invocations at once —
+// one lane per fragment, up to gpu.SpanSize lanes, like a GPU's SIMD group.
+// A frame holds a Value per lane for every slot, constant and temporary, a
+// "defined" bit per slot and lane, and per lane a step budget, a fetch count
+// and a runtime error, so invocations that diverge (branches, loops, faults)
+// still behave exactly as if each ran alone. A draw binds its uniforms into
+// slot order once (Program.Bind); each raster tile then takes its own Frame
+// and shades the tile's spans through it, resetting only what an invocation
+// can observe, so shading allocates nothing per vertex, fragment or span.
+// glCompileShader/glLinkProgram stay expensive on the virtual clock
+// (proportional to token count — visible as the glLinkProgram spike in
+// Figure 9), and shader-based paths such as Cycada's presentRenderbuffer
+// blit do real per-pixel work.
 //
 // Supported subset: global declarations with the attribute / uniform /
 // varying qualifiers; types float, vec2, vec3, vec4, mat4, sampler2D;
@@ -26,6 +31,7 @@ package minisl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -66,10 +72,13 @@ type Shader struct {
 	Varyings   []Decl
 	Tokens     int // total token count (drives compile cost)
 	body       []stmt
+	run        stmtFn  // body, compiled to lane closures
+	consts     []Value // distinct literals, in cell order after the slots
+	temps      int     // temporary cells, after the constants
 	src        string
 	slots      map[string]int // identifier -> slot
 	written    []bool         // slot-indexed: an assignment or declaration target
-	scratch    int            // call-argument Values one invocation needs
+	scratch    int            // call-argument views one run needs
 }
 
 // Source returns the original source text.
@@ -126,7 +135,10 @@ func (*forStmt) isStmt()    {}
 
 type expr interface{ isExpr() }
 
-type numExpr struct{ v Value }
+type numExpr struct {
+	v Value
+	k int // index into the shader's constants
+}
 
 type varExpr struct {
 	slot int
@@ -206,7 +218,7 @@ type callExpr struct {
 	fn   builtin
 	name string
 	args []expr
-	base int // the arguments' offset in the frame's scratch Values
+	base int // the arguments' offset in the frame's argument views
 	line int
 }
 
@@ -315,7 +327,8 @@ type parser struct {
 	toks     []token
 	pos      int
 	sh       *Shader
-	callBase int // scratch offset for the arguments of the next call parsed
+	callBase int            // argument-view offset for the arguments of the next call parsed
+	consts   map[uint32]int // literal bits -> index into sh.consts
 }
 
 var typeNames = map[string]bool{
@@ -337,11 +350,12 @@ func Compile(src string, kind Kind) (*Shader, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, sh: &Shader{Kind: kind, Tokens: len(toks), src: src, slots: map[string]int{}}}
+	p := &parser{toks: toks, sh: &Shader{Kind: kind, Tokens: len(toks), src: src, slots: map[string]int{}}, consts: map[uint32]int{}}
 	p.slot(specialOut(kind))
 	if err := p.parseTop(); err != nil {
 		return nil, err
 	}
+	compileBody(p.sh)
 	return p.sh, nil
 }
 
@@ -354,6 +368,18 @@ func (p *parser) slot(name string) int {
 	p.sh.slots[name] = s
 	p.sh.written = append(p.sh.written, false)
 	return s
+}
+
+// constant returns a literal, numbered once per distinct value.
+func (p *parser) constant(f float32) *numExpr {
+	bits := math.Float32bits(f)
+	k, ok := p.consts[bits]
+	if !ok {
+		k = len(p.sh.consts)
+		p.consts[bits] = k
+		p.sh.consts = append(p.sh.consts, Float(f))
+	}
+	return &numExpr{v: Float(f), k: k}
 }
 
 // target resolves an assignment or declaration target.
@@ -595,7 +621,7 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 		}
 		return &assignStmt{
 			slot: slot, name: name.text, swizzle: sw, line: name.line,
-			val: &binExpr{op: o, l: self, r: &numExpr{v: Float(1)}, line: name.line},
+			val: &binExpr{op: o, l: self, r: p.constant(1), line: name.line},
 		}, nil
 	}
 	return nil, &CompileError{Line: name.line, Msg: "expected assignment after " + name.text}
@@ -669,7 +695,7 @@ func (p *parser) parsePrimary() (expr, error) {
 	switch {
 	case t.kind == "num":
 		p.pos++
-		return &numExpr{v: Float(t.num)}, nil
+		return p.constant(t.num), nil
 	case t.kind == "ident":
 		p.pos++
 		if p.accept("punct", "(") {
@@ -692,8 +718,8 @@ func (p *parser) parsePrimary() (expr, error) {
 }
 
 // parseCall parses a call's arguments after its opening parenthesis. An
-// argument is stored in the frame's scratch Values once evaluated, so calls
-// nested inside argument k start their own arguments at base+k: every
+// argument's value is kept in the frame's argument views once evaluated, so
+// calls nested inside argument k start their own arguments at base+k: every
 // argument still pending is above them, every finished one below.
 func (p *parser) parseCall(fn token) (expr, error) {
 	c := &callExpr{fn: builtins[fn.text], name: fn.text, base: p.callBase, line: fn.line}

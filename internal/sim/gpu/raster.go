@@ -1,6 +1,11 @@
 package gpu
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Stats counts the work a rendering operation performed. The GLES libraries
 // convert stats into virtual-time charges via the cost model, so "how
@@ -81,35 +86,59 @@ type TVert struct {
 	Vary []Vec4 // per-pipeline varying slots
 }
 
-// Fragment shades one fragment from interpolated varyings, returning the
-// color and the number of texture fetches it performed.
+// SpanSize is the most fragments a rasterizer hands a Fragment at once: a
+// span, like the lanes of one SIMD group on a real GPU.
+const SpanSize = 64
+
+// Fragment shades a span of fragments. Fragment i's interpolated varyings
+// are vary[i*stride : (i+1)*stride]; ShadeSpan writes its colour to col[i]
+// and the number of texture fetches it performed to fetches[i], for every
+// i < len(col). Fragments of one span never depend on each other, so an
+// implementation may shade them in any order, or all at once.
 type Fragment interface {
-	Shade(vary []Vec4) (Vec4, int)
+	ShadeSpan(vary []Vec4, stride int, col []Vec4, fetches []int)
 }
 
 // FragShader is a draw's fragment stage. Tiled rasterization renders tiles
 // on several goroutines at once, so every tile takes its own Fragment with
 // Acquire, on the goroutine that renders it, and hands it back with Release
 // when the tile is done. A Fragment is therefore never shared between
-// goroutines and may reuse scratch state — a MiniSL frame — from one
-// fragment to the next.
+// goroutines and may reuse scratch state — a MiniSL frame with a lane per
+// fragment of a span — from one span to the next.
 type FragShader interface {
 	Acquire() Fragment
 	Release(Fragment)
 }
 
-// FragFn is a stateless fragment stage: one pure function, which every tile
-// shares.
+// FragFn is a stateless fragment stage: one pure function of one fragment's
+// varyings, returning its colour and fetch count, which every tile shares.
 type FragFn func(vary []Vec4) (Vec4, int)
 
-// Shade implements Fragment.
-func (f FragFn) Shade(vary []Vec4) (Vec4, int) { return f(vary) }
+// ShadeSpan implements Fragment, one fragment at a time.
+func (f FragFn) ShadeSpan(vary []Vec4, stride int, col []Vec4, fetches []int) {
+	for i := range col {
+		col[i], fetches[i] = f(vary[i*stride : (i+1)*stride : (i+1)*stride])
+	}
+}
 
 // Acquire implements FragShader.
 func (f FragFn) Acquire() Fragment { return f }
 
 // Release implements FragShader.
 func (FragFn) Release(Fragment) {}
+
+// toInt converts f to int the way amd64 does for every input: it truncates
+// toward zero, and returns math.MinInt for NaN, ±Inf and any value outside
+// int's range. Go leaves those conversions implementation-defined — arm64
+// gives 0 for NaN and saturates — so every conversion of a coordinate a
+// shader or an app controls goes through here, and a non-finite vertex
+// covers the same pixels on every host.
+func toInt(f float64) int {
+	if !(f >= math.MinInt && f < -math.MinInt) {
+		return math.MinInt
+	}
+	return int(f)
+}
 
 // Texture is a sampleable image.
 type Texture struct {
@@ -134,11 +163,11 @@ func (t *Texture) Sample(u, v float32) Vec4 {
 	// 1:1 fullscreen blit pixel-exact — the property the §9 "pixel for
 	// pixel" comparison between Cycada's shader-blit present and the native
 	// present relies on.
-	x := int(u * float32(t.Img.W))
+	x := toInt(float64(u * float32(t.Img.W)))
 	if x >= t.Img.W {
 		x = t.Img.W - 1
 	}
-	y := int(v * float32(t.Img.H))
+	y := toInt(float64(v * float32(t.Img.H)))
 	if y >= t.Img.H {
 		y = t.Img.H - 1
 	}
@@ -161,9 +190,9 @@ func toScreen(v TVert, vp [4]int) sv {
 	}
 	nx, ny, nz := v.Pos[0]/w, v.Pos[1]/w, v.Pos[2]/w
 	return sv{
-		x:    float32(vp[0]) + (nx+1)/2*float32(vp[2]),
-		y:    float32(vp[1]) + (1-ny)/2*float32(vp[3]), // flip y
-		z:    nz*0.5 + 0.5,
+		x:    float32(vp[0]) + float32((nx+1)/2*float32(vp[2])),
+		y:    float32(vp[1]) + float32((1-ny)/2*float32(vp[3])), // flip y
+		z:    float32(nz*0.5) + 0.5,
 		vary: v.Vary,
 	}
 }
@@ -220,10 +249,13 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 		depth = dst.Depth()
 	}
 	img := dst.Color
+	sc := setups.Get().(*setup)
+	defer setups.Put(sc)
 
 	// Transform every vertex once; triangles sharing vertices share the
 	// projection (and therefore agree bit-for-bit on shared edges).
-	screen := make([]sv, len(verts))
+	screen := slices.Grow(sc.screen[:0], len(verts))[:len(verts)]
+	sc.screen = screen
 	for i, v := range verts {
 		screen[i] = toScreen(v, vp)
 	}
@@ -231,11 +263,11 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 	clipX0, clipY0, clipX1, clipY1 := clipBounds(img, st)
 
 	// Triangle setup: winding normalization, bbox clip, fill-rule flags.
-	tris := make([]tri, 0, len(indices)/3)
+	tris := sc.tris[:0]
 	maxVary := 0
 	for i := 0; i+2 < len(indices); i += 3 {
 		a, b, c := screen[indices[i]], screen[indices[i+1]], screen[indices[i+2]]
-		area := (b.x-a.x)*(c.y-a.y) - (b.y-a.y)*(c.x-a.x)
+		area := float32((b.x-a.x)*(c.y-a.y)) - float32((b.y-a.y)*(c.x-a.x))
 		if area == 0 {
 			continue // degenerate
 		}
@@ -246,10 +278,10 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 			b, c = c, b
 			area = -area
 		}
-		minX := int(math.Floor(float64(min3(a.x, b.x, c.x))))
-		maxX := int(math.Ceil(float64(max3(a.x, b.x, c.x))))
-		minY := int(math.Floor(float64(min3(a.y, b.y, c.y))))
-		maxY := int(math.Ceil(float64(max3(a.y, b.y, c.y))))
+		minX := toInt(math.Floor(float64(min3(a.x, b.x, c.x))))
+		maxX := toInt(math.Ceil(float64(max3(a.x, b.x, c.x))))
+		minY := toInt(math.Floor(float64(min3(a.y, b.y, c.y))))
+		maxY := toInt(math.Ceil(float64(max3(a.y, b.y, c.y))))
 		if minX < clipX0 {
 			minX = clipX0
 		}
@@ -277,6 +309,7 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 			tl2: topLeft(b.x-a.x, b.y-a.y),
 		})
 	}
+	sc.tris = tris
 	if len(tris) == 0 {
 		return stats
 	}
@@ -284,7 +317,11 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 	// Bin triangles to the tiles their bbox overlaps, preserving submission
 	// order within each bin (blending inside a draw is order-dependent).
 	grid := gridFor(img.W, img.H)
-	bins := make([][]int32, grid.tiles())
+	bins := slices.Grow(sc.bins[:0], grid.tiles())[:grid.tiles()]
+	sc.bins = bins
+	for id := range bins {
+		bins[id] = bins[id][:0]
+	}
 	for ti := range tris {
 		tr := &tris[ti]
 		tx0, ty0, tx1, ty1 := grid.tileRange(tr.minX, tr.minY, tr.maxX, tr.maxY)
@@ -295,7 +332,7 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 			}
 		}
 	}
-	work := make([]int, 0, len(bins))
+	work := sc.work[:0]
 	for id, bin := range bins {
 		if len(bin) > 0 {
 			work = append(work, id)
@@ -305,7 +342,10 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 	// Render the non-empty tiles on the pool and merge per-tile stats in
 	// tile-index order. Tiles cover disjoint pixels, so any schedule
 	// produces the same image.
-	tileStats := make([]Stats, len(work))
+	sc.work = work
+	tileStats := slices.Grow(sc.stats[:0], len(work))[:len(work)]
+	sc.stats = tileStats
+	clear(tileStats)
 	st.Pool.Run(len(work), func(i int) {
 		id := work[i]
 		x0, y0, x1, y1 := grid.bounds(id)
@@ -319,11 +359,35 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 	return stats
 }
 
+// setup is a draw's triangle setup and binning storage, pooled so that a
+// stream of small draws does not allocate it afresh each time.
+type setup struct {
+	screen []sv
+	tris   []tri
+	bins   [][]int32
+	work   []int
+	stats  []Stats
+}
+
+var setups = sync.Pool{New: func() any { return new(setup) }}
+
 // rasterTile rasterizes one tile's binned triangles into the inclusive pixel
 // rectangle [tx0,tx1] x [ty0,ty1]. It touches only pixels inside the tile,
 // so concurrent calls on distinct tiles never write the same memory.
+//
+// Each triangle's covered fragments that pass the depth test are collected
+// into spans of up to SpanSize, and every span is shaded with one ShadeSpan
+// call, then blended and counted in raster order. A triangle's spans are
+// flushed before the next triangle starts: triangles may overlap, and blending
+// is order-dependent. Within one triangle every pixel is visited once, so
+// writing its depth at test time and its colour at the flush is the same as
+// writing both at once.
 func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, tx1, ty1, maxVary int, frag Fragment, mode BlendMode, out *Stats) {
-	vary := make([]Vec4, maxVary)
+	sp := spanPool.Get().(*span)
+	defer spanPool.Put(sp)
+	if n := SpanSize * maxVary; len(sp.vary) < n {
+		sp.vary = make([]Vec4, n)
+	}
 	for _, ti := range bin {
 		tr := &tris[ti]
 		minX, minY, maxX, maxY := tr.minX, tr.minY, tr.maxX, tr.maxY
@@ -340,27 +404,31 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 			maxY = ty1
 		}
 		nvary := len(tr.a.vary)
+		va, vb, vc := tr.a.vary, tr.b.vary[:nvary], tr.c.vary[:nvary]
 		for y := minY; y <= maxY; y++ {
 			py := float32(y) + 0.5
+			// The edge functions' per-row terms: the same operations, rounded
+			// the same way, as when written inline.
+			ay, by, cy := tr.a.y-py, tr.b.y-py, tr.c.y-py
 			for x := minX; x <= maxX; x++ {
 				px := float32(x) + 0.5
 				// Edge functions: eN > 0 strictly inside; eN == 0 exactly on
 				// the edge, accepted only when the edge is top-left.
-				e0 := (tr.b.x-px)*(tr.c.y-py) - (tr.b.y-py)*(tr.c.x-px)
+				e0 := float32((tr.b.x-px)*cy) - float32(by*(tr.c.x-px))
 				if e0 < 0 || (e0 == 0 && !tr.tl0) {
 					continue
 				}
-				e1 := (tr.c.x-px)*(tr.a.y-py) - (tr.c.y-py)*(tr.a.x-px)
+				e1 := float32((tr.c.x-px)*ay) - float32(cy*(tr.a.x-px))
 				if e1 < 0 || (e1 == 0 && !tr.tl1) {
 					continue
 				}
-				e2 := (tr.a.x-px)*(tr.b.y-py) - (tr.a.y-py)*(tr.b.x-px)
+				e2 := float32((tr.a.x-px)*by) - float32(ay*(tr.b.x-px))
 				if e2 < 0 || (e2 == 0 && !tr.tl2) {
 					continue
 				}
 				w0, w1, w2 := e0*tr.inv, e1*tr.inv, e2*tr.inv
 				if depth != nil {
-					z := w0*tr.a.z + w1*tr.b.z + w2*tr.c.z
+					z := float32(w0*tr.a.z) + float32(w1*tr.b.z) + float32(w2*tr.c.z)
 					di := y*img.W + x
 					// GL_LESS: the incoming fragment wins only when strictly
 					// nearer than the stored sample.
@@ -369,17 +437,54 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 					}
 					depth[di] = z
 				}
-				for vi := 0; vi < nvary; vi++ {
-					vary[vi] = tr.a.vary[vi].Scale(w0).Add(tr.b.vary[vi].Scale(w1)).Add(tr.c.vary[vi].Scale(w2))
+				k := sp.n
+				sp.x[k], sp.y[k] = int32(x), int32(y)
+				dst := sp.vary[k*nvary : (k+1)*nvary]
+				for vi := range dst {
+					a, b, c := &va[vi], &vb[vi], &vc[vi]
+					dst[vi] = Vec4{
+						float32(a[0]*w0) + float32(b[0]*w1) + float32(c[0]*w2),
+						float32(a[1]*w0) + float32(b[1]*w1) + float32(c[1]*w2),
+						float32(a[2]*w0) + float32(b[2]*w1) + float32(c[2]*w2),
+						float32(a[3]*w0) + float32(b[3]*w1) + float32(c[3]*w2),
+					}
 				}
-				col, fetches := frag.Shade(vary[:nvary])
-				out.TexFetches += fetches
-				out.ShaderEvals++
-				writeFragment(img, x, y, FromVec(col), mode, out)
-				out.Pixels++
+				if sp.n++; sp.n == SpanSize {
+					sp.flush(img, frag, nvary, mode, out)
+				}
 			}
 		}
+		sp.flush(img, frag, nvary, mode, out)
 	}
+}
+
+// span is a batch of covered fragments waiting to be shaded: their pixels,
+// their interpolated varyings fragment after fragment, and room for what the
+// shader returns. Spans are pooled; one serves a tile from start to end.
+type span struct {
+	n       int
+	x, y    [SpanSize]int32
+	vary    []Vec4 // SpanSize * the draw's varying count
+	col     [SpanSize]Vec4
+	fetches [SpanSize]int
+}
+
+var spanPool = sync.Pool{New: func() any { return new(span) }}
+
+// flush shades the pending fragments, then blends and counts them in order.
+func (sp *span) flush(img *Image, frag Fragment, nvary int, mode BlendMode, out *Stats) {
+	n := sp.n
+	if n == 0 {
+		return
+	}
+	sp.n = 0
+	frag.ShadeSpan(sp.vary[:n*nvary], nvary, sp.col[:n], sp.fetches[:n])
+	for i := range n {
+		out.TexFetches += sp.fetches[i]
+		writeFragment(img, int(sp.x[i]), int(sp.y[i]), FromVec(sp.col[i]), mode, out)
+	}
+	out.ShaderEvals += n
+	out.Pixels += n
 }
 
 // writeFragment is the blend back end shared by the triangle and line
@@ -450,20 +555,33 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragShader, st Re
 		nvary = len(verts[0].Vary)
 	}
 	vary := make([]Vec4, nvary)
+	var col [1]Vec4
+	var fetches [1]int
 	shade := frag.Acquire()
 	defer frag.Release(shade)
 	for i := 0; i+1 < len(indices); i += 2 {
 		va := toScreen(verts[indices[i]], vp)
 		vb := toScreen(verts[indices[i+1]], vp)
-		steps := int(math.Max(math.Abs(float64(vb.x-va.x)), math.Abs(float64(vb.y-va.y)))) + 1
-		for s := 0; s <= steps; s++ {
-			t := float32(s) / float32(steps)
-			x, y := int(va.x+(vb.x-va.x)*t), int(va.y+(vb.y-va.y)*t)
+		dx, dy, dz := vb.x-va.x, vb.y-va.y, vb.z-va.z
+		steps := toInt(math.Max(math.Abs(float64(dx)), math.Abs(float64(dy)))) + 1
+		at := func(s int) float32 { return float32(s) / float32(steps) }
+		xAt := func(s int) float32 { return va.x + float32(dx*at(s)) }
+		yAt := func(s int) float32 { return va.y + float32(dy*at(s)) }
+		// A step lands on a pixel column in [clipX0, clipX1] only if its x
+		// lies in [clipX0-1, clipX1+1], and likewise for y. x and y are
+		// monotone in the step, so those steps form one range: walk only
+		// that, with the unchanged per-point test, however far off screen
+		// the segment reaches.
+		lo, hi := within(0, steps, xAt, float32(clipX0-1), float32(clipX1+1))
+		lo, hi = within(lo, hi, yAt, float32(clipY0-1), float32(clipY1+1))
+		for s := lo; s <= hi; s++ {
+			t := at(s)
+			x, y := toInt(float64(xAt(s))), toInt(float64(yAt(s)))
 			if x < clipX0 || y < clipY0 || x > clipX1 || y > clipY1 {
 				continue
 			}
 			if depth != nil {
-				z := va.z + (vb.z-va.z)*t
+				z := va.z + float32(dz*t)
 				di := y*img.W + x
 				if z >= depth[di] { // GL_LESS, as for triangles
 					continue
@@ -471,16 +589,38 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragShader, st Re
 				depth[di] = z
 			}
 			for vi := 0; vi < nvary; vi++ {
-				vary[vi] = va.vary[vi].Scale(1 - t).Add(vb.vary[vi].Scale(t))
+				a, b := &va.vary[vi], &vb.vary[vi]
+				vary[vi] = Vec4{
+					float32(a[0]*(1-t)) + float32(b[0]*t),
+					float32(a[1]*(1-t)) + float32(b[1]*t),
+					float32(a[2]*(1-t)) + float32(b[2]*t),
+					float32(a[3]*(1-t)) + float32(b[3]*t),
+				}
 			}
-			col, fetches := shade.Shade(vary)
-			stats.TexFetches += fetches
+			shade.ShadeSpan(vary, nvary, col[:], fetches[:])
+			stats.TexFetches += fetches[0]
 			stats.ShaderEvals++
-			writeFragment(img, x, y, FromVec(col), st.Blend, &stats)
+			writeFragment(img, x, y, FromVec(col[0]), st.Blend, &stats)
 			stats.Pixels++
 		}
 	}
 	return stats
+}
+
+// within narrows the step range [lo, hi] to the steps s at which
+// a <= f(s) <= b, for an f that is monotone (either way) in s, by binary
+// search.
+func within(lo, hi int, f func(int) float32, a, b float32) (int, int) {
+	if lo > hi {
+		return lo, hi
+	}
+	l0, n := lo, hi-lo+1
+	if f(lo) <= f(hi) {
+		return l0 + sort.Search(n, func(i int) bool { return f(l0+i) >= a }),
+			l0 + sort.Search(n, func(i int) bool { return f(l0+i) > b }) - 1
+	}
+	return l0 + sort.Search(n, func(i int) bool { return f(l0+i) <= b }),
+		l0 + sort.Search(n, func(i int) bool { return f(l0+i) < a }) - 1
 }
 
 func min3(a, b, c float32) float32 {

@@ -1,0 +1,194 @@
+package gpu
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// TestNonFiniteCoordinatesPinned pins what non-finite texture coordinates
+// and vertex positions do. Go leaves their conversion to int
+// implementation-defined; these are amd64's results, which every host must
+// now reproduce.
+func TestNonFiniteCoordinatesPinned(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	img := NewImage(4, 4)
+	img.Fill(RGBA{R: 10, G: 20, B: 30, A: 255})
+	for _, repeat := range []bool{false, true} {
+		tex := &Texture{Img: img, Repeat: repeat}
+		for _, uv := range [][2]float32{{nan, 0.5}, {0.5, nan}, {nan, nan}} {
+			if c := tex.Sample(uv[0], uv[1]); c != (Vec4{}) {
+				t.Errorf("repeat=%v: Sample(%v, %v) = %v, want (0,0,0,0)", repeat, uv[0], uv[1], c)
+			}
+		}
+	}
+
+	// A fragment with non-finite varyings may write (0,0,0,0), so count
+	// the pixels that no longer hold the fill.
+	fill := RGBA{1, 2, 3, 4}
+	target := func() *Target {
+		im := NewImage(8, 8)
+		im.Fill(fill)
+		return NewTarget(im)
+	}
+	pixels := func(tgt *Target) int {
+		n := 0
+		for y := 0; y < 8; y++ {
+			for x := 0; x < 8; x++ {
+				if tgt.Color.At(x, y) != fill {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	tri := func(i, c int, v float32) []TVert {
+		verts := []TVert{
+			{Pos: Vec4{-1, -1, 0, 1}, Vary: []Vec4{{1, 1, 1, 1}}},
+			{Pos: Vec4{1, -1, 0, 1}, Vary: []Vec4{{1, 1, 1, 1}}},
+			{Pos: Vec4{0, 1, 0, 1}, Vary: []Vec4{{1, 1, 1, 1}}},
+		}
+		verts[i].Pos[c] = v
+		return verts
+	}
+	for _, tc := range []struct {
+		name  string
+		verts []TVert
+		want  int
+	}{
+		{"x=NaN", tri(0, 0, nan), 0},
+		{"x=+Inf", tri(0, 0, inf), 0},
+		{"x=-Inf", tri(0, 0, -inf), 0},
+		{"x=-Inf on another vertex", tri(1, 0, -inf), 16},
+		{"y=+Inf", tri(2, 1, inf), 64},
+	} {
+		tgt := target()
+		stats := DrawTriangles(tgt, tc.verts, []int{0, 1, 2}, colorFrag, RenderState{})
+		if got := pixels(tgt); got != tc.want || stats.Pixels != tc.want {
+			t.Errorf("triangle with clip %s covers %d px (stats %d), want %d", tc.name, got, stats.Pixels, tc.want)
+		}
+	}
+	for _, end := range []float32{nan, inf} {
+		tgt := target()
+		line := []TVert{
+			{Pos: Vec4{-1, 0, 0, 1}, Vary: []Vec4{{1, 1, 1, 1}}},
+			{Pos: Vec4{end, 0.5, 0, 1}, Vary: []Vec4{{1, 1, 1, 1}}},
+		}
+		if stats := DrawLines(tgt, line, []int{0, 1}, colorFrag, RenderState{}); pixels(tgt) != 0 || stats.Pixels != 0 {
+			t.Errorf("line to clip x=%v covers %d px (stats %d), want 0", end, pixels(tgt), stats.Pixels)
+		}
+	}
+}
+
+// walkLine is the line rasterizer's definition: every step of the segment,
+// with the per-point clip test, and no narrowing of the range. It shades
+// like lineFrag and blends additively.
+func walkLine(dst *Target, va, vb sv, clip [4]int) Stats {
+	var stats Stats
+	img := dst.Color
+	steps := toInt(math.Max(math.Abs(float64(vb.x-va.x)), math.Abs(float64(vb.y-va.y)))) + 1
+	for s := 0; s <= steps; s++ {
+		t := float32(s) / float32(steps)
+		x, y := toInt(float64(va.x+float32((vb.x-va.x)*t))), toInt(float64(va.y+float32((vb.y-va.y)*t)))
+		if x < clip[0] || y < clip[1] || x > clip[2] || y > clip[3] {
+			continue
+		}
+		a, b := va.vary[0][0], vb.vary[0][0]
+		writeFragment(img, x, y, FromVec(Vec4{1, float32(a*(1-t)) + float32(b*t), 0, 1}), BlendAdditive, &stats)
+		stats.Pixels++
+		stats.ShaderEvals++
+	}
+	return stats
+}
+
+// lineFrag colours a step by its position along the segment, so a walk
+// that shifts steps shows in the pixels.
+var lineFrag FragFn = func(v []Vec4) (Vec4, int) { return Vec4{1, v[0][0], 0, 1}, 0 }
+
+// TestDrawLinesWalksOnlyOnScreenSteps compares DrawLines with the full walk
+// on random segments reaching well off screen, scissored and not: the same
+// pixels, bit for bit, and the same Stats.
+func TestDrawLinesWalksOnlyOnScreenSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	coord := func() float32 { return (rng.Float32()*2 - 1) * float32(math.Pow(10, float64(rng.Intn(4)))) }
+	for i := range 300 {
+		st := RenderState{Blend: BlendAdditive}
+		if i%2 == 1 {
+			st.Scissor, st.ScissorRect = true, [4]int{rng.Intn(12), rng.Intn(9), rng.Intn(12), rng.Intn(9)}
+		}
+		a := TVert{Pos: Vec4{coord(), coord(), 0, 1}, Vary: []Vec4{{0, 0, 0, 0}}}
+		b := TVert{Pos: Vec4{coord(), coord(), 0, 1}, Vary: []Vec4{{float32(rng.Intn(3)), 1, 0, 0}}}
+		got, want := NewTarget(NewImage(12, 9)), NewTarget(NewImage(12, 9))
+		gs := DrawLines(got, []TVert{a, b}, []int{0, 1}, lineFrag, st)
+		x0, y0, x1, y1 := clipBounds(want.Color, st)
+		vp := [4]int{0, 0, 12, 9}
+		ws := walkLine(want, toScreen(a, vp), toScreen(b, vp), [4]int{x0, y0, x1, y1})
+		if gs.Pixels != ws.Pixels || gs.Blended != ws.Blended || gs.ShaderEvals != ws.ShaderEvals {
+			t.Fatalf("segment %v-%v: stats %+v, full walk %+v", a.Pos, b.Pos, gs, ws)
+		}
+		if got.Color.Checksum() != want.Color.Checksum() {
+			t.Fatalf("segment %v-%v: pixels differ from the full walk", a.Pos, b.Pos)
+		}
+	}
+}
+
+// TestDrawLinesFarEndpoint draws a segment from on screen to clip x = 1e6,
+// some 1.6e8 steps long: only the few hundred on-screen steps may be
+// walked.
+func TestDrawLinesFarEndpoint(t *testing.T) {
+	tgt := NewTarget(NewImage(320, 200))
+	line := []TVert{
+		{Pos: Vec4{-1, -0.5, 0, 1}, Vary: []Vec4{{1, 1, 1, 1}}},
+		{Pos: Vec4{1e6, 0.5, 0, 1}, Vary: []Vec4{{1, 1, 1, 1}}},
+	}
+	start := time.Now()
+	stats := DrawLines(tgt, line, []int{0, 1}, colorFrag, RenderState{})
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("far-endpoint line took %v, want well under 100ms", d)
+	}
+	if stats.Pixels < 320 || stats.Pixels > 321 {
+		t.Fatalf("far-endpoint line wrote %d pixels, want 320-321", stats.Pixels)
+	}
+}
+
+// panicFrag panics while shading any fragment whose varying marks it as
+// belonging to the rightmost tiles.
+var panicFrag FragFn = func(vary []Vec4) (Vec4, int) {
+	if vary[0][0] > 0.9 {
+		panic("shader fault")
+	}
+	return Vec4{1, 1, 1, 1}, 0
+}
+
+// TestShadeSpanPanicDrainsPool panics inside ShadeSpan on some tiles of a
+// parallel draw: the panic must reach the DrawTriangles caller once every
+// worker has drained, and no goroutine may outlive the draw.
+func TestShadeSpanPanicDrainsPool(t *testing.T) {
+	base := runtime.NumGoroutine()
+	verts := []TVert{
+		{Pos: Vec4{-1, -1, 0, 1}, Vary: []Vec4{{0}}},
+		{Pos: Vec4{1, -1, 0, 1}, Vary: []Vec4{{1}}},
+		{Pos: Vec4{1, 1, 0, 1}, Vary: []Vec4{{1}}},
+		{Pos: Vec4{-1, 1, 0, 1}, Vary: []Vec4{{0}}},
+	}
+	pool := NewPool(4)
+	for range 5 {
+		func() {
+			defer func() {
+				if r := recover(); r != "shader fault" {
+					t.Fatalf("DrawTriangles recovered %v, want the shader's panic", r)
+				}
+			}()
+			DrawTriangles(NewTarget(NewImage(320, 200)), verts, []int{0, 1, 2, 0, 2, 3}, panicFrag, RenderState{Pool: pool})
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the draws, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -51,6 +51,27 @@ if ! diff -u cmd/cycadabench/testdata/all.golden "$repro/all.txt"; then
 fi
 rm -rf "$repro"
 
+echo "== arm64 fusion gate (no fused multiply-add in this module's code)"
+# The Go spec lets a compiler fuse x*y + z into one FMA instruction, which
+# skips the product's rounding: arm64 does, amd64 does not. Each such site in
+# the rendering path is written float32(x*y) + z, so pixels, coverage and
+# therefore virtual time come out the same on both. Cross-compile for arm64
+# (offline) and fail on any fused instruction in a cycada/ symbol; the
+# standard library's own (math.Sin, the runtime) are out of reach and
+# allowed.
+fusion=$(mktemp -d)
+GOARCH=arm64 go build -o "$fusion/cycadabench" ./cmd/cycadabench
+fused=$(go tool objdump "$fusion/cycadabench" | awk '
+	/^TEXT / { sym = $2 }
+	/\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && sym ~ /^cycada\// { n[sym]++ }
+	END { for (s in n) print n[s], s }')
+rm -rf "$fusion"
+if [ -n "$fused" ]; then
+	echo "fusion gate failed: fused multiply-add instructions (count, symbol):" >&2
+	echo "$fused" >&2
+	exit 1
+fi
+
 echo "== replay golden traces (serial)"
 go run ./cmd/cycadareplay verify internal/replay/testdata/*.cytr
 
@@ -67,7 +88,7 @@ echo "== fuzz smoke (replay.Decode reads CYTR files from outside the program)"
 # new input re-encodes a whole trace many times.
 go test ./internal/replay -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
 
-echo "== fuzz smoke (MiniSL compile, link, bind and run: no panic, frame reuse invisible)"
+echo "== fuzz smoke (MiniSL compile, link, bind and run: no panic, frame reuse invisible, lanes match the reference)"
 # A runaway shader spends its whole step budget, so one input can cost
 # milliseconds; the short minimization budget keeps the 10 s on mutation.
 go test ./internal/sim/gpu/minisl -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
