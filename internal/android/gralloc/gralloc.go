@@ -161,20 +161,27 @@ func (d *Device) Ioctl(t *kernel.Thread, cmd uint32, arg any) (any, error) {
 		if !ok {
 			return nil, fmt.Errorf("gralloc: bad free request %T", arg)
 		}
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		b, ok := d.bufs[id]
-		if !ok {
-			return nil, fmt.Errorf("gralloc: free of unknown buffer %d", id)
-		}
-		b.mu.Lock()
-		b.freed = true
-		b.mu.Unlock()
-		delete(d.bufs, id)
-		return nil, nil
+		return nil, d.Free(id)
 	default:
 		return nil, fmt.Errorf("gralloc: unknown ioctl %#x", cmd)
 	}
+}
+
+// Free releases buffer id: the driver side of CmdFree, which
+// LinuxCoreSurface also calls directly when it reclaims the surfaces of an
+// app that is gone.
+func (d *Device) Free(id uint64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	b, ok := d.bufs[id]
+	if !ok {
+		return fmt.Errorf("gralloc: free of unknown buffer %d", id)
+	}
+	b.mu.Lock()
+	b.freed = true
+	b.mu.Unlock()
+	delete(d.bufs, id)
+	return nil
 }
 
 // Live reports the number of live buffers (leak tests).

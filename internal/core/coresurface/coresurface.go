@@ -41,6 +41,23 @@ func (m *Module) Buffer(id uint64) (*gralloc.Buffer, bool) {
 	return b, ok
 }
 
+// Reclaim frees every surface still registered, with its backing buffer
+// on dev. A kernel frees the surfaces of a process that exits without
+// releasing them; a stack recycled between sessions calls this once the
+// app is gone, so surfaces do not pile up from one session to the next.
+// It charges no virtual time.
+func (m *Module) Reclaim(dev *gralloc.Device) {
+	m.mu.Lock()
+	surfs := m.surfs
+	m.surfs = map[uint64]*gralloc.Buffer{}
+	m.mu.Unlock()
+	for _, buf := range surfs {
+		// A registered surface's buffer is live: only its own release,
+		// which unregistered it first, frees it.
+		_ = dev.Free(buf.ID)
+	}
+}
+
 // Live reports live surfaces (leak tests).
 func (m *Module) Live() int {
 	m.mu.Lock()

@@ -264,9 +264,11 @@ func (d *Device) runSession(sys *system.Cycada, s *Session) Result {
 	}
 
 	// Recycle: the session's app process is gone (each body creates and
-	// closes its own), so dropping the layers and clearing the screen
-	// returns the stack to the state a fresh boot would present.
+	// closes its own), so dropping the layers, clearing the screen and
+	// reclaiming the IOSurfaces it never released returns the stack to the
+	// state a fresh boot would present.
 	sys.Android.Flinger.Reset()
+	sys.CoreSurface.Reclaim(sys.Android.Gralloc)
 	res.Ran = time.Since(started)
 	return res
 }

@@ -80,6 +80,33 @@ func TestFarmMultiSessionSmoke(t *testing.T) {
 	}
 }
 
+// TestRecycleReclaimsSurfaces checks that a recycled device keeps no
+// IOSurface a finished app left behind. WebKit never releases its tiles;
+// before the recycle reclaimed them, every session's tiles stayed in the
+// device's gralloc driver until the device was rebooted.
+func TestRecycleReclaimsSurfaces(t *testing.T) {
+	f := farm.New(farm.Config{Devices: 1})
+	defer f.Close()
+	tr := golden(t, "webkit-tiles")
+	sys := f.Device(0).System()
+	base := sys.Android.Gralloc.Live()
+	for i := range 3 {
+		s, err := f.Submit(farm.SessionSpec{Name: fmt.Sprint("tiles-", i), Trace: tr, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := s.Result(); res.Err != nil {
+			t.Fatalf("session %d: %v", i, res.Err)
+		}
+		if n := sys.CoreSurface.Live(); n != 0 {
+			t.Fatalf("after session %d: %d IOSurfaces still registered", i, n)
+		}
+		if n := sys.Android.Gralloc.Live(); n != base {
+			t.Fatalf("after session %d: %d gralloc buffers live, %d at boot", i, n, base)
+		}
+	}
+}
+
 // A farm scenario session ends with the same screen as a dedicated
 // single-stack run of that scenario — including sessions that reuse a stack
 // another session (of a different scenario) just ran on.

@@ -1,5 +1,10 @@
 package registry
 
+import (
+	"slices"
+	"sync"
+)
+
 // This file holds the Table 2 classification: how Cycada's diplomatic GLES
 // library supports each of the 344 iOS GLES functions. The paper reports
 // 312 direct, 15 indirect, 5 data-dependent, 2 multi and 10 unimplemented
@@ -69,33 +74,37 @@ func bridgeSpecial() map[string]bool {
 
 // BridgeDirect lists the 312 functions supported by direct diplomats: every
 // iOS GLES function not classified above.
-func BridgeDirect() []string {
+func BridgeDirect() []string { return slices.Clone(bridgeDirect()) }
+
+var bridgeDirect = sync.OnceValue(func() []string {
 	special := bridgeSpecial()
 	var out []string
-	for _, n := range IOSSurface() {
+	for _, n := range iosSurface() {
 		if !special[n] {
 			out = append(out, n)
 		}
 	}
 	return out
-}
+})
 
 // TegraUnadvertised returns the iOS-surface entry points the Tegra library
 // exports without advertising an extension for them. Real vendor libraries
 // ship many unadvertised symbols; these are the ones Cycada's direct
 // diplomats resolve even though the corresponding extension is missing from
 // the Android extension string.
-func TegraUnadvertised() []string {
+func TegraUnadvertised() []string { return slices.Clone(tegraUnadvertised()) }
+
+var tegraUnadvertised = sync.OnceValue(func() []string {
 	android := map[string]bool{}
-	for _, n := range AndroidSurface() {
+	for _, n := range androidSurface() {
 		android[n] = true
 	}
 	special := bridgeSpecial()
 	var out []string
-	for _, n := range IOSSurface() {
+	for _, n := range iosSurface() {
 		if !android[n] && !special[n] {
 			out = append(out, n)
 		}
 	}
 	return out
-}
+})

@@ -18,7 +18,11 @@
 // functions (250 distinct standard + 94 extension), matching Table 2's total.
 package registry
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Extension is one GLES extension and the entry points it adds. Khronos-only
 // filler extensions carry only a function count (their entry points are never
@@ -133,7 +137,16 @@ func GLES2Standard() []string { return merged(SharedStandard, gles2Only) }
 
 // StandardUnion returns the 250 distinct standard functions across both
 // versions.
-func StandardUnion() []string { return merged(SharedStandard, gles1Only, gles2Only) }
+func StandardUnion() []string { return slices.Clone(standardUnion()) }
+
+// The merged surfaces are built once: every library load and every DLR
+// replica asks for them. Their exported accessors return copies, which
+// callers may append to or reorder.
+var (
+	standardUnion  = sync.OnceValue(func() []string { return merged(SharedStandard, gles1Only, gles2Only) })
+	iosSurface     = sync.OnceValue(func() []string { return merged(standardUnion(), ExtFuncs(IOSExtensions())) })
+	androidSurface = sync.OnceValue(func() []string { return merged(standardUnion(), ExtFuncs(AndroidExtensions())) })
+)
 
 // CommonExtensions are implemented by both platforms: 17 extensions adding
 // 27 entry points.
@@ -395,14 +408,10 @@ func CountFuncs(exts []Extension) int {
 // IOSSurface returns every function an iOS app can call on the iOS GLES
 // library: the 250 distinct standard functions plus the 94 iOS extension
 // entry points — the 344 functions of Table 2.
-func IOSSurface() []string {
-	return merged(StandardUnion(), ExtFuncs(IOSExtensions()))
-}
+func IOSSurface() []string { return slices.Clone(iosSurface()) }
 
 // AndroidSurface returns every function the Tegra library exports.
-func AndroidSurface() []string {
-	return merged(StandardUnion(), ExtFuncs(AndroidExtensions()))
-}
+func AndroidSurface() []string { return slices.Clone(androidSurface()) }
 
 // ExtensionNames returns the sorted names of a set of extensions.
 func ExtensionNames(exts []Extension) []string {

@@ -1,6 +1,9 @@
 package registry
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestTable1Census locks every number of the paper's Table 1.
 func TestTable1Census(t *testing.T) {
@@ -218,5 +221,25 @@ func TestNumFuncsFallsBackToCount(t *testing.T) {
 	e.Funcs = []string{"a", "b"}
 	if e.NumFuncs() != 2 {
 		t.Fatal("Funcs length not preferred")
+	}
+}
+
+// TestSurfacesAreCopies checks that the surfaces, built once, are handed out
+// as copies: a caller that appends to or overwrites one changes nothing the
+// next caller sees.
+func TestSurfacesAreCopies(t *testing.T) {
+	for name, fn := range map[string]func() []string{
+		"StandardUnion": StandardUnion, "IOSSurface": IOSSurface, "AndroidSurface": AndroidSurface,
+		"BridgeDirect": BridgeDirect, "TegraUnadvertised": TegraUnadvertised,
+	} {
+		want := fn()
+		got := fn()
+		for i := range got {
+			got[i] = "mutated"
+		}
+		_ = append(fn(), "glAppendedByACaller") // fills any spare capacity
+		if again := fn(); !slices.Equal(again, want) {
+			t.Fatalf("%s changed after a caller mutated its result: %v", name, again)
+		}
 	}
 }

@@ -64,8 +64,17 @@ func FromVec(v Vec4) RGBA {
 
 // Vec converts the color to a normalized vector.
 func (c RGBA) Vec() Vec4 {
-	return Vec4{float32(c.R) / 255, float32(c.G) / 255, float32(c.B) / 255, float32(c.A) / 255}
+	return Vec4{unorm8[c.R], unorm8[c.G], unorm8[c.B], unorm8[c.A]}
 }
+
+// unorm8[c] is float32(c)/255, the normalized value of an 8-bit channel:
+// a table read gives the division's bits without paying for it per texel.
+var unorm8 = func() (t [256]float32) {
+	for c := range t {
+		t[c] = float32(c) / 255
+	}
+	return t
+}()
 
 // Image is a CPU-addressable pixel buffer in RGBA8888 layout. It backs
 // render targets, textures, GraphicBuffers and IOSurfaces.

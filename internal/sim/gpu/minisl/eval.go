@@ -10,7 +10,9 @@ import (
 )
 
 // Value is a runtime MiniSL value: a scalar/vector (width 1-4), a matrix,
-// or a sampler reference.
+// or a sampler reference. It is the form values take at the API — bound
+// uniforms, vertex attributes, the zero values of declarations — while a
+// Frame keeps each lane's value split across its planes.
 type Value struct {
 	Width   int // 1..4 for float/vecN; 0 for mat4 and samplers
 	V       gpu.Vec4
@@ -238,10 +240,7 @@ func (b *Binding) Frame(k Kind) *Frame {
 	}
 	f.uni = uni
 	for k, u := range st.uniforms {
-		cell := f.cell(u.slot)
-		for l := range cell {
-			cell[l] = uni[k]
-		}
+		f.fill(u.slot, f.lanes, uni[k])
 	}
 	return f
 }
@@ -255,9 +254,14 @@ func (b *Binding) Release(f gpu.Fragment) { f.(*Frame).Release() }
 
 // Frame is one stage's evaluation state for up to its stage's lane count of
 // invocations at once: one lane per invocation (a single lane for vertices,
-// gpu.SpanSize for fragments). It holds, cell-major, a Value per lane for
-// every slot, constant and temporary of the compiled shader; per slot, the
-// lanes in which it is defined; and per lane, the steps left before the step
+// gpu.SpanSize for fragments). Every slot, constant and temporary of the
+// compiled shader is a cell, and a cell's Value is kept in lanes across
+// three planes, cell-major: its components, its width, and its reference —
+// the matrix or sampler it points to — with a mask per cell of the lanes
+// that hold one. Most nodes produce neither, so they write only the
+// pointer-free planes and clear their cell's mask; reading a lane's
+// reference first tests its mask bit. The frame also holds, per slot, the
+// lanes in which it is defined, and per lane the steps left before the step
 // limit, the texture fetches and the runtime error. Every run resets what an
 // invocation can observe in the lanes it uses — the defined bits, the
 // counters, the inputs, the outputs and any uniform the shader overwrites —
@@ -266,14 +270,24 @@ func (b *Binding) Release(f gpu.Fragment) { f.(*Frame).Release() }
 type Frame struct {
 	st      *stage
 	lanes   int
-	vals    []Value   // cell c's lane l at c*lanes+l
-	def     []uint64  // slot-indexed: the lanes in which it is defined
-	uni     []Value   // the binding's values for st.uniforms
-	args    [][]Value // call-argument views
+	comp    []gpu.Vec4 // cell c's lane l at c*lanes+l: components
+	width   []uint8    // likewise: Value.Width
+	refs    []ref      // likewise: the reference, where refMask has the lane
+	refMask []uint64   // cell-indexed: the lanes holding a reference
+	def     []uint64   // slot-indexed: the lanes in which it is defined
+	uni     []Value    // the binding's values for st.uniforms
+	args    []int      // call-argument cells
 	steps   []int32
+	charged int32 // step calls this run: no lane has spent more steps
 	fetches []int
 	errs    []error
 	live    []uint8 // the lane list a run starts from
+}
+
+// ref is the part of a Value that points: its matrix or its sampler.
+type ref struct {
+	M *gpu.Mat4
+	S *gpu.Texture
 }
 
 // frames is a free list of frames shared by every stage of every program. A
@@ -305,7 +319,11 @@ func (f *Frame) layout(st *stage) {
 	sh, n := st.sh, st.lanes
 	cells := len(sh.written) + len(sh.consts) + sh.temps
 	f.st, f.lanes = st, n
-	f.vals = slices.Grow(f.vals[:0], cells*n)[:cells*n]
+	f.comp = slices.Grow(f.comp[:0], cells*n)[:cells*n]
+	f.width = slices.Grow(f.width[:0], cells*n)[:cells*n]
+	f.refs = slices.Grow(f.refs[:0], cells*n)[:cells*n]
+	f.refMask = slices.Grow(f.refMask[:0], cells)[:cells]
+	clear(f.refMask)
 	f.def = slices.Grow(f.def[:0], len(sh.written))[:len(sh.written)]
 	f.args = slices.Grow(f.args[:0], sh.scratch)[:sh.scratch]
 	f.steps = slices.Grow(f.steps[:0], n)[:n]
@@ -313,27 +331,50 @@ func (f *Frame) layout(st *stage) {
 	f.errs = slices.Grow(f.errs[:0], n)[:n]
 	f.live = slices.Grow(f.live[:0], n)[:n]
 	for k, v := range sh.consts {
-		cell := f.cell(len(sh.written) + k)
-		for l := range cell {
-			cell[l] = v
-		}
+		f.fill(len(sh.written)+k, n, v)
 	}
 }
 
-// Release returns f to the free list. The uniforms' cells are cleared, so
-// an idle frame keeps no texture alive.
+// Release returns f to the free list. The whole reference plane is cleared,
+// so an idle frame keeps no matrix or texture alive: not a uniform's, a
+// local's or a temporary's.
 func (f *Frame) Release() {
-	for _, u := range f.st.uniforms {
-		clear(f.cell(u.slot))
-	}
+	clear(f.refs)
+	clear(f.refMask)
 	f.uni = nil
 	frames.Lock()
 	frames.free = append(frames.free, f)
 	frames.Unlock()
 }
 
-// cell returns cell c's value in every lane.
-func (f *Frame) cell(c int) []Value { return f.vals[c*f.lanes : (c+1)*f.lanes] }
+// planes returns cell c's components and widths in every lane.
+func (f *Frame) planes(c int) ([]gpu.Vec4, []uint8) {
+	lo, hi := c*f.lanes, (c+1)*f.lanes
+	return f.comp[lo:hi], f.width[lo:hi]
+}
+
+// refCell returns cell c's references in every lane.
+func (f *Frame) refCell(c int) []ref { return f.refs[c*f.lanes : (c+1)*f.lanes] }
+
+// lanesBelow is the mask of lanes [0, n).
+func lanesBelow(n int) uint64 { return 1<<n - 1 }
+
+// fill stores v in lanes [0, n) of cell c.
+func (f *Frame) fill(c, n int, v Value) {
+	comp, width := f.planes(c)
+	for l := range n {
+		comp[l], width[l] = v.V, uint8(v.Width)
+	}
+	if v.M == nil && v.Sampler == nil {
+		f.refMask[c] &^= lanesBelow(n)
+		return
+	}
+	refs := f.refCell(c)
+	for l := range n {
+		refs[l] = ref{v.M, v.Sampler}
+	}
+	f.refMask[c] |= lanesBelow(n)
+}
 
 type evalError struct {
 	line int
@@ -351,10 +392,7 @@ var faultColor = gpu.Vec4{1, 0, 1, 1} // magenta
 // have overwritten.
 func (f *Frame) restoreUniforms(n int) {
 	for _, k := range f.st.mutable {
-		cell := f.cell(f.st.uniforms[k].slot)[:n]
-		for l := range cell {
-			cell[l] = f.uni[k]
-		}
+		f.fill(f.st.uniforms[k].slot, n, f.uni[k])
 	}
 }
 
@@ -366,8 +404,11 @@ func (f *Frame) run(n int) {
 	live := f.live[:n]
 	for l := range live {
 		live[l] = uint8(l)
-		f.steps[l], f.fetches[l], f.errs[l] = defaultMaxSteps, 0, nil
+		f.steps[l] = defaultMaxSteps
 	}
+	clear(f.fetches[:n])
+	clear(f.errs[:n])
+	f.charged = 0
 	f.st.sh.run(f, live)
 }
 
@@ -379,24 +420,24 @@ func (f *Frame) RunVertex(attribs []Value, vary []gpu.Vec4) (gpu.Vec4, error) {
 	st, L := f.st, f.lanes
 	for _, in := range st.attribs {
 		if in.index < len(attribs) {
-			f.vals[in.slot*L] = attribs[in.index]
+			f.fill(in.slot, 1, attribs[in.index])
 		} else {
-			f.vals[in.slot*L] = in.zero
+			f.fill(in.slot, 1, in.zero)
 		}
 	}
 	f.restoreUniforms(1)
 	for _, in := range st.varyZero {
-		f.vals[in.slot*L] = in.zero
+		f.fill(in.slot, 1, in.zero)
 	}
-	f.vals[st.out*L] = Vec(4)
+	f.fill(st.out, 1, Vec(4))
 	f.run(1)
 	if err := f.errs[0]; err != nil {
 		return gpu.Vec4{}, err
 	}
 	for i, s := range st.varyOut {
-		vary[i] = f.vals[s*L].V
+		vary[i] = f.comp[s*L]
 	}
-	return f.vals[st.out*L].V, nil
+	return f.comp[st.out*L], nil
 }
 
 // loadFragments loads lanes [0, n) with n fragments' varyings, fragment l's
@@ -404,22 +445,18 @@ func (f *Frame) RunVertex(attribs []Value, vary []gpu.Vec4) (gpu.Vec4, error) {
 func (f *Frame) loadFragments(vary []gpu.Vec4, stride, n int) {
 	st := f.st
 	for _, in := range st.varyIn {
-		cell := f.cell(in.slot)[:n]
 		if in.index >= stride {
-			for l := range cell {
-				cell[l] = in.zero
-			}
+			f.fill(in.slot, n, in.zero)
 			continue
 		}
-		for l := range cell {
-			cell[l] = Value{Width: in.width, V: vary[l*stride+in.index]}
+		comp, width := f.planes(in.slot)
+		for l := range n {
+			comp[l], width[l] = vary[l*stride+in.index], uint8(in.width)
 		}
+		f.refMask[in.slot] &^= lanesBelow(n)
 	}
 	f.restoreUniforms(n)
-	out := f.cell(st.out)[:n]
-	for l := range out {
-		out[l] = Value{Width: 4}
-	}
+	f.fill(st.out, n, Value{Width: 4})
 }
 
 // RunFragment executes the fragment shader for one fragment with varyings
@@ -431,7 +468,7 @@ func (f *Frame) RunFragment(vary []gpu.Vec4) (gpu.Vec4, int, error) {
 	if err := f.errs[0]; err != nil {
 		return gpu.Vec4{}, 0, err
 	}
-	return f.vals[f.st.out*f.lanes].V, f.fetches[0], nil
+	return f.comp[f.st.out*f.lanes], f.fetches[0], nil
 }
 
 // ShadeSpan implements gpu.Fragment: each fragment of the span runs in a
@@ -451,10 +488,10 @@ func (f *Frame) shade(vary []gpu.Vec4, stride int, col []gpu.Vec4, fetches []int
 		n := min(f.lanes, len(col)-base)
 		f.loadFragments(vary[base*stride:], stride, n)
 		f.run(n)
-		out := f.cell(f.st.out)
+		out, _ := f.planes(f.st.out)
 		for l := range n {
 			i := base + l
-			col[i], fetches[i] = out[l].V, f.fetches[l]
+			col[i], fetches[i] = out[l], f.fetches[l]
 			if f.errs[l] != nil {
 				col[i], fetches[i] = faulted, 0
 			}
@@ -498,19 +535,16 @@ func zeroOf(typ string) Value {
 	}
 }
 
-func coerceWidth(v Value, w int) Value {
-	if v.Width == 1 && w > 1 {
-		return Value{Width: w, V: gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}}
-	}
-	v.Width = w
-	return v
-}
+// setSplat writes x to every component of d.
+func setSplat(d *gpu.Vec4, x float32) { d[0], d[1], d[2], d[3] = x, x, x, x }
 
-func broadcast(v *Value, w int) gpu.Vec4 {
-	if v.Width == 1 && w > 1 {
-		return gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}
+// splatMask is the component index mask for reading a value of width w as
+// one of width to: x[i&m] is x[0] when a scalar splats, else x[i].
+func splatMask(w, to uint8) int {
+	if w == 1 && to > 1 {
+		return 0
 	}
-	return v.V
+	return 3
 }
 
 func swizzleIndex(c rune) uint8 {

@@ -3,6 +3,8 @@ package minisl
 import (
 	"fmt"
 	"math"
+
+	"cycada/internal/sim/gpu"
 )
 
 // The compiled form of a shader: a tree of Go closures, built once by
@@ -11,13 +13,17 @@ import (
 // a node's dispatch is paid once per span of fragments rather than once per
 // fragment. A lane leaves the list the moment it faults, with its error
 // recorded, and every later node skips it; that keeps each invocation's
-// semantics exactly those of running it alone.
+// semantics exactly those of running it alone. Nodes read and write the
+// frame's planes in place, component by component: only a node whose result
+// is a matrix or a sampler stores a pointer.
 
 // An exprFn evaluates an expression in the lanes listed in live. It returns
-// the value in each of them, indexed by lane, and the lanes that did not
+// the cell that holds the value in each of them, and the lanes that did not
 // fault: live itself, compacted in place. A slot or a constant is returned
-// as a view of its cell; every other node writes a temporary.
-type exprFn func(f *Frame, live []uint8) ([]Value, []uint8)
+// as its own cell; every other node writes a temporary. A temporary is read
+// only in the lanes its node returned, so a node whose result is never a
+// reference clears its cell's whole reference mask.
+type exprFn func(f *Frame, live []uint8) (int, []uint8)
 
 // A stmtFn executes a statement in the lanes listed in live and returns the
 // lanes that did not fault, compacted in place.
@@ -51,6 +57,14 @@ func (c *compiler) temp(reg int) int {
 // step charges every live lane one statement; a lane that runs out of steps
 // faults.
 func (f *Frame) step(live []uint8) []uint8 {
+	if f.charged++; f.charged < defaultMaxSteps {
+		// No lane has been charged more statements than the run has
+		// charged calls, so none can run out yet.
+		for _, l := range live {
+			f.steps[l]--
+		}
+		return live
+	}
 	n := 0
 	for _, l := range live {
 		if f.steps[l]--; f.steps[l] <= 0 {
@@ -89,12 +103,13 @@ func (c *compiler) stmt(s stmt) stmtFn {
 		cond, then, els := c.expr(st.cond, 0), c.block(st.then), c.block(st.els)
 		return func(f *Frame, live []uint8) []uint8 {
 			live = f.step(live)
-			var v []Value
+			var v int
 			v, live = cond(f, live)
+			vc, _ := f.planes(v)
 			// Split the lanes: those taking the then-branch to the front.
 			k := 0
 			for i, l := range live {
-				if v[l].V[0] != 0 {
+				if vc[l][0] != 0 {
 					live[i], live[k] = live[k], l
 					k++
 				}
@@ -111,16 +126,25 @@ func (c *compiler) stmt(s stmt) stmtFn {
 }
 
 func (c *compiler) decl(st *declStmt) stmtFn {
-	slot, zero, width := st.slot, st.zero, st.width
+	slot, zero, width := st.slot, st.zero, uint8(st.width)
 	if st.init == nil {
+		zr, zm := ref{zero.M, zero.Sampler}, uint64(0)
+		if zr != (ref{}) {
+			zm = allLanes
+		}
 		return func(f *Frame, live []uint8) []uint8 {
 			live = f.step(live)
-			dst := f.cell(slot)
+			dc, dw := f.planes(slot)
+			dr := f.refCell(slot)
 			var mask uint64
 			for _, l := range live {
-				dst[l] = zero
+				dc[l], dw[l] = zero.V, uint8(zero.Width)
+				if zm != 0 {
+					dr[l] = zr
+				}
 				mask |= 1 << l
 			}
+			f.refMask[slot] = f.refMask[slot]&^mask | mask&zm
 			f.def[slot] |= mask
 			return live
 		}
@@ -128,18 +152,23 @@ func (c *compiler) decl(st *declStmt) stmtFn {
 	init := c.expr(st.init, 0)
 	return func(f *Frame, live []uint8) []uint8 {
 		live = f.step(live)
-		var v []Value
+		var v int
 		v, live = init(f, live)
-		dst := f.cell(slot)
-		var mask uint64
+		sc, sw := f.planes(v)
+		dc, dw := f.planes(slot)
+		sr, dr, sm := f.refCell(v), f.refCell(slot), f.refMask[v]
+		var mask, rm uint64
 		for _, l := range live {
-			x := v[l]
-			if width > 0 {
-				x = coerceWidth(x, width)
+			bit := uint64(1) << l
+			var kept bool
+			dw[l], kept = coerce(&dc[l], &sc[l], sw[l], width)
+			if kept && sm&bit != 0 {
+				dr[l] = sr[l]
+				rm |= bit
 			}
-			dst[l] = x
-			mask |= 1 << l
+			mask |= bit
 		}
+		f.refMask[slot] = f.refMask[slot]&^mask | rm
 		f.def[slot] |= mask
 		return live
 	}
@@ -153,9 +182,11 @@ func (c *compiler) assign(st *assignStmt) stmtFn {
 		single, comp := len(st.swizzle) == 1, swizzleIndex(rune(st.swizzle[0]))
 		return func(f *Frame, live []uint8) []uint8 {
 			live = f.step(live)
-			var v []Value
+			var v int
 			v, live = val(f, live)
-			dst, def := f.cell(slot), f.def[slot]
+			sc, _ := f.planes(v)
+			dc, _ := f.planes(slot)
+			def := f.def[slot]
 			n := 0
 			for _, l := range live {
 				switch {
@@ -164,7 +195,7 @@ func (c *compiler) assign(st *assignStmt) stmtFn {
 				case !single:
 					f.errs[l] = errSwizzle
 				default:
-					dst[l].V[comp] = v[l].V[0]
+					dc[l][comp] = sc[l][0]
 					live[n] = l
 					n++
 				}
@@ -175,28 +206,62 @@ func (c *compiler) assign(st *assignStmt) stmtFn {
 	errMatrix := &evalError{line: st.line, msg: "cannot assign scalar to matrix " + st.name}
 	return func(f *Frame, live []uint8) []uint8 {
 		live = f.step(live)
-		var v []Value
+		var v int
 		v, live = val(f, live)
-		dst, def := f.cell(slot), f.def[slot]
+		sc, sw := f.planes(v)
+		dc, dw := f.planes(slot)
+		sm, dm, def := f.refMask[v], f.refMask[slot], f.def[slot]
+		if def == allLanes && sm|dm == 0 {
+			// No lane can fault, and none moves a reference.
+			for _, l := range live {
+				dw[l], _ = coerce(&dc[l], &sc[l], sw[l], dw[l])
+			}
+			return live
+		}
+		sr, dr := f.refCell(v), f.refCell(slot)
+		var mask, rm uint64
 		n := 0
 		for _, l := range live {
-			if def>>l&1 == 0 {
+			bit := uint64(1) << l
+			if def&bit == 0 {
 				f.errs[l] = errUndeclared
 				continue
 			}
-			cur, x := &dst[l], v[l]
-			if cur.M != nil && x.M == nil {
+			if dm&bit != 0 && dr[l].M != nil && (sm&bit == 0 || sr[l].M == nil) {
 				f.errs[l] = errMatrix
 				continue
 			}
-			if cur.Width > 0 {
-				x = coerceWidth(x, cur.Width)
+			var kept bool
+			dw[l], kept = coerce(&dc[l], &sc[l], sw[l], dw[l])
+			if kept && sm&bit != 0 {
+				dr[l] = sr[l]
+				rm |= bit
 			}
-			*cur = x
+			mask |= bit
 			live[n] = l
 			n++
 		}
+		f.refMask[slot] = dm&^mask | rm
 		return live[:n]
+	}
+}
+
+// coerce writes a value's components c, of width w, to d as a variable of
+// width to holds them, and returns the width written and whether the
+// value's reference, if any, comes along. A variable of width 0 (a matrix
+// or a sampler) takes the value whole; any other takes its own width, and
+// a scalar splats to it, leaving its reference behind.
+func coerce(d, c *gpu.Vec4, w, to uint8) (uint8, bool) {
+	switch {
+	case to == 0:
+		*d = *c
+		return w, true
+	case w == 1 && to > 1:
+		setSplat(d, c[0])
+		return to, false
+	default:
+		*d = *c
+		return to, true
 	}
 }
 
@@ -211,9 +276,10 @@ func (c *compiler) loop(st *forStmt) stmtFn {
 		done := 0 // live[:done] have left the loop
 		for done < len(live) {
 			v, act := cond(f, live[done:])
+			vc, _ := f.planes(v)
 			live = live[:done+len(act)]
 			for i := done; i < len(live); i++ {
-				if l := live[i]; v[l].V[0] == 0 {
+				if l := live[i]; vc[l][0] == 0 {
 					live[i], live[done] = live[done], l
 					done++
 				}
@@ -241,14 +307,14 @@ func (c *compiler) expr(e expr, reg int) exprFn {
 	switch ex := e.(type) {
 	case *numExpr:
 		cell := len(c.sh.written) + ex.k
-		return func(f *Frame, live []uint8) ([]Value, []uint8) { return f.cell(cell), live }
+		return func(f *Frame, live []uint8) (int, []uint8) { return cell, live }
 	case *varExpr:
 		slot := ex.slot
 		err := &evalError{line: ex.line, msg: "undefined variable " + ex.name}
-		return func(f *Frame, live []uint8) ([]Value, []uint8) {
+		return func(f *Frame, live []uint8) (int, []uint8) {
 			def := f.def[slot]
 			if def == allLanes {
-				return f.cell(slot), live
+				return slot, live
 			}
 			n := 0
 			for _, l := range live {
@@ -259,48 +325,57 @@ func (c *compiler) expr(e expr, reg int) exprFn {
 				live[n] = l
 				n++
 			}
-			return f.cell(slot), live[:n]
+			return slot, live[:n]
 		}
 	case *swizzleExpr:
 		base, out, idx := c.expr(ex.base, reg+1), c.temp(reg), ex.idx[:ex.n]
-		return func(f *Frame, live []uint8) ([]Value, []uint8) {
-			var b []Value
+		w := uint8(len(idx))
+		return func(f *Frame, live []uint8) (int, []uint8) {
+			var b int
 			b, live = base(f, live)
-			o := f.cell(out)
+			bc, _ := f.planes(b)
+			oc, ow := f.planes(out)
 			for _, l := range live {
-				d := &o[l]
-				*d = Value{Width: len(idx)}
+				x, d := &bc[l], &oc[l]
+				*d = gpu.Vec4{}
 				for i, k := range idx {
-					d.V[i] = b[l].V[k]
+					d[i] = x[k]
 				}
+				ow[l] = w
 			}
-			return o, live
+			f.refMask[out] = 0
+			return out, live
 		}
 	case *unaryExpr:
 		x, out := c.expr(ex.x, reg+1), c.temp(reg)
 		if ex.not {
-			return func(f *Frame, live []uint8) ([]Value, []uint8) {
-				var v []Value
+			return func(f *Frame, live []uint8) (int, []uint8) {
+				var v int
 				v, live = x(f, live)
-				o := f.cell(out)
+				vc, _ := f.planes(v)
+				oc, ow := f.planes(out)
 				for _, l := range live {
-					if v[l].V[0] == 0 {
-						o[l] = Float(1)
-					} else {
-						o[l] = Float(0)
-					}
+					setSplat(&oc[l], truth(vc[l][0] == 0))
+					ow[l] = 1
 				}
-				return o, live
+				f.refMask[out] = 0
+				return out, live
 			}
 		}
-		return func(f *Frame, live []uint8) ([]Value, []uint8) {
-			var v []Value
+		return func(f *Frame, live []uint8) (int, []uint8) {
+			var v int
 			v, live = x(f, live)
-			o := f.cell(out)
+			vc, vw := f.planes(v)
+			oc, ow := f.planes(out)
 			for _, l := range live {
-				o[l] = Value{Width: v[l].Width, V: v[l].V.Scale(-1)}
+				a, d := &vc[l], &oc[l]
+				for i := range d {
+					d[i] = a[i] * -1
+				}
+				ow[l] = vw[l]
 			}
-			return o, live
+			f.refMask[out] = 0
+			return out, live
 		}
 	case *binExpr:
 		return c.binary(ex, reg)
@@ -313,8 +388,8 @@ func (c *compiler) expr(e expr, reg int) exprFn {
 
 // operands compiles a node's operands into the temporaries above reg and
 // returns a function that evaluates them left to right, storing each one's
-// view in the frame's argument views from base on: a lane that faults in one
-// operand evaluates none after it.
+// cell in the frame's argument cells from base on: a lane that faults in
+// one operand evaluates none after it.
 func (c *compiler) operands(xs []expr, reg, base int) func(f *Frame, live []uint8) []uint8 {
 	fns := make([]exprFn, len(xs))
 	for i, x := range xs {
@@ -331,66 +406,58 @@ func (c *compiler) operands(xs []expr, reg, base int) func(f *Frame, live []uint
 func (c *compiler) binary(ex *binExpr, reg int) exprFn {
 	lhs, rhs, out, op := c.expr(ex.l, reg+1), c.expr(ex.r, reg+2), c.temp(reg), ex.op
 	if op >= opLT {
-		return func(f *Frame, live []uint8) ([]Value, []uint8) {
-			var a, b []Value
+		return func(f *Frame, live []uint8) (int, []uint8) {
+			var a, b int
 			a, live = lhs(f, live)
 			b, live = rhs(f, live)
-			o := f.cell(out)
+			ac, _ := f.planes(a)
+			bc, _ := f.planes(b)
+			oc, ow := f.planes(out)
 			for _, l := range live {
-				if compare(op, a[l].V[0], b[l].V[0]) {
-					o[l] = Float(1)
-				} else {
-					o[l] = Float(0)
-				}
+				setSplat(&oc[l], truth(compare(op, ac[l][0], bc[l][0])))
+				ow[l] = 1
 			}
-			return o, live
+			f.refMask[out] = 0
+			return out, live
 		}
 	}
 	errMatOp := &evalError{line: ex.line, msg: "matrices support only *"}
 	errVecMat := &evalError{line: ex.line, msg: "vec*mat not supported; use mat*vec"}
-	return func(f *Frame, live []uint8) ([]Value, []uint8) {
-		var a, b []Value
+	return func(f *Frame, live []uint8) (int, []uint8) {
+		var a, b int
 		a, live = lhs(f, live)
 		b, live = rhs(f, live)
-		o := f.cell(out)
+		ac, aw := f.planes(a)
+		bc, bw := f.planes(b)
+		oc, ow := f.planes(out)
+		am, bm := f.refMask[a], f.refMask[b]
+		f.refMask[out] = 0
+		if am|bm == 0 {
+			arith(op, live, oc, ow, ac, aw, bc, bw)
+			return out, live
+		}
 		n := 0
-		for _, l := range live {
-			x, y := &a[l], &b[l]
+		for i, l := range live {
+			var x, y *gpu.Mat4
+			if am>>l&1 != 0 {
+				x = f.refs[a*f.lanes+int(l)].M
+			}
+			if bm>>l&1 != 0 {
+				y = f.refs[b*f.lanes+int(l)].M
+			}
 			switch {
-			case x.M == nil && y.M == nil:
-				// Scalar broadcast. The result is written in place,
-				// component by component.
-				w := max(x.Width, y.Width)
-				xv, yv := broadcast(x, w), broadcast(y, w)
-				d := &o[l]
-				*d = Value{Width: w}
-				switch op {
-				case opAdd:
-					for i := range d.V {
-						d.V[i] = xv[i] + yv[i]
-					}
-				case opSub:
-					for i := range d.V {
-						d.V[i] = xv[i] - yv[i]
-					}
-				case opMul:
-					for i := range d.V {
-						d.V[i] = xv[i] * yv[i]
-					}
-				case opDiv:
-					for i := range d.V {
-						if yv[i] != 0 {
-							d.V[i] = xv[i] / yv[i]
-						}
-					}
-				}
+			case x == nil && y == nil:
+				arith(op, live[i:i+1], oc, ow, ac, aw, bc, bw)
 			case op != opMul:
 				f.errs[l] = errMatOp
 				continue
-			case x.M != nil && y.M != nil:
-				o[l] = Mat(x.M.MulMat(*y.M))
-			case x.M != nil:
-				o[l] = Value{Width: 4, V: x.M.MulVec(y.Vec4())}
+			case x != nil && y != nil:
+				p := x.MulMat(*y)
+				oc[l], ow[l] = gpu.Vec4{}, 0
+				f.refs[out*f.lanes+int(l)] = ref{M: &p}
+				f.refMask[out] |= 1 << l
+			case x != nil:
+				oc[l], ow[l] = x.MulVec(widen(bc[l], bw[l])), 4
 			default:
 				f.errs[l] = errVecMat
 				continue
@@ -398,8 +465,74 @@ func (c *compiler) binary(ex *binExpr, reg int) exprFn {
 			live[n] = l
 			n++
 		}
-		return o, live[:n]
+		return out, live[:n]
 	}
+}
+
+// arith writes x op y to o in the lanes listed in live, each of x, y and o
+// given as its component and width planes: a scalar operand broadcasts, and
+// the result takes the wider width. Division by a zero component gives
+// zero.
+func arith(op binOp, live []uint8, oc []gpu.Vec4, ow []uint8, xc []gpu.Vec4, xw []uint8, yc []gpu.Vec4, yw []uint8) {
+	// One loop per operator: the lanes run with the operator decided.
+	switch op {
+	case opAdd:
+		for _, l := range live {
+			d, x, y, mx, my := arithLane(l, oc, ow, xc, xw, yc, yw)
+			for i := range d {
+				d[i] = x[i&mx] + y[i&my]
+			}
+		}
+	case opSub:
+		for _, l := range live {
+			d, x, y, mx, my := arithLane(l, oc, ow, xc, xw, yc, yw)
+			for i := range d {
+				d[i] = x[i&mx] - y[i&my]
+			}
+		}
+	case opMul:
+		for _, l := range live {
+			d, x, y, mx, my := arithLane(l, oc, ow, xc, xw, yc, yw)
+			for i := range d {
+				d[i] = x[i&mx] * y[i&my]
+			}
+		}
+	case opDiv:
+		for _, l := range live {
+			d, x, y, mx, my := arithLane(l, oc, ow, xc, xw, yc, yw)
+			for i := range d {
+				d[i] = 0
+				if y[i&my] != 0 {
+					d[i] = x[i&mx] / y[i&my]
+				}
+			}
+		}
+	}
+}
+
+// arithLane sets lane l's result width to the wider operand's and returns its
+// result, its operands, and their component masks (see splatMask).
+func arithLane(l uint8, oc []gpu.Vec4, ow []uint8, xc []gpu.Vec4, xw []uint8, yc []gpu.Vec4, yw []uint8) (d, x, y *gpu.Vec4, mx, my int) {
+	w := max(xw[l], yw[l])
+	ow[l] = w
+	return &oc[l], &xc[l], &yc[l], splatMask(xw[l], w), splatMask(yw[l], w)
+}
+
+// truth is a comparison's value: 1 or 0.
+func truth(b bool) float32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// widen returns components c of width w as a vec4: a vec3 gets w=1, as
+// Value.Vec4 does.
+func widen(c gpu.Vec4, w uint8) gpu.Vec4 {
+	if w == 3 {
+		c[3] = 1
+	}
+	return c
 }
 
 func compare(op binOp, a, b float32) bool {
@@ -427,21 +560,23 @@ func (c *compiler) call(ex *callExpr, reg int) exprFn {
 	args := c.operands(ex.args, reg, base)
 	fail := func(msg string) exprFn {
 		err := &evalError{line: ex.line, msg: ex.name + ": " + msg}
-		return func(f *Frame, live []uint8) ([]Value, []uint8) {
+		return func(f *Frame, live []uint8) (int, []uint8) {
 			for _, l := range args(f, live) {
 				f.errs[l] = err
 			}
-			return f.cell(out), live[:0]
+			return out, live[:0]
 		}
 	}
 	// each returns a call that cannot fault once its arguments have
-	// evaluated: fn computes the result in every lane still live.
-	each := func(fn func(f *Frame, o []Value, av [][]Value, live []uint8)) exprFn {
-		return func(f *Frame, live []uint8) ([]Value, []uint8) {
+	// evaluated: fn computes the result in every lane still live, in cell
+	// o, from the argument cells av. Its result is no reference unless fn
+	// sets o's mask.
+	each := func(fn func(f *Frame, o int, av []int, live []uint8)) exprFn {
+		return func(f *Frame, live []uint8) (int, []uint8) {
 			live = args(f, live)
-			o := f.cell(out)
-			fn(f, o, f.args[base:base+nargs], live)
-			return o, live
+			f.refMask[out] = 0
+			fn(f, out, f.args[base:base+nargs], live)
+			return out, live
 		}
 	}
 	switch ex.fn {
@@ -451,24 +586,42 @@ func (c *compiler) call(ex *callExpr, reg int) exprFn {
 		if nargs != 2 {
 			return fail("needs (sampler, vec2)")
 		}
-		return each(func(f *Frame, o []Value, av [][]Value, live []uint8) {
+		return each(func(f *Frame, o int, av []int, live []uint8) {
+			sm, sr := f.refMask[av[0]], f.refCell(av[0])
+			uv, _ := f.planes(av[1])
+			oc, ow := f.planes(o)
+			// Lanes almost always share a texture: resolve its sampling
+			// terms once per run of lanes that do.
+			for i := 0; i < len(live); {
+				t := laneTexture(sm, sr, live[i])
+				j := i + 1
+				for j < len(live) && laneTexture(sm, sr, live[j]) == t {
+					j++
+				}
+				smp := t.Sampler()
+				smp.Sample(oc, uv, live[i:j])
+				i = j
+			}
 			for _, l := range live {
 				f.fetches[l]++
-				o[l] = Value{Width: 4, V: av[0][l].Sampler.Sample(av[1][l].V[0], av[1][l].V[1])}
+				ow[l] = 4
 			}
 		})
 	case fnClamp:
 		if nargs != 3 {
 			return fail("needs 3 args")
 		}
-		return each(func(_ *Frame, o []Value, av [][]Value, live []uint8) {
+		return each(func(f *Frame, o int, av []int, live []uint8) {
+			xc, xw := f.planes(av[0])
+			lc, _ := f.planes(av[1])
+			hc, _ := f.planes(av[2])
+			oc, ow := f.planes(o)
 			for _, l := range live {
-				x, lo, hi := &av[0][l], av[1][l].V[0], av[2][l].V[0]
-				d := &o[l]
-				*d = Value{Width: x.Width}
-				for i := range d.V {
-					d.V[i] = minf(maxf(x.V[i], lo), hi)
+				x, d, lo, hi := &xc[l], &oc[l], lc[l][0], hc[l][0]
+				for i := range d {
+					d[i] = minf(maxf(x[i], lo), hi)
 				}
+				ow[l] = xw[l]
 			}
 		})
 	case fnMin, fnMax, fnPow:
@@ -476,51 +629,60 @@ func (c *compiler) call(ex *callExpr, reg int) exprFn {
 			return fail("needs 2 args")
 		}
 		fn := ex.fn
-		return each(func(_ *Frame, o []Value, av [][]Value, live []uint8) {
+		return each(func(f *Frame, o int, av []int, live []uint8) {
+			ac, aw := f.planes(av[0])
+			bc, bw := f.planes(av[1])
+			oc, ow := f.planes(o)
 			for _, l := range live {
-				w := av[0][l].Width
-				a, b := broadcast(&av[0][l], w), broadcast(&av[1][l], w)
-				d := &o[l]
-				*d = Value{Width: w}
-				for i := range d.V {
+				w := aw[l]
+				a, b, d, mb := &ac[l], &bc[l], &oc[l], splatMask(bw[l], w)
+				for i := range d {
 					switch fn {
 					case fnMin:
-						d.V[i] = minf(a[i], b[i])
+						d[i] = minf(a[i], b[i&mb])
 					case fnMax:
-						d.V[i] = maxf(a[i], b[i])
+						d[i] = maxf(a[i], b[i&mb])
 					default:
-						d.V[i] = float32(math.Pow(float64(a[i]), float64(b[i])))
+						d[i] = float32(math.Pow(float64(a[i]), float64(b[i&mb])))
 					}
 				}
+				ow[l] = w
 			}
 		})
 	case fnDot:
 		if nargs != 2 {
 			return fail("needs 2 args")
 		}
-		return each(func(_ *Frame, o []Value, av [][]Value, live []uint8) {
+		return each(func(f *Frame, o int, av []int, live []uint8) {
+			ac, aw := f.planes(av[0])
+			bc, _ := f.planes(av[1])
+			oc, ow := f.planes(o)
 			for _, l := range live {
-				a, b := &av[0][l], &av[1][l]
+				a, b := &ac[l], &bc[l]
 				var s float32
-				for i := 0; i < a.Width; i++ {
-					s += float32(a.V[i] * b.V[i])
+				for i := range aw[l] {
+					s += float32(a[i] * b[i])
 				}
-				o[l] = Float(s)
+				setSplat(&oc[l], s)
+				ow[l] = 1
 			}
 		})
 	case fnMix:
 		if nargs != 3 {
 			return fail("needs 3 args")
 		}
-		return each(func(_ *Frame, o []Value, av [][]Value, live []uint8) {
+		return each(func(f *Frame, o int, av []int, live []uint8) {
+			ac, aw := f.planes(av[0])
+			bc, bw := f.planes(av[1])
+			tc, _ := f.planes(av[2])
+			oc, ow := f.planes(o)
 			for _, l := range live {
-				a, t := &av[0][l], av[2][l].V[0]
-				b := broadcast(&av[1][l], a.Width)
-				d := &o[l]
-				*d = Value{Width: a.Width}
-				for i := range d.V {
-					d.V[i] = float32(a.V[i]*(1-t)) + float32(b[i]*t)
+				a, b, d, t := &ac[l], &bc[l], &oc[l], tc[l][0]
+				mb := splatMask(bw[l], aw[l])
+				for i := range d {
+					d[i] = float32(a[i]*(1-t)) + float32(b[i&mb]*t)
 				}
+				ow[l] = aw[l]
 			}
 		})
 	case fnFract, fnFloor, fnAbs, fnSin, fnCos:
@@ -528,25 +690,27 @@ func (c *compiler) call(ex *callExpr, reg int) exprFn {
 			return fail("needs 1 arg")
 		}
 		fn := ex.fn
-		return each(func(_ *Frame, o []Value, av [][]Value, live []uint8) {
+		return each(func(f *Frame, o int, av []int, live []uint8) {
+			ac, aw := f.planes(av[0])
+			oc, ow := f.planes(o)
 			for _, l := range live {
-				a, d := &av[0][l], &o[l]
-				*d = Value{Width: a.Width}
-				for i := range d.V {
-					x := float64(a.V[i])
+				a, d := &ac[l], &oc[l]
+				for i := range d {
+					x := float64(a[i])
 					switch fn {
 					case fnFract:
-						d.V[i] = float32(x - math.Floor(x))
+						d[i] = float32(x - math.Floor(x))
 					case fnFloor:
-						d.V[i] = float32(math.Floor(x))
+						d[i] = float32(math.Floor(x))
 					case fnAbs:
-						d.V[i] = float32(math.Abs(x))
+						d[i] = float32(math.Abs(x))
 					case fnSin:
-						d.V[i] = float32(math.Sin(x))
+						d[i] = float32(math.Sin(x))
 					default:
-						d.V[i] = float32(math.Cos(x))
+						d[i] = float32(math.Cos(x))
 					}
 				}
+				ow[l] = aw[l]
 			}
 		})
 	case fnLength, fnNormalize:
@@ -554,27 +718,51 @@ func (c *compiler) call(ex *callExpr, reg int) exprFn {
 			return fail("needs 1 arg")
 		}
 		normalize := ex.fn == fnNormalize
-		return each(func(_ *Frame, o []Value, av [][]Value, live []uint8) {
+		return each(func(f *Frame, o int, av []int, live []uint8) {
+			ac, aw := f.planes(av[0])
+			am, ar := f.refMask[av[0]], f.refCell(av[0])
+			oc, ow := f.planes(o)
+			var m uint64
 			for _, l := range live {
-				a := &av[0][l]
+				a, d := &ac[l], &oc[l]
 				var s float64
-				for i := 0; i < a.Width; i++ {
-					s += float64(float64(a.V[i]) * float64(a.V[i]))
+				for i := range aw[l] {
+					s += float64(float64(a[i]) * float64(a[i]))
 				}
 				n := float32(math.Sqrt(s))
 				switch {
 				case !normalize:
-					o[l] = Float(n)
+					setSplat(d, n)
+					ow[l] = 1
 				case n == 0:
-					o[l] = *a
+					// The argument comes back whole, reference and all.
+					*d, ow[l] = *a, aw[l]
+					if am>>l&1 != 0 {
+						f.refs[o*f.lanes+int(l)] = ar[l]
+						m |= 1 << l
+					}
 				default:
-					o[l] = Value{Width: a.Width, V: a.V.Scale(1 / n)}
+					k := 1 / n
+					for i := range d {
+						d[i] = a[i] * k
+					}
+					ow[l] = aw[l]
 				}
 			}
+			f.refMask[o] = m
 		})
 	default:
 		return fail("unknown function")
 	}
+}
+
+// laneTexture returns the sampler in lane l of a cell whose references are
+// refs, with mask m: nil where the lane holds none.
+func laneTexture(m uint64, refs []ref, l uint8) *gpu.Texture {
+	if m>>l&1 == 0 {
+		return nil
+	}
+	return refs[l].S
 }
 
 // construct compiles vec2/vec3/vec4: the arguments' components, in order,
@@ -585,29 +773,31 @@ func (c *compiler) construct(ex *callExpr, args func(*Frame, []uint8) []uint8, o
 	for n := range short {
 		short[n] = &evalError{line: ex.line, msg: ex.name + ": " + fmt.Sprintf("needs %d components, got %d", w, n)}
 	}
-	return func(f *Frame, live []uint8) ([]Value, []uint8) {
+	return func(f *Frame, live []uint8) (int, []uint8) {
 		live = args(f, live)
-		o, av := f.cell(out), f.args[base:base+nargs]
+		oc, ow := f.planes(out)
+		av, L := f.args[base:base+nargs], f.lanes
 		k := 0
 		for _, l := range live {
-			d := &o[l]
-			*d = Value{Width: w}
+			d := &oc[l]
+			*d = gpu.Vec4{}
 			n := 0
 			for _, a := range av {
-				x := &a[l]
-				aw := max(x.Width, 1)
+				i := a*L + int(l)
+				x, aw := &f.comp[i], int(max(f.width[i], 1))
 				if nargs == 1 && aw == 1 {
 					for n < w {
-						d.V[n] = x.V[0]
+						d[n] = x[0]
 						n++
 					}
 					break
 				}
-				for i := 0; i < aw && n < w; i++ {
-					d.V[n] = x.V[i]
+				for j := 0; j < aw && n < w; j++ {
+					d[n] = x[j]
 					n++
 				}
 			}
+			ow[l] = uint8(w)
 			if n < w {
 				f.errs[l] = short[n]
 				continue
@@ -615,6 +805,7 @@ func (c *compiler) construct(ex *callExpr, args func(*Frame, []uint8) []uint8, o
 			live[k] = l
 			k++
 		}
-		return o, live[:k]
+		f.refMask[out] = 0
+		return out, live[:k]
 	}
 }

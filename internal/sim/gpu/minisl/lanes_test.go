@@ -90,6 +90,70 @@ void main() {
   float s = sin(v_a.y) * cos(v_a.z) + pow(abs(v_a.x), 2.0) + floor(v_a.w * 3.0);
   gl_FragColor = vec4(min(m.x, d), max(m.y, s), n.x + fract(s), !(d < 0.5));
 }`,
+	// One slot, a matrix in some lanes and a vector in others: mat*vec and
+	// vec*vec through one node, a matrix assigned into a vector variable
+	// (which then holds it), and a scalar assigned over that matrix.
+	`varying vec4 v_a;
+uniform mat4 u_m;
+void main() {
+  if (v_a.x > 0.5) { mat4 q = u_m * u_m; } else { vec4 q = v_a; }
+  gl_FragColor = q * v_a;
+  if (v_a.y > 0.5) { gl_FragColor = q; }
+  if (v_a.z > 0.5) { gl_FragColor = 1.0; }
+  gl_FragColor = gl_FragColor * vec4(0.5);
+}`,
+	// mat4 locals rewritten inside a divergent if: a matrix product in some
+	// lanes, a scalar-to-matrix fault in others, and normalize handing a
+	// matrix back whole into a vector variable.
+	`varying vec4 v_a;
+uniform mat4 u_m;
+void main() {
+  mat4 m = u_m;
+  mat4 k;
+  vec4 p = v_a;
+  if (v_a.x > 0.3) { p = m * v_a; m = m * m; k = k * m; } else { if (v_a.w > 1.0) { m = v_a.x; } }
+  if (v_a.y > 0.6) { p = normalize(m); }
+  gl_FragColor = p * vec4(0.5) + m * v_a + k * v_a;
+}`,
+	// A matrix, a sampler and a vector sharing slots: sampling through a
+	// lane that holds no sampler, a scalar declared from a reference, then
+	// splatted (which drops it), matrices read as vectors, and a sampler
+	// assigned over a matrix (a fault) or over a sampler.
+	`varying vec4 v_a;
+uniform mat4 u_m;
+uniform sampler2D u_tex;
+void main() {
+  if (v_a.x > 0.5) { mat4 s = u_m; } else { sampler2D s = u_tex; }
+  vec4 c = texture2D(s, v_a.yz) + texture2D(u_tex, v_a.zw);
+  float k = s;
+  vec4 d = k;
+  if (v_a.y > 1.0) { d = s; }
+  if (v_a.z > 0.8) { d = k; }
+  gl_FragColor = c + d.xyzw * (s * v_a) + d * v_a + vec4(dot(d, v_a), length(s), s.x, 1.0);
+  if (v_a.w > 1.2) { s = u_tex; }
+}`,
+	// A temporary that held a matrix in some lanes, reused by a node whose
+	// result is a vector: that node must clear the lanes' reference. Each
+	// such node yields 1 or a copy, so p keeps its information.
+	`varying vec4 v_a;
+uniform mat4 u_m;
+uniform sampler2D u_tex;
+void main() {
+  vec4 p = v_a;
+  if (v_a.x > 0.5) { p = (u_m * u_m) * p; }
+  p = v_a.wzyx * p;
+  if (v_a.y > 0.5) { p = (u_m * u_m) * p; }
+  p = -v_a * p;
+  if (v_a.z > 0.5) { p = (u_m * u_m) * p; }
+  p = (p.y == p.y) * p;
+  if (v_a.w > 0.5) { p = (u_m * u_m) * p; }
+  p = !(p.x - p.x) * p;
+  if (v_a.x > 0.2) { p = (u_m * u_m) * p; }
+  p = vec4(v_a.x, 0.5, v_a.yz) * p;
+  if (v_a.x > 1.0) { p = (u_m * u_m) * p; }
+  p = clamp(p, 0.0, 1.0) * p + texture2D(u_tex, p.xy) * v_a;
+  gl_FragColor = p;
+}`,
 }
 
 // refShaders returns every shader source the tree ships, plus the divergent
@@ -224,6 +288,51 @@ func TestSpanMatchesReference(t *testing.T) {
 				checkSpan(t, b, randomVaryings(rng, n, stride), stride, n)
 			}
 		})
+	}
+}
+
+// TestReleasedFrameHoldsNoPointer checks that a pooled frame keeps nothing
+// alive: after Release, no cell — uniform, local or temporary — holds a
+// matrix or a texture.
+func TestReleasedFrameHoldsNoPointer(t *testing.T) {
+	p, _ := withPartner(t, compile(t, `varying vec4 v_a;
+uniform mat4 u_m;
+uniform sampler2D u_tex;
+void main() {
+  mat4 m = u_m * u_m;
+  mat4 k;
+  vec4 c = texture2D(u_tex, v_a.xy);
+  gl_FragColor = m * c + k * v_a;
+}`, Fragment))
+	f := bindAll(p, testTexture()).Frame(Fragment)
+	vary := randomVaryings(rand.New(rand.NewSource(1)), gpu.SpanSize, len(p.VaryNames))
+	col, fetches, errs := make([]gpu.Vec4, gpu.SpanSize), make([]int, gpu.SpanSize), make([]error, gpu.SpanSize)
+	f.shade(vary, len(p.VaryNames), col, fetches, errs, faultColor)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	held := 0
+	for _, r := range f.refs {
+		if r != (ref{}) {
+			held++
+		}
+	}
+	if held == 0 {
+		t.Fatal("the shader left no reference in its frame to clear")
+	}
+	f.Release()
+	for i, r := range f.refs {
+		if r != (ref{}) {
+			t.Fatalf("released frame still holds %+v in cell %d, lane %d", r, i/f.lanes, i%f.lanes)
+		}
+	}
+	for c, m := range f.refMask {
+		if m != 0 {
+			t.Fatalf("released frame's cell %d still marks lanes %x as references", c, m)
+		}
+	}
+	if f.uni != nil {
+		t.Fatal("released frame still holds its binding's uniforms")
 	}
 }
 

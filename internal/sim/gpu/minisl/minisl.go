@@ -6,10 +6,15 @@
 // identifier is resolved to a slot index, and the AST is turned into a tree
 // of Go closures that each run one node over a span of invocations at once —
 // one lane per fragment, up to gpu.SpanSize lanes, like a GPU's SIMD group.
-// A frame holds a Value per lane for every slot, constant and temporary, a
-// "defined" bit per slot and lane, and per lane a step budget, a fetch count
-// and a runtime error, so invocations that diverge (branches, loops, faults)
-// still behave exactly as if each ran alone. A draw binds its uniforms into
+// A frame keeps every slot, constant and temporary in three planes with a
+// lane apiece — components, widths, and references (the matrix or sampler
+// a value points to, with a mask of the lanes that hold one) — so the
+// nodes, most of which produce no reference, move only pointer-free data.
+// It also keeps a "defined" bit per slot and lane, and per lane a step
+// budget, a fetch count and a runtime error, so invocations that diverge
+// (branches, loops, faults) still behave exactly as if each ran alone.
+// texture2D resolves a texture's sampling terms once per run of lanes
+// that share it (gpu.Texture.Sampler). A draw binds its uniforms into
 // slot order once (Program.Bind); each raster tile then takes its own Frame
 // and shades the tile's spans through it, resetting only what an invocation
 // can observe, so shading allocates nothing per vertex, fragment or span.
@@ -63,8 +68,8 @@ type Decl struct {
 
 // Shader is a compiled shader. Compile resolves every identifier the source
 // names — its declarations, its locals, the stage's special output and any
-// name it only reads — to a slot index, so evaluation runs over a flat frame
-// of Values instead of looking names up.
+// name it only reads — to a slot index, so evaluation runs over a frame's
+// flat planes instead of looking names up.
 type Shader struct {
 	Kind       Kind
 	Attributes []Decl
@@ -78,7 +83,7 @@ type Shader struct {
 	src        string
 	slots      map[string]int // identifier -> slot
 	written    []bool         // slot-indexed: an assignment or declaration target
-	scratch    int            // call-argument views one run needs
+	scratch    int            // call-argument cells one run needs
 }
 
 // Source returns the original source text.
@@ -218,7 +223,7 @@ type callExpr struct {
 	fn   builtin
 	name string
 	args []expr
-	base int // the arguments' offset in the frame's argument views
+	base int // the arguments' offset in the frame's argument cells
 	line int
 }
 
@@ -327,7 +332,7 @@ type parser struct {
 	toks     []token
 	pos      int
 	sh       *Shader
-	callBase int            // argument-view offset for the arguments of the next call parsed
+	callBase int            // argument-cell offset for the arguments of the next call parsed
 	consts   map[uint32]int // literal bits -> index into sh.consts
 }
 
@@ -718,7 +723,7 @@ func (p *parser) parsePrimary() (expr, error) {
 }
 
 // parseCall parses a call's arguments after its opening parenthesis. An
-// argument's value is kept in the frame's argument views once evaluated, so
+// argument's cell is kept in the frame's argument cells once evaluated, so
 // calls nested inside argument k start their own arguments at base+k: every
 // argument still pending is above them, every finished one below.
 func (p *parser) parseCall(fn token) (expr, error) {

@@ -107,7 +107,7 @@ func (f *refFrame) runStmt(s stmt) error {
 			}
 			v = iv
 			if st.width > 0 {
-				v = coerceWidth(iv, st.width)
+				v = refCoerceWidth(iv, st.width)
 			}
 		}
 		f.vals[st.slot], f.def[st.slot] = v, true
@@ -126,7 +126,7 @@ func (f *refFrame) runStmt(s stmt) error {
 				return &evalError{line: st.line, msg: "cannot assign scalar to matrix " + st.name}
 			}
 			if cur.Width > 0 {
-				v = coerceWidth(v, cur.Width)
+				v = refCoerceWidth(v, cur.Width)
 			}
 			*cur = v
 			return nil
@@ -259,7 +259,7 @@ func (f *refFrame) evalBin(ex *binExpr) (Value, error) {
 	}
 	// Scalar broadcast.
 	w := max(l.Width, r.Width)
-	lv, rv := broadcast(&l, w), broadcast(&r, w)
+	lv, rv := refBroadcast(&l, w), refBroadcast(&r, w)
 	var out gpu.Vec4
 	switch ex.op {
 	case opAdd:
@@ -339,7 +339,7 @@ func (f *refFrame) evalCall(ex *callExpr) (Value, error) {
 			return ex.refFail("needs 2 args")
 		}
 		w := args[0].Width
-		a, b := broadcast(&args[0], w), broadcast(&args[1], w)
+		a, b := refBroadcast(&args[0], w), refBroadcast(&args[1], w)
 		var out gpu.Vec4
 		for i := 0; i < 4; i++ {
 			switch ex.fn {
@@ -367,7 +367,7 @@ func (f *refFrame) evalCall(ex *callExpr) (Value, error) {
 		}
 		t := args[2].V[0]
 		w := args[0].Width
-		b := broadcast(&args[1], w)
+		b := refBroadcast(&args[1], w)
 		var out gpu.Vec4
 		for i := range out {
 			out[i] = float32(args[0].V[i]*(1-t)) + float32(b[i]*t)
@@ -419,4 +419,22 @@ func (f *refFrame) evalCall(ex *callExpr) (Value, error) {
 	default:
 		return ex.refFail("unknown function")
 	}
+}
+
+// refCoerceWidth converts v to width w the way a declaration or assignment
+// does: a scalar splats.
+func refCoerceWidth(v Value, w int) Value {
+	if v.Width == 1 && w > 1 {
+		return Value{Width: w, V: gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}}
+	}
+	v.Width = w
+	return v
+}
+
+// broadcast widens v to width w: a scalar splats.
+func refBroadcast(v *Value, w int) gpu.Vec4 {
+	if v.Width == 1 && w > 1 {
+		return gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}
+	}
+	return v.V
 }

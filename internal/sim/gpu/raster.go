@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"sort"
@@ -172,6 +173,64 @@ func (t *Texture) Sample(u, v float32) Vec4 {
 		y = t.Img.H - 1
 	}
 	return t.Img.At(x, y).Vec()
+}
+
+// A Sampler is a texture's sampling terms — its pixels, size and wrap mode
+// — resolved once, so a run of fetches from one texture pays for them once.
+// Its Sample writes Texture.Sample's result bit for bit: the same float32
+// operations in the same order.
+type Sampler struct {
+	pix    []byte
+	w, h   int
+	fw, fh float32
+	repeat bool
+	ok     bool // the texture has an image
+}
+
+// Sampler resolves t's sampling terms. t may be nil.
+func (t *Texture) Sampler() Sampler {
+	if t == nil || t.Img == nil {
+		return Sampler{}
+	}
+	im := t.Img
+	return Sampler{pix: im.Pix, w: im.W, h: im.H, fw: float32(im.W), fh: float32(im.H), repeat: t.Repeat, ok: true}
+}
+
+// Sample fetches, for each lane l listed in lanes, the nearest texel at
+// (uv[l][0], uv[l][1]) into dst[l], as Texture.Sample returns it. The
+// texel is written in place, component by component, which spares the
+// caller a copy of a vector assembled moments before.
+func (s *Sampler) Sample(dst, uv []Vec4, lanes []uint8) {
+	if !s.ok {
+		for _, l := range lanes {
+			dst[l] = Vec4{0, 0, 0, 1}
+		}
+		return
+	}
+	for _, l := range lanes {
+		u, v, d := uv[l][0], uv[l][1], &dst[l]
+		if s.repeat {
+			u = u - float32(math.Floor(float64(u)))
+			v = v - float32(math.Floor(float64(v)))
+		} else {
+			u = clampf(u, 0, 1)
+			v = clampf(v, 0, 1)
+		}
+		x := toInt(float64(u * s.fw))
+		if x >= s.w {
+			x = s.w - 1
+		}
+		y := toInt(float64(v * s.fh))
+		if y >= s.h {
+			y = s.h - 1
+		}
+		if x < 0 || y < 0 {
+			*d = Vec4{} // Image.At's out-of-bounds texel
+			continue
+		}
+		c := binary.LittleEndian.Uint32(s.pix[(y*s.w+x)*4:])
+		d[0], d[1], d[2], d[3] = unorm8[uint8(c)], unorm8[uint8(c>>8)], unorm8[uint8(c>>16)], unorm8[c>>24]
+	}
 }
 
 // sv is a screen-space vertex: pixel coordinates, window depth, varyings.

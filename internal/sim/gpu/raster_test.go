@@ -192,3 +192,68 @@ func TestShadeSpanPanicDrainsPool(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestHoistedSampleMatchesTexture holds a resolved Sampler to
+// Texture.Sample bit for bit over a seeded sweep: repeat and clamp, 1x1 and
+// non-square images, textures without an image, and NaN, ±Inf and huge
+// coordinates. It also checks RGBA.Vec's table against the division.
+func TestHoistedSampleMatchesTexture(t *testing.T) {
+	for c := range 256 {
+		got := RGBA{R: uint8(c), G: uint8(c), B: uint8(c), A: uint8(c)}.Vec()
+		want := float32(c) / 255
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("RGBA.Vec channel %d of %d = %v, want %v", i, c, got[i], want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	special := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		1e30, -1e30, math.MaxFloat32, -math.MaxFloat32, 0, float32(math.Copysign(0, -1)),
+		1, -1, 1 - 1e-7, -1e-10, 0.5, 2, 1e-45,
+	}
+	coord := func() float32 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.Float32()*6 - 3
+	}
+	var texs []*Texture
+	for _, size := range [][2]int{{1, 1}, {5, 3}, {3, 7}, {1, 9}, {64, 64}} {
+		img := NewImage(size[0], size[1])
+		rng.Read(img.Pix)
+		texs = append(texs, &Texture{Img: img}, &Texture{Img: img, Repeat: true})
+	}
+	texs = append(texs, nil, &Texture{}, &Texture{Repeat: true})
+	lanes := make([]uint8, 64)
+	for l := range lanes {
+		lanes[l] = uint8(l)
+	}
+	uv, got := make([]Vec4, len(lanes)), make([]Vec4, len(lanes))
+	for _, tex := range texs {
+		s := tex.Sampler()
+		for range 500 {
+			for l := range uv {
+				uv[l] = Vec4{coord(), coord()}
+				got[l] = Vec4{-7, -7, -7, -7} // Sample must write every component
+			}
+			rng.Shuffle(len(lanes), func(i, j int) { lanes[i], lanes[j] = lanes[j], lanes[i] })
+			n := rng.Intn(len(lanes) + 1)
+			s.Sample(got, uv, lanes[:n])
+			for _, l := range lanes[:n] {
+				want := tex.Sample(uv[l][0], uv[l][1])
+				for i := range want {
+					if math.Float32bits(got[l][i]) != math.Float32bits(want[i]) {
+						t.Fatalf("texture %+v at %v: Sampler %v, Texture.Sample %v", tex, uv[l], got[l], want)
+					}
+				}
+			}
+			for _, l := range lanes[n:] {
+				if got[l] != (Vec4{-7, -7, -7, -7}) {
+					t.Fatalf("Sampler wrote lane %d, which was not listed", l)
+				}
+			}
+		}
+	}
+}

@@ -109,6 +109,9 @@ go test -run='^$' -bench='BenchmarkDiplomatCall' -benchtime=100x .
 echo "== bench smoke (tiled rasterizer, 1..8 workers)"
 go test -run='^$' -bench='BenchmarkRasterTiles' -benchtime=1x ./internal/sim/gpu
 
+echo "== bench smoke (MiniSL span shading)"
+go test -run='^$' -bench='BenchmarkShadeSpan' -benchtime=1x ./internal/sim/gpu/minisl
+
 echo "== obs overhead gate (fully-disabled observability within 3% of baseline)"
 # The always-compiled-in observability layer (tracer + flight recorder +
 # frame-health histograms) must cost nothing when off: the fully-disabled
