@@ -98,11 +98,14 @@ type Diplomat struct {
 	libFor func(t *kernel.Thread) *linker.Handle
 
 	wrapper Wrapper
-	// met is the diplomat's profile metric, resolved once at construction so
-	// the per-call record is two atomic adds on the caller's stripe (no
-	// global mutex, no map lookup). Nil when no profiler is configured or the
-	// diplomat is Unimplemented.
-	met      *obs.Metric
+	// prof is the profiler the diplomat records into: nil when none is
+	// configured or the diplomat is Unimplemented. Its metric, met, is
+	// created on the first recorded call — an app builds some 330
+	// diplomats, most never called, and Figures 7-10 show only functions
+	// that were — so every later record is an atomic load and two atomic
+	// adds on the caller's stripe (no global mutex, no map lookup).
+	prof     *profile.Profiler
+	met      atomic.Pointer[obs.Metric]
 	spanName string // "diplomat:<name>", precomputed for the call span
 	// hist is the diplomat-call latency histogram (frame-health
 	// telemetry): where met records count+total per function, hist records
@@ -183,8 +186,8 @@ func New(cfg Config, name string, kind Kind, wrapper Wrapper) (*Diplomat, error)
 	}
 	// Unimplemented diplomats never execute, so they get no metric: the
 	// paper's figures must not show functions that are never called.
-	if cfg.Profiler != nil && kind != Unimplemented {
-		d.met = cfg.Profiler.Metric(name)
+	if kind != Unimplemented {
+		d.prof = cfg.Profiler
 	}
 	return d, nil
 }
@@ -296,8 +299,15 @@ func (d *Diplomat) call(t *kernel.Thread, args []any, fr *callconv.Frame) (ret a
 // Every component is individually gated at one atomic load when off.
 func (d *Diplomat) finish(t *kernel.Thread, start vclock.Duration) {
 	dur := t.VTime() - start
-	if d.met != nil {
-		d.met.Record(t.TID(), dur)
+	if d.prof != nil {
+		m := d.met.Load()
+		if m == nil {
+			// Simultaneous first calls both get the profiler's one metric
+			// for the name, so either store is the same pointer.
+			m = d.prof.Metric(d.Name)
+			d.met.Store(m)
+		}
+		m.Record(t.TID(), dur)
 	}
 	d.hist.Observe(t.TID(), dur)
 	t.FlightRecord(obs.FlightSpan, obs.CatDiplomat, d.spanName, int64(dur))

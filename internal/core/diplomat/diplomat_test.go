@@ -2,6 +2,7 @@ package diplomat
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"cycada/internal/core/profile"
@@ -241,6 +242,58 @@ func TestProfilerRecordsCalls(t *testing.T) {
 	}
 	if prof.Samples()[0].Total <= 0 {
 		t.Fatal("no time recorded")
+	}
+}
+
+// quietLib exports one symbol that touches no shared state, so concurrent
+// calls through it share only what the diplomat itself shares.
+type quietLib struct{}
+
+func (quietLib) Symbols() map[string]linker.Fn {
+	return map[string]linker.Fn{"glQuiet": func(*kernel.Thread, ...any) any { return 0 }}
+}
+
+// TestProfileMetricCreatedOnFirstCall checks that a diplomat creates its
+// profile metric on its first call, not when it is built, and that two
+// threads making their first calls at once record into one metric (run it
+// under -race).
+func TestProfileMetricCreatedOnFirstCall(t *testing.T) {
+	th, cfg, _ := env(t)
+	cfg.Linker.MustRegister(&linker.Blueprint{
+		Name: "libquiet.so",
+		New:  func(ctx *linker.LoadContext) (linker.Instance, error) { return quietLib{}, nil },
+	})
+	h, err := cfg.Linker.Dlopen(th, "libquiet.so")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := profile.New()
+	cfg.Library, cfg.Profiler = h, prof
+	d, err := New(cfg, "glQuiet", Direct, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := prof.Metrics().Lookup("glQuiet"); ok {
+		t.Fatal("metric created before the first call")
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, caller := range []*kernel.Thread{th, th.Process().NewThread("second")} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			d.Call(caller)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := prof.Calls("glQuiet"); n != 2 {
+		t.Fatalf("two simultaneous first calls profiled %d calls, want 2", n)
+	}
+	d.Call(th)
+	if n := prof.Calls("glQuiet"); n != 3 {
+		t.Fatalf("profiled %d calls after a third, want 3", n)
 	}
 }
 

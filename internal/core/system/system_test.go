@@ -10,6 +10,7 @@ import (
 	"cycada/internal/ios/eagl"
 	"cycada/internal/ios/iosurface"
 	"cycada/internal/ios/iosys"
+	"cycada/internal/obs"
 	"cycada/internal/sim/gpu"
 	"cycada/internal/sim/kernel"
 	"cycada/internal/sim/mem"
@@ -559,6 +560,29 @@ func TestProfilerSeesPaperFunctions(t *testing.T) {
 }
 
 // bootCycadaAppKeep is bootCycadaApp returning the app too.
+// TestProfilerHoldsOnlyCalledFunctions boots an app and draws a frame: a
+// diplomat creates its profile metric on its first call, so the profiler
+// holds a metric for each function called and for no other, though the
+// bridge built diplomats for every function of the surface.
+func TestProfilerHoldsOnlyCalledFunctions(t *testing.T) {
+	_, app, env := bootCycadaAppKeep(t)
+	iosTriangleApp(t, env, 32, 32)
+	held := 0
+	app.Profiler.Metrics().Each(func(m *obs.Metric) {
+		held++
+		if m.Calls() == 0 {
+			t.Errorf("profiler holds a metric for %s, which was never called", m.Name())
+		}
+	})
+	built := 0
+	for _, n := range app.Bridge.Census() {
+		built += n
+	}
+	if held == 0 || held >= built {
+		t.Fatalf("profiler holds %d metrics for %d diplomats: want some, and fewer", held, built)
+	}
+}
+
 func bootCycadaAppKeep(t *testing.T) (*Cycada, *IOSApp, *iosEnv) {
 	t.Helper()
 	return bootCycadaApp(t)

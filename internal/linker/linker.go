@@ -151,14 +151,89 @@ type loadedLib struct {
 	inst    Instance
 	ns      *namespace
 	mapping *mem.Mapping
-	symbols map[string]Symbol
+	exports *exportImage
+	symbols []Symbol // by export index
 	refs    int
 	// resolved caches full Dlsym resolutions (own symbols, namespace peers,
-	// shared globals) in a flat slice indexed by callconv.FuncID. It is a
-	// copy-on-write atomic snapshot: DlsymID readers do one atomic load and
-	// a bounds check; misses fall back to Dlsym and publish a new slice
-	// under the linker lock.
-	resolved atomic.Pointer[[]Symbol]
+	// shared globals) by callconv.FuncID: one atomic pointer per interned
+	// name, allocated once, at the library's first DlsymID. A hit is an
+	// atomic load; a miss resolves through Dlsym and publishes its entry
+	// alone. Names interned after the table was made resolve uncached.
+	resolveOnce sync.Once
+	resolved    []atomic.Pointer[Symbol]
+}
+
+// exportImage is what every load of a library that exports the same names
+// shares: the names, sorted (a symbol's index fixes its address), each
+// one's index, and each one's interned FuncID. It is immutable.
+type exportImage struct {
+	names []string
+	index map[string]int
+	ids   []callconv.FuncID
+}
+
+// exportImages holds the export image of the latest load of each library,
+// by name. A load whose exports differ from it builds and stores its own.
+// It is process-wide, like the FuncIDs it holds, so that every linker's
+// loads share it: each app boot builds a linker of its own.
+var exportImages sync.Map // string -> *exportImage
+
+// exportsOf returns the export image of a library named name that exports
+// syms and frames (a name in both counted once).
+func exportsOf(name string, syms map[string]Fn, frames map[string]callconv.FrameFn) *exportImage {
+	if v, ok := exportImages.Load(name); ok {
+		if img := v.(*exportImage); img.matches(syms, frames) {
+			return img
+		}
+	}
+	names := make([]string, 0, len(syms)+len(frames))
+	for n := range syms {
+		names = append(names, n)
+	}
+	for n := range frames {
+		if _, dup := syms[n]; !dup {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	img := &exportImage{names: names, index: make(map[string]int, len(names)), ids: make([]callconv.FuncID, len(names))}
+	for i, n := range names {
+		// Interning every export keeps FuncIDs independent of call order, so
+		// the per-library resolution caches stay dense.
+		img.index[n], img.ids[i] = i, callconv.Intern(n)
+	}
+	exportImages.Store(name, img)
+	return img
+}
+
+// matches reports whether syms and frames export exactly img's names.
+func (img *exportImage) matches(syms map[string]Fn, frames map[string]callconv.FrameFn) bool {
+	n := len(frames)
+	for s := range syms {
+		if _, dup := frames[s]; !dup {
+			n++
+		}
+	}
+	if n != len(img.names) {
+		return false
+	}
+	for _, s := range img.names {
+		if _, ok := frames[s]; !ok {
+			if _, ok := syms[s]; !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// symbol returns the library's own export named name.
+func (lib *loadedLib) symbol(name string) (Symbol, bool) {
+	i, ok := lib.exports.index[name]
+	if !ok {
+		return Symbol{}, false
+	}
+	return lib.symbols[i], true
 }
 
 type namespace struct {
@@ -376,27 +451,16 @@ func (l *Linker) loadLocked(t *kernel.Thread, name string, ns *namespace, replic
 	if fi, ok := inst.(FrameInstance); ok {
 		frames = fi.FrameSymbols()
 	}
-	names := make([]string, 0, len(syms)+len(frames))
-	for n := range syms {
-		names = append(names, n)
-	}
-	for n := range frames {
-		if _, dup := syms[n]; !dup {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	lib.symbols = make(map[string]Symbol, len(names))
-	for i, n := range names {
-		// Interning every export keeps FuncIDs independent of call order, so
-		// the flat per-library resolution caches stay dense.
-		s := Symbol{Name: n, Addr: mapping.Base + uint64(16*(i+1)), id: callconv.Intern(n)}
+	lib.exports = exportsOf(bp.Name, syms, frames)
+	lib.symbols = make([]Symbol, len(lib.exports.names))
+	for i, n := range lib.exports.names {
+		s := Symbol{Name: n, Addr: mapping.Base + uint64(16*(i+1)), id: lib.exports.ids[i]}
 		if fn, ok := frames[n]; ok {
 			s.Frame = fn
 		} else {
 			s.Fn = syms[n]
 		}
-		lib.symbols[n] = s
+		lib.symbols[i] = s
 	}
 	return lib, nil
 }
@@ -410,7 +474,7 @@ var ErrNoSymbol = fmt.Errorf("linker: symbol not found")
 func (l *Linker) Dlsym(h *Handle, sym string) (Symbol, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if s, ok := h.lib.symbols[sym]; ok {
+	if s, ok := h.lib.symbol(sym); ok {
 		return s, nil
 	}
 	// Deterministic search order over namespace peers.
@@ -420,7 +484,7 @@ func (l *Linker) Dlsym(h *Handle, sym string) (Symbol, error) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if s, ok := h.lib.ns.libs[n].symbols[sym]; ok {
+		if s, ok := h.lib.ns.libs[n].symbol(sym); ok {
 			return s, nil
 		}
 	}
@@ -431,7 +495,7 @@ func (l *Linker) Dlsym(h *Handle, sym string) (Symbol, error) {
 			if !lib.bp.Shared {
 				continue
 			}
-			if s, ok := lib.symbols[sym]; ok {
+			if s, ok := lib.symbol(sym); ok {
 				return s, nil
 			}
 		}
@@ -441,15 +505,16 @@ func (l *Linker) Dlsym(h *Handle, sym string) (Symbol, error) {
 
 // DlsymID resolves an interned function against a handle with the same
 // search semantics as Dlsym, but keyed by FuncID and served from a lock-free
-// per-library cache: the hot path is one atomic load, a bounds check and a
-// slice index. Cache misses resolve through Dlsym and publish a grown
-// copy-on-write snapshot. Like the per-diplomat caches this replaces, a
-// cached resolution is stable for the life of the handle's library.
+// per-library cache: the hot path is an atomic load and a bounds check. A
+// miss resolves through Dlsym and publishes that one entry. Like the
+// per-diplomat caches this replaces, a cached resolution is stable for the
+// life of the handle's library.
 func (l *Linker) DlsymID(h *Handle, id callconv.FuncID) (Symbol, error) {
 	lib := h.lib
-	if tab := lib.resolved.Load(); tab != nil && int(id) < len(*tab) {
-		if s := (*tab)[id]; s.Fn != nil || s.Frame != nil {
-			return s, nil
+	lib.resolveOnce.Do(func() { lib.resolved = make([]atomic.Pointer[Symbol], callconv.Count()) })
+	if int(id) < len(lib.resolved) {
+		if s := lib.resolved[id].Load(); s != nil {
+			return *s, nil
 		}
 	}
 	name := callconv.Name(id)
@@ -460,19 +525,9 @@ func (l *Linker) DlsymID(h *Handle, id callconv.FuncID) (Symbol, error) {
 	if err != nil {
 		return Symbol{}, err
 	}
-	l.mu.Lock()
-	old := lib.resolved.Load()
-	size := callconv.Count()
-	if int(id) >= size {
-		size = int(id) + 1
+	if int(id) < len(lib.resolved) {
+		lib.resolved[id].Store(&s)
 	}
-	next := make([]Symbol, size)
-	if old != nil {
-		copy(next, *old)
-	}
-	next[id] = s
-	lib.resolved.Store(&next)
-	l.mu.Unlock()
 	return s, nil
 }
 

@@ -3,6 +3,8 @@ package linker
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"cycada/internal/core/callconv"
@@ -357,5 +359,170 @@ func TestFrameSymbolBoxedAdapter(t *testing.T) {
 	}
 	if th.Errno() != int(kernel.EINVAL) {
 		t.Fatalf("errno = %d, want EINVAL", th.Errno())
+	}
+}
+
+// varLib exports boxed names and frame names chosen by its constructor; a
+// name in both is one export, resolved to the frame.
+type varLib struct{ boxed, framed []string }
+
+func (v varLib) Symbols() map[string]Fn {
+	m := map[string]Fn{}
+	for _, n := range v.boxed {
+		m[n] = func(t *kernel.Thread, args ...any) any { return "boxed:" + n }
+	}
+	return m
+}
+
+func (v varLib) FrameSymbols() map[string]callconv.FrameFn {
+	m := map[string]callconv.FrameFn{}
+	for _, n := range v.framed {
+		m[n] = func(t *kernel.Thread, fr *callconv.Frame) any { return "frame:" + n }
+	}
+	return m
+}
+
+// TestReplicaWithDifferentExports loads one library five times, replicas
+// in between exporting other name sets — one as many names with one of them
+// different, one more names: each load resolves exactly its own names, to
+// its own implementations, at base + 16*(its sorted index + 1). Consecutive
+// loads that export the same names share one export image; a load whose
+// names differ builds its own.
+func TestReplicaWithDifferentExports(t *testing.T) {
+	th, l := testEnv(t)
+	a := varLib{boxed: []string{"zeta", "alpha"}, framed: []string{"mid", "alpha"}}
+	b := varLib{boxed: []string{"beta"}, framed: []string{"zeta", "omega", "alpha"}}
+	c := varLib{boxed: []string{"zeta"}, framed: []string{"alpha", "omega"}}
+	sets := []varLib{a, a, c, b, a}
+	loads := 0
+	l.MustRegister(&Blueprint{Name: "libvar.so", New: func(ctx *LoadContext) (Instance, error) {
+		loads++
+		return sets[loads-1], nil
+	}})
+	// The sorted exports of each set, and how each is exported.
+	sorted := map[string][]string{"a": {"alpha", "mid", "zeta"}, "b": {"alpha", "beta", "omega", "zeta"}, "c": {"alpha", "omega", "zeta"}}
+	kinds := map[string]map[string]string{
+		"a": {"alpha": "frame:", "mid": "frame:", "zeta": "boxed:"},
+		"b": {"alpha": "frame:", "beta": "boxed:", "omega": "frame:", "zeta": "frame:"},
+		"c": {"alpha": "frame:", "omega": "frame:", "zeta": "boxed:"},
+	}
+	var hs []*Handle
+	for i, set := range []string{"a", "a", "c", "b", "a"} {
+		open := l.Dlforce
+		if i == 0 {
+			open = l.Dlopen
+		}
+		h, err := open(th, "libvar.so")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+		for _, n := range []string{"alpha", "beta", "mid", "omega", "zeta"} {
+			s, err := l.Dlsym(h, n)
+			kind, exported := kinds[set][n]
+			if !exported {
+				if !errors.Is(err, ErrNoSymbol) {
+					t.Fatalf("load %d: Dlsym(%s) = %+v, %v; want ErrNoSymbol", i, n, s, err)
+				}
+				continue
+			}
+			idx := slices.Index(sorted[set], n)
+			if err != nil || s.Addr != h.BaseAddr()+uint64(16*(idx+1)) {
+				t.Fatalf("load %d: Dlsym(%s) = %+v, %v; want address base+%d", i, n, s, err, 16*(idx+1))
+			}
+			if got := s.Call(th); got != kind+n {
+				t.Fatalf("load %d: %s called %v, want %s", i, n, got, kind+n)
+			}
+			if id, err := l.DlsymID(h, callconv.Intern(n)); err != nil || id.Addr != s.Addr {
+				t.Fatalf("load %d: DlsymID(%s) = %+v, %v; want Dlsym's %+v", i, n, id, err, s)
+			}
+		}
+	}
+	if hs[0].lib.exports != hs[1].lib.exports || hs[1].lib.exports == hs[2].lib.exports {
+		t.Fatal("loads exporting the same names do not share one export image, or differing ones do")
+	}
+}
+
+// TestDlsymIDConcurrent resolves a namespace's names from many goroutines
+// at once, through one handle and its first DlsymID: every result is
+// Dlsym's (run it under -race).
+func TestDlsymIDConcurrent(t *testing.T) {
+	th, l := testEnv(t)
+	registerTree(t, l)
+	l.MustRegister(&Blueprint{Name: "libframe.so", New: func(ctx *LoadContext) (Instance, error) { return frameLib{}, nil }})
+	h, err := l.Dlforce(th, "libGLESv2_tegra.so")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Dlopen(th, "libframe.so"); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"inc", "get", "add", "no_such_symbol"}
+	want := make([]Symbol, len(names))
+	for i, n := range names {
+		want[i], _ = l.Dlsym(h, n)
+	}
+	const workers = 8
+	errs := make(chan error, workers)
+	for w := range workers {
+		go func() {
+			for r := range 200 {
+				i := (w + r) % len(names)
+				s, err := l.DlsymID(h, callconv.Intern(names[i]))
+				if (err == nil) != (want[i].Addr != 0) || s.Addr != want[i].Addr || s.Name != want[i].Name {
+					errs <- fmt.Errorf("DlsymID(%s) = %+v, %v; want %+v", names[i], s, err, want[i])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range workers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentLoadsShareExports loads one library name into several
+// linkers at once, half of them exporting one name set and half another:
+// the export images are shared across linkers, and every load must still
+// resolve exactly its own names (run it under -race).
+func TestConcurrentLoadsShareExports(t *testing.T) {
+	sets := []varLib{
+		{boxed: []string{"one", "two"}, framed: []string{"three"}},
+		{framed: []string{"one", "four"}},
+	}
+	const loaders = 8
+	type loader struct {
+		th *kernel.Thread
+		l  *Linker
+		h  *Handle
+	}
+	ls := make([]loader, loaders)
+	for i := range ls {
+		ls[i].th, ls[i].l = testEnv(t)
+		set := sets[i%len(sets)]
+		ls[i].l.MustRegister(&Blueprint{Name: "libconcurrent.so", New: func(ctx *LoadContext) (Instance, error) { return set, nil }})
+	}
+	var wg sync.WaitGroup
+	for i := range ls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				ls[i].h, _ = ls[i].l.Dlforce(ls[i].th, "libconcurrent.so")
+			}
+		}()
+	}
+	wg.Wait()
+	for i, ld := range ls {
+		set := sets[i%len(sets)]
+		for _, n := range []string{"one", "two", "three", "four"} {
+			_, err := ld.l.Dlsym(ld.h, n)
+			if exported := slices.Contains(set.boxed, n) || slices.Contains(set.framed, n); exported != (err == nil) {
+				t.Fatalf("linker %d: Dlsym(%s) = %v, exported %v", i, n, err, exported)
+			}
+		}
 	}
 }

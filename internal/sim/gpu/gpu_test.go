@@ -1,7 +1,9 @@
 package gpu
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +151,44 @@ func TestUploadFormats(t *testing.T) {
 	}
 	if _, err := im.Upload(0, 0, 1, 1, Format(99), []byte{1, 2, 3, 4}); err == nil {
 		t.Fatal("unknown format upload succeeded")
+	}
+
+	// RGBA8888 rectangles: whole rows copied when inside the image, texel
+	// by texel when partly off it; either way the result is what writing
+	// each texel with Set gives, and the count is every texel of w x h.
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range [][4]int{
+		{2, 1, 4, 3},  // inside
+		{0, 0, 7, 5},  // the whole image
+		{4, 1, 4, 2},  // one column off the right edge
+		{1, 3, 3, 3},  // one row off the bottom edge
+		{-1, 1, 3, 2}, // one column off the left edge
+		{2, -1, 3, 2}, // one row off the top edge
+	} {
+		x, y, w, h := r[0], r[1], r[2], r[3]
+		got, want := NewImage(7, 5), NewImage(7, 5)
+		rng.Read(got.Pix)
+		copy(want.Pix, got.Pix)
+		data := make([]byte, w*h*4)
+		rng.Read(data)
+		n, err := got.Upload(x, y, w, h, FormatRGBA8888, data)
+		for i := 0; i < w*h; i++ {
+			d := data[i*4:]
+			want.Set(x+i%w, y+i/w, RGBA{d[0], d[1], d[2], d[3]})
+		}
+		if err != nil || n != w*h {
+			t.Fatalf("RGBA8888 upload of %v: %d texels, %v; want %d, nil", r, n, err, w*h)
+		}
+		if !bytes.Equal(got.Pix, want.Pix) {
+			t.Fatalf("RGBA8888 upload of %v differs from writing each texel", r)
+		}
+	}
+	short := NewImage(7, 5)
+	if n, err := short.Upload(2, 1, 4, 3, FormatRGBA8888, make([]byte, 4*3*4-1)); err == nil || n != 0 {
+		t.Fatalf("short in-bounds upload: %d texels, %v; want an error", n, err)
+	}
+	if !bytes.Equal(short.Pix, make([]byte, len(short.Pix))) {
+		t.Fatal("short upload wrote texels")
 	}
 }
 

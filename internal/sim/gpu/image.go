@@ -54,12 +54,16 @@ type RGBA struct{ R, G, B, A uint8 }
 
 // FromVec converts a normalized [0,1] color vector to 8-bit.
 func FromVec(v Vec4) RGBA {
-	return RGBA{
-		R: uint8(float32(clampf(v[0], 0, 1)*255) + 0.5),
-		G: uint8(float32(clampf(v[1], 0, 1)*255) + 0.5),
-		B: uint8(float32(clampf(v[2], 0, 1)*255) + 0.5),
-		A: uint8(float32(clampf(v[3], 0, 1)*255) + 0.5),
-	}
+	return RGBA{R: unorm(v[0]), G: unorm(v[1]), B: unorm(v[2]), A: unorm(v[3])}
+}
+
+// unorm converts one normalized channel to 8 bits.
+func unorm(x float32) uint8 { return uint8(float32(clampf(x, 0, 1)*255) + 0.5) }
+
+// pack returns the color as its four bytes of Image.Pix, read as one
+// little-endian word.
+func (c RGBA) pack() uint32 {
+	return uint32(c.R) | uint32(c.G)<<8 | uint32(c.B)<<16 | uint32(c.A)<<24
 }
 
 // Vec converts the color to a normalized vector.
@@ -229,6 +233,15 @@ func (im *Image) Upload(x, y, w, h int, format Format, data []byte) (int, error)
 	}
 	if len(data) < w*h*bpp {
 		return 0, fmt.Errorf("gpu: short upload: have %d bytes, need %d", len(data), w*h*bpp)
+	}
+	if format == FormatRGBA8888 && x >= 0 && y >= 0 && w >= 0 && h >= 0 && x+w <= im.W && y+h <= im.H {
+		// Already in the image's layout and wholly inside it: a row is one
+		// copy.
+		for row := range h {
+			di := ((y+row)*im.W + x) * 4
+			copy(im.Pix[di:di+w*4], data[row*w*4:(row+1)*w*4])
+		}
+		return w * h, nil
 	}
 	n := 0
 	for row := 0; row < h; row++ {

@@ -282,6 +282,11 @@ type Frame struct {
 	fetches []int
 	errs    []error
 	live    []uint8 // the lane list a run starts from
+	// The fragment inputs of the last Inputs call: the primitives' varying
+	// count, and the indexes and component planes of those the shader reads.
+	nvary    int
+	inIndex  []int
+	inPlanes [][]gpu.Vec4
 }
 
 // ref is the part of a Value that points: its matrix or its sampler.
@@ -440,66 +445,57 @@ func (f *Frame) RunVertex(attribs []Value, vary []gpu.Vec4) (gpu.Vec4, error) {
 	return f.comp[st.out*L], nil
 }
 
-// loadFragments loads lanes [0, n) with n fragments' varyings, fragment l's
-// at vary[l*stride:], in VaryNames order.
-func (f *Frame) loadFragments(vary []gpu.Vec4, stride, n int) {
+// Inputs implements gpu.Fragment. The varyings the fragment shader reads
+// are its varying slots, and their planes are the slots' component planes,
+// which the rasterizer fills in place. A varying the primitives do not
+// carry (an index at or past nvary) reads as its type's zero.
+func (f *Frame) Inputs(nvary int) ([]int, [][]gpu.Vec4) {
+	f.nvary = nvary
+	f.inIndex, f.inPlanes = f.inIndex[:0], f.inPlanes[:0]
+	for _, in := range f.st.varyIn {
+		if in.index < nvary {
+			comp, _ := f.planes(in.slot)
+			f.inIndex = append(f.inIndex, in.index)
+			f.inPlanes = append(f.inPlanes, comp)
+		}
+	}
+	return f.inIndex, f.inPlanes
+}
+
+// Shade implements gpu.Fragment: each of lanes [0, n) runs the shader on
+// the inputs the rasterizer wrote, and the colours returned are the
+// gl_FragColor plane. A lane whose shader faults at run time shades magenta
+// and counts no fetches; its error stays in f.errs.
+func (f *Frame) Shade(n int) ([]gpu.Vec4, []int) {
+	f.load(n)
+	f.run(n)
+	out, _ := f.planes(f.st.out)
+	for l, err := range f.errs[:n] {
+		if err != nil {
+			out[l], f.fetches[l] = faultColor, 0
+		}
+	}
+	return out[:n], f.fetches[:n]
+}
+
+// load readies lanes [0, n), whose varying components are written, to run:
+// the varyings' widths, the zero value of each varying the primitives lack,
+// the uniforms an invocation may have overwritten, and gl_FragColor.
+func (f *Frame) load(n int) {
 	st := f.st
 	for _, in := range st.varyIn {
-		if in.index >= stride {
+		if in.index >= f.nvary {
 			f.fill(in.slot, n, in.zero)
 			continue
 		}
-		comp, width := f.planes(in.slot)
+		_, width := f.planes(in.slot)
 		for l := range n {
-			comp[l], width[l] = vary[l*stride+in.index], uint8(in.width)
+			width[l] = uint8(in.width)
 		}
 		f.refMask[in.slot] &^= lanesBelow(n)
 	}
 	f.restoreUniforms(n)
 	f.fill(st.out, n, Value{Width: 4})
-}
-
-// RunFragment executes the fragment shader for one fragment with varyings
-// in VaryNames order. It returns gl_FragColor and the texture fetch count;
-// a faulting run counts no fetches.
-func (f *Frame) RunFragment(vary []gpu.Vec4) (gpu.Vec4, int, error) {
-	f.loadFragments(vary, len(vary), 1)
-	f.run(1)
-	if err := f.errs[0]; err != nil {
-		return gpu.Vec4{}, 0, err
-	}
-	return f.comp[f.st.out*f.lanes], f.fetches[0], nil
-}
-
-// ShadeSpan implements gpu.Fragment: each fragment of the span runs in a
-// lane of its own, and one whose shader faults at run time shades magenta
-// and counts no fetches.
-func (f *Frame) ShadeSpan(vary []gpu.Vec4, stride int, col []gpu.Vec4, fetches []int) {
-	f.shade(vary, stride, col, fetches, nil, faultColor)
-}
-
-// shade runs len(col) fragments, up to the frame's lane count at a time.
-// Fragment i's varyings are vary[i*stride : (i+1)*stride], in VaryNames
-// order; its gl_FragColor goes to col[i] and its fetch count to fetches[i].
-// A faulting fragment shades faulted and counts no fetches; errs, when not
-// nil, receives each fragment's runtime error.
-func (f *Frame) shade(vary []gpu.Vec4, stride int, col []gpu.Vec4, fetches []int, errs []error, faulted gpu.Vec4) {
-	for base := 0; base < len(col); base += f.lanes {
-		n := min(f.lanes, len(col)-base)
-		f.loadFragments(vary[base*stride:], stride, n)
-		f.run(n)
-		out, _ := f.planes(f.st.out)
-		for l := range n {
-			i := base + l
-			col[i], fetches[i] = out[l], f.fetches[l]
-			if f.errs[l] != nil {
-				col[i], fetches[i] = faulted, 0
-			}
-			if errs != nil {
-				errs[i] = f.errs[l]
-			}
-		}
-	}
 }
 
 func declOf(ds []Decl, name string) Decl {

@@ -98,9 +98,9 @@ func testTexture() *gpu.Texture {
 }
 
 // TestRunFragmentDoesNotAllocate holds fragment shading to zero allocations,
-// one fragment at a time and a whole span at once: the present blit,
-// PassMark's complex-scene shader and the WebKit tile shader, each with its
-// sampler bound.
+// one fragment at a time and a whole span at once, through Inputs and
+// Shade: the present blit, PassMark's complex-scene shader and the WebKit
+// tile shader, each with its sampler bound.
 func TestRunFragmentDoesNotAllocate(t *testing.T) {
 	for _, file := range []string{
 		"../../../core/eglbridge/blit.go",
@@ -115,22 +115,41 @@ func TestRunFragmentDoesNotAllocate(t *testing.T) {
 			for i := range vary {
 				vary[i] = gpu.Vec4{0.3, 0.6, 0.2, 1}
 			}
-			if _, _, err := f.RunFragment(vary); err != nil {
+			if _, _, err := shadeOne(f, vary); err != nil {
 				t.Fatal(err)
 			}
-			if n := testing.AllocsPerRun(200, func() { f.RunFragment(vary) }); n != 0 {
-				t.Fatalf("RunFragment allocates %v times per fragment, want 0", n)
+			if n := testing.AllocsPerRun(200, func() { shadeOne(f, vary) }); n != 0 {
+				t.Fatalf("shading one fragment allocates %v times, want 0", n)
 			}
-			span := make([]gpu.Vec4, gpu.SpanSize*len(vary))
-			for i := range span {
-				span[i] = vary[i%len(vary)]
+			span := func() {
+				index, planes := f.Inputs(len(vary))
+				for i, k := range index {
+					for l := range planes[i] {
+						planes[i][l] = vary[k]
+					}
+				}
+				f.Shade(gpu.SpanSize)
 			}
-			col, fetches := make([]gpu.Vec4, gpu.SpanSize), make([]int, gpu.SpanSize)
-			if n := testing.AllocsPerRun(50, func() { f.ShadeSpan(span, len(vary), col, fetches) }); n != 0 {
-				t.Fatalf("ShadeSpan allocates %v times per span, want 0", n)
+			if n := testing.AllocsPerRun(50, span); n != 0 {
+				t.Fatalf("shading a span allocates %v times, want 0", n)
 			}
 		})
 	}
+}
+
+// shadeOne shades one fragment, whose varyings are vary in VaryNames order,
+// as a span of one. It returns gl_FragColor and the fetch count, or the
+// runtime error and neither.
+func shadeOne(f *Frame, vary []gpu.Vec4) (gpu.Vec4, int, error) {
+	index, planes := f.Inputs(len(vary))
+	for i, k := range index {
+		planes[i][0] = vary[k]
+	}
+	col, fetches := f.Shade(1)
+	if err := f.errs[0]; err != nil {
+		return gpu.Vec4{}, 0, err
+	}
+	return col[0], fetches[0], nil
 }
 
 // TestFrameReuseIsInvisible runs invocations back to back on one frame:
@@ -147,7 +166,7 @@ func TestFrameReuseIsInvisible(t *testing.T) {
 		f := bind(p, uniforms).Frame(Fragment)
 		defer f.Release()
 		for _, v := range vary {
-			col, n, err := f.RunFragment(v)
+			col, n, err := shadeOne(f, v)
 			cols, fetches, errs = append(cols, col), append(fetches, n), append(errs, err)
 		}
 		return cols, fetches, errs
@@ -246,8 +265,8 @@ func FuzzCompile(f *testing.F) {
 			for i := range vary {
 				vary[i] = gpu.Vec4{0.25, 0.5, 0.75, 1}
 			}
-			c1, n1, e1 := fr.RunFragment(vary)
-			c2, n2, e2 := fr.RunFragment(vary)
+			c1, n1, e1 := shadeOne(fr, vary)
+			c2, n2, e2 := shadeOne(fr, vary)
 			fr.Release()
 			if !sameVec(c1, c2) || n1 != n2 || errString(e1) != errString(e2) {
 				t.Fatalf("frame reuse changed the result: (%v, %d, %v) then (%v, %d, %v)", c1, n1, e1, c2, n2, e2)

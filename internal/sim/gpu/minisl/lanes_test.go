@@ -215,17 +215,39 @@ func randomVaryings(rng *rand.Rand, n, stride int) []gpu.Vec4 {
 	return vary
 }
 
-// checkSpan shades the n fragments in vary, stride varyings apiece, as one
-// span and compares every lane's colour bits, fetch count and error with the
-// reference evaluator run on that fragment alone.
+// shadeFragments shades the n fragments in vary, stride varyings apiece in
+// VaryNames order, through f's Inputs and Shade a span at a time, as the
+// rasterizer does, and returns each one's colour, fetch count and runtime
+// error.
+func shadeFragments(f *Frame, vary []gpu.Vec4, stride, n int) (col []gpu.Vec4, fetches []int, errs []error) {
+	index, planes := f.Inputs(stride)
+	for base := 0; base < n; base += gpu.SpanSize {
+		m := min(gpu.SpanSize, n-base)
+		for i, k := range index {
+			for l := range m {
+				planes[i][l] = vary[(base+l)*stride+k]
+			}
+		}
+		c, fe := f.Shade(m)
+		col, fetches, errs = append(col, c...), append(fetches, fe...), append(errs, f.errs[:m]...)
+	}
+	return col, fetches, errs
+}
+
+// checkSpan shades the n fragments in vary, stride varyings apiece, as
+// spans and compares every lane's colour bits, fetch count and error with
+// the reference evaluator run on that fragment alone. A faulting lane must
+// shade magenta and count no fetches.
 func checkSpan(t *testing.T, b *Binding, vary []gpu.Vec4, stride, n int) {
 	t.Helper()
-	col, fetches, errs := make([]gpu.Vec4, n), make([]int, n), make([]error, n)
 	fr := b.Frame(Fragment)
-	fr.shade(vary, stride, col, fetches, errs, gpu.Vec4{})
+	col, fetches, errs := shadeFragments(fr, vary, stride, n)
 	fr.Release()
 	for i := range n {
 		wc, wf, we := refRunFragment(b, vary[i*stride:(i+1)*stride])
+		if we != nil {
+			wc = faultColor
+		}
 		if !sameVec(col[i], wc) || fetches[i] != wf || errString(errs[i]) != errString(we) {
 			t.Fatalf("span of %d, lane %d: got (%v, %d, %q), reference (%v, %d, %q)",
 				n, i, col[i], fetches[i], errString(errs[i]), wc, wf, errString(we))
@@ -306,9 +328,7 @@ void main() {
 }`, Fragment))
 	f := bindAll(p, testTexture()).Frame(Fragment)
 	vary := randomVaryings(rand.New(rand.NewSource(1)), gpu.SpanSize, len(p.VaryNames))
-	col, fetches, errs := make([]gpu.Vec4, gpu.SpanSize), make([]int, gpu.SpanSize), make([]error, gpu.SpanSize)
-	f.shade(vary, len(p.VaryNames), col, fetches, errs, faultColor)
-	if errs[0] != nil {
+	if _, _, errs := shadeFragments(f, vary, len(p.VaryNames), gpu.SpanSize); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	held := 0
@@ -345,11 +365,14 @@ void main() {
   gl_FragColor = texture2D(u_tex, v_a.xy);
   if (v_a.z > 0.5) { gl_FragColor = undefined_var; }
 }`, Fragment))
-	vary := []gpu.Vec4{{0.1, 0.1, 0}, {0.1, 0.1, 1}, {0.9, 0.9, 0}}
-	col, fetches := make([]gpu.Vec4, 3), make([]int, 3)
 	fr := bindAll(p, refTexture()).Frame(Fragment)
 	defer fr.Release()
-	fr.ShadeSpan(vary, 1, col, fetches)
+	_, planes := fr.Inputs(1)
+	copy(planes[0], []gpu.Vec4{{0.1, 0.1, 0}, {0.1, 0.1, 1}, {0.9, 0.9, 0}})
+	col, fetches := fr.Shade(3)
+	if len(col) != 3 || len(fetches) != 3 {
+		t.Fatalf("Shade(3) returned %d colours and %d fetch counts", len(col), len(fetches))
+	}
 	if col[1] != faultColor || fetches[1] != 0 {
 		t.Fatalf("faulting lane shaded (%v, %d), want magenta and 0 fetches", col[1], fetches[1])
 	}
@@ -360,8 +383,45 @@ void main() {
 	}
 }
 
+// TestInputsAreTheVaryingsRead checks that a fragment stage hands the
+// rasterizer a plane only for the varyings its shader reads: of three
+// varyings, a shader reading the second gets that plane alone, and what is
+// written there is what it shades. A varying the primitives do not carry
+// gets no plane and reads as zero.
+func TestInputsAreTheVaryingsRead(t *testing.T) {
+	vs := compile(t, `varying vec4 v_a; varying vec4 v_b; varying vec4 v_c;
+void main() { gl_Position = vec4(0.0); v_a = vec4(1.0); v_b = vec4(2.0); v_c = vec4(3.0); }`, Vertex)
+	fs := compile(t, `varying vec4 v_b; void main() { gl_FragColor = v_b; }`, Fragment)
+	p, err := Link(vs, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.Bind().Frame(Fragment)
+	defer f.Release()
+	index, planes := f.Inputs(3)
+	if len(index) != 1 || index[0] != 1 || len(planes) != 1 || len(planes[0]) != gpu.SpanSize {
+		t.Fatalf("Inputs(3) = %v and %d planes, want [1] and one plane of %d lanes", index, len(planes), gpu.SpanSize)
+	}
+	for l := range planes[0] {
+		planes[0][l] = gpu.Vec4{float32(l), 0.5, -1, 2}
+	}
+	col, _ := f.Shade(gpu.SpanSize)
+	for l, c := range col {
+		if c != (gpu.Vec4{float32(l), 0.5, -1, 2}) {
+			t.Fatalf("lane %d shaded %v, want the value written to its plane", l, c)
+		}
+	}
+	if index, planes = f.Inputs(1); len(index) != 0 || len(planes) != 0 {
+		t.Fatalf("Inputs(1) = %v: v_b is varying 1, which the primitives do not carry", index)
+	}
+	if col, _ = f.Shade(2); col[0] != (gpu.Vec4{}) || col[1] != (gpu.Vec4{}) {
+		t.Fatalf("a varying the primitives lack shaded %v, want zero", col)
+	}
+}
+
 // BenchmarkShadeSpan shades full spans with the shaders the workloads run:
 // the present blit, PassMark's complex scene and the WebKit tile shader.
+// The span's inputs are written once; each iteration shades them.
 func BenchmarkShadeSpan(b *testing.B) {
 	for _, file := range []string{
 		"../../../core/eglbridge/blit.go",
@@ -374,14 +434,53 @@ func BenchmarkShadeSpan(b *testing.B) {
 			defer f.Release()
 			stride := len(p.VaryNames)
 			vary := randomVaryings(rand.New(rand.NewSource(1)), gpu.SpanSize, stride)
-			col, fetches := make([]gpu.Vec4, gpu.SpanSize), make([]int, gpu.SpanSize)
+			index, planes := f.Inputs(stride)
+			for i, k := range index {
+				for l := range planes[i] {
+					planes[i][l] = vary[l*stride+k]
+				}
+			}
 			b.ReportAllocs()
 			for b.Loop() {
-				f.ShadeSpan(vary, stride, col, fetches)
+				f.Shade(gpu.SpanSize)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*gpu.SpanSize), "ns/fragment")
 		})
 	}
+}
+
+// BenchmarkDrawBlit draws the present blit of §5 — a fullscreen quad
+// sampling a 320x200 texture into a 320x200 target through the shipped
+// MiniSL program — on one worker, and reports the cost per pixel written:
+// rasterization, shading and write-back together.
+func BenchmarkDrawBlit(b *testing.B) {
+	const w, h = 320, 200
+	p := linkFile(&testing.T{}, "../../../core/eglbridge/blit.go")
+	img := gpu.NewImage(w, h)
+	rand.New(rand.NewSource(1)).Read(img.Pix)
+	bind := bindAll(p, &gpu.Texture{Img: img})
+	pos := []gpu.Vec4{{-1, -1, 0, 1}, {1, -1, 0, 1}, {1, 1, 0, 1}, {-1, 1, 0, 1}}
+	uv := []gpu.Vec4{{0, 1}, {1, 1}, {1, 0}, {0, 0}}
+	verts := make([]gpu.TVert, len(pos))
+	vf := bind.Frame(Vertex)
+	for i := range verts {
+		verts[i].Vary = make([]gpu.Vec4, len(p.VaryNames))
+		var err error
+		if verts[i].Pos, err = vf.RunVertex([]Value{Vec(4, pos[i][:]...), Vec(2, uv[i][:]...)}, verts[i].Vary); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vf.Release()
+	tgt := gpu.NewTarget(gpu.NewImage(w, h))
+	var stats gpu.Stats
+	b.ReportAllocs()
+	for b.Loop() {
+		stats = gpu.DrawTriangles(tgt, verts, []int{0, 1, 2, 0, 2, 3}, bind, gpu.RenderState{})
+	}
+	if stats.Pixels != w*h || tgt.Color.Checksum() != img.Checksum() {
+		b.Fatalf("blit wrote %d pixels, checksum %08x; want %d and the texture's %08x", stats.Pixels, tgt.Color.Checksum(), w*h, img.Checksum())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w*h), "ns/pixel")
 }
 
 // TestTranscendentalsPinned pins the float32 results of the builtins that
@@ -396,9 +495,8 @@ void main() { gl_FragColor = vec4(sin(v_a.x * 8.0), cos(v_a.y * 8.0), pow(abs(v_
 	defer fr.Release()
 	rng := rand.New(rand.NewSource(1))
 	sum := crc32.NewIEEE()
-	col, fetches := make([]gpu.Vec4, gpu.SpanSize), make([]int, gpu.SpanSize)
 	for range 64 {
-		fr.ShadeSpan(randomVaryings(rng, gpu.SpanSize, 1), 1, col, fetches)
+		col, _, _ := shadeFragments(fr, randomVaryings(rng, gpu.SpanSize, 1), 1, gpu.SpanSize)
 		for _, c := range col {
 			for _, x := range c {
 				binary.Write(sum, binary.LittleEndian, math.Float32bits(x))

@@ -16,8 +16,11 @@
 // texture2D resolves a texture's sampling terms once per run of lanes
 // that share it (gpu.Texture.Sampler). A draw binds its uniforms into
 // slot order once (Program.Bind); each raster tile then takes its own Frame
-// and shades the tile's spans through it, resetting only what an invocation
-// can observe, so shading allocates nothing per vertex, fragment or span.
+// and shades the tile's spans through it: the rasterizer interpolates the
+// varyings the shader reads straight into their slots' component planes
+// (Frame.Inputs), and Frame.Shade hands back the gl_FragColor plane. A run
+// resets only what an invocation can observe, so shading allocates nothing
+// per vertex, fragment or span.
 // glCompileShader/glLinkProgram stay expensive on the virtual clock
 // (proportional to token count — visible as the glLinkProgram spike in
 // Figure 9), and shader-based paths such as Cycada's presentRenderbuffer

@@ -63,7 +63,7 @@ func bind(p *Program, uniforms map[string]Value) *Binding {
 func runFragment(p *Program, vary []gpu.Vec4, uniforms map[string]Value) (gpu.Vec4, int, error) {
 	f := bind(p, uniforms).Frame(Fragment)
 	defer f.Release()
-	return f.RunFragment(vary)
+	return shadeOne(f, vary)
 }
 
 func TestCompileCollectsDeclarations(t *testing.T) {

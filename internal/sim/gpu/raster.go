@@ -91,13 +91,18 @@ type TVert struct {
 // span, like the lanes of one SIMD group on a real GPU.
 const SpanSize = 64
 
-// Fragment shades a span of fragments. Fragment i's interpolated varyings
-// are vary[i*stride : (i+1)*stride]; ShadeSpan writes its colour to col[i]
-// and the number of texture fetches it performed to fetches[i], for every
-// i < len(col). Fragments of one span never depend on each other, so an
-// implementation may shade them in any order, or all at once.
+// Fragment shades spans of fragments, one lane per fragment, from input
+// planes it owns, so the rasterizer interpolates straight into them. For
+// primitives whose vertices carry nvary varyings, Inputs returns the
+// varyings the stage reads, by index, and a plane of SpanSize lanes for
+// each: fragment l's value of varying index[i] goes to planes[i][l]. Shade
+// then shades lanes [0, n) and returns lane l's colour in col[l] and its
+// texture fetches in fetches[l]; both stay valid until the next call. The
+// inputs stay valid until the next Inputs call. Lanes never depend on each
+// other, so an implementation may shade them in any order, or all at once.
 type Fragment interface {
-	ShadeSpan(vary []Vec4, stride int, col []Vec4, fetches []int)
+	Inputs(nvary int) (index []int, planes [][]Vec4)
+	Shade(n int) (col []Vec4, fetches []int)
 }
 
 // FragShader is a draw's fragment stage. Tiled rasterization renders tiles
@@ -112,21 +117,62 @@ type FragShader interface {
 }
 
 // FragFn is a stateless fragment stage: one pure function of one fragment's
-// varyings, returning its colour and fetch count, which every tile shares.
+// varyings, returning its colour and fetch count. Each tile shades through
+// a pooled adapter that keeps a plane per varying and calls the function
+// once per lane.
 type FragFn func(vary []Vec4) (Vec4, int)
 
-// ShadeSpan implements Fragment, one fragment at a time.
-func (f FragFn) ShadeSpan(vary []Vec4, stride int, col []Vec4, fetches []int) {
-	for i := range col {
-		col[i], fetches[i] = f(vary[i*stride : (i+1)*stride : (i+1)*stride])
-	}
+// Acquire implements FragShader.
+func (f FragFn) Acquire() Fragment {
+	a := fnFragments.Get().(*fnFragment)
+	a.fn = f
+	return a
 }
 
-// Acquire implements FragShader.
-func (f FragFn) Acquire() Fragment { return f }
-
 // Release implements FragShader.
-func (FragFn) Release(Fragment) {}
+func (FragFn) Release(fr Fragment) {
+	a := fr.(*fnFragment)
+	a.fn = nil
+	fnFragments.Put(a)
+}
+
+// fnFragment is a FragFn's per-tile Fragment.
+type fnFragment struct {
+	fn      FragFn
+	index   []int
+	planes  [][]Vec4
+	lanes   []Vec4 // the planes' storage, varying after varying
+	vary    []Vec4 // one lane's varyings, gathered for fn
+	col     [SpanSize]Vec4
+	fetches [SpanSize]int
+}
+
+var fnFragments = sync.Pool{New: func() any { return new(fnFragment) }}
+
+// Inputs implements Fragment: a FragFn reads every varying.
+func (a *fnFragment) Inputs(nvary int) ([]int, [][]Vec4) {
+	if len(a.index) != nvary {
+		a.lanes = slices.Grow(a.lanes[:0], nvary*SpanSize)[:nvary*SpanSize]
+		a.vary = slices.Grow(a.vary[:0], nvary)[:nvary:nvary]
+		a.index, a.planes = a.index[:0], a.planes[:0]
+		for i := range nvary {
+			a.index = append(a.index, i)
+			a.planes = append(a.planes, a.lanes[i*SpanSize:(i+1)*SpanSize:(i+1)*SpanSize])
+		}
+	}
+	return a.index, a.planes
+}
+
+// Shade implements Fragment, one lane at a time.
+func (a *fnFragment) Shade(n int) ([]Vec4, []int) {
+	for l := range n {
+		for i, p := range a.planes {
+			a.vary[i] = p[l]
+		}
+		a.col[l], a.fetches[l] = a.fn(a.vary)
+	}
+	return a.col[:n], a.fetches[:n]
+}
 
 // toInt converts f to int the way amd64 does for every input: it truncates
 // toward zero, and returns math.MinInt for NaN, ±Inf and any value outside
@@ -323,7 +369,6 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 
 	// Triangle setup: winding normalization, bbox clip, fill-rule flags.
 	tris := sc.tris[:0]
-	maxVary := 0
 	for i := 0; i+2 < len(indices); i += 3 {
 		a, b, c := screen[indices[i]], screen[indices[i+1]], screen[indices[i+2]]
 		area := float32((b.x-a.x)*(c.y-a.y)) - float32((b.y-a.y)*(c.x-a.x))
@@ -355,9 +400,6 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 		}
 		if minX > maxX || minY > maxY {
 			continue
-		}
-		if n := len(a.vary); n > maxVary {
-			maxVary = n
 		}
 		tris = append(tris, tri{
 			a: a, b: b, c: c,
@@ -409,7 +451,7 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 		id := work[i]
 		x0, y0, x1, y1 := grid.bounds(id)
 		shade := frag.Acquire()
-		rasterTile(img, depth, tris, bins[id], x0, y0, x1-1, y1-1, maxVary, shade, st.Blend, &tileStats[i])
+		rasterTile(img, depth, tris, bins[id], x0, y0, x1-1, y1-1, shade, st.Blend, &tileStats[i])
 		frag.Release(shade)
 	})
 	for i := range tileStats {
@@ -435,18 +477,18 @@ var setups = sync.Pool{New: func() any { return new(setup) }}
 // so concurrent calls on distinct tiles never write the same memory.
 //
 // Each triangle's covered fragments that pass the depth test are collected
-// into spans of up to SpanSize, and every span is shaded with one ShadeSpan
-// call, then blended and counted in raster order. A triangle's spans are
-// flushed before the next triangle starts: triangles may overlap, and blending
-// is order-dependent. Within one triangle every pixel is visited once, so
-// writing its depth at test time and its colour at the flush is the same as
-// writing both at once.
-func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, tx1, ty1, maxVary int, frag Fragment, mode BlendMode, out *Stats) {
-	sp := spanPool.Get().(*span)
-	defer spanPool.Put(sp)
-	if n := SpanSize * maxVary; len(sp.vary) < n {
-		sp.vary = make([]Vec4, n)
-	}
+// into spans of up to SpanSize: a fragment's pixel offset goes to the span,
+// and the varyings the shader reads are interpolated straight into its
+// input planes. Every span is shaded with one Shade call, then blended and
+// counted in raster order. A triangle's spans are flushed before the next
+// triangle starts: triangles may overlap, and blending is order-dependent.
+// Within one triangle every pixel is visited once, so writing its depth at
+// test time and its colour at the flush is the same as writing both at once.
+func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, tx1, ty1 int, frag Fragment, mode BlendMode, out *Stats) {
+	var sp span
+	var index []int
+	var planes [][]Vec4
+	nvary, n := -1, 0 // n: the fragments pending in sp
 	for _, ti := range bin {
 		tr := &tris[ti]
 		minX, minY, maxX, maxY := tr.minX, tr.minY, tr.maxX, tr.maxY
@@ -462,13 +504,17 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 		if maxY > ty1 {
 			maxY = ty1
 		}
-		nvary := len(tr.a.vary)
+		if len(tr.a.vary) != nvary {
+			nvary = len(tr.a.vary)
+			index, planes = frag.Inputs(nvary)
+		}
 		va, vb, vc := tr.a.vary, tr.b.vary[:nvary], tr.c.vary[:nvary]
 		for y := minY; y <= maxY; y++ {
 			py := float32(y) + 0.5
 			// The edge functions' per-row terms: the same operations, rounded
 			// the same way, as when written inline.
 			ay, by, cy := tr.a.y-py, tr.b.y-py, tr.c.y-py
+			row := y * img.W
 			for x := minX; x <= maxX; x++ {
 				px := float32(x) + 0.5
 				// Edge functions: eN > 0 strictly inside; eN == 0 exactly on
@@ -486,9 +532,9 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 					continue
 				}
 				w0, w1, w2 := e0*tr.inv, e1*tr.inv, e2*tr.inv
+				di := row + x
 				if depth != nil {
 					z := float32(w0*tr.a.z) + float32(w1*tr.b.z) + float32(w2*tr.c.z)
-					di := y*img.W + x
 					// GL_LESS: the incoming fragment wins only when strictly
 					// nearer than the stored sample.
 					if z >= depth[di] {
@@ -496,73 +542,74 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 					}
 					depth[di] = z
 				}
-				k := sp.n
-				sp.x[k], sp.y[k] = int32(x), int32(y)
-				dst := sp.vary[k*nvary : (k+1)*nvary]
-				for vi := range dst {
+				sp.off[n] = di
+				for i, vi := range index {
 					a, b, c := &va[vi], &vb[vi], &vc[vi]
-					dst[vi] = Vec4{
+					planes[i][n] = Vec4{
 						float32(a[0]*w0) + float32(b[0]*w1) + float32(c[0]*w2),
 						float32(a[1]*w0) + float32(b[1]*w1) + float32(c[1]*w2),
 						float32(a[2]*w0) + float32(b[2]*w1) + float32(c[2]*w2),
 						float32(a[3]*w0) + float32(b[3]*w1) + float32(c[3]*w2),
 					}
 				}
-				if sp.n++; sp.n == SpanSize {
-					sp.flush(img, frag, nvary, mode, out)
+				if n++; n == SpanSize {
+					sp.flush(n, img.Pix, frag, mode, out)
+					n = 0
 				}
 			}
 		}
-		sp.flush(img, frag, nvary, mode, out)
+		sp.flush(n, img.Pix, frag, mode, out)
+		n = 0
 	}
 }
 
-// span is a batch of covered fragments waiting to be shaded: their pixels,
-// their interpolated varyings fragment after fragment, and room for what the
-// shader returns. Spans are pooled; one serves a tile from start to end.
+// span is a batch of covered fragments waiting to be shaded: the pixel
+// offset of each (y*W + x). Their inputs wait in the Fragment's planes.
 type span struct {
-	n       int
-	x, y    [SpanSize]int32
-	vary    []Vec4 // SpanSize * the draw's varying count
-	col     [SpanSize]Vec4
-	fetches [SpanSize]int
+	off [SpanSize]int
 }
 
-var spanPool = sync.Pool{New: func() any { return new(span) }}
-
-// flush shades the pending fragments, then blends and counts them in order.
-func (sp *span) flush(img *Image, frag Fragment, nvary int, mode BlendMode, out *Stats) {
-	n := sp.n
+// flush shades the first n fragments, then writes, blends and counts them
+// in order. It is the back end shared by the triangle and line rasterizers:
+// the blend mode is decided once per span, and the fetches are summed once.
+func (sp *span) flush(n int, pix []byte, frag Fragment, mode BlendMode, out *Stats) {
 	if n == 0 {
 		return
 	}
-	sp.n = 0
-	frag.ShadeSpan(sp.vary[:n*nvary], nvary, sp.col[:n], sp.fetches[:n])
-	for i := range n {
-		out.TexFetches += sp.fetches[i]
-		writeFragment(img, int(sp.x[i]), int(sp.y[i]), FromVec(sp.col[i]), mode, out)
-	}
-	out.ShaderEvals += n
-	out.Pixels += n
-}
-
-// writeFragment is the blend back end shared by the triangle and line
-// rasterizers.
-func writeFragment(img *Image, x, y int, src RGBA, mode BlendMode, out *Stats) {
+	col, fetches := frag.Shade(n)
+	col, off := col[:n], sp.off[:n]
+	// Each case converts a colour as FromVec does, written out so that it
+	// inlines, and stores the pixel as one word.
 	switch mode {
 	case BlendAlpha:
-		img.Set(x, y, blend(src, img.At(x, y)))
-		out.Blended++
+		for i, o := range off {
+			p, c := pix[o*4:o*4+4:o*4+4], &col[i]
+			src := RGBA{unorm(c[0]), unorm(c[1]), unorm(c[2]), unorm(c[3])}
+			binary.LittleEndian.PutUint32(p, blend(src, RGBA{p[0], p[1], p[2], p[3]}).pack())
+		}
+		out.Blended += n
 	case BlendAdditive:
-		d := img.At(x, y)
-		img.Set(x, y, RGBA{
-			R: addSat(src.R, d.R), G: addSat(src.G, d.G),
-			B: addSat(src.B, d.B), A: addSat(src.A, d.A),
-		})
-		out.Blended++
+		for i, o := range off {
+			p, c := pix[o*4:o*4+4:o*4+4], &col[i]
+			binary.LittleEndian.PutUint32(p, RGBA{
+				addSat(unorm(c[0]), p[0]), addSat(unorm(c[1]), p[1]),
+				addSat(unorm(c[2]), p[2]), addSat(unorm(c[3]), p[3]),
+			}.pack())
+		}
+		out.Blended += n
 	default:
-		img.Set(x, y, src)
+		for i, o := range off {
+			c := &col[i]
+			binary.LittleEndian.PutUint32(pix[o*4:o*4+4:o*4+4], RGBA{unorm(c[0]), unorm(c[1]), unorm(c[2]), unorm(c[3])}.pack())
+		}
 	}
+	sum := 0
+	for _, f := range fetches[:n] {
+		sum += f
+	}
+	out.TexFetches += sum
+	out.ShaderEvals += n
+	out.Pixels += n
 }
 
 // clipBounds intersects the image rectangle with the scissor rectangle and
@@ -588,7 +635,7 @@ func clipBounds(img *Image, st RenderState) (x0, y0, x1, y1 int) {
 }
 
 // DrawLines rasterizes index pairs as 1px lines, with varyings interpolated
-// along the segment. Lines run through the same per-fragment back end as
+// along the segment. Lines run through the same span back end as
 // triangles: scissor clipping, the GL_LESS depth test, and all three blend
 // modes (overwrite, alpha, additive), with Blended counted accordingly.
 // Line rasterization is serial — segments may revisit pixels, so they are
@@ -613,11 +660,10 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragShader, st Re
 	if len(verts) > 0 {
 		nvary = len(verts[0].Vary)
 	}
-	vary := make([]Vec4, nvary)
-	var col [1]Vec4
-	var fetches [1]int
+	var sp span
 	shade := frag.Acquire()
 	defer frag.Release(shade)
+	index, planes := shade.Inputs(nvary)
 	for i := 0; i+1 < len(indices); i += 2 {
 		va := toScreen(verts[indices[i]], vp)
 		vb := toScreen(verts[indices[i+1]], vp)
@@ -639,28 +685,26 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragShader, st Re
 			if x < clipX0 || y < clipY0 || x > clipX1 || y > clipY1 {
 				continue
 			}
+			di := y*img.W + x
 			if depth != nil {
 				z := va.z + float32(dz*t)
-				di := y*img.W + x
 				if z >= depth[di] { // GL_LESS, as for triangles
 					continue
 				}
 				depth[di] = z
 			}
-			for vi := 0; vi < nvary; vi++ {
+			for i, vi := range index {
 				a, b := &va.vary[vi], &vb.vary[vi]
-				vary[vi] = Vec4{
+				planes[i][0] = Vec4{
 					float32(a[0]*(1-t)) + float32(b[0]*t),
 					float32(a[1]*(1-t)) + float32(b[1]*t),
 					float32(a[2]*(1-t)) + float32(b[2]*t),
 					float32(a[3]*(1-t)) + float32(b[3]*t),
 				}
 			}
-			shade.ShadeSpan(vary, nvary, col[:], fetches[:])
-			stats.TexFetches += fetches[0]
-			stats.ShaderEvals++
-			writeFragment(img, x, y, FromVec(col[0]), st.Blend, &stats)
-			stats.Pixels++
+			// A span of one: the step's pixel, shaded and written at once.
+			sp.off[0] = di
+			sp.flush(1, img.Pix, shade, st.Blend, &stats)
 		}
 	}
 	return stats

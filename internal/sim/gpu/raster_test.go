@@ -96,8 +96,10 @@ func walkLine(dst *Target, va, vb sv, clip [4]int) Stats {
 			continue
 		}
 		a, b := va.vary[0][0], vb.vary[0][0]
-		writeFragment(img, x, y, FromVec(Vec4{1, float32(a*(1-t)) + float32(b*t), 0, 1}), BlendAdditive, &stats)
+		c, d := FromVec(Vec4{1, float32(a*(1-t)) + float32(b*t), 0, 1}), img.At(x, y)
+		img.Set(x, y, RGBA{addSat(c.R, d.R), addSat(c.G, d.G), addSat(c.B, d.B), addSat(c.A, d.A)})
 		stats.Pixels++
+		stats.Blended++
 		stats.ShaderEvals++
 	}
 	return stats
@@ -153,6 +155,30 @@ func TestDrawLinesFarEndpoint(t *testing.T) {
 	}
 }
 
+// TestFragFnSpanDoesNotAllocate holds a FragFn's per-tile adapter to zero
+// allocations per span: its planes, its gathered varyings and its outputs
+// are reused from one span to the next.
+func TestFragFnSpanDoesNotAllocate(t *testing.T) {
+	a := colorFrag.Acquire()
+	defer colorFrag.Release(a)
+	span := func() {
+		index, planes := a.Inputs(2)
+		for i := range index {
+			for l := range planes[i] {
+				planes[i][l] = Vec4{float32(l), float32(i)}
+			}
+		}
+		col, _ := a.Shade(SpanSize)
+		if col[SpanSize-1] != (Vec4{SpanSize - 1, 0}) {
+			t.Fatalf("lane %d shaded %v, want its varying 0", SpanSize-1, col[SpanSize-1])
+		}
+	}
+	span()
+	if n := testing.AllocsPerRun(100, span); n != 0 {
+		t.Fatalf("shading a span through a FragFn allocates %v times, want 0", n)
+	}
+}
+
 // panicFrag panics while shading any fragment whose varying marks it as
 // belonging to the rightmost tiles.
 var panicFrag FragFn = func(vary []Vec4) (Vec4, int) {
@@ -162,7 +188,7 @@ var panicFrag FragFn = func(vary []Vec4) (Vec4, int) {
 	return Vec4{1, 1, 1, 1}, 0
 }
 
-// TestShadeSpanPanicDrainsPool panics inside ShadeSpan on some tiles of a
+// TestShadeSpanPanicDrainsPool panics inside Shade on some tiles of a
 // parallel draw: the panic must reach the DrawTriangles caller once every
 // worker has drained, and no goroutine may outlive the draw.
 func TestShadeSpanPanicDrainsPool(t *testing.T) {

@@ -22,8 +22,8 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/engine ./internal/farm ./internal/obs/..."
-go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/engine ./internal/farm ./internal/obs/...
+echo "== go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/engine ./internal/farm ./internal/obs/... ./internal/linker"
+go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/engine ./internal/farm ./internal/obs/... ./internal/linker
 
 echo "== chaos smoke (fault-injection invariants under -race, serial and batched)"
 go test -race ./internal/replay -run 'TestChaos' -chaos.seeds=8
@@ -111,6 +111,9 @@ go test -run='^$' -bench='BenchmarkRasterTiles' -benchtime=1x ./internal/sim/gpu
 
 echo "== bench smoke (MiniSL span shading)"
 go test -run='^$' -bench='BenchmarkShadeSpan' -benchtime=1x ./internal/sim/gpu/minisl
+
+echo "== bench smoke (320x200 present blit through MiniSL)"
+go test -run='^$' -bench='BenchmarkDrawBlit' -benchtime=1x ./internal/sim/gpu/minisl
 
 echo "== obs overhead gate (fully-disabled observability within 3% of baseline)"
 # The always-compiled-in observability layer (tracer + flight recorder +
