@@ -170,7 +170,7 @@ func ParseSpec(spec string) (Schedule, error) {
 			s.Seed, err = strconv.ParseUint(val, 10, 64)
 		case "rate":
 			s.Rate, err = strconv.ParseFloat(val, 64)
-			if err == nil && (s.Rate < 0 || s.Rate > 1) {
+			if err == nil && !(s.Rate >= 0 && s.Rate <= 1) { // NaN too
 				err = fmt.Errorf("rate %v outside [0, 1]", s.Rate)
 			}
 		case "after":

@@ -32,6 +32,11 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("rate=1.5"); err == nil {
 		t.Fatal("rate > 1 accepted")
 	}
+	for _, rate := range []string{"nan", "NaN", "-1e-300", "inf", "-Inf"} {
+		if s, err := ParseSpec("rate=" + rate); err == nil {
+			t.Fatalf("rate=%s accepted as %+v", rate, s)
+		}
+	}
 	if _, err := ParseSpec("seed"); err == nil {
 		t.Fatal("bare key accepted")
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -39,26 +40,8 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestMetricsGolden pins the exposition text byte-for-byte for a fixed set
-// of registries: self-metrics, one counter registry, one histogram registry.
-// Uptime and scrape count are passed in so the document is deterministic.
-func TestMetricsGolden(t *testing.T) {
-	s := serveTest(t, Options{})
-	cs := obs.NewCounters()
-	cs.Counter("drops").Add(3)
-	s.AddCounters("farm", cs)
-	hs := obs.NewHistograms()
-	hs.SetEnabled(true)
-	h := hs.Histogram("lat")
-	h.Observe(0, 1000)
-	h.Observe(0, 1000)
-	h.Observe(0, 3000)
-	s.AddHistograms("", hs)
-
-	var buf bytes.Buffer
-	s.WriteMetrics(&buf, 12.5, 3)
-
-	want := `# HELP cycada_up 1 while the telemetry server is serving.
+// goldenMetrics is the exposition TestMetricsGolden pins.
+const goldenMetrics = `# HELP cycada_up 1 while the telemetry server is serving.
 # TYPE cycada_up gauge
 cycada_up 1
 # HELP cycada_uptime_seconds Wall-clock seconds since the server started.
@@ -78,6 +61,27 @@ cycada_hist_vt_us_bucket{hist="lat",le="+Inf"} 3
 cycada_hist_vt_us_sum{hist="lat"} 5
 cycada_hist_vt_us_count{hist="lat"} 3
 `
+
+// TestMetricsGolden pins the exposition text byte-for-byte for a fixed set
+// of registries: self-metrics, one counter registry, one histogram registry.
+// Uptime and scrape count are passed in so the document is deterministic.
+func TestMetricsGolden(t *testing.T) {
+	s := serveTest(t, Options{})
+	cs := obs.NewCounters()
+	cs.Counter("drops").Add(3)
+	s.AddCounters("farm", cs)
+	hs := obs.NewHistograms()
+	hs.SetEnabled(true)
+	h := hs.Histogram("lat")
+	h.Observe(0, 1000)
+	h.Observe(0, 1000)
+	h.Observe(0, 3000)
+	s.AddHistograms("", hs)
+
+	var buf bytes.Buffer
+	s.WriteMetrics(&buf, 12.5, 3)
+
+	want := goldenMetrics
 	if got := buf.String(); got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
@@ -123,6 +127,47 @@ func TestMetricsEndpoint(t *testing.T) {
 	b, _ := FindOne(s2, MetricScrapes, nil)
 	if b.Value != a.Value+1 {
 		t.Fatalf("scrapes went %v -> %v, want +1", a.Value, b.Value)
+	}
+}
+
+// TestCloseLeaksNoGoroutine starts a server, scrapes /metrics over a
+// keep-alive connection, and closes the server: every goroutine it started
+// — the accept loop and the connection's — must exit. The test waits on the
+// goroutine count itself, up to a deadline, rather than for a fixed time.
+func TestCloseLeaksNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := Serve("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	resp, err := client.Get(s.URL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d, %v", resp.StatusCode, err)
+	}
+	if _, err := ParseText(bytes.NewReader(body)); err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("%d goroutines while serving, baseline %d: the check would see no leak", n, base)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, baseline %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -309,24 +354,28 @@ func TestGaugesGroupedByFamily(t *testing.T) {
 	}
 }
 
+// malformedDocs are documents ParseText must reject, and validDoc one it
+// must accept.
+var malformedDocs = []string{
+	"1bad_name 1\n",
+	"dup 1\ndup 1\n",
+	`lab{x=unquoted} 1` + "\n",
+	`lab{x="a",x="b"} 1` + "\n",
+	"noval\n",
+	"v{a=\"b\"} not-a-number\n",
+	"# TYPE x wat\n",
+}
+
+const validDoc = "# random comment\nx_total{a=\"with \\\"quotes\\\" and \\\\\"} 4.5 1700000000\ny 2\ny{l=\"v\"} +Inf\n"
+
 // TestParseTextRejectsMalformed exercises the validator's failure modes.
 func TestParseTextRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"1bad_name 1\n",
-		"dup 1\ndup 1\n",
-		`lab{x=unquoted} 1` + "\n",
-		`lab{x="a",x="b"} 1` + "\n",
-		"noval\n",
-		"v{a=\"b\"} not-a-number\n",
-		"# TYPE x wat\n",
-	}
-	for _, doc := range bad {
+	for _, doc := range malformedDocs {
 		if _, err := ParseText(strings.NewReader(doc)); err == nil {
 			t.Errorf("ParseText accepted malformed doc %q", doc)
 		}
 	}
-	good := "# random comment\nx_total{a=\"with \\\"quotes\\\" and \\\\\"} 4.5 1700000000\ny 2\ny{l=\"v\"} +Inf\n"
-	samples, err := ParseText(strings.NewReader(good))
+	samples, err := ParseText(strings.NewReader(validDoc))
 	if err != nil {
 		t.Fatalf("ParseText rejected valid doc: %v", err)
 	}

@@ -60,11 +60,24 @@ func FromVec(v Vec4) RGBA {
 // unorm converts one normalized channel to 8 bits.
 func unorm(x float32) uint8 { return uint8(float32(clampf(x, 0, 1)*255) + 0.5) }
 
+// Pack converts each normalized [0,1] color vector of src to 8 bits a
+// channel, as FromVec does, and stores it in dst as the word Image.Pix
+// holds: its four bytes read as one little-endian word.
+func Pack(dst []uint32, src []Vec4) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = uint32(unorm(v[0])) | uint32(unorm(v[1]))<<8 | uint32(unorm(v[2]))<<16 | uint32(unorm(v[3]))<<24
+	}
+}
+
 // pack returns the color as its four bytes of Image.Pix, read as one
 // little-endian word.
 func (c RGBA) pack() uint32 {
 	return uint32(c.R) | uint32(c.G)<<8 | uint32(c.B)<<16 | uint32(c.A)<<24
 }
+
+// unpackRGBA is pack's inverse.
+func unpackRGBA(w uint32) RGBA { return RGBA{uint8(w), uint8(w >> 8), uint8(w >> 16), uint8(w >> 24)} }
 
 // Vec converts the color to a normalized vector.
 func (c RGBA) Vec() Vec4 {

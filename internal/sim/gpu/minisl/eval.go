@@ -2,6 +2,7 @@ package minisl
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -262,11 +263,15 @@ func (b *Binding) Release(f gpu.Fragment) { f.(*Frame).Release() }
 // pointer-free planes and clear their cell's mask; reading a lane's
 // reference first tests its mask bit. The frame also holds, per slot, the
 // lanes in which it is defined, and per lane the steps left before the step
-// limit, the texture fetches and the runtime error. Every run resets what an
-// invocation can observe in the lanes it uses — the defined bits, the
-// counters, the inputs, the outputs and any uniform the shader overwrites —
-// so one frame runs a tile's spans, or a draw's vertices, without
-// allocating. A Frame is not safe for concurrent use.
+// limit, the texture fetches, the runtime error (with a mask of the lanes
+// that have one) and the colour word Shade hands back. Every run resets
+// what an invocation can observe in the lanes it uses — the defined bits,
+// the counters, the errors, the inputs, the outputs and any uniform the
+// shader overwrites — so one frame runs a tile's spans, or a draw's
+// vertices, without allocating. What no invocation can change is set once:
+// a shader that cannot reach the step limit keeps no step counts, and the
+// width and reference mask of a varying the shader never assigns are
+// written by Inputs. A Frame is not safe for concurrent use.
 type Frame struct {
 	st      *stage
 	lanes   int
@@ -281,7 +286,9 @@ type Frame struct {
 	charged int32 // step calls this run: no lane has spent more steps
 	fetches []int
 	errs    []error
-	live    []uint8 // the lane list a run starts from
+	faulted uint64   // the lanes whose errs entry is set
+	col     []uint32 // per lane: the colour word Shade returns
+	live    []uint8  // the lane list a run starts from
 	// The fragment inputs of the last Inputs call: the primitives' varying
 	// count, and the indexes and component planes of those the shader reads.
 	nvary    int
@@ -334,6 +341,9 @@ func (f *Frame) layout(st *stage) {
 	f.steps = slices.Grow(f.steps[:0], n)[:n]
 	f.fetches = slices.Grow(f.fetches[:0], n)[:n]
 	f.errs = slices.Grow(f.errs[:0], n)[:n]
+	clear(f.errs)
+	f.faulted = 0
+	f.col = slices.Grow(f.col[:0], n)[:n]
 	f.live = slices.Grow(f.live[:0], n)[:n]
 	for k, v := range sh.consts {
 		f.fill(len(sh.written)+k, n, v)
@@ -390,8 +400,18 @@ func (e *evalError) Error() string { return fmt.Sprintf("runtime: line %d: %s", 
 
 const defaultMaxSteps = 100000
 
-// faultColor is what a fragment whose shader faults at run time shades.
-var faultColor = gpu.Vec4{1, 0, 1, 1} // magenta
+// faultWord is what a fragment whose shader faults at run time shades:
+// opaque magenta, the word gpu.Pack makes of (1, 0, 1, 1).
+const faultWord = 0xffff00ff
+
+// laneIDs lists every lane of a span in order: the lane list a run starts
+// from.
+var laneIDs = func() (ids [gpu.SpanSize]uint8) {
+	for l := range ids {
+		ids[l] = uint8(l)
+	}
+	return ids
+}()
 
 // restoreUniforms rebinds, in lanes [0, n), the uniforms an invocation may
 // have overwritten.
@@ -402,19 +422,26 @@ func (f *Frame) restoreUniforms(n int) {
 }
 
 // run executes the shader in lanes [0, n), whose inputs are loaded: it
-// resets their defined bits and counters, then runs the compiled body over
-// them. Each lane's error is left in f.errs.
+// resets their defined bits, counters and errors, then runs the compiled
+// body over them. Each lane's error is left in f.errs, and f.faulted marks
+// the lanes that have one.
 func (f *Frame) run(n int) {
+	sh := f.st.sh
 	copy(f.def, f.st.def)
+	for m := f.faulted; m != 0; m &= m - 1 {
+		f.errs[bits.TrailingZeros64(m)] = nil
+	}
+	f.faulted = 0
 	live := f.live[:n]
-	for l := range live {
-		live[l] = uint8(l)
-		f.steps[l] = defaultMaxSteps
+	copy(live, laneIDs[:n])
+	if sh.counted {
+		for l := range live {
+			f.steps[l] = defaultMaxSteps
+		}
+		f.charged = 0
 	}
 	clear(f.fetches[:n])
-	clear(f.errs[:n])
-	f.charged = 0
-	f.st.sh.run(f, live)
+	sh.run(f, live)
 }
 
 // RunVertex executes the vertex shader for one vertex. attribs holds the
@@ -448,7 +475,10 @@ func (f *Frame) RunVertex(attribs []Value, vary []gpu.Vec4) (gpu.Vec4, error) {
 // Inputs implements gpu.Fragment. The varyings the fragment shader reads
 // are its varying slots, and their planes are the slots' component planes,
 // which the rasterizer fills in place. A varying the primitives do not
-// carry (an index at or past nvary) reads as its type's zero.
+// carry (an index at or past nvary) reads as its type's zero. Every lane of
+// a varying the shader never assigns gets its width, or its zero, here,
+// once for all the spans until the next call; load rewrites the others
+// before each span.
 func (f *Frame) Inputs(nvary int) ([]int, [][]gpu.Vec4) {
 	f.nvary = nvary
 	f.inIndex, f.inPlanes = f.inIndex[:0], f.inPlanes[:0]
@@ -458,44 +488,63 @@ func (f *Frame) Inputs(nvary int) ([]int, [][]gpu.Vec4) {
 			f.inIndex = append(f.inIndex, in.index)
 			f.inPlanes = append(f.inPlanes, comp)
 		}
+		if !f.st.sh.written[in.slot] {
+			f.loadVarying(in, f.lanes)
+		}
 	}
 	return f.inIndex, f.inPlanes
 }
 
+// loadVarying readies lanes [0, n) of a fragment input whose components
+// the rasterizer writes: its width, and no reference; or, for a varying
+// the primitives lack, its zero.
+func (f *Frame) loadVarying(in input, n int) {
+	if in.index >= f.nvary {
+		f.fill(in.slot, n, in.zero)
+		return
+	}
+	_, width := f.planes(in.slot)
+	for l := range n {
+		width[l] = uint8(in.width)
+	}
+	f.refMask[in.slot] &^= lanesBelow(n)
+}
+
 // Shade implements gpu.Fragment: each of lanes [0, n) runs the shader on
 // the inputs the rasterizer wrote, and the colours returned are the
-// gl_FragColor plane. A lane whose shader faults at run time shades magenta
-// and counts no fetches; its error stays in f.errs.
-func (f *Frame) Shade(n int) ([]gpu.Vec4, []int) {
+// gl_FragColor plane's, packed (gpu.Pack), or the words a texel copy wrote.
+// A lane whose shader faults at run time shades magenta and counts no
+// fetches; its error stays in f.errs.
+func (f *Frame) Shade(n int) ([]uint32, []int) {
 	f.load(n)
 	f.run(n)
-	out, _ := f.planes(f.st.out)
-	for l, err := range f.errs[:n] {
-		if err != nil {
-			out[l], f.fetches[l] = faultColor, 0
-		}
+	col := f.col[:n]
+	if !f.st.sh.texelCopy {
+		out, _ := f.planes(f.st.out)
+		gpu.Pack(col, out[:n])
 	}
-	return out[:n], f.fetches[:n]
+	for m := f.faulted; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		col[l], f.fetches[l] = faultWord, 0
+	}
+	return col, f.fetches[:n]
 }
 
 // load readies lanes [0, n), whose varying components are written, to run:
-// the varyings' widths, the zero value of each varying the primitives lack,
-// the uniforms an invocation may have overwritten, and gl_FragColor.
+// the widths or zeros of the varyings the shader assigns (Inputs did the
+// others), the uniforms an invocation may have overwritten, and
+// gl_FragColor, unless a texel copy writes the colour words instead.
 func (f *Frame) load(n int) {
 	st := f.st
 	for _, in := range st.varyIn {
-		if in.index >= f.nvary {
-			f.fill(in.slot, n, in.zero)
-			continue
+		if st.sh.written[in.slot] {
+			f.loadVarying(in, n)
 		}
-		_, width := f.planes(in.slot)
-		for l := range n {
-			width[l] = uint8(in.width)
-		}
-		f.refMask[in.slot] &^= lanesBelow(n)
 	}
 	f.restoreUniforms(n)
-	f.fill(st.out, n, Value{Width: 4})
+	if !st.sh.texelCopy {
+		f.fill(st.out, n, Value{Width: 4})
+	}
 }
 
 func declOf(ds []Decl, name string) Decl {

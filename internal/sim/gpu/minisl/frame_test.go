@@ -138,8 +138,8 @@ func TestRunFragmentDoesNotAllocate(t *testing.T) {
 }
 
 // shadeOne shades one fragment, whose varyings are vary in VaryNames order,
-// as a span of one. It returns gl_FragColor and the fetch count, or the
-// runtime error and neither.
+// as a span of one. It returns gl_FragColor (colourOf) and the fetch count,
+// or the runtime error and neither.
 func shadeOne(f *Frame, vary []gpu.Vec4) (gpu.Vec4, int, error) {
 	index, planes := f.Inputs(len(vary))
 	for i, k := range index {
@@ -149,7 +149,7 @@ func shadeOne(f *Frame, vary []gpu.Vec4) (gpu.Vec4, int, error) {
 	if err := f.errs[0]; err != nil {
 		return gpu.Vec4{}, 0, err
 	}
-	return col[0], fetches[0], nil
+	return colourOf(f, 0, col[0]), fetches[0], nil
 }
 
 // TestFrameReuseIsInvisible runs invocations back to back on one frame:

@@ -29,10 +29,7 @@ type exprFn func(f *Frame, live []uint8) (int, []uint8)
 // lanes that did not fault, compacted in place.
 type stmtFn func(f *Frame, live []uint8) []uint8
 
-var (
-	errSteps     = &evalError{msg: "shader exceeded step limit"}
-	errLoopSteps = &evalError{msg: "shader loop exceeded step limit"}
-)
+var errSteps = &evalError{msg: "shader exceeded step limit"}
 
 // compiler builds a shader's closures. A frame's cells are the shader's
 // slots, then its constants, then its temporaries. Temporaries are allocated
@@ -40,12 +37,148 @@ var (
 // an operand's value survives while its later siblings — which only write
 // above it — are evaluated. Statements run one at a time, and each starts
 // its expressions at reg 0.
-type compiler struct{ sh *Shader }
+type compiler struct {
+	sh   *Shader
+	copy *assignStmt // the statement compiled to a texel copy, if any
+}
 
-// compileBody compiles sh's parsed body.
+// compileBody compiles sh's parsed body. Every statement run charges a step
+// (see step), but a shader without a for loop runs each of its statements at
+// most once: when it has fewer than defaultMaxSteps, no lane can run out,
+// and it is compiled to charge none. A fragment shader whose last statement
+// is gl_FragColor = texture2D(s, uv), and which names gl_FragColor nowhere
+// else, ends in a texel copy (see texelCopy).
 func compileBody(sh *Shader) {
+	sh.counted = maxSteps(sh.body) >= defaultMaxSteps
 	c := &compiler{sh: sh}
+	if sh.Kind == Fragment {
+		c.copy = texelCopyStmt(sh.body, sh.slots[specialOut(Fragment)])
+		sh.texelCopy = c.copy != nil
+	}
 	sh.run = c.block(sh.body)
+}
+
+// maxSteps bounds the steps body can charge one invocation: its statements
+// at every depth, or defaultMaxSteps when it holds a loop.
+func maxSteps(body []stmt) int {
+	n := len(body)
+	for _, s := range body {
+		switch st := s.(type) {
+		case *forStmt:
+			return defaultMaxSteps
+		case *ifStmt:
+			n += maxSteps(st.then) + maxSteps(st.els)
+		}
+	}
+	return n
+}
+
+// texelCopyStmt returns body's last statement when it is
+// out = texture2D(s, uv), with no swizzle, and nothing else in body names
+// out; otherwise nil.
+func texelCopyStmt(body []stmt, out int) *assignStmt {
+	if len(body) == 0 {
+		return nil
+	}
+	as, ok := body[len(body)-1].(*assignStmt)
+	if !ok || as.slot != out || as.swizzle != "" {
+		return nil
+	}
+	call, ok := as.val.(*callExpr)
+	if !ok || call.fn != fnTexture2D || len(call.args) != 2 || namesIn(body, out) != 1 {
+		return nil
+	}
+	return as
+}
+
+// namesIn counts the places body names slot s: as a declaration or
+// assignment target, or as a variable read.
+func namesIn(body []stmt, s int) int {
+	n := 0
+	for _, st := range body {
+		n += namesInStmt(st, s)
+	}
+	return n
+}
+
+func namesInStmt(st stmt, s int) int {
+	switch st := st.(type) {
+	case *declStmt:
+		return count(st.slot == s) + namesInExpr(st.init, s)
+	case *assignStmt:
+		return count(st.slot == s) + namesInExpr(st.val, s)
+	case *ifStmt:
+		return namesInExpr(st.cond, s) + namesIn(st.then, s) + namesIn(st.els, s)
+	case *forStmt:
+		return namesInStmt(st.init, s) + namesInExpr(st.cond, s) + namesInStmt(st.post, s) + namesIn(st.body, s)
+	}
+	return 0
+}
+
+func namesInExpr(e expr, s int) int {
+	switch ex := e.(type) {
+	case *varExpr:
+		return count(ex.slot == s)
+	case *swizzleExpr:
+		return namesInExpr(ex.base, s)
+	case *unaryExpr:
+		return namesInExpr(ex.x, s)
+	case *binExpr:
+		return namesInExpr(ex.l, s) + namesInExpr(ex.r, s)
+	case *callExpr:
+		n := 0
+		for _, a := range ex.args {
+			n += namesInExpr(a, s)
+		}
+		return n
+	}
+	return 0 // a constant, or no initializer
+}
+
+// count is 1 for true, 0 for false.
+func count(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// texelCopy compiles the statement gl_FragColor = texture2D(s, uv) that
+// ends a fragment shader naming gl_FragColor nowhere else. gl_FragColor is
+// then zero, of width 4 and no reference, when the statement runs, so the
+// assignment leaves it the texel — unorm8[c] of each of its bytes c — and
+// gpu.Pack turns that back into the texel's word, since unorm(unorm8[c])
+// is c. The node therefore writes each lane's texel word straight into the
+// frame's colour words, and the gl_FragColor plane is neither written nor
+// read. The arguments evaluate, and fetches count, as for any texture2D
+// call.
+func (c *compiler) texelCopy(call *callExpr) stmtFn {
+	base, counted := call.base, c.sh.counted
+	args := c.operands(call.args, 0, base)
+	return func(f *Frame, live []uint8) []uint8 {
+		if counted {
+			live = f.step(live)
+		}
+		live = args(f, live)
+		s, uv := f.args[base], f.args[base+1]
+		sm, sr := f.refMask[s], f.refCell(s)
+		uc, _ := f.planes(uv)
+		for i := 0; i < len(live); {
+			j, smp := samplerRun(sm, sr, live, i)
+			smp.Words(f.col, uc, live[i:j])
+			i = j
+		}
+		for _, l := range live {
+			f.fetches[l]++
+		}
+		return live
+	}
+}
+
+// fault records err as lane l's runtime error.
+func (f *Frame) fault(l uint8, err error) {
+	f.errs[l] = err
+	f.faulted |= 1 << l
 }
 
 // temp returns the cell of temporary reg.
@@ -55,7 +188,7 @@ func (c *compiler) temp(reg int) int {
 }
 
 // step charges every live lane one statement; a lane that runs out of steps
-// faults.
+// faults. Only a shader compiled as counted (see compileBody) calls it.
 func (f *Frame) step(live []uint8) []uint8 {
 	if f.charged++; f.charged < defaultMaxSteps {
 		// No lane has been charged more statements than the run has
@@ -68,7 +201,7 @@ func (f *Frame) step(live []uint8) []uint8 {
 	n := 0
 	for _, l := range live {
 		if f.steps[l]--; f.steps[l] <= 0 {
-			f.errs[l] = errSteps
+			f.fault(l, errSteps)
 			continue
 		}
 		live[n] = l
@@ -98,11 +231,16 @@ func (c *compiler) stmt(s stmt) stmtFn {
 	case *declStmt:
 		return c.decl(st)
 	case *assignStmt:
+		if st == c.copy {
+			return c.texelCopy(st.val.(*callExpr))
+		}
 		return c.assign(st)
 	case *ifStmt:
-		cond, then, els := c.expr(st.cond, 0), c.block(st.then), c.block(st.els)
+		cond, then, els, counted := c.expr(st.cond, 0), c.block(st.then), c.block(st.els), c.sh.counted
 		return func(f *Frame, live []uint8) []uint8 {
-			live = f.step(live)
+			if counted {
+				live = f.step(live)
+			}
 			var v int
 			v, live = cond(f, live)
 			vc, _ := f.planes(v)
@@ -126,14 +264,16 @@ func (c *compiler) stmt(s stmt) stmtFn {
 }
 
 func (c *compiler) decl(st *declStmt) stmtFn {
-	slot, zero, width := st.slot, st.zero, uint8(st.width)
+	slot, zero, width, counted := st.slot, st.zero, uint8(st.width), c.sh.counted
 	if st.init == nil {
 		zr, zm := ref{zero.M, zero.Sampler}, uint64(0)
 		if zr != (ref{}) {
 			zm = allLanes
 		}
 		return func(f *Frame, live []uint8) []uint8 {
-			live = f.step(live)
+			if counted {
+				live = f.step(live)
+			}
 			dc, dw := f.planes(slot)
 			dr := f.refCell(slot)
 			var mask uint64
@@ -151,7 +291,9 @@ func (c *compiler) decl(st *declStmt) stmtFn {
 	}
 	init := c.expr(st.init, 0)
 	return func(f *Frame, live []uint8) []uint8 {
-		live = f.step(live)
+		if counted {
+			live = f.step(live)
+		}
 		var v int
 		v, live = init(f, live)
 		sc, sw := f.planes(v)
@@ -175,13 +317,15 @@ func (c *compiler) decl(st *declStmt) stmtFn {
 }
 
 func (c *compiler) assign(st *assignStmt) stmtFn {
-	slot, val := st.slot, c.expr(st.val, 0)
+	slot, val, counted := st.slot, c.expr(st.val, 0), c.sh.counted
 	errUndeclared := &evalError{line: st.line, msg: "assignment to undeclared " + st.name}
 	if st.swizzle != "" {
 		errSwizzle := &evalError{line: st.line, msg: "only single-component swizzle writes supported"}
 		single, comp := len(st.swizzle) == 1, swizzleIndex(rune(st.swizzle[0]))
 		return func(f *Frame, live []uint8) []uint8 {
-			live = f.step(live)
+			if counted {
+				live = f.step(live)
+			}
 			var v int
 			v, live = val(f, live)
 			sc, _ := f.planes(v)
@@ -191,9 +335,9 @@ func (c *compiler) assign(st *assignStmt) stmtFn {
 			for _, l := range live {
 				switch {
 				case def>>l&1 == 0:
-					f.errs[l] = errUndeclared
+					f.fault(l, errUndeclared)
 				case !single:
-					f.errs[l] = errSwizzle
+					f.fault(l, errSwizzle)
 				default:
 					dc[l][comp] = sc[l][0]
 					live[n] = l
@@ -205,7 +349,9 @@ func (c *compiler) assign(st *assignStmt) stmtFn {
 	}
 	errMatrix := &evalError{line: st.line, msg: "cannot assign scalar to matrix " + st.name}
 	return func(f *Frame, live []uint8) []uint8 {
-		live = f.step(live)
+		if counted {
+			live = f.step(live)
+		}
 		var v int
 		v, live = val(f, live)
 		sc, sw := f.planes(v)
@@ -224,11 +370,11 @@ func (c *compiler) assign(st *assignStmt) stmtFn {
 		for _, l := range live {
 			bit := uint64(1) << l
 			if def&bit == 0 {
-				f.errs[l] = errUndeclared
+				f.fault(l, errUndeclared)
 				continue
 			}
 			if dm&bit != 0 && dr[l].M != nil && (sm&bit == 0 || sr[l].M == nil) {
-				f.errs[l] = errMatrix
+				f.fault(l, errMatrix)
 				continue
 			}
 			var kept bool
@@ -287,17 +433,10 @@ func (c *compiler) loop(st *forStmt) stmtFn {
 			if done == len(live) {
 				break
 			}
+			// A lane that runs out of steps faults in step, so every lane
+			// the post statement returns has steps left.
 			act = post(f, body(f, live[done:]))
-			n := 0
-			for _, l := range act {
-				if f.steps[l] <= 0 {
-					f.errs[l] = errLoopSteps
-					continue
-				}
-				act[n] = l
-				n++
-			}
-			live = live[:done+n]
+			live = live[:done+len(act)]
 		}
 		return live
 	}
@@ -319,7 +458,7 @@ func (c *compiler) expr(e expr, reg int) exprFn {
 			n := 0
 			for _, l := range live {
 				if def>>l&1 == 0 {
-					f.errs[l] = err
+					f.fault(l, err)
 					continue
 				}
 				live[n] = l
@@ -449,7 +588,7 @@ func (c *compiler) binary(ex *binExpr, reg int) exprFn {
 			case x == nil && y == nil:
 				arith(op, live[i:i+1], oc, ow, ac, aw, bc, bw)
 			case op != opMul:
-				f.errs[l] = errMatOp
+				f.fault(l, errMatOp)
 				continue
 			case x != nil && y != nil:
 				p := x.MulMat(*y)
@@ -459,7 +598,7 @@ func (c *compiler) binary(ex *binExpr, reg int) exprFn {
 			case x != nil:
 				oc[l], ow[l] = x.MulVec(widen(bc[l], bw[l])), 4
 			default:
-				f.errs[l] = errVecMat
+				f.fault(l, errVecMat)
 				continue
 			}
 			live[n] = l
@@ -562,7 +701,7 @@ func (c *compiler) call(ex *callExpr, reg int) exprFn {
 		err := &evalError{line: ex.line, msg: ex.name + ": " + msg}
 		return func(f *Frame, live []uint8) (int, []uint8) {
 			for _, l := range args(f, live) {
-				f.errs[l] = err
+				f.fault(l, err)
 			}
 			return out, live[:0]
 		}
@@ -590,15 +729,8 @@ func (c *compiler) call(ex *callExpr, reg int) exprFn {
 			sm, sr := f.refMask[av[0]], f.refCell(av[0])
 			uv, _ := f.planes(av[1])
 			oc, ow := f.planes(o)
-			// Lanes almost always share a texture: resolve its sampling
-			// terms once per run of lanes that do.
 			for i := 0; i < len(live); {
-				t := laneTexture(sm, sr, live[i])
-				j := i + 1
-				for j < len(live) && laneTexture(sm, sr, live[j]) == t {
-					j++
-				}
-				smp := t.Sampler()
+				j, smp := samplerRun(sm, sr, live, i)
 				smp.Sample(oc, uv, live[i:j])
 				i = j
 			}
@@ -765,6 +897,19 @@ func laneTexture(m uint64, refs []ref, l uint8) *gpu.Texture {
 	return refs[l].S
 }
 
+// samplerRun returns the end of the run of lanes from live[i] on that hold
+// one texture in a cell whose references are refs, with mask m, and that
+// texture's sampling terms. Lanes almost always share a texture, so its
+// terms are resolved once per run rather than once per lane.
+func samplerRun(m uint64, refs []ref, live []uint8, i int) (int, gpu.Sampler) {
+	t := laneTexture(m, refs, live[i])
+	j := i + 1
+	for j < len(live) && laneTexture(m, refs, live[j]) == t {
+		j++
+	}
+	return j, t.Sampler()
+}
+
 // construct compiles vec2/vec3/vec4: the arguments' components, in order,
 // fill the vector, and a single scalar argument splats.
 func (c *compiler) construct(ex *callExpr, args func(*Frame, []uint8) []uint8, out int) exprFn {
@@ -799,7 +944,7 @@ func (c *compiler) construct(ex *callExpr, args func(*Frame, []uint8) []uint8, o
 			}
 			ow[l] = uint8(w)
 			if n < w {
-				f.errs[l] = short[n]
+				f.fault(l, short[n])
 				continue
 			}
 			live[k] = l

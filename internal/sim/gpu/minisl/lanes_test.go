@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,16 +156,113 @@ void main() {
   p = clamp(p, 0.0, 1.0) * p + texture2D(u_tex, p.xy) * v_a;
   gl_FragColor = p;
 }`,
+	// A varying the shader redeclares with another width, or assigns a
+	// matrix: the next span must still read it as the rasterizer wrote it.
+	`varying vec4 v_a;
+uniform mat4 u_m;
+void main() {
+  vec4 c = v_a * 0.5;
+  if (v_a.x > -0.4) { float v_a = v_a.y; }
+  if (v_a.z > 0.5) { v_a = u_m; }
+  gl_FragColor = c + v_a * vec4(1.0, 2.0, 3.0, 4.0);
+}`,
+	// Swizzle writes that fault in some lanes: to a local another branch
+	// declared, and to more than one component.
+	`varying vec4 v_a;
+void main() {
+  if (v_a.x > 0.5) { vec4 t = v_a; }
+  t.y = v_a.z;
+  gl_FragColor = v_a;
+  if (v_a.y > 0.8) { gl_FragColor.xy = v_a.zw; }
+  gl_FragColor.w = t.y;
+}`,
 }
 
-// refShaders returns every shader source the tree ships, plus the divergent
-// ones.
+// texelCopyShaders end in a texel copy (see texelCopy): after divergent
+// statements, a loop, faults in the arguments, a sampler that differs or is
+// missing per lane, a matrix or a vector for a sampler, and coordinates
+// that are negative, huge, infinite or NaN.
+var texelCopyShaders = []string{
+	`varying vec4 v_a;
+uniform sampler2D u_tex;
+void main() {
+  vec2 uv = v_a.xy;
+  if (v_a.z > 0.5) { uv = uv * -3.0; } else { uv = uv * 1e30; }
+  if (v_a.w > 1.5) { uv = uv * 1e30 * 1e30; }
+  if (v_a.w > 1.8) { uv = uv - uv; }
+  gl_FragColor = texture2D(u_tex, uv);
+}`,
+	`varying vec4 v_a;
+uniform sampler2D u_tex;
+uniform mat4 u_m;
+void main() {
+  if (v_a.x > 0.6) { sampler2D s = u_tex; }
+  if (v_a.x < 0.2) { mat4 s = u_m; }
+  if (v_a.y > 1.5) { vec4 s = v_a; }
+  gl_FragColor = texture2D(s, v_a.zw * 4.0 - vec2(2.0));
+}`,
+	`varying vec4 v_a;
+uniform sampler2D u_tex;
+void main() {
+  float k = 0.0;
+  for (float i = 0.0; i < v_a.x * 3.0; i += 1.0) { k += 0.25; }
+  if (v_a.w > 1.5) { for (float j = 0.0; j < 1.0; j *= 1.0) { k += 1.0; } }
+  if (v_a.y > 1.0) { float q = v_a.z; } else { vec2 q = v_a.zw; }
+  gl_FragColor = texture2D(u_tex, vec4(q, q).xy + vec2(k));
+}`,
+	`varying vec4 v_a;
+uniform sampler2D u_tex;
+void main() {
+  if (v_a.x > 0.5) { float t = v_a.y; }
+  gl_FragColor = texture2D(u_tex, vec2(t, v_a.z));
+}`,
+	`varying vec4 v_a;
+uniform sampler2D u_tex;
+uniform mat4 u_m;
+void main() { gl_FragColor = texture2D(u_m, v_a.xy); }`,
+	`varying vec4 v_a;
+void main() { gl_FragColor = texture2D(v_a, v_a.xy); }`,
+}
+
+// nearTexelCopyShaders look like a texel copy but must run the general
+// path: gl_FragColor read before or after the copy, or inside its
+// arguments, written a second time, written through a swizzle, texture2D
+// inside arithmetic, the wrong argument count, and the copy not last.
+var nearTexelCopyShaders = []string{
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_a.xy); vec4 k = gl_FragColor; }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { vec4 k = gl_FragColor + v_a; gl_FragColor = texture2D(u_tex, k.xy); }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor.x = v_a.y; gl_FragColor = texture2D(u_tex, gl_FragColor.xy); }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { if (v_a.x > 0.5) { gl_FragColor = v_a; } gl_FragColor = texture2D(u_tex, v_a.yz); }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor = v_a; gl_FragColor = texture2D(u_tex, v_a.yz); }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_a.yz); gl_FragColor = texture2D(u_tex, v_a.xy); }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor = v_a; gl_FragColor.y = texture2D(u_tex, v_a.yz); }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_a.xy) * 1.0; }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_a.xy) + vec4(0.0); }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex); }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_a.xy); float k = v_a.x; }`,
+	`varying vec4 v_a; uniform sampler2D u_tex;
+void main() { for (float i = 0.0; i < 2.0; i += 1.0) { gl_FragColor = texture2D(u_tex, v_a.xy * i); } }`,
+}
+
+// refShaders returns every shader source the tree ships, plus the
+// divergent ones and the texel copies and their near misses.
 func refShaders(tb testing.TB) []string {
 	var srcs []string
 	for _, file := range treeShaderFiles {
 		srcs = append(srcs, shaderSources(tb, file)...)
 	}
-	return append(srcs, divergentShaders...)
+	return slices.Concat(srcs, divergentShaders, texelCopyShaders, nearTexelCopyShaders)
 }
 
 // withPartner links sh with a minimal shader of the other kind that declares
@@ -215,11 +314,30 @@ func randomVaryings(rng *rand.Rand, n, stride int) []gpu.Vec4 {
 	return vary
 }
 
+// pack returns gpu.Pack's word for one colour.
+func pack(c gpu.Vec4) uint32 {
+	var w [1]uint32
+	gpu.Pack(w[:], []gpu.Vec4{c})
+	return w[0]
+}
+
+// colourOf returns the colour lane l shaded in f's last Shade, which
+// returned word for it: the gl_FragColor plane, or, after a texel copy,
+// which writes only the word, the word's channels — bit for bit the texel
+// the plane would have held.
+func colourOf(f *Frame, l int, word uint32) gpu.Vec4 {
+	if f.st.sh.texelCopy {
+		return gpu.RGBA{R: uint8(word), G: uint8(word >> 8), B: uint8(word >> 16), A: uint8(word >> 24)}.Vec()
+	}
+	out, _ := f.planes(f.st.out)
+	return out[l]
+}
+
 // shadeFragments shades the n fragments in vary, stride varyings apiece in
 // VaryNames order, through f's Inputs and Shade a span at a time, as the
-// rasterizer does, and returns each one's colour, fetch count and runtime
-// error.
-func shadeFragments(f *Frame, vary []gpu.Vec4, stride, n int) (col []gpu.Vec4, fetches []int, errs []error) {
+// rasterizer does, and returns each one's colour word, colour (colourOf),
+// fetch count and runtime error.
+func shadeFragments(f *Frame, vary []gpu.Vec4, stride, n int) (words []uint32, cols []gpu.Vec4, fetches []int, errs []error) {
 	index, planes := f.Inputs(stride)
 	for base := 0; base < n; base += gpu.SpanSize {
 		m := min(gpu.SpanSize, n-base)
@@ -228,29 +346,34 @@ func shadeFragments(f *Frame, vary []gpu.Vec4, stride, n int) (col []gpu.Vec4, f
 				planes[i][l] = vary[(base+l)*stride+k]
 			}
 		}
-		c, fe := f.Shade(m)
-		col, fetches, errs = append(col, c...), append(fetches, fe...), append(errs, f.errs[:m]...)
+		w, fe := f.Shade(m)
+		for l, c := range w {
+			cols = append(cols, colourOf(f, l, c))
+		}
+		words, fetches, errs = append(words, w...), append(fetches, fe...), append(errs, f.errs[:m]...)
 	}
-	return col, fetches, errs
+	return words, cols, fetches, errs
 }
 
 // checkSpan shades the n fragments in vary, stride varyings apiece, as
-// spans and compares every lane's colour bits, fetch count and error with
-// the reference evaluator run on that fragment alone. A faulting lane must
-// shade magenta and count no fetches.
+// spans and compares every lane with the reference evaluator run on that
+// fragment alone: its colour word, which must be gpu.Pack of the
+// reference's colour, its colour's bits, its fetch count and its error. A
+// faulting lane must shade magenta and count no fetches.
 func checkSpan(t *testing.T, b *Binding, vary []gpu.Vec4, stride, n int) {
 	t.Helper()
 	fr := b.Frame(Fragment)
-	col, fetches, errs := shadeFragments(fr, vary, stride, n)
+	words, cols, fetches, errs := shadeFragments(fr, vary, stride, n)
 	fr.Release()
 	for i := range n {
 		wc, wf, we := refRunFragment(b, vary[i*stride:(i+1)*stride])
+		ww := pack(wc)
 		if we != nil {
-			wc = faultColor
+			ww = faultWord
 		}
-		if !sameVec(col[i], wc) || fetches[i] != wf || errString(errs[i]) != errString(we) {
-			t.Fatalf("span of %d, lane %d: got (%v, %d, %q), reference (%v, %d, %q)",
-				n, i, col[i], fetches[i], errString(errs[i]), wc, wf, errString(we))
+		if words[i] != ww || (we == nil && !sameVec(cols[i], wc)) || fetches[i] != wf || errString(errs[i]) != errString(we) {
+			t.Fatalf("span of %d, lane %d: got (%08x %v, %d, %q), reference (%08x %v, %d, %q)",
+				n, i, words[i], cols[i], fetches[i], errString(errs[i]), ww, wc, wf, errString(we))
 		}
 	}
 }
@@ -313,6 +436,99 @@ func TestSpanMatchesReference(t *testing.T) {
 	}
 }
 
+// lastTexelCopy matches a shader that ends in gl_FragColor = texture2D(s,
+// uv) with no operator in its arguments.
+var lastTexelCopy = regexp.MustCompile(`gl_FragColor = texture2D\(\w+, [\w.()]+\);\s*\}\s*$`)
+
+// TestTexelCopyShape checks which shaders end in a texel copy: the tree's
+// blits, which copy a texture to gl_FragColor and nothing else, and
+// texelCopyShaders do; nearTexelCopyShaders and the tree's other fragment
+// shaders do not. TestSpanMatchesReference holds both kinds to the
+// reference evaluator.
+func TestTexelCopyShape(t *testing.T) {
+	for _, file := range []string{"../../../core/eglbridge/blit.go", "../../../harness/blit.go"} {
+		if !linkFile(t, file).FS.texelCopy {
+			t.Errorf("%s: the present blit is not a texel copy", file)
+		}
+	}
+	want := map[string]bool{}
+	for _, file := range treeShaderFiles {
+		for _, src := range shaderSources(t, file) {
+			want[src] = strings.Count(src, "gl_FragColor") == 1 && lastTexelCopy.MatchString(src)
+		}
+	}
+	for _, src := range texelCopyShaders {
+		want[src] = true
+	}
+	for _, src := range nearTexelCopyShaders {
+		want[src] = false
+	}
+	for src, w := range want {
+		sh, err := Compile(src, Fragment)
+		if err != nil {
+			continue
+		}
+		if sh.texelCopy != w {
+			t.Errorf("texel copy = %v, want %v:\n%s", sh.texelCopy, w, src)
+		}
+	}
+}
+
+// TestStepBound checks the step accounting at the limit. A loop-free
+// shader of defaultMaxSteps-1 statements cannot run out, so it is compiled
+// without step counts, and runs to the end in every lane; one of
+// defaultMaxSteps statements, branches included, runs out at its last, and
+// so does a loop that charges as many; each matches the reference
+// evaluator lane for lane.
+func TestStepBound(t *testing.T) {
+	body := func(n int) string {
+		// Four statements — an if and the increment in its branch among
+		// them — around n-4 increments.
+		return "varying vec4 v_a; void main() { float x = 0.0; if (v_a.x > -1.0) { x += 1.0; }" +
+			strings.Repeat(" x += 1.0;", n-4) + " gl_FragColor = vec4(x * 0.00001); }"
+	}
+	for _, tc := range []struct {
+		name    string
+		src     string
+		counted bool
+		fault   bool
+	}{
+		{"loop-free-under", body(defaultMaxSteps - 1), false, false},
+		{"loop-free-at", body(defaultMaxSteps), true, true},
+		{"loop", `varying vec4 v_a; void main() {
+  float x = 0.0;
+  for (float i = 0.0; i < 49999.0; i += 1.0) { x += 1.0; }
+  gl_FragColor = vec4(x);
+}`, true, true},
+		{"loop-under", `varying vec4 v_a; void main() {
+  float x = 0.0;
+  for (float i = 0.0; i < 49997.0; i += 1.0) { x += 1.0; }
+  gl_FragColor = vec4(x);
+}`, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sh := compile(t, tc.src, Fragment)
+			if sh.counted != tc.counted {
+				t.Fatalf("counted = %v, want %v", sh.counted, tc.counted)
+			}
+			p, _ := withPartner(t, sh)
+			b := bindAll(p, nil)
+			const n = 3
+			vary := randomVaryings(rand.New(rand.NewSource(1)), n, 1)
+			checkSpan(t, b, vary, 1, n)
+			fr := b.Frame(Fragment)
+			defer fr.Release()
+			_, _, _, errs := shadeFragments(fr, vary, 1, n)
+			for l, err := range errs {
+				if got := err != nil && strings.Contains(err.Error(), "step limit"); got != tc.fault {
+					t.Fatalf("lane %d: error %v, want a step-limit fault: %v", l, err, tc.fault)
+				}
+			}
+		})
+	}
+}
+
 // TestReleasedFrameHoldsNoPointer checks that a pooled frame keeps nothing
 // alive: after Release, no cell — uniform, local or temporary — holds a
 // matrix or a texture.
@@ -328,7 +544,7 @@ void main() {
 }`, Fragment))
 	f := bindAll(p, testTexture()).Frame(Fragment)
 	vary := randomVaryings(rand.New(rand.NewSource(1)), gpu.SpanSize, len(p.VaryNames))
-	if _, _, errs := shadeFragments(f, vary, len(p.VaryNames), gpu.SpanSize); errs[0] != nil {
+	if _, _, _, errs := shadeFragments(f, vary, len(p.VaryNames), gpu.SpanSize); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	held := 0
@@ -373,12 +589,12 @@ void main() {
 	if len(col) != 3 || len(fetches) != 3 {
 		t.Fatalf("Shade(3) returned %d colours and %d fetch counts", len(col), len(fetches))
 	}
-	if col[1] != faultColor || fetches[1] != 0 {
-		t.Fatalf("faulting lane shaded (%v, %d), want magenta and 0 fetches", col[1], fetches[1])
+	if col[1] != faultWord || fetches[1] != 0 {
+		t.Fatalf("faulting lane shaded (%08x, %d), want magenta and 0 fetches", col[1], fetches[1])
 	}
 	for _, i := range []int{0, 2} {
-		if col[i] == faultColor || fetches[i] != 1 {
-			t.Fatalf("lane %d shaded (%v, %d), want a texel and 1 fetch", i, col[i], fetches[i])
+		if col[i] == faultWord || fetches[i] != 1 {
+			t.Fatalf("lane %d shaded (%08x, %d), want a texel and 1 fetch", i, col[i], fetches[i])
 		}
 	}
 }
@@ -407,15 +623,16 @@ void main() { gl_Position = vec4(0.0); v_a = vec4(1.0); v_b = vec4(2.0); v_c = v
 	}
 	col, _ := f.Shade(gpu.SpanSize)
 	for l, c := range col {
-		if c != (gpu.Vec4{float32(l), 0.5, -1, 2}) {
-			t.Fatalf("lane %d shaded %v, want the value written to its plane", l, c)
+		want := gpu.Vec4{float32(l), 0.5, -1, 2}
+		if colourOf(f, l, c) != want || c != pack(want) {
+			t.Fatalf("lane %d shaded %v (%08x), want the value written to its plane", l, colourOf(f, l, c), c)
 		}
 	}
 	if index, planes = f.Inputs(1); len(index) != 0 || len(planes) != 0 {
 		t.Fatalf("Inputs(1) = %v: v_b is varying 1, which the primitives do not carry", index)
 	}
-	if col, _ = f.Shade(2); col[0] != (gpu.Vec4{}) || col[1] != (gpu.Vec4{}) {
-		t.Fatalf("a varying the primitives lack shaded %v, want zero", col)
+	if col, _ = f.Shade(2); col[0] != 0 || col[1] != 0 || colourOf(f, 0, 0) != (gpu.Vec4{}) || colourOf(f, 1, 0) != (gpu.Vec4{}) {
+		t.Fatalf("a varying the primitives lack shaded %08x, want zero", col)
 	}
 }
 
@@ -496,7 +713,7 @@ void main() { gl_FragColor = vec4(sin(v_a.x * 8.0), cos(v_a.y * 8.0), pow(abs(v_
 	rng := rand.New(rand.NewSource(1))
 	sum := crc32.NewIEEE()
 	for range 64 {
-		col, _, _ := shadeFragments(fr, randomVaryings(rng, gpu.SpanSize, 1), 1, gpu.SpanSize)
+		_, col, _, _ := shadeFragments(fr, randomVaryings(rng, gpu.SpanSize, 1), 1, gpu.SpanSize)
 		for _, c := range col {
 			for _, x := range c {
 				binary.Write(sum, binary.LittleEndian, math.Float32bits(x))

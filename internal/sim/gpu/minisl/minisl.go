@@ -11,14 +11,20 @@
 // a value points to, with a mask of the lanes that hold one) — so the
 // nodes, most of which produce no reference, move only pointer-free data.
 // It also keeps a "defined" bit per slot and lane, and per lane a step
-// budget, a fetch count and a runtime error, so invocations that diverge
-// (branches, loops, faults) still behave exactly as if each ran alone.
-// texture2D resolves a texture's sampling terms once per run of lanes
-// that share it (gpu.Texture.Sampler). A draw binds its uniforms into
-// slot order once (Program.Bind); each raster tile then takes its own Frame
-// and shades the tile's spans through it: the rasterizer interpolates the
-// varyings the shader reads straight into their slots' component planes
-// (Frame.Inputs), and Frame.Shade hands back the gl_FragColor plane. A run
+// budget, a fetch count and a runtime error (with a mask of the lanes that
+// faulted), so invocations that diverge (branches, loops, faults) still
+// behave exactly as if each ran alone. A shader without a loop cannot reach
+// the step limit unless it has that many statements, so it is compiled to
+// keep no step budget at all. texture2D resolves a texture's sampling terms
+// once per run of lanes that share it (gpu.Texture.Sampler). A draw binds
+// its uniforms into slot order once (Program.Bind); each raster tile then
+// takes its own Frame and shades the tile's spans through it: the
+// rasterizer interpolates the varyings the shader reads straight into their
+// slots' component planes (Frame.Inputs), and Frame.Shade hands back each
+// lane's colour as the RGBA8 word the target stores. A shader that ends in
+// gl_FragColor = texture2D(s, uv), and names gl_FragColor nowhere else —
+// the present blit — ends in a texel copy, which writes each texel's word
+// straight into those words without a round trip through floats. A run
 // resets only what an invocation can observe, so shading allocates nothing
 // per vertex, fragment or span.
 // glCompileShader/glLinkProgram stay expensive on the virtual clock
@@ -81,6 +87,8 @@ type Shader struct {
 	Tokens     int // total token count (drives compile cost)
 	body       []stmt
 	run        stmtFn  // body, compiled to lane closures
+	counted    bool    // run charges steps: the body may reach the step limit
+	texelCopy  bool    // run ends in a texel copy into the frame's colour words
 	consts     []Value // distinct literals, in cell order after the slots
 	temps      int     // temporary cells, after the constants
 	src        string

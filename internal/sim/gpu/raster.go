@@ -96,13 +96,15 @@ const SpanSize = 64
 // primitives whose vertices carry nvary varyings, Inputs returns the
 // varyings the stage reads, by index, and a plane of SpanSize lanes for
 // each: fragment l's value of varying index[i] goes to planes[i][l]. Shade
-// then shades lanes [0, n) and returns lane l's colour in col[l] and its
-// texture fetches in fetches[l]; both stay valid until the next call. The
-// inputs stay valid until the next Inputs call. Lanes never depend on each
-// other, so an implementation may shade them in any order, or all at once.
+// then shades lanes [0, n) and returns lane l's colour in col[l], as the
+// RGBA8 word Image.Pix holds (Pack's conversion of a normalized colour),
+// and its texture fetches in fetches[l]; both stay valid until the next
+// call. The inputs stay valid until the next Inputs call. Lanes never
+// depend on each other, so an implementation may shade them in any order,
+// or all at once.
 type Fragment interface {
 	Inputs(nvary int) (index []int, planes [][]Vec4)
-	Shade(n int) (col []Vec4, fetches []int)
+	Shade(n int) (col []uint32, fetches []int)
 }
 
 // FragShader is a draw's fragment stage. Tiled rasterization renders tiles
@@ -118,8 +120,8 @@ type FragShader interface {
 
 // FragFn is a stateless fragment stage: one pure function of one fragment's
 // varyings, returning its colour and fetch count. Each tile shades through
-// a pooled adapter that keeps a plane per varying and calls the function
-// once per lane.
+// a pooled adapter that keeps a plane per varying, calls the function once
+// per lane and packs the span's colours.
 type FragFn func(vary []Vec4) (Vec4, int)
 
 // Acquire implements FragShader.
@@ -141,9 +143,10 @@ type fnFragment struct {
 	fn      FragFn
 	index   []int
 	planes  [][]Vec4
-	lanes   []Vec4 // the planes' storage, varying after varying
-	vary    []Vec4 // one lane's varyings, gathered for fn
-	col     [SpanSize]Vec4
+	lanes   []Vec4         // the planes' storage, varying after varying
+	vary    []Vec4         // one lane's varyings, gathered for fn
+	vec     [SpanSize]Vec4 // the colours fn returned
+	col     [SpanSize]uint32
 	fetches [SpanSize]int
 }
 
@@ -164,13 +167,14 @@ func (a *fnFragment) Inputs(nvary int) ([]int, [][]Vec4) {
 }
 
 // Shade implements Fragment, one lane at a time.
-func (a *fnFragment) Shade(n int) ([]Vec4, []int) {
+func (a *fnFragment) Shade(n int) ([]uint32, []int) {
 	for l := range n {
 		for i, p := range a.planes {
 			a.vary[i] = p[l]
 		}
-		a.col[l], a.fetches[l] = a.fn(a.vary)
+		a.vec[l], a.fetches[l] = a.fn(a.vary)
 	}
+	Pack(a.col[:n], a.vec[:n])
 	return a.col[:n], a.fetches[:n]
 }
 
@@ -194,37 +198,21 @@ type Texture struct {
 }
 
 // Sample fetches the nearest texel at normalized coordinates (u, v), with
-// v=0 at the top row (matching how the GLES layer uploads data).
+// v=0 at the top row (matching how the GLES layer uploads data). A nil
+// texture samples opaque black; a coordinate that maps to no texel (NaN)
+// samples transparent black, as Image.At reads outside the image.
 func (t *Texture) Sample(u, v float32) Vec4 {
-	if t == nil || t.Img == nil {
-		return Vec4{0, 0, 0, 1}
+	s := t.Sampler()
+	if !s.ok {
+		return unpackRGBA(opaqueBlack).Vec()
 	}
-	if t.Repeat {
-		u = u - float32(math.Floor(float64(u)))
-		v = v - float32(math.Floor(float64(v)))
-	} else {
-		u = clampf(u, 0, 1)
-		v = clampf(v, 0, 1)
-	}
-	// Nearest sampling maps u in [i/W, (i+1)/W) to texel i, which makes a
-	// 1:1 fullscreen blit pixel-exact — the property the §9 "pixel for
-	// pixel" comparison between Cycada's shader-blit present and the native
-	// present relies on.
-	x := toInt(float64(u * float32(t.Img.W)))
-	if x >= t.Img.W {
-		x = t.Img.W - 1
-	}
-	y := toInt(float64(v * float32(t.Img.H)))
-	if y >= t.Img.H {
-		y = t.Img.H - 1
-	}
-	return t.Img.At(x, y).Vec()
+	return unpackRGBA(s.at(s.texel(u, v))).Vec()
 }
 
 // A Sampler is a texture's sampling terms — its pixels, size and wrap mode
 // — resolved once, so a run of fetches from one texture pays for them once.
-// Its Sample writes Texture.Sample's result bit for bit: the same float32
-// operations in the same order.
+// Texture.Sample, Sample and Words all find a texel through texel and read
+// it through at, so they agree bit for bit.
 type Sampler struct {
 	pix    []byte
 	w, h   int
@@ -242,6 +230,45 @@ func (t *Texture) Sampler() Sampler {
 	return Sampler{pix: im.Pix, w: im.W, h: im.H, fw: float32(im.W), fh: float32(im.H), repeat: t.Repeat, ok: true}
 }
 
+// opaqueBlack is the word a texture without an image samples.
+const opaqueBlack = 0xff000000
+
+// texel returns the offset in s.pix of the texel nearest (u, v), or -1
+// where the coordinates map to none. Nearest sampling maps u in
+// [i/W, (i+1)/W) to texel i, which makes a 1:1 fullscreen blit
+// pixel-exact — the property the §9 "pixel for pixel" comparison between
+// Cycada's shader-blit present and the native present relies on.
+func (s *Sampler) texel(u, v float32) int {
+	if s.repeat {
+		u = u - float32(math.Floor(float64(u)))
+		v = v - float32(math.Floor(float64(v)))
+	} else {
+		u = clampf(u, 0, 1)
+		v = clampf(v, 0, 1)
+	}
+	x := toInt(float64(u * s.fw))
+	if x >= s.w {
+		x = s.w - 1
+	}
+	y := toInt(float64(v * s.fh))
+	if y >= s.h {
+		y = s.h - 1
+	}
+	if x < 0 || y < 0 {
+		return -1
+	}
+	return (y*s.w + x) * 4
+}
+
+// at returns the texel at offset o as the word Image.Pix holds, or
+// transparent black, as Image.At reads outside the image, for o < 0.
+func (s *Sampler) at(o int) uint32 {
+	if o < 0 {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(s.pix[o:])
+}
+
 // Sample fetches, for each lane l listed in lanes, the nearest texel at
 // (uv[l][0], uv[l][1]) into dst[l], as Texture.Sample returns it. The
 // texel is written in place, component by component, which spares the
@@ -249,33 +276,29 @@ func (t *Texture) Sampler() Sampler {
 func (s *Sampler) Sample(dst, uv []Vec4, lanes []uint8) {
 	if !s.ok {
 		for _, l := range lanes {
-			dst[l] = Vec4{0, 0, 0, 1}
+			dst[l] = unpackRGBA(opaqueBlack).Vec()
 		}
 		return
 	}
 	for _, l := range lanes {
-		u, v, d := uv[l][0], uv[l][1], &dst[l]
-		if s.repeat {
-			u = u - float32(math.Floor(float64(u)))
-			v = v - float32(math.Floor(float64(v)))
-		} else {
-			u = clampf(u, 0, 1)
-			v = clampf(v, 0, 1)
-		}
-		x := toInt(float64(u * s.fw))
-		if x >= s.w {
-			x = s.w - 1
-		}
-		y := toInt(float64(v * s.fh))
-		if y >= s.h {
-			y = s.h - 1
-		}
-		if x < 0 || y < 0 {
-			*d = Vec4{} // Image.At's out-of-bounds texel
-			continue
-		}
-		c := binary.LittleEndian.Uint32(s.pix[(y*s.w+x)*4:])
+		c, d := s.at(s.texel(uv[l][0], uv[l][1])), &dst[l]
 		d[0], d[1], d[2], d[3] = unorm8[uint8(c)], unorm8[uint8(c>>8)], unorm8[uint8(c>>16)], unorm8[c>>24]
+	}
+}
+
+// Words fetches, for each lane l listed in lanes, the nearest texel at
+// (uv[l][0], uv[l][1]) into dst[l] as the word Image.Pix holds: Pack of
+// what Sample writes, without the round trip through floats, since
+// unorm(float32(c)/255) is c for every byte c.
+func (s *Sampler) Words(dst []uint32, uv []Vec4, lanes []uint8) {
+	if !s.ok {
+		for _, l := range lanes {
+			dst[l] = opaqueBlack
+		}
+		return
+	}
+	for _, l := range lanes {
+		dst[l] = s.at(s.texel(uv[l][0], uv[l][1]))
 	}
 }
 
@@ -578,29 +601,25 @@ func (sp *span) flush(n int, pix []byte, frag Fragment, mode BlendMode, out *Sta
 	}
 	col, fetches := frag.Shade(n)
 	col, off := col[:n], sp.off[:n]
-	// Each case converts a colour as FromVec does, written out so that it
-	// inlines, and stores the pixel as one word.
 	switch mode {
 	case BlendAlpha:
 		for i, o := range off {
-			p, c := pix[o*4:o*4+4:o*4+4], &col[i]
-			src := RGBA{unorm(c[0]), unorm(c[1]), unorm(c[2]), unorm(c[3])}
-			binary.LittleEndian.PutUint32(p, blend(src, RGBA{p[0], p[1], p[2], p[3]}).pack())
+			p := pix[o*4 : o*4+4 : o*4+4]
+			binary.LittleEndian.PutUint32(p, blend(unpackRGBA(col[i]), RGBA{p[0], p[1], p[2], p[3]}).pack())
 		}
 		out.Blended += n
 	case BlendAdditive:
 		for i, o := range off {
-			p, c := pix[o*4:o*4+4:o*4+4], &col[i]
+			p, c := pix[o*4:o*4+4:o*4+4], col[i]
 			binary.LittleEndian.PutUint32(p, RGBA{
-				addSat(unorm(c[0]), p[0]), addSat(unorm(c[1]), p[1]),
-				addSat(unorm(c[2]), p[2]), addSat(unorm(c[3]), p[3]),
+				addSat(uint8(c), p[0]), addSat(uint8(c>>8), p[1]),
+				addSat(uint8(c>>16), p[2]), addSat(uint8(c>>24), p[3]),
 			}.pack())
 		}
 		out.Blended += n
 	default:
 		for i, o := range off {
-			c := &col[i]
-			binary.LittleEndian.PutUint32(pix[o*4:o*4+4:o*4+4], RGBA{unorm(c[0]), unorm(c[1]), unorm(c[2]), unorm(c[3])}.pack())
+			binary.LittleEndian.PutUint32(pix[o*4:o*4+4:o*4+4], col[i])
 		}
 	}
 	sum := 0

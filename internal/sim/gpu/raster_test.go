@@ -165,12 +165,14 @@ func TestFragFnSpanDoesNotAllocate(t *testing.T) {
 		index, planes := a.Inputs(2)
 		for i := range index {
 			for l := range planes[i] {
-				planes[i][l] = Vec4{float32(l), float32(i)}
+				planes[i][l] = Vec4{float32(l) / 255, float32(i)}
 			}
 		}
 		col, _ := a.Shade(SpanSize)
-		if col[SpanSize-1] != (Vec4{SpanSize - 1, 0}) {
-			t.Fatalf("lane %d shaded %v, want its varying 0", SpanSize-1, col[SpanSize-1])
+		for l, c := range col {
+			if c != uint32(l) {
+				t.Fatalf("lane %d shaded %08x, want its varying 0 packed, %08x", l, c, l)
+			}
 		}
 	}
 	span()
@@ -219,10 +221,58 @@ func TestShadeSpanPanicDrainsPool(t *testing.T) {
 	}
 }
 
-// TestHoistedSampleMatchesTexture holds a resolved Sampler to
-// Texture.Sample bit for bit over a seeded sweep: repeat and clamp, 1x1 and
-// non-square images, textures without an image, and NaN, ±Inf and huge
-// coordinates. It also checks RGBA.Vec's table against the division.
+// TestUnormInvertsUnorm8 checks, for every byte c, that converting the
+// channel value float32(c)/255 back to 8 bits gives c: what lets a texel be
+// handed on as its word instead of as floats that would be packed again.
+func TestUnormInvertsUnorm8(t *testing.T) {
+	for c := range 256 {
+		if got := unorm(unorm8[c]); got != uint8(c) {
+			t.Fatalf("unorm(unorm8[%d]) = %d", c, got)
+		}
+		if got := pack(Vec4{unorm8[c], unorm8[255-c], unorm8[c/2], unorm8[c]}); got != uint32(c)|uint32(255-c)<<8|uint32(c/2)<<16|uint32(c)<<24 {
+			t.Fatalf("Pack of the channels of byte %d = %08x", c, got)
+		}
+	}
+}
+
+// pack returns Pack's word for one colour.
+func pack(c Vec4) uint32 {
+	var w [1]uint32
+	Pack(w[:], []Vec4{c})
+	return w[0]
+}
+
+// refSample is Texture.Sample as written before the sampling paths shared
+// texel: the oracle they are held to.
+func refSample(t *Texture, u, v float32) Vec4 {
+	if t == nil || t.Img == nil {
+		return Vec4{0, 0, 0, 1}
+	}
+	if t.Repeat {
+		u = u - float32(math.Floor(float64(u)))
+		v = v - float32(math.Floor(float64(v)))
+	} else {
+		u = clampf(u, 0, 1)
+		v = clampf(v, 0, 1)
+	}
+	x := toInt(float64(u * float32(t.Img.W)))
+	if x >= t.Img.W {
+		x = t.Img.W - 1
+	}
+	y := toInt(float64(v * float32(t.Img.H)))
+	if y >= t.Img.H {
+		y = t.Img.H - 1
+	}
+	c := t.Img.At(x, y)
+	return Vec4{float32(c.R) / 255, float32(c.G) / 255, float32(c.B) / 255, float32(c.A) / 255}
+}
+
+// TestHoistedSampleMatchesTexture holds Texture.Sample, a resolved
+// Sampler's Sample and its Words to the reference sampler bit for bit over
+// a seeded sweep: repeat and clamp, 1x1 and non-square images, textures
+// without an image, and NaN, ±Inf, negative and huge coordinates. Words
+// must write the word Pack makes of Texture.Sample's texel. It also checks
+// RGBA.Vec's table against the division.
 func TestHoistedSampleMatchesTexture(t *testing.T) {
 	for c := range 256 {
 		got := RGBA{R: uint8(c), G: uint8(c), B: uint8(c), A: uint8(c)}.Vec()
@@ -256,27 +306,41 @@ func TestHoistedSampleMatchesTexture(t *testing.T) {
 	for l := range lanes {
 		lanes[l] = uint8(l)
 	}
-	uv, got := make([]Vec4, len(lanes)), make([]Vec4, len(lanes))
+	uv, got, words := make([]Vec4, len(lanes)), make([]Vec4, len(lanes)), make([]uint32, len(lanes))
+	same := func(a, b Vec4) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
 	for _, tex := range texs {
 		s := tex.Sampler()
 		for range 500 {
 			for l := range uv {
 				uv[l] = Vec4{coord(), coord()}
 				got[l] = Vec4{-7, -7, -7, -7} // Sample must write every component
+				words[l] = 0xdeadbeef
 			}
 			rng.Shuffle(len(lanes), func(i, j int) { lanes[i], lanes[j] = lanes[j], lanes[i] })
 			n := rng.Intn(len(lanes) + 1)
 			s.Sample(got, uv, lanes[:n])
+			s.Words(words, uv, lanes[:n])
 			for _, l := range lanes[:n] {
-				want := tex.Sample(uv[l][0], uv[l][1])
-				for i := range want {
-					if math.Float32bits(got[l][i]) != math.Float32bits(want[i]) {
-						t.Fatalf("texture %+v at %v: Sampler %v, Texture.Sample %v", tex, uv[l], got[l], want)
-					}
+				want := refSample(tex, uv[l][0], uv[l][1])
+				if ts := tex.Sample(uv[l][0], uv[l][1]); !same(ts, want) {
+					t.Fatalf("texture %+v at %v: Texture.Sample %v, reference %v", tex, uv[l], ts, want)
+				}
+				if !same(got[l], want) {
+					t.Fatalf("texture %+v at %v: Sampler %v, reference %v", tex, uv[l], got[l], want)
+				}
+				if w := pack(tex.Sample(uv[l][0], uv[l][1])); words[l] != w {
+					t.Fatalf("texture %+v at %v: Words %08x, Pack(Texture.Sample) %08x", tex, uv[l], words[l], w)
 				}
 			}
 			for _, l := range lanes[n:] {
-				if got[l] != (Vec4{-7, -7, -7, -7}) {
+				if got[l] != (Vec4{-7, -7, -7, -7}) || words[l] != 0xdeadbeef {
 					t.Fatalf("Sampler wrote lane %d, which was not listed", l)
 				}
 			}

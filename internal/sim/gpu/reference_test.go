@@ -52,8 +52,9 @@ func topLeftEdge(dx, dy float32) bool { return dy < 0 || (dy == 0 && dx > 0) }
 func bottomRightEdge(dx, dy float32) bool { return dy > 0 || (dy == 0 && dx < 0) }
 
 // refDraw is the reference DrawTriangles. shade shades one fragment from
-// all its varyings; owns is the fill rule's edge test.
-func refDraw(dst *gpu.Target, verts []gpu.TVert, indices []int, shade func([]gpu.Vec4) (gpu.Vec4, int), st gpu.RenderState, owns func(dx, dy float32) bool) gpu.Stats {
+// all its varyings, to the four bytes of its pixel; owns is the fill rule's
+// edge test.
+func refDraw(dst *gpu.Target, verts []gpu.TVert, indices []int, shade refShade, st gpu.RenderState, owns func(dx, dy float32) bool) gpu.Stats {
 	stats := gpu.Stats{Vertices: len(verts)}
 	img := dst.Color
 	vp := st.Viewport
@@ -119,13 +120,26 @@ func refDraw(dst *gpu.Target, verts []gpu.TVert, indices []int, shade func([]gpu
 	return stats
 }
 
-// refBlend writes colour col, converted to 8 bits a channel, into the
-// pixel p through the blend mode.
-func refBlend(p []byte, col gpu.Vec4, mode gpu.BlendMode, stats *gpu.Stats) {
-	var s [4]uint32
+// refShade shades one fragment from all its varyings: its colour, 8 bits
+// a channel in R, G, B, A order, and its texture fetches.
+type refShade func([]gpu.Vec4) ([4]uint8, int)
+
+// refBytes converts a normalized colour to 8 bits a channel: clamped to
+// [0, 1], scaled to 255 and rounded half up.
+func refBytes(col gpu.Vec4) [4]uint8 {
+	var b [4]uint8
 	for i, v := range col {
 		v = min(max(v, 0), 1)
-		s[i] = uint32(uint8(float32(v*255) + 0.5))
+		b[i] = uint8(float32(v*255) + 0.5)
+	}
+	return b
+}
+
+// refBlend writes colour col into the pixel p through the blend mode.
+func refBlend(p []byte, col [4]uint8, mode gpu.BlendMode, stats *gpu.Stats) {
+	var s [4]uint32
+	for i, c := range col {
+		s[i] = uint32(c)
 	}
 	switch mode {
 	case gpu.BlendAlpha:
@@ -290,8 +304,8 @@ func sameTargets(a, b *gpu.Target) bool {
 
 // oneAtATime shades one fragment at a time through a fragment stage: a
 // span of one, its varyings written to the planes the stage asks for.
-func oneAtATime(fs gpu.FragShader) func([]gpu.Vec4) (gpu.Vec4, int) {
-	return func(vary []gpu.Vec4) (gpu.Vec4, int) {
+func oneAtATime(fs gpu.FragShader) refShade {
+	return func(vary []gpu.Vec4) ([4]uint8, int) {
 		f := fs.Acquire()
 		defer fs.Release(f)
 		index, planes := f.Inputs(len(vary))
@@ -299,21 +313,26 @@ func oneAtATime(fs gpu.FragShader) func([]gpu.Vec4) (gpu.Vec4, int) {
 			planes[i][0] = vary[k]
 		}
 		col, fetches := f.Shade(1)
-		return col[0], fetches[0]
+		c := col[0]
+		return [4]uint8{uint8(c), uint8(c >> 8), uint8(c >> 16), uint8(c >> 24)}, fetches[0]
 	}
 }
 
-// refStages returns the fragment stages the oracle runs: a FragFn whose
-// colour and fetch count depend on both its varyings, and a MiniSL program
-// that samples a texture and reads two of its three varyings.
-func refStages(t *testing.T) (stages []gpu.FragShader, names []string, nvary []int) {
-	fn := gpu.FragFn(func(v []gpu.Vec4) (gpu.Vec4, int) {
+// refStages returns the fragment stages the oracle runs, each with the
+// reference's shading of one fragment: a FragFn whose colour and fetch
+// count depend on both its varyings, whose colour the reference converts
+// itself; a MiniSL program that samples a texture and reads two of its
+// three varyings, shaded one fragment at a time; and a MiniSL program that
+// copies a texel to gl_FragColor, which the reference samples with
+// Texture.Sample and converts itself.
+func refStages(t *testing.T) (stages []gpu.FragShader, shades []refShade, names []string, nvary []int) {
+	shadeFn := func(v []gpu.Vec4) (gpu.Vec4, int) {
 		fetches := 0
 		if v[1][0] > 0.5 {
 			fetches = 2
 		}
 		return gpu.Vec4{v[0][0], v[1][1], v[0][2] * v[1][2], v[0][3]}, fetches
-	})
+	}
 	vs, err := minisl.Compile(`varying vec4 v_a; varying vec4 v_b; varying vec2 v_c;
 void main() { gl_Position = vec4(0.0); v_a = vec4(0.0); v_b = vec4(0.0); v_c = vec2(0.0); }`, minisl.Vertex)
 	if err != nil {
@@ -328,15 +347,39 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := minisl.Link(vs, fs)
+	copyFS, err := minisl.Compile(`varying vec2 v_c; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_c * 3.0 - vec2(1.0)); }`, minisl.Fragment)
 	if err != nil {
 		t.Fatal(err)
 	}
 	img := gpu.NewImage(7, 5)
 	rand.New(rand.NewSource(7)).Read(img.Pix)
-	b := p.Bind()
-	b.Set(0, minisl.Sampler(&gpu.Texture{Img: img, Repeat: true}))
-	return []gpu.FragShader{fn, b}, []string{"FragFn", "MiniSL"}, []int{2, len(p.VaryNames)}
+	tex := &gpu.Texture{Img: img, Repeat: true}
+	var binds []*minisl.Binding
+	for _, fs := range []*minisl.Shader{fs, copyFS} {
+		p, err := minisl.Link(vs, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := p.Bind()
+		b.Set(0, minisl.Sampler(tex))
+		binds = append(binds, b)
+	}
+	// v_c is varying 2 of v_a, v_b, v_c.
+	copyTexel := func(v []gpu.Vec4) ([4]uint8, int) {
+		uv := v[2]
+		for i := range 2 {
+			uv[i] = float32(uv[i]*3) - 1 // MiniSL rounds the product
+		}
+		return refBytes(tex.Sample(uv[0], uv[1])), 1
+	}
+	convert := func(v []gpu.Vec4) ([4]uint8, int) {
+		c, n := shadeFn(v)
+		return refBytes(c), n
+	}
+	return []gpu.FragShader{gpu.FragFn(shadeFn), binds[0], binds[1]},
+		[]refShade{convert, oneAtATime(binds[0]), copyTexel},
+		[]string{"FragFn", "MiniSL", "MiniSL-texel-copy"}, []int{2, 3, 3}
 }
 
 // TestRasterizerMatchesReference holds DrawTriangles to the reference
@@ -345,13 +388,13 @@ void main() {
 // bits and the same Stats. It also checks that the sets decide the fill
 // rule: a reference that owns bottom-right edges instead must disagree.
 func TestRasterizerMatchesReference(t *testing.T) {
-	stages, names, nvary := refStages(t)
+	stages, shades, names, nvary := refStages(t)
 	for s, stage := range stages {
 		t.Run(names[s], func(t *testing.T) {
 			flipped := 0
 			for _, sc := range refScenes(rand.New(rand.NewSource(int64(s+1))), nvary[s]) {
 				want := sc.target()
-				wantStats := refDraw(want, sc.verts, sc.indices, oneAtATime(stage), sc.st, topLeftEdge)
+				wantStats := refDraw(want, sc.verts, sc.indices, shades[s], sc.st, topLeftEdge)
 				for _, workers := range []int{1, 4} {
 					got := sc.target()
 					st := sc.st
@@ -365,7 +408,7 @@ func TestRasterizerMatchesReference(t *testing.T) {
 					}
 				}
 				mirrored := sc.target()
-				refDraw(mirrored, sc.verts, sc.indices, oneAtATime(stage), sc.st, bottomRightEdge)
+				refDraw(mirrored, sc.verts, sc.indices, shades[s], sc.st, bottomRightEdge)
 				if !sameTargets(mirrored, want) {
 					flipped++
 				}

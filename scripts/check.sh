@@ -93,6 +93,12 @@ echo "== fuzz smoke (MiniSL compile, link, bind and run: no panic, frame reuse i
 # milliseconds; the short minimization budget keeps the 10 s on mutation.
 go test ./internal/sim/gpu/minisl -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
 
+echo "== fuzz smoke (fault.ParseSpec and ParsePoint read -faults flags: no panic, rate in [0, 1], String round-trips)"
+go test ./internal/fault -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
+
+echo "== fuzz smoke (telemetry.ParseText reads a remote /metrics: no panic, duplicate series always rejected)"
+go test ./internal/obs/telemetry -run '^$' -fuzz '^FuzzParseText$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
+
 echo "== bench/ tests (pinned virtual times, layer accounting, BENCHMARK.json contract)"
 (cd bench && go test ./...)
 
