@@ -99,16 +99,16 @@ type Diplomat struct {
 
 	wrapper Wrapper
 	// prof is the profiler the diplomat records into: nil when none is
-	// configured or the diplomat is Unimplemented. Its metric, met, is
-	// created on the first recorded call — an app builds some 330
-	// diplomats, most never called, and Figures 7-10 show only functions
-	// that were — so every later record is an atomic load and two atomic
-	// adds on the caller's stripe (no global mutex, no map lookup).
+	// configured or the diplomat is Unimplemented. Its per-function
+	// histogram, fn, is created on the first recorded call — an app builds
+	// some 330 diplomats, most never called, and Figures 7-10 show only
+	// functions that were — so every later record is an atomic load and a
+	// few atomic adds on the caller's stripe (no global mutex, no lookup).
 	prof     *profile.Profiler
-	met      atomic.Pointer[obs.Metric]
+	fn       atomic.Pointer[obs.Histogram]
 	spanName string // "diplomat:<name>", precomputed for the call span
 	// hist is the diplomat-call latency histogram (frame-health
-	// telemetry): where met records count+total per function, hist records
+	// telemetry): where fn records each function's calls, hist records
 	// the tail distribution across all diplomat calls. Gated by its registry,
 	// so the disabled cost per call is one atomic load.
 	hist *obs.Histogram
@@ -294,20 +294,21 @@ func (d *Diplomat) call(t *kernel.Thread, args []any, fr *callconv.Frame) (ret a
 	return ret
 }
 
-// finish closes the per-call accounting: the profile metric (count+total),
-// the shared latency histogram (tails), and a flight-recorder span event.
-// Every component is individually gated at one atomic load when off.
+// finish closes the per-call accounting: the function's profile histogram
+// (calls and total time), the shared latency histogram (tails), and a
+// flight-recorder span event. Every component but the profile is
+// individually gated at one atomic load when off.
 func (d *Diplomat) finish(t *kernel.Thread, start vclock.Duration) {
 	dur := t.VTime() - start
 	if d.prof != nil {
-		m := d.met.Load()
-		if m == nil {
-			// Simultaneous first calls both get the profiler's one metric
-			// for the name, so either store is the same pointer.
-			m = d.prof.Metric(d.Name)
-			d.met.Store(m)
+		h := d.fn.Load()
+		if h == nil {
+			// Simultaneous first calls both get the profiler's one
+			// histogram for the name, so either store is the same pointer.
+			h = d.prof.Histograms().Histogram(d.Name)
+			d.fn.Store(h)
 		}
-		m.Record(t.TID(), dur)
+		h.Observe(t.TID(), dur)
 	}
 	d.hist.Observe(t.TID(), dur)
 	t.FlightRecord(obs.FlightSpan, obs.CatDiplomat, d.spanName, int64(dur))

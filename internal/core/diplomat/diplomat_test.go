@@ -254,9 +254,9 @@ func (quietLib) Symbols() map[string]linker.Fn {
 }
 
 // TestProfileMetricCreatedOnFirstCall checks that a diplomat creates its
-// profile metric on its first call, not when it is built, and that two
-// threads making their first calls at once record into one metric (run it
-// under -race).
+// profile histogram on its first call, not when it is built, and that two
+// threads making their first calls at once record into one histogram (run
+// it under -race).
 func TestProfileMetricCreatedOnFirstCall(t *testing.T) {
 	th, cfg, _ := env(t)
 	cfg.Linker.MustRegister(&linker.Blueprint{
@@ -273,8 +273,8 @@ func TestProfileMetricCreatedOnFirstCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := prof.Metrics().Lookup("glQuiet"); ok {
-		t.Fatal("metric created before the first call")
+	if _, ok := prof.Histograms().Lookup("glQuiet"); ok {
+		t.Fatal("histogram created before the first call")
 	}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -298,7 +298,7 @@ func TestProfileMetricCreatedOnFirstCall(t *testing.T) {
 }
 
 // Regression: Call must check for the Unimplemented kind before any
-// profiling. The ten never-called Table 2 functions previously got a metric
+// profiling. The ten never-called Table 2 functions previously got a profile
 // row recorded on every call, which would surface them in the Figure 7-10
 // profiles.
 func TestUnimplementedNotProfiled(t *testing.T) {

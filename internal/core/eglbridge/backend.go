@@ -161,27 +161,6 @@ func (bk *Backend) PresentRenderbuffer(t *kernel.Thread, bc eagl.BackendContext)
 	return err
 }
 
-// CopySurfaceToTexture exposes the copy_tex_buf upload path (WebKit's
-// decoded-image tiles).
-func (bk *Backend) CopySurfaceToTexture(t *kernel.Thread, s *iosurface.Surface, texID uint32) error {
-	_, err := bk.call(t, "aegl_bridge_copy_tex_buf", s, texID)
-	return err
-}
-
-// BindSurfaceToBoundTexture exposes the bind_surface_tex path used by the
-// glEGLImageTargetTexture2DOES multi diplomat and the photo-editor example.
-func (bk *Backend) BindSurfaceToBoundTexture(t *kernel.Thread, s *iosurface.Surface) error {
-	_, err := bk.call(t, "aegl_bridge_bind_surface_tex", s)
-	return err
-}
-
-// DeleteTexturesWithSurfaces exposes the delete_textures path (the
-// glDeleteTextures multi diplomat routes here).
-func (bk *Backend) DeleteTexturesWithSurfaces(t *kernel.Thread, ids []uint32) error {
-	_, err := bk.call(t, "aegl_bridge_delete_textures", ids)
-	return err
-}
-
 // --- iosurface.Interposer ---
 
 // OnCreate implements iosurface.Interposer: the IOSurfaceCreate indirect

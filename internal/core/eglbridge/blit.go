@@ -3,9 +3,7 @@ package eglbridge
 import (
 	"fmt"
 
-	"cycada/internal/android/gralloc"
 	"cycada/internal/gles/engine"
-	"cycada/internal/sim/gpu"
 	"cycada/internal/sim/kernel"
 )
 
@@ -94,19 +92,4 @@ func (bs *blitState) draw(t *kernel.Thread, eng *engine.Lib, tex uint32) {
 	eng.VertexAttribPointer(t, bs.uvLoc, 2, blitUV)
 	eng.EnableVertexAttribArray(t, bs.uvLoc)
 	eng.DrawElements(t, engine.Triangles, blitIdx)
-}
-
-// gpuFormat returns a buffer's pixel format for texture allocation.
-func gpuFormat(buf *gralloc.Buffer) gpu.Format {
-	if buf.Format == 0 {
-		return gpu.FormatRGBA8888
-	}
-	return buf.Format
-}
-
-// copyInto uploads the buffer's pixels into the bound texture's private
-// storage (the non-zero-copy path of aegl_bridge_copy_tex_buf).
-func copyInto(eng *engine.Lib, t *kernel.Thread, texID uint32, buf *gralloc.Buffer) {
-	eng.BindTexture(t, engine.Texture2D, texID)
-	eng.TexSubImage2D(t, 0, 0, buf.W, buf.H, gpu.FormatRGBA8888, buf.Img.Pix)
 }

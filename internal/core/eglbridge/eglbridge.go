@@ -354,51 +354,27 @@ func (l *Lib) drawFBOTex(t *kernel.Thread, b *bctx) error {
 	return nil
 }
 
-// copyTexBuf implements aegl_bridge_copy_tex_buf. With a backend context it
-// is the GLES 1 present path (no shaders available): the layer buffer is
-// copied into the window back buffer. With a surface and texture it copies
-// IOSurface content into a texture's private storage (WebKit's decoded-image
-// upload path).
+// copyTexBuf implements aegl_bridge_copy_tex_buf, the GLES 1 present path
+// (no shaders available): the backend context's layer buffer is copied into
+// its window back buffer.
 func (l *Lib) copyTexBuf(t *kernel.Thread, args []any) (any, error) {
-	switch first := args[0].(type) {
-	case *bctx:
-		b := first
-		sp := t.TraceBegin(obs.CatEGL, "egl:blit_copy")
-		defer t.TraceEnd(sp)
-		b.mu.Lock()
-		win := b.winSurf
-		buf := b.layerBuf
-		b.mu.Unlock()
-		if win == nil || buf == nil {
-			return nil, fmt.Errorf("aegl_bridge_copy_tex_buf: no window surface")
-		}
-		tgt := win.Target()
-		n := tgt.Color.Copy(buf.Img, 0, 0)
-		t.ChargeGPU(vclock.Duration(n) * t.Costs().PerPixelCopyTex)
-		return nil, nil
-	case *iosurface.Surface:
-		if len(args) < 2 {
-			return nil, fmt.Errorf("aegl_bridge_copy_tex_buf: missing texture argument")
-		}
-		texID, _ := args[1].(uint32)
-		buf, err := backing(first)
-		if err != nil {
-			return nil, err
-		}
-		conn := l.egl.CurrentMC(t)
-		if conn == nil {
-			return nil, fmt.Errorf("aegl_bridge_copy_tex_buf: no replica selected")
-		}
-		eng := conn.Engine()
-		eng.BindTexture(t, engine.Texture2D, texID)
-		eng.TexImage2D(t, buf.W, buf.H, gpuFormat(buf), nil)
-		// Copy the surface pixels into the texture's private storage; the
-		// upload itself charges per texel.
-		copyInto(eng, t, texID, buf)
-		return nil, nil
-	default:
+	b, ok := args[0].(*bctx)
+	if !ok {
 		return nil, fmt.Errorf("aegl_bridge_copy_tex_buf: bad arguments %T", args[0])
 	}
+	sp := t.TraceBegin(obs.CatEGL, "egl:blit_copy")
+	defer t.TraceEnd(sp)
+	b.mu.Lock()
+	win := b.winSurf
+	buf := b.layerBuf
+	b.mu.Unlock()
+	if win == nil || buf == nil {
+		return nil, fmt.Errorf("aegl_bridge_copy_tex_buf: no window surface")
+	}
+	tgt := win.Target()
+	n := tgt.Color.Copy(buf.Img, 0, 0)
+	t.ChargeGPU(vclock.Duration(n) * t.Costs().PerPixelCopyTex)
+	return nil, nil
 }
 
 // deleteTextures implements aegl_bridge_delete_textures — the domestic half

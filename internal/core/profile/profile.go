@@ -4,8 +4,10 @@
 // virtual time, and reports the top functions by share of total time and by
 // average time per call.
 //
-// The Profiler is a read-side view over obs.Metrics: recording goes through
-// sharded per-thread-striped atomic counters (no global mutex on the
+// The Profiler is a read-side view over its own always-enabled
+// obs.Histograms, one histogram per function: a function's calls are its
+// histogram's count and its total time the histogram's sum. Recording is a
+// few atomic adds on the caller's TID stripe (no global mutex on the
 // diplomat hot path), while Samples/Top/Table keep their original ordering
 // and formatting so the figures regenerate bit-for-bit.
 package profile
@@ -21,29 +23,29 @@ import (
 
 // Profiler accumulates per-function timing. Safe for concurrent use.
 type Profiler struct {
-	m *obs.Metrics
+	hs *obs.Histograms
 }
 
 // New creates an empty profiler.
 func New() *Profiler {
-	return &Profiler{m: obs.NewMetrics()}
+	hs := obs.NewHistograms()
+	hs.SetEnabled(true)
+	return &Profiler{hs: hs}
 }
 
-// Metrics exposes the underlying sharded registry.
-func (p *Profiler) Metrics() *obs.Metrics { return p.m }
-
-// Metric returns the stable per-function metric; hot paths cache it and call
-// Record on it directly with their TID as the stripe.
-func (p *Profiler) Metric(name string) *obs.Metric { return p.m.Metric(name) }
+// Histograms exposes the per-function histograms, one per function name. A
+// histogram's pointer is stable: hot paths cache it and Observe on it
+// directly with their TID as the stripe.
+func (p *Profiler) Histograms() *obs.Histograms { return p.hs }
 
 // Record adds one call of d virtual time to the named function. This is the
-// convenience slow path; see Metric for the cached hot path.
+// convenience slow path; see Histograms for the cached hot path.
 func (p *Profiler) Record(name string, d vclock.Duration) {
-	p.m.Metric(name).Record(0, d)
+	p.hs.Histogram(name).Observe(0, d)
 }
 
-// Reset clears all samples. Metric pointers cached by callers stay valid.
-func (p *Profiler) Reset() { p.m.Reset() }
+// Reset clears all samples. Histogram pointers cached by callers stay valid.
+func (p *Profiler) Reset() { p.hs.Reset() }
 
 // Sample is one function's aggregated profile.
 type Sample struct {
@@ -67,14 +69,14 @@ func (s Sample) Avg() vclock.Duration {
 func (p *Profiler) Samples() []Sample {
 	var out []Sample
 	var grand vclock.Duration
-	p.m.Each(func(m *obs.Metric) {
-		calls := m.Calls()
+	p.hs.Each(func(h *obs.Histogram) {
+		calls := h.Count()
 		if calls == 0 {
 			return
 		}
-		total := m.Total()
+		total := h.Sum()
 		grand += total
-		out = append(out, Sample{Name: m.Name(), Calls: int(calls), Total: total})
+		out = append(out, Sample{Name: h.Name(), Calls: int(calls), Total: total})
 	})
 	for i := range out {
 		if grand > 0 {
@@ -101,8 +103,8 @@ func (p *Profiler) Top(n int) []Sample {
 
 // Calls reports the call count of one function.
 func (p *Profiler) Calls(name string) int {
-	if m, ok := p.m.Lookup(name); ok {
-		return int(m.Calls())
+	if h, ok := p.hs.Lookup(name); ok {
+		return int(h.Count())
 	}
 	return 0
 }

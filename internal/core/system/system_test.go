@@ -561,17 +561,17 @@ func TestProfilerSeesPaperFunctions(t *testing.T) {
 
 // bootCycadaAppKeep is bootCycadaApp returning the app too.
 // TestProfilerHoldsOnlyCalledFunctions boots an app and draws a frame: a
-// diplomat creates its profile metric on its first call, so the profiler
-// holds a metric for each function called and for no other, though the
+// diplomat creates its profile histogram on its first call, so the profiler
+// holds a histogram for each function called and for no other, though the
 // bridge built diplomats for every function of the surface.
 func TestProfilerHoldsOnlyCalledFunctions(t *testing.T) {
 	_, app, env := bootCycadaAppKeep(t)
 	iosTriangleApp(t, env, 32, 32)
 	held := 0
-	app.Profiler.Metrics().Each(func(m *obs.Metric) {
+	app.Profiler.Histograms().Each(func(h *obs.Histogram) {
 		held++
-		if m.Calls() == 0 {
-			t.Errorf("profiler holds a metric for %s, which was never called", m.Name())
+		if h.Count() == 0 {
+			t.Errorf("profiler holds a histogram for %s, which was never called", h.Name())
 		}
 	})
 	built := 0
@@ -579,7 +579,7 @@ func TestProfilerHoldsOnlyCalledFunctions(t *testing.T) {
 		built += n
 	}
 	if held == 0 || held >= built {
-		t.Fatalf("profiler holds %d metrics for %d diplomats: want some, and fewer", held, built)
+		t.Fatalf("profiler holds %d histograms for %d diplomats: want some, and fewer", held, built)
 	}
 }
 

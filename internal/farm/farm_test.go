@@ -7,7 +7,9 @@ package farm_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -346,5 +348,55 @@ func TestFarmFaultIsolation(t *testing.T) {
 	}
 	if st := f.Stats(); st.Failed != 1 || st.Completed != 2 {
 		t.Errorf("stats = %+v, want 1 failed, 2 completed", st)
+	}
+}
+
+// The drain deadline: a wedged session holds the only device past a short
+// DrainDeadline, so Close force-fails every session still queued behind it
+// (ErrClosed, never placed on a device, counted as force-failed) and
+// abandons the wedged one. Once the wedged body returns, every goroutine the
+// farm started is gone.
+func TestFarmDrainDeadlineForceFailsQueued(t *testing.T) {
+	base := runtime.NumGoroutine()
+	release := make(chan struct{})
+	f := farm.New(farm.Config{Devices: 1, MaxQueue: 8, DrainDeadline: 20 * time.Millisecond})
+	f.Device(0).Flight.SetOutput(io.Discard)
+	wedged, err := f.Submit(blockingSession("wedged", release))
+	if err != nil {
+		t.Fatalf("Submit wedged: %v", err)
+	}
+	waitBusy(t, f)
+	var queued []*farm.Session
+	for i := 0; i < 3; i++ {
+		s, err := f.Submit(blockingSession(fmt.Sprintf("queued-%d", i), release))
+		if err != nil {
+			t.Fatalf("Submit queued-%d: %v", i, err)
+		}
+		queued = append(queued, s)
+	}
+
+	f.Close()
+	for _, s := range queued {
+		res := s.Result()
+		if !errors.Is(res.Err, farm.ErrClosed) || res.Device != -1 {
+			t.Errorf("%s: err = %v, device = %d; want ErrClosed on device -1", res.Name, res.Err, res.Device)
+		}
+	}
+	if res := wedged.Result(); !errors.Is(res.Err, farm.ErrClosed) {
+		t.Errorf("wedged session: err = %v, want ErrClosed", res.Err)
+	}
+	if c, ok := f.Counters().Lookup(farm.CtrForceFailed); !ok || c.Load() != int64(len(queued)) {
+		t.Errorf("force-failed counter = %v (present %v), want %d", c, ok, len(queued))
+	}
+
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close and release, %d before New:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -272,6 +272,9 @@ func (e *Engine) installGlobals() {
 	g["Array"] = &Builtin{Name: "Array", Fn: func(ip *interp, this Value, args []Value) (Value, error) {
 		if len(args) == 1 {
 			if n, ok := args[0].(float64); ok {
+				if !(n >= 0 && n <= maxArrayLen && n == math.Trunc(n)) {
+					return nil, &RuntimeError{Msg: "invalid array length"}
+				}
 				elems := make([]Value, int(n))
 				for i := range elems {
 					elems[i] = Undefined{}

@@ -557,7 +557,11 @@ func (ip *interp) binop(op string, l, r Value, line int) (Value, error) {
 		_, ls := l.(string)
 		_, rs := r.(string)
 		if ls || rs || isConcatty(l) || isConcatty(r) {
-			return ToString(l) + ToString(r), nil
+			a, b := ToString(l), ToString(r)
+			if len(a)+len(b) > maxStringLen {
+				return nil, &RuntimeError{Line: line, Msg: "invalid string length"}
+			}
+			return a + b, nil
 		}
 		return toNumber(l) + toNumber(r), nil
 	case "-":

@@ -503,3 +503,33 @@ func TestFunctionHoisting(t *testing.T) {
 		t.Fatalf("hoisting = %v", got)
 	}
 }
+
+// A cycle joins as empty, as in browsers, instead of recursing without end.
+func TestCyclicArrayJoinsEmpty(t *testing.T) {
+	if got := run(t, `var a = [1]; a[1] = a; var b = [2, a]; a[2] = b; a.join("-") + "|" + b`); got != "1--2,|2,1,," {
+		t.Fatalf("cyclic join = %q", got)
+	}
+}
+
+// Lengths, indexes and concatenations past the script limits are errors,
+// not allocations that take the host down.
+func TestScriptLimits(t *testing.T) {
+	for src, want := range map[string]string{
+		`Array(NaN)`:                        "invalid array length",
+		`new Array(-1)`:                     "invalid array length",
+		`Array(1.5)`:                        "invalid array length",
+		`Array(2e6)`:                        "invalid array length",
+		`var a = []; a.length = 1e15`:       "invalid array length",
+		`var a = []; a[1e15] = 1`:           "array index too large",
+		`var s = "ab"; while (1) s += s`:    "invalid string length",
+		`var s = "ab"; while (1) s = s + s`: "invalid string length",
+	} {
+		e := New(newThread(t, false))
+		if _, err := e.Run(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run(%q) error = %v, want %q", src, err, want)
+		}
+	}
+	if got := num(t, `var a = Array(1000); a[999] = 1; a.length = 1048576; a.length`); got != 1<<20 {
+		t.Fatalf("length at the limit = %v", got)
+	}
+}

@@ -79,6 +79,9 @@ func (ip *interp) setMember(obj Value, name string, v Value, line int) error {
 		return nil
 	case *Array:
 		if name == "length" {
+			if toNumber(v) > maxArrayLen {
+				return &RuntimeError{Line: line, Msg: "invalid array length"}
+			}
 			n := int(toNumber(v))
 			if n < 0 {
 				n = 0
@@ -126,6 +129,9 @@ func (ip *interp) getIndex(obj, idx Value, line int) (Value, error) {
 func (ip *interp) setIndex(obj, idx, v Value, line int) error {
 	switch o := obj.(type) {
 	case *Array:
+		if toNumber(idx) >= maxArrayLen {
+			return &RuntimeError{Line: line, Msg: "array index too large"}
+		}
 		i := int(toNumber(idx))
 		if i < 0 {
 			return &RuntimeError{Line: line, Msg: "negative array index"}
@@ -174,15 +180,7 @@ func arrayMethod(a *Array, name string) *Builtin {
 			if len(args) > 0 {
 				sep = ToString(args[0])
 			}
-			parts := make([]string, len(a.Elems))
-			for i, e := range a.Elems {
-				if isNullish(e) {
-					parts[i] = ""
-				} else {
-					parts[i] = ToString(e)
-				}
-			}
-			return strings.Join(parts, sep), nil
+			return join(a, sep, nil), nil
 		}}
 	case "concat":
 		return &Builtin{Name: "concat", Fn: func(ip *interp, this Value, args []Value) (Value, error) {

@@ -3,6 +3,7 @@ package jsvm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -193,15 +194,7 @@ func ToString(v Value) string {
 	case Null:
 		return "null"
 	case *Array:
-		parts := make([]string, len(x.Elems))
-		for i, e := range x.Elems {
-			if isNullish(e) {
-				parts[i] = ""
-			} else {
-				parts[i] = ToString(e)
-			}
-		}
-		return strings.Join(parts, ",")
+		return join(x, ",", nil)
 	case *Object:
 		return "[object Object]"
 	case *Function:
@@ -218,6 +211,34 @@ func ToString(v Value) string {
 		return fmt.Sprintf("%v", v)
 	}
 }
+
+// join renders an array's elements separated by sep, as
+// Array.prototype.join does: null and undefined render empty, and so does an
+// array that outer is already joining, so a cycle renders empty as in
+// browsers instead of recursing without end.
+func join(a *Array, sep string, outer []*Array) string {
+	if slices.Contains(outer, a) {
+		return ""
+	}
+	outer = append(outer, a)
+	parts := make([]string, len(a.Elems))
+	for i, e := range a.Elems {
+		if inner, ok := e.(*Array); ok {
+			parts[i] = join(inner, ",", outer)
+		} else if !isNullish(e) {
+			parts[i] = ToString(e)
+		}
+	}
+	return strings.Join(parts, sep)
+}
+
+// Script limits: a length, index or concatenation past them is a
+// RuntimeError, as an invalid length is a RangeError in a browser, rather
+// than an allocation that can take the host process down.
+const (
+	maxArrayLen  = 1 << 20
+	maxStringLen = 1 << 20
+)
 
 func isNullish(v Value) bool {
 	switch v.(type) {

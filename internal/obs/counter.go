@@ -2,17 +2,14 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonic event counter: the third leg of the telemetry
-// stool next to Metric (calls + time) and Histogram (latency distribution).
-// It exists for events that have no duration — retries, quarantines,
-// reboots, abandoned goroutines — where a Metric's time column would be
-// noise. All methods are safe for concurrent use.
+// Counter is a monotonic event counter, the Histogram's duration-less
+// sibling: it exists for events that have no duration — retries,
+// quarantines, reboots, abandoned goroutines — where a histogram's buckets
+// would be noise. All methods are safe for concurrent use.
 type Counter struct {
 	name string
 	v    atomic.Int64
@@ -30,12 +27,15 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
+// Reset zeroes the counter in place.
+func (c *Counter) Reset() { c.v.Store(0) }
+
 // Counters is a named-counter registry, one per owning subsystem (the farm
 // keeps its own, like a device keeps its own Histograms), so concurrent
-// owners never share hot cache lines through a global map.
+// owners never share hot cache lines through a global map. Lookup, Each (in
+// name order) and Reset come from the shared registry.
 type Counters struct {
-	mu sync.RWMutex
-	m  map[string]*Counter
+	registry[*Counter]
 }
 
 // NewCounters creates an empty registry.
@@ -50,48 +50,7 @@ var DefaultCounters = NewCounters()
 
 // Counter returns the named counter, creating it on first use.
 func (cs *Counters) Counter(name string) *Counter {
-	cs.mu.RLock()
-	c := cs.m[name]
-	cs.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.m == nil {
-		cs.m = make(map[string]*Counter)
-	}
-	if c = cs.m[name]; c == nil {
-		c = &Counter{name: name}
-		cs.m[name] = c
-	}
-	return c
-}
-
-// Lookup returns the named counter without creating it.
-func (cs *Counters) Lookup(name string) (*Counter, bool) {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	c, ok := cs.m[name]
-	return c, ok
-}
-
-// Each calls fn for every counter in name order.
-func (cs *Counters) Each(fn func(*Counter)) {
-	cs.mu.RLock()
-	names := make([]string, 0, len(cs.m))
-	for name := range cs.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	counters := make([]*Counter, len(names))
-	for i, name := range names {
-		counters[i] = cs.m[name]
-	}
-	cs.mu.RUnlock()
-	for _, c := range counters {
-		fn(c)
-	}
+	return cs.get(name, func() *Counter { return &Counter{name: name} })
 }
 
 // String renders "name=count" pairs in name order, for snapshot sections.

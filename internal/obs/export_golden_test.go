@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -94,32 +93,5 @@ func TestTracerEventCapCountsDrops(t *testing.T) {
 	}
 	if !strings.Contains(tr.TextReport(), "noop") || strings.Contains(tr.TextReport(), "dropped") {
 		t.Fatalf("drop footer should be absent when nothing dropped:\n%s", tr.TextReport())
-	}
-}
-
-func TestMetricsConcurrentCreateSamePointer(t *testing.T) {
-	ms := NewMetrics()
-	const n = 16
-	got := make(chan *Metric, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m := ms.Metric("shared")
-			m.Record(i, 10)
-			got <- m
-		}(i)
-	}
-	wg.Wait()
-	close(got)
-	first := <-got
-	for m := range got {
-		if m != first {
-			t.Fatal("concurrent creation returned distinct metrics for one name")
-		}
-	}
-	if first.Calls() != n || first.Total() != n*10 {
-		t.Fatalf("calls=%d total=%v", first.Calls(), first.Total())
 	}
 }

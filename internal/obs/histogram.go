@@ -6,17 +6,16 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"cycada/internal/sim/vclock"
 )
 
 // Log-bucketed duration histograms (frame-health telemetry, DESIGN.md §10).
-// A Metric records count+total, which is enough for averages but says nothing
-// about tails; where tails matter — the EGL present path, SurfaceFlinger
-// compose, diplomat calls, impersonation sessions — sites record into a
-// Histogram instead and report P50/P95/P99 and max.
+// Histogram is the one timing primitive: its count and sum are what the
+// per-function profiles of Figures 7-10 read (calls and total time), and its
+// buckets and max give the tails — P50/P95/P99 — at the EGL present path,
+// SurfaceFlinger compose, diplomat calls and impersonation sessions.
 //
 // Buckets are powers of two of virtual nanoseconds: bucket i holds durations
 // whose bit length is i, i.e. [2^(i-1), 2^i). Observing is a handful of
@@ -28,8 +27,11 @@ import (
 // bucket.
 const histBuckets = 48
 
-// histStripes must be a power of two; callers stripe by TID.
-const histStripes = 16
+// histStripes must be a power of two; callers stripe by TID. Four keep the
+// few threads that share one histogram (an app's threads, a device's
+// kernel) off each other's counters, and keep a histogram at about 1.6 KB:
+// an app's profiler holds one for every function it calls.
+const histStripes = 4
 
 type histStripe struct {
 	count   atomic.Int64
@@ -213,22 +215,24 @@ func (h *Histogram) sample() histSample {
 	return s
 }
 
-// add accumulates another sample (multi-registry aggregation).
-func (s *histSample) add(o histSample) {
+// plus sums two samples (multi-registry aggregation, window merges).
+func (s histSample) plus(o histSample) histSample {
 	s.count += o.count
 	s.sum += o.sum
 	for b := range s.buckets {
 		s.buckets[b] += o.buckets[b]
 	}
+	return s
 }
 
-// sub forms the delta against an earlier sample.
-func (s *histSample) sub(o histSample) {
+// minus forms the delta against an earlier sample.
+func (s histSample) minus(o histSample) histSample {
 	s.count -= o.count
 	s.sum -= o.sum
 	for b := range s.buckets {
 		s.buckets[b] -= o.buckets[b]
 	}
+	return s
 }
 
 // Merge folds another histogram's observations into h. It is an aggregation
@@ -258,8 +262,8 @@ func (h *Histogram) Merge(from *Histogram) {
 	}
 }
 
-// reset zeroes the stripes in place; cached *Histogram pointers stay valid.
-func (h *Histogram) reset() {
+// Reset zeroes the histogram in place; cached *Histogram pointers stay valid.
+func (h *Histogram) Reset() {
 	for i := range h.stripes {
 		s := &h.stripes[i]
 		s.count.Store(0)
@@ -271,16 +275,13 @@ func (h *Histogram) reset() {
 	}
 }
 
-// Reset zeroes the histogram in place.
-func (h *Histogram) Reset() { h.reset() }
-
 // Histograms is a registry of named histograms with one shared enable gate:
 // every histogram created from a registry observes only while the registry
-// is enabled, so the disabled cost of every site is one atomic load.
+// is enabled, so the disabled cost of every site is one atomic load. Lookup,
+// Each (in name order) and Reset come from the shared registry.
 type Histograms struct {
-	enabled  atomic.Bool
-	createMu sync.Mutex
-	m        sync.Map // string -> *Histogram
+	registry[*Histogram]
+	enabled atomic.Bool
 }
 
 // NewHistograms creates an empty, disabled registry.
@@ -301,39 +302,7 @@ func (hs *Histograms) Enabled() bool { return hs.enabled.Load() }
 // Histogram returns the named histogram, creating it on first use. The
 // returned pointer is stable for the lifetime of the registry.
 func (hs *Histograms) Histogram(name string) *Histogram {
-	if v, ok := hs.m.Load(name); ok {
-		return v.(*Histogram)
-	}
-	hs.createMu.Lock()
-	defer hs.createMu.Unlock()
-	if v, ok := hs.m.Load(name); ok {
-		return v.(*Histogram)
-	}
-	h := &Histogram{name: name, enabled: &hs.enabled}
-	hs.m.Store(name, h)
-	return h
-}
-
-// Lookup returns the named histogram without creating it.
-func (hs *Histograms) Lookup(name string) (*Histogram, bool) {
-	v, ok := hs.m.Load(name)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Histogram), true
-}
-
-// Each calls fn for every histogram, in no particular order.
-func (hs *Histograms) Each(fn func(*Histogram)) {
-	hs.m.Range(func(_, v any) bool {
-		fn(v.(*Histogram))
-		return true
-	})
-}
-
-// Reset zeroes every histogram in place; cached pointers stay valid.
-func (hs *Histograms) Reset() {
-	hs.Each(func(h *Histogram) { h.reset() })
+	return hs.get(name, func() *Histogram { return &Histogram{name: name, enabled: &hs.enabled} })
 }
 
 // Merge folds every histogram of from into the same-named histogram of hs

@@ -1,7 +1,9 @@
 // Package obs is the observability layer of the simulation: hierarchical
-// spans carrying both virtual time and wall time, and sharded low-contention
-// metrics (metrics.go). It is always compiled in and default-off; the entire
-// disabled cost of a span site is one atomic load.
+// spans carrying both virtual time and wall time, and two metric primitives
+// — TID-striped duration histograms (histogram.go) and event counters
+// (counter.go) — kept in one kind of name-ordered registry (registry.go). It
+// is always compiled in and default-off; the entire disabled cost of a span
+// site is one atomic load.
 //
 // Spans never charge virtual time — enabling tracing cannot perturb any
 // experiment, so every table and figure regenerates bit-for-bit with tracing

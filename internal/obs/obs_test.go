@@ -158,46 +158,6 @@ func TestTextReportAggregates(t *testing.T) {
 	}
 }
 
-func TestMetricStripesSum(t *testing.T) {
-	ms := NewMetrics()
-	m := ms.Metric("glDrawArrays")
-	var wg sync.WaitGroup
-	const threads, per = 8, 1000
-	for tid := 0; tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				m.Record(tid, 2)
-			}
-		}(tid)
-	}
-	wg.Wait()
-	if m.Calls() != threads*per {
-		t.Fatalf("calls = %d", m.Calls())
-	}
-	if m.Total() != vclock.Duration(2*threads*per) {
-		t.Fatalf("total = %d", m.Total())
-	}
-}
-
-func TestMetricsResetKeepsPointers(t *testing.T) {
-	ms := NewMetrics()
-	m := ms.Metric("x")
-	m.Record(0, 5)
-	ms.Reset()
-	if m.Calls() != 0 || m.Total() != 0 {
-		t.Fatal("reset did not zero")
-	}
-	if ms.Metric("x") != m {
-		t.Fatal("reset invalidated the cached pointer")
-	}
-	m.Record(1, 7)
-	if m.Calls() != 1 || m.Total() != 7 {
-		t.Fatal("metric unusable after reset")
-	}
-}
-
 func TestAllocPIDSpace(t *testing.T) {
 	tr := New()
 	if a, b := tr.AllocPIDSpace(), tr.AllocPIDSpace(); a != 0 || b != 1000 {

@@ -129,26 +129,17 @@ func Snapshot() *SystemSnapshot {
 	return snap
 }
 
-// histogramSection summarizes a registry's non-empty histograms.
+// histogramSection summarizes a registry's non-empty histograms in name
+// order.
 func histogramSection(hs *Histograms) Section {
 	sec := Section{Name: "histograms"}
 	sec.Add("enabled", hs.Enabled())
-	type row struct {
-		name string
-		h    *Histogram
-	}
-	var rows []row
 	hs.Each(func(h *Histogram) {
 		if h.Count() > 0 {
-			rows = append(rows, row{h.Name(), h})
+			sec.Addf(h.Name(), "count=%d avg=%.1fus p50=%.1fus p95=%.1fus p99=%.1fus max=%.1fus",
+				h.Count(), h.Avg().Micros(), h.P50().Micros(), h.P95().Micros(), h.P99().Micros(), h.Max().Micros())
 		}
 	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	for _, r := range rows {
-		sec.Addf(r.name, "count=%d avg=%.1fus p50=%.1fus p95=%.1fus p99=%.1fus max=%.1fus",
-			r.h.Count(), r.h.Avg().Micros(),
-			r.h.P50().Micros(), r.h.P95().Micros(), r.h.P99().Micros(), r.h.Max().Micros())
-	}
 	return sec
 }
 

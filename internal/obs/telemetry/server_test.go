@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cycada/internal/obs"
+	"cycada/internal/sim/vclock"
 )
 
 func serveTest(t *testing.T, opts Options) *Server {
@@ -88,6 +90,52 @@ func TestMetricsGolden(t *testing.T) {
 	// The golden document must parse through our own validator.
 	if _, err := ParseText(strings.NewReader(buf.String())); err != nil {
 		t.Fatalf("golden document does not parse: %v", err)
+	}
+}
+
+// TestMetricsNameOrder registers histograms and counters out of name order
+// in two registries of each kind: within each registry /metrics lists the
+// series in name order, and two renders of one state are byte-identical.
+func TestMetricsNameOrder(t *testing.T) {
+	s := serveTest(t, Options{})
+	names := []string{"sf-compose", "egl-present", "zeta", "diplomat-call", "alpha", "impersonation-session"}
+	for _, reg := range []string{"dev1", "dev0"} {
+		hs := obs.NewHistograms()
+		hs.SetEnabled(true)
+		cs := obs.NewCounters()
+		for i, name := range names {
+			hs.Histogram(name).Observe(0, vclock.Duration(1000*(i+1)))
+			cs.Counter(name).Add(int64(i + 1))
+		}
+		s.AddHistograms(reg, hs)
+		s.AddCounters(reg, cs)
+	}
+
+	var first, second bytes.Buffer
+	s.WriteMetrics(&first, 1, 1)
+	s.WriteMetrics(&second, 1, 1)
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("two renders differ:\n--- first ---\n%s\n--- second ---\n%s", first.String(), second.String())
+	}
+	samples, err := ParseText(&first)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	nameLabel := map[string]string{MetricEvents: "ctr", MetricHist + "_count": "hist"}
+	order := map[string][]string{} // family and registry -> series names in document order
+	for _, smp := range samples {
+		if label, ok := nameLabel[smp.Name]; ok {
+			key := smp.Name + " " + smp.Label("reg")
+			order[key] = append(order[key], smp.Label(label))
+		}
+	}
+	want := slices.Sorted(slices.Values(names))
+	for fam := range nameLabel {
+		for _, reg := range []string{"dev0", "dev1"} {
+			if got := order[fam+" "+reg]; !slices.Equal(got, want) {
+				t.Errorf("%s in registry %s: series %v, want %v", fam, reg, got, want)
+			}
+		}
 	}
 }
 

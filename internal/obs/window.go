@@ -123,17 +123,120 @@ func (c *CounterWindow) Rate() float64 {
 	return float64(c.Delta) / c.Span.Seconds()
 }
 
-// histWindow is one histogram series: the cumulative totals at the last
-// rotation plus the ring of per-interval deltas.
-type histWindow struct {
-	prev histSample
-	ring []histSample // indexed by rotation % slots
+// tally is a cumulative total a window can difference and merge: a
+// histogram's histSample or a counter's count.
+type tally[S any] interface {
+	plus(S) S
+	minus(S) S
 }
 
-// ctrWindow is one counter series.
-type ctrWindow struct {
-	prev int64
-	ring []int64
+// count is a counter's cumulative value as a tally.
+type count int64
+
+func (c count) plus(o count) count  { return c + o }
+func (c count) minus(o count) count { return c - o }
+
+// sample captures the counter's cumulative value.
+func (c *Counter) sample() count { return count(c.Load()) }
+
+// windowed is a registry metric whose cumulative totals a window samples.
+type windowed[S any] interface {
+	metric
+	sample() S
+}
+
+// series is one named window: the cumulative total at the last rotation
+// plus the ring of per-interval deltas.
+type series[S tally[S]] struct {
+	prev S
+	ring []S // indexed by rotation % slots
+}
+
+// seriesSet windows every metric of its tracked registries, one series per
+// name: same-named metrics across registries sum into one series. Histograms
+// and counters share it; they differ only in what a sample is.
+type seriesSet[T windowed[S], S tally[S]] struct {
+	regs   []*registry[T]
+	series map[string]*series[S]
+}
+
+func (ss *seriesSet[T, S]) get(name string, slots int) *series[S] {
+	sr := ss.series[name]
+	if sr == nil {
+		if ss.series == nil {
+			ss.series = map[string]*series[S]{}
+		}
+		sr = &series[S]{ring: make([]S, slots)}
+		ss.series[name] = sr
+	}
+	return sr
+}
+
+// track adds a registry. Metrics already carrying counts are primed — their
+// cumulative totals become the baseline — so history from before tracking
+// never floods the first interval as a rate spike.
+func (ss *seriesSet[T, S]) track(r *registry[T], slots int) {
+	ss.regs = append(ss.regs, r)
+	r.Each(func(m T) {
+		sr := ss.get(m.Name(), slots)
+		sr.prev = sr.prev.plus(m.sample())
+	})
+}
+
+// rotate writes every series' delta against the previous rotation into slot.
+func (ss *seriesSet[T, S]) rotate(slot, slots int) {
+	cum := map[string]S{}
+	for _, r := range ss.regs {
+		r.Each(func(m T) { cum[m.Name()] = cum[m.Name()].plus(m.sample()) })
+	}
+	for name, cur := range cum {
+		sr := ss.get(name, slots)
+		sr.ring[slot] = cur.minus(sr.prev)
+		sr.prev = cur
+	}
+	// Series that vanished (a tracked registry was reset) still age out:
+	// write zero deltas and reset their baseline.
+	var zero S
+	for name, sr := range ss.series {
+		if _, ok := cum[name]; !ok {
+			sr.prev, sr.ring[slot] = zero, zero
+		}
+	}
+}
+
+// merged sums the n most recent slots of a series, the newest written at
+// rotation rotations-1.
+func (sr *series[S]) merged(n int, rotations uint64) S {
+	var sum S
+	slots := len(sr.ring)
+	for i := 0; i < n; i++ {
+		sum = sum.plus(sr.ring[(int(rotations)-1-i+slots)%slots])
+	}
+	return sum
+}
+
+// window returns the named series merged over n slots.
+func (ss *seriesSet[T, S]) window(name string, n int, rotations uint64) (S, bool) {
+	sr, ok := ss.series[name]
+	if !ok {
+		var zero S
+		return zero, false
+	}
+	return sr.merged(n, rotations), true
+}
+
+// windows returns every series merged over n slots, in name order.
+func (ss *seriesSet[T, S]) windows(n int, rotations uint64) ([]string, []S) {
+	names := make([]string, 0, len(ss.series))
+	for name := range ss.series {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	sums := make([]S, len(names))
+	for i, name := range names {
+		sums[i] = ss.series[name].merged(n, rotations)
+	}
+	return names, sums
 }
 
 // Windows turns cumulative registries into rolling per-interval deltas.
@@ -145,10 +248,8 @@ type Windows struct {
 	slots    int
 
 	mu        sync.Mutex
-	hists     []*Histograms
-	ctrs      []*Counters
-	hw        map[string]*histWindow
-	cw        map[string]*ctrWindow
+	hists     seriesSet[*Histogram, histSample]
+	ctrs      seriesSet[*Counter, count]
 	rotations uint64
 
 	startOnce sync.Once
@@ -171,8 +272,6 @@ func NewWindows(interval time.Duration, slots int) *Windows {
 	return &Windows{
 		interval: interval,
 		slots:    slots,
-		hw:       map[string]*histWindow{},
-		cw:       map[string]*ctrWindow{},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -191,46 +290,18 @@ func (w *Windows) Rotations() uint64 {
 	return w.rotations
 }
 
-// Track adds a histogram registry. Series already carrying counts are primed
-// — their cumulative totals become the baseline — so history from before
-// tracking never floods the first interval as a rate spike.
+// Track adds a histogram registry, priming the series it already holds.
 func (w *Windows) Track(hs *Histograms) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.hists = append(w.hists, hs)
-	hs.Each(func(h *Histogram) {
-		hw := w.histWindowLocked(h.Name())
-		s := h.sample()
-		hw.prev.add(s)
-	})
+	w.hists.track(&hs.registry, w.slots)
 }
 
 // TrackCounters adds a counter registry, priming existing counts like Track.
 func (w *Windows) TrackCounters(cs *Counters) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.ctrs = append(w.ctrs, cs)
-	cs.Each(func(c *Counter) {
-		w.ctrWindowLocked(c.Name()).prev += c.Load()
-	})
-}
-
-func (w *Windows) histWindowLocked(name string) *histWindow {
-	hw := w.hw[name]
-	if hw == nil {
-		hw = &histWindow{ring: make([]histSample, w.slots)}
-		w.hw[name] = hw
-	}
-	return hw
-}
-
-func (w *Windows) ctrWindowLocked(name string) *ctrWindow {
-	cw := w.cw[name]
-	if cw == nil {
-		cw = &ctrWindow{ring: make([]int64, w.slots)}
-		w.cw[name] = cw
-	}
-	return cw
+	w.ctrs.track(&cs.registry, w.slots)
 }
 
 // Rotate captures one interval: for every tracked series, the delta of its
@@ -240,53 +311,15 @@ func (w *Windows) ctrWindowLocked(name string) *ctrWindow {
 func (w *Windows) Rotate() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-
-	cumH := map[string]histSample{}
-	for _, hs := range w.hists {
-		hs.Each(func(h *Histogram) {
-			s := cumH[h.Name()]
-			s.add(h.sample())
-			cumH[h.Name()] = s
-		})
-	}
-	cumC := map[string]int64{}
-	for _, cs := range w.ctrs {
-		cs.Each(func(c *Counter) { cumC[c.Name()] += c.Load() })
-	}
-
-	slot := int(w.rotations) % w.slots
-	for name, cur := range cumH {
-		hw := w.histWindowLocked(name)
-		delta := cur
-		delta.sub(hw.prev)
-		hw.prev = cur
-		hw.ring[slot] = delta
-	}
-	// Series that vanished (a tracked registry was reset) still age out:
-	// write zero deltas and reset their baseline.
-	for name, hw := range w.hw {
-		if _, ok := cumH[name]; !ok {
-			hw.prev = histSample{}
-			hw.ring[slot] = histSample{}
-		}
-	}
-	for name, cur := range cumC {
-		cw := w.ctrWindowLocked(name)
-		cw.ring[slot] = cur - cw.prev
-		cw.prev = cur
-	}
-	for name, cw := range w.cw {
-		if _, ok := cumC[name]; !ok {
-			cw.prev = 0
-			cw.ring[slot] = 0
-		}
-	}
+	slot := int(w.rotations % uint64(w.slots))
+	w.hists.rotate(slot, w.slots)
+	w.ctrs.rotate(slot, w.slots)
 	w.rotations++
 }
 
-// spanSlots converts a query span to a slot count: span rounded up to whole
-// intervals, clamped to [1, min(slots, rotations)]. Returns 0 before the
-// first rotation.
+// spanSlotsLocked converts a query span to a slot count: span rounded up to
+// whole intervals, clamped to [1, min(slots, rotations)]. Returns 0 before
+// the first rotation.
 func (w *Windows) spanSlotsLocked(span time.Duration) int {
 	if w.rotations == 0 {
 		return 0
@@ -304,58 +337,46 @@ func (w *Windows) spanSlotsLocked(span time.Duration) int {
 	return n
 }
 
+// histStats turns a merged histogram delta into its window statistics.
+func histStats(s histSample, span time.Duration) WindowStats {
+	return WindowStats{Count: s.count, Sum: vclock.Duration(s.sum), Span: span, buckets: s.buckets}
+}
+
 // Hist returns the merged window of the named histogram over the last span
 // of wall-clock time. ok is false when the series is unknown; an idle known
 // series returns the zero-valued (safe) WindowStats.
 func (w *Windows) Hist(name string, span time.Duration) (WindowStats, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	hw, ok := w.hw[name]
+	n := w.spanSlotsLocked(span)
+	s, ok := w.hists.window(name, n, w.rotations)
 	if !ok {
 		return WindowStats{}, false
 	}
-	return w.mergeLocked(hw, span), true
-}
-
-func (w *Windows) mergeLocked(hw *histWindow, span time.Duration) WindowStats {
-	n := w.spanSlotsLocked(span)
-	var ws WindowStats
-	ws.Span = time.Duration(n) * w.interval
-	for i := 0; i < n; i++ {
-		slot := (int(w.rotations) - 1 - i + w.slots) % w.slots
-		d := &hw.ring[slot]
-		ws.Count += d.count
-		ws.Sum += vclock.Duration(d.sum)
-		for b := range ws.buckets {
-			ws.buckets[b] += d.buckets[b]
-		}
-	}
-	return ws
+	return histStats(s, time.Duration(n)*w.interval), true
 }
 
 // Counter returns the delta window of the named counter over the last span.
 func (w *Windows) Counter(name string, span time.Duration) (CounterWindow, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.counterLocked(name, span)
+	n := w.spanSlotsLocked(span)
+	c, ok := w.ctrs.window(name, n, w.rotations)
+	if !ok {
+		return CounterWindow{}, false
+	}
+	return CounterWindow{Delta: int64(c), Span: time.Duration(n) * w.interval}, true
 }
 
 // EachHist calls fn with every known histogram series' window over span, in
 // name order.
 func (w *Windows) EachHist(span time.Duration, fn func(name string, ws WindowStats)) {
 	w.mu.Lock()
-	names := make([]string, 0, len(w.hw))
-	for name := range w.hw {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	stats := make([]WindowStats, len(names))
-	for i, name := range names {
-		stats[i] = w.mergeLocked(w.hw[name], span)
-	}
+	n := w.spanSlotsLocked(span)
+	names, sums := w.hists.windows(n, w.rotations)
 	w.mu.Unlock()
 	for i, name := range names {
-		fn(name, stats[i])
+		fn(name, histStats(sums[i], time.Duration(n)*w.interval))
 	}
 }
 
@@ -363,33 +384,12 @@ func (w *Windows) EachHist(span time.Duration, fn func(name string, ws WindowSta
 // name order.
 func (w *Windows) EachCounter(span time.Duration, fn func(name string, cw CounterWindow)) {
 	w.mu.Lock()
-	names := make([]string, 0, len(w.cw))
-	for name := range w.cw {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	wins := make([]CounterWindow, len(names))
-	for i, name := range names {
-		wins[i], _ = w.counterLocked(name, span)
-	}
+	n := w.spanSlotsLocked(span)
+	names, sums := w.ctrs.windows(n, w.rotations)
 	w.mu.Unlock()
 	for i, name := range names {
-		fn(name, wins[i])
+		fn(name, CounterWindow{Delta: int64(sums[i]), Span: time.Duration(n) * w.interval})
 	}
-}
-
-func (w *Windows) counterLocked(name string, span time.Duration) (CounterWindow, bool) {
-	cw, ok := w.cw[name]
-	if !ok {
-		return CounterWindow{}, false
-	}
-	n := w.spanSlotsLocked(span)
-	win := CounterWindow{Span: time.Duration(n) * w.interval}
-	for i := 0; i < n; i++ {
-		slot := (int(w.rotations) - 1 - i + w.slots) % w.slots
-		win.Delta += cw.ring[slot]
-	}
-	return win, true
 }
 
 // Start begins rotating on the interval in a background goroutine.

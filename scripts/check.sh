@@ -99,6 +99,9 @@ go test ./internal/fault -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s -fuzzmi
 echo "== fuzz smoke (telemetry.ParseText reads a remote /metrics: no panic, duplicate series always rejected)"
 go test ./internal/obs/telemetry -run '^$' -fuzz '^FuzzParseText$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
 
+echo "== fuzz smoke (jsvm parses page scripts: no panic, step-bounded, JIT and interpreter print and return the same)"
+go test ./internal/jsvm -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
+
 echo "== bench/ tests (pinned virtual times, layer accounting, BENCHMARK.json contract)"
 (cd bench && go test ./...)
 
