@@ -46,8 +46,16 @@ func TestBatchedReplayByteIdentity(t *testing.T) {
 // at cap 64 the persona-boundary crossing count must drop at least 5x on the
 // draw-call-heavy golden (passmark-3d). The surface-upload goldens have short
 // batchable runs by construction — observing calls and IOSurface events force
-// flushes — so for them batching only has to never cost a crossing.
+// flushes — so for them batching only has to never cost a crossing. The exact
+// count of every golden at every cap is pinned too, so that a change to when
+// the encoder flushes (its triggers, a byte cap, the order of a flush and a
+// thread switch) cannot move one unnoticed.
 func TestBatchedReplayCrossingsReduction(t *testing.T) {
+	pinned := map[string][]uint64{ // crossings at batchCaps
+		"passmark-2d":  {92, 52, 52, 52},
+		"passmark-3d":  {597, 72, 46, 40},
+		"webkit-tiles": {21, 20, 20, 20},
+	}
 	for _, name := range []string{"passmark-2d", "passmark-3d", "webkit-tiles"} {
 		tr := readGolden(t, name)
 		serial, err := replay.Play(tr, replay.Options{})
@@ -72,6 +80,15 @@ func TestBatchedReplayCrossingsReduction(t *testing.T) {
 			name, serial.Crossings, batched.Crossings,
 			float64(serial.Crossings)/float64(batched.Crossings),
 			batched.BatchedCalls, serial.Crossings)
+		for i, cap := range batchCaps {
+			res, err := replay.Play(tr, replay.Options{BatchCap: cap})
+			if err != nil {
+				t.Fatalf("%s cap=%d: %v", name, cap, err)
+			}
+			if want := pinned[name][i]; res.Crossings != want {
+				t.Errorf("%s cap=%d: %d crossings, want %d", name, cap, res.Crossings, want)
+			}
+		}
 	}
 }
 
