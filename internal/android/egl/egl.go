@@ -120,9 +120,6 @@ type Surface struct {
 	target    *gpu.Target
 	boundCtx  *engine.Context
 	destroyed bool
-	// fence is the completion fence of the surface's in-flight pipelined
-	// present (pipeline.go); nil when none is outstanding.
-	fence chan error
 }
 
 // PresentRetries reports transient present failures retried on this surface.
@@ -187,10 +184,6 @@ type Lib struct {
 	// nanoseconds: a SwapBuffers exceeding it records a deadline-miss marker
 	// and dumps the flight recorder (DESIGN.md §10). Zero disables the check.
 	frameDeadline atomic.Int64
-
-	// pipeline, when set, is the present-pipeline worker (pipeline.go):
-	// swaps submit to it instead of posting inline.
-	pipeline atomic.Pointer[presenter]
 }
 
 // PresentHistName names the eglSwapBuffers latency distribution
@@ -238,11 +231,6 @@ type Config struct {
 	// MultiContext enables Cycada's EGL_multi_context extension — the
 	// modified Android open-source EGL library of §8.1.1.
 	MultiContext bool
-	// PipelinedPresents starts a presenter thread at process setup and routes
-	// window-surface swaps through it (see pipeline.go): frame N+1 encodes
-	// while frame N posts. Screenshot-style readers must synchronize with
-	// WaitForPresent before trusting the scan-out image.
-	PipelinedPresents bool
 }
 
 // Initialize implements eglInitialize: it loads the vendor libraries (done
@@ -333,10 +321,6 @@ func (l *Lib) CreatePbufferSurface(t *kernel.Thread, w, h int) (*Surface, error)
 // failing compositor transaction must not strand the gralloc buffers, so all
 // three releases run and their errors are joined.
 func (l *Lib) DestroySurface(t *kernel.Thread, s *Surface) error {
-	// An in-flight pipelined present still references the front buffer;
-	// drain it before the buffers are freed. Its deferred error is dropped —
-	// the next-swap reader that would have collected it no longer exists.
-	l.WaitForPresent(s)
 	s.mu.Lock()
 	if s.destroyed {
 		s.mu.Unlock()
@@ -432,14 +416,7 @@ func (l *Lib) SwapBuffers(t *kernel.Thread, s *Surface) error {
 	t.ChargeGPU(vclock.Duration(w*h) * t.Costs().PerPixelPresent)
 	var err error
 	if layer != 0 {
-		if pr := l.pipeline.Load(); pr != nil {
-			// Pipelined: frame N posts on the presenter thread while this
-			// thread returns to encode frame N+1; the error returned here is
-			// the previous frame's, read off its completion fence.
-			err = l.submitPipelined(pr, s, layer, front)
-		} else {
-			err = l.post(t, s, layer, front)
-		}
+		err = l.post(t, s, layer, front)
 	}
 	l.observePresent(t, t.VTime()-start)
 	return err

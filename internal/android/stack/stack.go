@@ -10,7 +10,6 @@ package stack
 
 import (
 	"fmt"
-	"sync"
 
 	"cycada/internal/android/egl"
 	agles "cycada/internal/android/gles"
@@ -37,9 +36,6 @@ type System struct {
 	Kernel  *kernel.Kernel
 	Gralloc *gralloc.Device
 	Flinger *sflinger.Flinger
-
-	mu    sync.Mutex
-	users []*Userspace
 }
 
 // Config describes the machine to boot.
@@ -90,8 +86,6 @@ type Userspace struct {
 	Linker *linker.Linker
 	Bionic *libc.Lib
 	EGL    *egl.Lib
-
-	sys *System
 }
 
 // UserConfig parameterizes process creation.
@@ -133,47 +127,12 @@ func (s *System) NewUserspace(cfg UserConfig) (*Userspace, error) {
 	if _, _, err := eglLib.Initialize(main); err != nil {
 		return nil, fmt.Errorf("eglInitialize: %w", err)
 	}
-	if cfg.EGL.PipelinedPresents {
-		eglLib.EnablePipelinedPresents(proc)
-	}
-	u := &Userspace{Proc: proc, Linker: l, Bionic: bionic, EGL: eglLib, sys: s}
-	s.mu.Lock()
-	s.users = append(s.users, u)
-	s.mu.Unlock()
-	return u, nil
+	return &Userspace{Proc: proc, Linker: l, Bionic: bionic, EGL: eglLib}, nil
 }
 
-// Close ends the process: its present pipeline is drained and its presenter
-// thread exited, and the system and kernel drop it, so a stack that serves
+// Close ends the process: the kernel drops it, so a stack that serves
 // session after session retains nothing of the sessions it served. The
 // process must be idle. Idempotent.
 func (u *Userspace) Close() {
-	u.EGL.DisablePipelinedPresents()
-	s := u.sys
-	s.mu.Lock()
-	for i, x := range s.users {
-		if x == u {
-			s.users = append(s.users[:i], s.users[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-	s.Kernel.ExitProcess(u.Proc)
-}
-
-// Shutdown tears the stack down for decommissioning: every userspace's
-// present pipeline is drained and its presenter thread exited, and the
-// compositor drops its layers and clears the screen. The stack must be
-// quiescent — no session body or app thread still driving it — which is why
-// the farm only calls this on a cleanly-failed device, never on one whose
-// wedged session goroutine was abandoned (that stack is simply dropped).
-// Idempotent.
-func (s *System) Shutdown() {
-	s.mu.Lock()
-	users := append([]*Userspace(nil), s.users...)
-	s.mu.Unlock()
-	for _, u := range users {
-		u.EGL.DisablePipelinedPresents()
-	}
-	s.Flinger.Reset()
+	u.Proc.Kernel().ExitProcess(u.Proc)
 }

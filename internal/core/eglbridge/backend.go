@@ -131,10 +131,8 @@ func (bk *Backend) RenderbufferStorageFromDrawable(t *kernel.Thread, bc eagl.Bac
 // path, and both finish with eglSwapBuffers — exactly the function trio the
 // paper's profiles show. By the time this runs, EAGL's flush hook has
 // drained the command encoder, so the blit reads a framebuffer that already
-// holds every logically-preceding GLES call. When the EGL layer's present
-// pipeline is on, the eglSwapBuffers here returns the previous frame's
-// deferred result off its completion fence while frame N posts to
-// SurfaceFlinger on the presenter thread.
+// holds every logically-preceding GLES call, and eglSwapBuffers posts the
+// frame to SurfaceFlinger before it returns.
 func (bk *Backend) PresentRenderbuffer(t *kernel.Thread, bc eagl.BackendContext) error {
 	sp := t.TraceBegin(obs.CatEGL, "egl:present")
 	defer t.TraceEnd(sp)

@@ -1,6 +1,7 @@
 package glesapi
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
@@ -49,10 +50,10 @@ func (r FlushReason) String() string {
 	return "unknown"
 }
 
-// defaultMaxBytes caps a batch's encoded payload (client arrays, shader
+// maxBatchBytes caps a batch's encoded payload (client arrays, shader
 // sources): a texture-heavy run must not pin unbounded caller memory across
 // the deferred flush.
-const defaultMaxBytes = 64 << 10
+const maxBatchBytes = 64 << 10
 
 // batchableIDs is the FuncID-indexed batchability bitmap, built once from the
 // registry's classification. Indexing by interned ID keeps the per-call check
@@ -62,10 +63,9 @@ var (
 	batchableIDs  []bool
 )
 
-// Batchable reports whether the entry point with the given interned ID may
-// be appended to a command-encoder batch. Exported for the replay player,
-// which encodes recorded GLES events through the same classification.
-func Batchable(id callconv.FuncID) bool {
+// batchable reports whether the entry point with the given interned ID may
+// be appended to a command-encoder batch.
+func batchable(id callconv.FuncID) bool {
 	batchableOnce.Do(func() {
 		max := callconv.FuncID(0)
 		ids := make([]callconv.FuncID, 0, 64)
@@ -85,17 +85,104 @@ func Batchable(id callconv.FuncID) bool {
 	return int(id) < len(batchableIDs) && batchableIDs[id]
 }
 
-// encoder accumulates batchable facade calls into a pooled callconv batch and
-// flushes it through the bound library's BatchDispatcher. The enabled gate is
-// one atomic load on the facade hot path; everything else sits behind it.
-type encoder struct {
-	enabled  atomic.Bool
-	mu       sync.Mutex
-	disp     callconv.BatchDispatcher
-	cap      int
-	maxBytes int
-	pending  *callconv.Batch
-	flushes  [NumFlushReasons]atomic.Uint64
+// Encoder is the command encoder: it accumulates batchable calls into a
+// pooled callconv batch and flushes the batch through a BatchDispatcher in
+// one crossing — before a call it does not batch, when another thread
+// starts encoding, at its call-count cap or payload cap, and whenever its
+// owner asks. The facade holds one for its app (GL.EnableBatching), and the
+// replay player one per batched replay. It is safe for concurrent use.
+type Encoder struct {
+	mu      sync.Mutex
+	disp    callconv.BatchDispatcher
+	cap     int
+	pending *callconv.Batch
+	flushes [NumFlushReasons]atomic.Uint64
+}
+
+// NewEncoder returns an encoder that flushes through disp once a batch holds
+// cap calls (values < 1 are clamped to 1).
+func NewEncoder(disp callconv.BatchDispatcher, cap int) *Encoder {
+	e := new(Encoder)
+	e.configure(disp, cap)
+	return e
+}
+
+func (e *Encoder) configure(disp callconv.BatchDispatcher, cap int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.disp = disp
+	e.cap = max(cap, 1)
+}
+
+// Encode appends the frame to the pending batch, flushing first when a
+// trigger fires, and reports true: the batch owns the frame. It reports
+// false, without taking the frame, when the call must dispatch serially (it
+// is not batchable); the pending run is flushed ahead of it. The error is
+// the dispatch error of the first flush the call triggered that failed.
+func (e *Encoder) Encode(t *kernel.Thread, fr *callconv.Frame) (bool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !batchable(fr.ID()) {
+		// The observing call itself runs serially, after everything queued
+		// ahead of it — order is what makes the deferral invisible.
+		return false, e.flushLocked(FlushObserving)
+	}
+	var err error
+	if e.pending != nil && e.pending.Owner() != t {
+		err = e.flushLocked(FlushThreadSwitch)
+	}
+	if e.pending == nil {
+		e.pending = callconv.AcquireBatch()
+		e.pending.SetOwner(t)
+	}
+	e.pending.Append(fr)
+	if e.pending.Len() >= e.cap {
+		err = cmp.Or(err, e.flushLocked(FlushCap))
+	} else if e.pending.Bytes() >= maxBatchBytes {
+		err = cmp.Or(err, e.flushLocked(FlushBytes))
+	}
+	return true, err
+}
+
+// Flush dispatches the pending run, if any, on its owner thread, counting
+// it under reason, and returns the dispatch error.
+func (e *Encoder) Flush(reason FlushReason) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.flushLocked(reason)
+}
+
+// Drop releases the pending run without dispatching it: the abort path of
+// a caller that stops mid-stream.
+func (e *Encoder) Drop() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if b := e.pending; b != nil {
+		e.pending = nil
+		b.Release()
+	}
+}
+
+// FlushCounts snapshots the per-reason flush counters, indexed by
+// FlushReason.
+func (e *Encoder) FlushCounts() [NumFlushReasons]uint64 {
+	var out [NumFlushReasons]uint64
+	for i := range out {
+		out[i] = e.flushes[i].Load()
+	}
+	return out
+}
+
+func (e *Encoder) flushLocked(reason FlushReason) error {
+	b := e.pending
+	if b == nil {
+		return nil
+	}
+	e.pending = nil
+	e.flushes[reason].Add(1)
+	err := e.disp.CallBatch(b.Owner(), b)
+	b.Release()
+	return err
 }
 
 // defaultBatchCap is the process-wide default batch cap consumed when an app
@@ -116,104 +203,44 @@ func SetDefaultBatchCap(n int) {
 // DefaultBatchCap returns the process-wide default batch cap; 0 means off.
 func DefaultBatchCap() int { return int(defaultBatchCap.Load()) }
 
-// EnableBatching turns the command encoder on with the given call-count cap
-// (values < 1 are clamped to 1). It reports false — leaving the facade on the
-// serial path — when the bound library cannot dispatch batches (the Apple and
-// Tegra vendor libraries; only the diplomatic bridge implements
-// callconv.BatchDispatcher, which is fine: native processes have no persona
-// crossing to amortize).
+// EnableBatching turns the facade's command encoder on with the given
+// call-count cap (values < 1 are clamped to 1). It reports false — leaving
+// the facade on the serial path — when the bound library cannot dispatch
+// batches (the Apple and Tegra vendor libraries; only the diplomatic bridge
+// implements callconv.BatchDispatcher, which is fine: native processes have
+// no persona crossing to amortize).
 func (g *GL) EnableBatching(cap int) bool {
 	disp, ok := g.h.Instance().(callconv.BatchDispatcher)
 	if !ok {
 		return false
 	}
-	if cap < 1 {
-		cap = 1
-	}
-	g.enc.mu.Lock()
-	g.enc.disp = disp
-	g.enc.cap = cap
-	g.enc.maxBytes = defaultMaxBytes
-	g.enc.mu.Unlock()
-	g.enc.enabled.Store(true)
+	g.enc.configure(disp, cap)
+	g.batching.Store(true)
 	return true
 }
 
 // DisableBatching flushes any pending run and returns the facade to the
 // serial path.
 func (g *GL) DisableBatching(t *kernel.Thread) {
-	if !g.enc.enabled.Load() {
-		return
+	if g.batching.Swap(false) {
+		g.enc.Flush(FlushExplicit)
 	}
-	g.enc.enabled.Store(false)
-	g.enc.mu.Lock()
-	g.enc.flushLocked(FlushExplicit)
-	g.enc.mu.Unlock()
 }
 
 // BatchingEnabled reports whether the command encoder is on.
-func (g *GL) BatchingEnabled() bool { return g.enc.enabled.Load() }
+func (g *GL) BatchingEnabled() bool { return g.batching.Load() }
 
 // FlushBatch forces the pending run across the boundary. The EAGL layer
 // calls it at every present, context switch, and context teardown — the
-// flush triggers that bound how long a call can stay deferred.
+// flush triggers that bound how long a call can stay deferred. Dispatch
+// errors are discarded: every batchable call is void, and the serial path
+// discards the same errors at the same wrappers.
 func (g *GL) FlushBatch(t *kernel.Thread) {
-	if !g.enc.enabled.Load() {
-		return
+	if g.batching.Load() {
+		g.enc.Flush(FlushExplicit)
 	}
-	g.enc.mu.Lock()
-	g.enc.flushLocked(FlushExplicit)
-	g.enc.mu.Unlock()
 }
 
-// BatchFlushCounts snapshots the per-reason flush counters, indexed by
-// FlushReason.
-func (g *GL) BatchFlushCounts() [NumFlushReasons]uint64 {
-	var out [NumFlushReasons]uint64
-	for i := range out {
-		out[i] = g.enc.flushes[i].Load()
-	}
-	return out
-}
-
-// encode appends the frame to the pending batch, flushing first when a
-// trigger fires. It reports false — without consuming the frame — when the
-// call must dispatch serially (non-batchable function).
-func (e *encoder) encode(t *kernel.Thread, fr *callconv.Frame) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !Batchable(fr.ID()) {
-		// The observing call itself runs serially, after everything queued
-		// ahead of it — order is what makes the deferral invisible.
-		e.flushLocked(FlushObserving)
-		return false
-	}
-	if e.pending != nil && e.pending.Owner() != t {
-		e.flushLocked(FlushThreadSwitch)
-	}
-	if e.pending == nil {
-		e.pending = callconv.AcquireBatch()
-		e.pending.SetOwner(t)
-	}
-	e.pending.Append(fr)
-	if e.pending.Len() >= e.cap {
-		e.flushLocked(FlushCap)
-	} else if e.pending.Bytes() >= e.maxBytes {
-		e.flushLocked(FlushBytes)
-	}
-	return true
-}
-
-// flushLocked dispatches the pending batch (if any) on its owner thread and
-// releases it. Dispatch errors are discarded: every batchable call is void,
-// and the serial path discards the same errors at the same wrappers.
-func (e *encoder) flushLocked(reason FlushReason) {
-	b := e.pending
-	if b == nil {
-		return
-	}
-	e.pending = nil
-	e.flushes[reason].Add(1)
-	e.disp.CallBatch(b.Owner(), b)
-	b.Release()
-}
+// BatchFlushCounts snapshots the facade encoder's per-reason flush
+// counters, indexed by FlushReason.
+func (g *GL) BatchFlushCounts() [NumFlushReasons]uint64 { return g.enc.FlushCounts() }

@@ -16,6 +16,7 @@ package glesapi
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"cycada/internal/core/callconv"
 	"cycada/internal/gles/engine"
@@ -106,10 +107,12 @@ var (
 type GL struct {
 	link *linker.Linker
 	h    *linker.Handle
-	// enc is the command encoder (encoder.go): when enabled, batchable calls
-	// are appended to a pooled batch and flushed across the persona boundary
-	// in one impersonation window instead of one per call.
-	enc encoder
+	// enc is the command encoder (encoder.go): while batching is on,
+	// batchable calls are appended to a pooled batch and flushed across the
+	// persona boundary in one impersonation window instead of one per call.
+	// The gate is one atomic load on the facade hot path.
+	batching atomic.Bool
+	enc      Encoder
 }
 
 // New binds a facade over a loaded GLES-providing library.
@@ -136,10 +139,14 @@ func (g *GL) symID(id callconv.FuncID) linker.Symbol {
 // frame. With no observer active the whole round trip is allocation-free.
 // When the command encoder is on, batchable calls are deferred into the
 // pending batch instead (the frame's ownership moves to the batch) and the
-// wrapper returns immediately — legal because every batchable call is void.
+// wrapper returns immediately — legal because every batchable call is void,
+// which is also why the dispatch errors of the flushes it triggers are
+// discarded, as the serial path discards them at the same wrappers.
 func (g *GL) call(t *kernel.Thread, fr *callconv.Frame) any {
-	if g.enc.enabled.Load() && g.enc.encode(t, fr) {
-		return nil
+	if g.batching.Load() {
+		if encoded, _ := g.enc.Encode(t, fr); encoded {
+			return nil
+		}
 	}
 	ret := g.symID(fr.ID()).CallFrame(t, fr)
 	fr.Release()

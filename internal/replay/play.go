@@ -27,10 +27,11 @@ type Options struct {
 	// events (boot is always fault-free). Each Play gets its own kernel, so
 	// one injector must not be shared between concurrent replays.
 	Faults *fault.Injector
-	// BatchCap, when > 0, re-drives GLES events through the command-encoder
-	// batch path: runs of batchable calls accumulate into a pooled callconv
-	// batch and cross the persona boundary in one impersonation window per
-	// run, flushed by an observing call, the cap, a thread switch, or any
+	// BatchCap, when > 0, re-drives GLES events through a command encoder
+	// (glesapi.Encoder, the app facade's): runs of batchable calls
+	// accumulate into a pooled callconv batch and cross the persona boundary
+	// in one impersonation window per run, flushed by an observing call,
+	// the cap, the encoder's payload cap, a thread switch, or any
 	// EAGL/IOSurface event. The logical call stream — and therefore every
 	// present checksum — is identical to the serial path. 0 replays serially.
 	BatchCap int
@@ -127,17 +128,20 @@ func boot(tr *Trace, opts Options) (*player, error) {
 	if opts.Faults != nil {
 		sys.Android.Kernel.SetFaultInjector(opts.Faults)
 	}
-	return &player{
-		sys:      sys,
-		app:      app,
-		verify:   opts.Verify,
-		batchCap: opts.BatchCap,
-		threads:  map[int]*kernel.Thread{},
-		ctxs:     map[CtxRef]*eagl.Context{},
-		groups:   map[GroupRef]*eagl.Sharegroup{},
-		surfs:    map[SurfRef]*iosurface.Surface{},
-		res:      &Result{Events: len(tr.Events)},
-	}, nil
+	p := &player{
+		sys:     sys,
+		app:     app,
+		verify:  opts.Verify,
+		threads: map[int]*kernel.Thread{},
+		ctxs:    map[CtxRef]*eagl.Context{},
+		groups:  map[GroupRef]*eagl.Sharegroup{},
+		surfs:   map[SurfRef]*iosurface.Surface{},
+		res:     &Result{Events: len(tr.Events)},
+	}
+	if opts.BatchCap > 0 {
+		p.enc = glesapi.NewEncoder(app.Bridge, opts.BatchCap)
+	}
+	return p, nil
 }
 
 // run re-drives the trace against the booted system and performs the final
@@ -147,7 +151,9 @@ func (p *player) run(tr *Trace) error {
 	sp := main.TraceBegin(obs.CatReplay, "replay:play:"+tr.Label)
 	for i := range tr.Events {
 		if err := p.step(i, &tr.Events[i]); err != nil {
-			p.dropBatch()
+			if p.enc != nil {
+				p.enc.Drop()
+			}
 			main.TraceEnd(sp)
 			return fmt.Errorf("replay: event %d (%s %q): %w", i, tr.Events[i].Kind, tr.Events[i].Name, err)
 		}
@@ -198,11 +204,10 @@ func (r *Result) VerifyError() error {
 }
 
 type player struct {
-	sys      *system.Cycada
-	app      *system.IOSApp
-	verify   bool
-	batchCap int
-	batch    *callconv.Batch // pending run, nil when empty or batching off
+	sys    *system.Cycada
+	app    *system.IOSApp
+	verify bool
+	enc    *glesapi.Encoder // nil when batching is off
 
 	threads map[int]*kernel.Thread
 	ctxs    map[CtxRef]*eagl.Context
@@ -226,7 +231,7 @@ func (p *player) step(idx int, ev *Event) error {
 		if err != nil {
 			return err
 		}
-		if p.batchCap > 0 {
+		if p.enc != nil {
 			if encoded, err := p.encodeGLES(t, ev.Name, args); encoded || err != nil {
 				return err
 			}
@@ -259,57 +264,32 @@ func (p *player) step(idx int, ev *Event) error {
 	}
 }
 
-// encodeGLES appends a batchable GLES event to the pending batch, flushing
-// first when a trigger fires (observing call, thread switch, cap). It reports
-// false when the event must go down the serial path.
+// encodeGLES hands a GLES event to the command encoder. It reports false,
+// with the pending run flushed ahead of the event, when the event must go
+// down the serial path: a call the encoder does not batch, or a name or an
+// argument list no frame can carry, which the serial path reports as the
+// facade does.
 func (p *player) encodeGLES(t *kernel.Thread, name string, args []any) (bool, error) {
-	id, ok := callconv.LookupID(name)
-	if !ok || !glesapi.Batchable(id) {
-		return false, p.flushBatch()
-	}
-	fr, framed, err := callconv.BuildFrame(id, args)
-	if err != nil || !framed {
-		// Unframeable shapes go down the serial path, which reports them
-		// as EINVAL exactly as the facade does.
-		return false, p.flushBatch()
-	}
-	if p.batch != nil && p.batch.Owner() != t {
-		if ferr := p.flushBatch(); ferr != nil {
-			fr.Release()
-			return false, ferr
+	if id, ok := callconv.LookupID(name); ok {
+		if fr, framed, err := callconv.BuildFrame(id, args); err == nil && framed {
+			encoded, err := p.enc.Encode(t, fr)
+			if !encoded {
+				fr.Release()
+			}
+			return encoded, err
 		}
 	}
-	if p.batch == nil {
-		p.batch = callconv.AcquireBatch()
-		p.batch.SetOwner(t)
-	}
-	p.batch.Append(fr)
-	if p.batch.Len() >= p.batchCap {
-		return true, p.flushBatch()
-	}
-	return true, nil
+	return false, p.enc.Flush(glesapi.FlushObserving)
 }
 
-// flushBatch dispatches the pending run (if any) across the boundary on its
-// owner thread. Errors surface to the replay loop exactly as a failing serial
-// call would.
+// flushBatch dispatches the pending run, if any, ahead of an event that
+// observes GLES state. Errors surface to the replay loop exactly as a
+// failing serial call would.
 func (p *player) flushBatch() error {
-	b := p.batch
-	if b == nil {
+	if p.enc == nil {
 		return nil
 	}
-	p.batch = nil
-	err := p.app.Bridge.CallBatch(b.Owner(), b)
-	b.Release()
-	return err
-}
-
-// dropBatch releases the pending run without dispatching it (abort path).
-func (p *player) dropBatch() {
-	if b := p.batch; b != nil {
-		p.batch = nil
-		b.Release()
-	}
+	return p.enc.Flush(glesapi.FlushExplicit)
 }
 
 func (p *player) declareThread(ev *Event) error {

@@ -197,7 +197,46 @@ func fullscreenQuad(col Vec4) ([]TVert, []int) {
 	return []TVert{mk(-1, -1), mk(1, -1), mk(1, 1), mk(-1, 1)}, []int{0, 1, 2, 0, 2, 3}
 }
 
-var colorFrag FragFn = func(vary []Vec4) (Vec4, int) { return vary[0], 0 }
+// testFrag is a fragment stage for tests: a function of one fragment's
+// varyings that returns its colour and fetch count, run one lane at a time.
+type testFrag func(vary []Vec4) (Vec4, int)
+
+func (f testFrag) Acquire() Fragment { return &testFragment{fn: f} }
+
+func (testFrag) Release(Fragment) {}
+
+// testFragment is a testFrag's per-tile Fragment: it reads every varying.
+type testFragment struct {
+	fn      testFrag
+	index   []int
+	planes  [][]Vec4
+	vec     [SpanSize]Vec4
+	col     [SpanSize]uint32
+	fetches [SpanSize]int
+}
+
+func (a *testFragment) Inputs(nvary int) ([]int, [][]Vec4) {
+	a.index, a.planes = nil, nil
+	for i := range nvary {
+		a.index = append(a.index, i)
+		a.planes = append(a.planes, make([]Vec4, SpanSize))
+	}
+	return a.index, a.planes
+}
+
+func (a *testFragment) Shade(n int) ([]uint32, []int) {
+	vary := make([]Vec4, len(a.planes))
+	for l := range n {
+		for i, p := range a.planes {
+			vary[i] = p[l]
+		}
+		a.vec[l], a.fetches[l] = a.fn(vary)
+	}
+	Pack(a.col[:n], a.vec[:n])
+	return a.col[:n], a.fetches[:n]
+}
+
+var colorFrag testFrag = func(vary []Vec4) (Vec4, int) { return vary[0], 0 }
 
 func TestDrawTrianglesFullscreenQuad(t *testing.T) {
 	im := NewImage(16, 16)
@@ -289,7 +328,7 @@ func TestBlendModes(t *testing.T) {
 		t.Fatalf("alpha blend R = %d, want ~178", c.R)
 	}
 	im.Fill(RGBA{200, 0, 0, 255})
-	DrawTriangles(tgt, verts, idx, FragFn(func([]Vec4) (Vec4, int) { return Vec4{0.5, 0, 0, 1}, 0 }), RenderState{Blend: BlendAdditive})
+	DrawTriangles(tgt, verts, idx, testFrag(func([]Vec4) (Vec4, int) { return Vec4{0.5, 0, 0, 1}, 0 }), RenderState{Blend: BlendAdditive})
 	if got := im.At(1, 1).R; got != 255 {
 		t.Fatalf("additive blend should saturate, got %d", got)
 	}

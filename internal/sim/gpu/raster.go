@@ -118,66 +118,6 @@ type FragShader interface {
 	Release(Fragment)
 }
 
-// FragFn is a stateless fragment stage: one pure function of one fragment's
-// varyings, returning its colour and fetch count. Each tile shades through
-// a pooled adapter that keeps a plane per varying, calls the function once
-// per lane and packs the span's colours.
-type FragFn func(vary []Vec4) (Vec4, int)
-
-// Acquire implements FragShader.
-func (f FragFn) Acquire() Fragment {
-	a := fnFragments.Get().(*fnFragment)
-	a.fn = f
-	return a
-}
-
-// Release implements FragShader.
-func (FragFn) Release(fr Fragment) {
-	a := fr.(*fnFragment)
-	a.fn = nil
-	fnFragments.Put(a)
-}
-
-// fnFragment is a FragFn's per-tile Fragment.
-type fnFragment struct {
-	fn      FragFn
-	index   []int
-	planes  [][]Vec4
-	lanes   []Vec4         // the planes' storage, varying after varying
-	vary    []Vec4         // one lane's varyings, gathered for fn
-	vec     [SpanSize]Vec4 // the colours fn returned
-	col     [SpanSize]uint32
-	fetches [SpanSize]int
-}
-
-var fnFragments = sync.Pool{New: func() any { return new(fnFragment) }}
-
-// Inputs implements Fragment: a FragFn reads every varying.
-func (a *fnFragment) Inputs(nvary int) ([]int, [][]Vec4) {
-	if len(a.index) != nvary {
-		a.lanes = slices.Grow(a.lanes[:0], nvary*SpanSize)[:nvary*SpanSize]
-		a.vary = slices.Grow(a.vary[:0], nvary)[:nvary:nvary]
-		a.index, a.planes = a.index[:0], a.planes[:0]
-		for i := range nvary {
-			a.index = append(a.index, i)
-			a.planes = append(a.planes, a.lanes[i*SpanSize:(i+1)*SpanSize:(i+1)*SpanSize])
-		}
-	}
-	return a.index, a.planes
-}
-
-// Shade implements Fragment, one lane at a time.
-func (a *fnFragment) Shade(n int) ([]uint32, []int) {
-	for l := range n {
-		for i, p := range a.planes {
-			a.vary[i] = p[l]
-		}
-		a.vec[l], a.fetches[l] = a.fn(a.vary)
-	}
-	Pack(a.col[:n], a.vec[:n])
-	return a.col[:n], a.fetches[:n]
-}
-
 // toInt converts f to int the way amd64 does for every input: it truncates
 // toward zero, and returns math.MinInt for NaN, ±Inf and any value outside
 // int's range. Go leaves those conversions implementation-defined — arm64

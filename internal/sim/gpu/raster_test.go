@@ -107,7 +107,7 @@ func walkLine(dst *Target, va, vb sv, clip [4]int) Stats {
 
 // lineFrag colours a step by its position along the segment, so a walk
 // that shifts steps shows in the pixels.
-var lineFrag FragFn = func(v []Vec4) (Vec4, int) { return Vec4{1, v[0][0], 0, 1}, 0 }
+var lineFrag testFrag = func(v []Vec4) (Vec4, int) { return Vec4{1, v[0][0], 0, 1}, 0 }
 
 // TestDrawLinesWalksOnlyOnScreenSteps compares DrawLines with the full walk
 // on random segments reaching well off screen, scissored and not: the same
@@ -155,35 +155,9 @@ func TestDrawLinesFarEndpoint(t *testing.T) {
 	}
 }
 
-// TestFragFnSpanDoesNotAllocate holds a FragFn's per-tile adapter to zero
-// allocations per span: its planes, its gathered varyings and its outputs
-// are reused from one span to the next.
-func TestFragFnSpanDoesNotAllocate(t *testing.T) {
-	a := colorFrag.Acquire()
-	defer colorFrag.Release(a)
-	span := func() {
-		index, planes := a.Inputs(2)
-		for i := range index {
-			for l := range planes[i] {
-				planes[i][l] = Vec4{float32(l) / 255, float32(i)}
-			}
-		}
-		col, _ := a.Shade(SpanSize)
-		for l, c := range col {
-			if c != uint32(l) {
-				t.Fatalf("lane %d shaded %08x, want its varying 0 packed, %08x", l, c, l)
-			}
-		}
-	}
-	span()
-	if n := testing.AllocsPerRun(100, span); n != 0 {
-		t.Fatalf("shading a span through a FragFn allocates %v times, want 0", n)
-	}
-}
-
 // panicFrag panics while shading any fragment whose varying marks it as
 // belonging to the rightmost tiles.
-var panicFrag FragFn = func(vary []Vec4) (Vec4, int) {
+var panicFrag testFrag = func(vary []Vec4) (Vec4, int) {
 	if vary[0][0] > 0.9 {
 		panic("shader fault")
 	}

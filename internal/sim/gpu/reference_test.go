@@ -319,19 +319,23 @@ func oneAtATime(fs gpu.FragShader) refShade {
 }
 
 // refStages returns the fragment stages the oracle runs, each with the
-// reference's shading of one fragment: a FragFn whose colour and fetch
-// count depend on both its varyings, whose colour the reference converts
-// itself; a MiniSL program that samples a texture and reads two of its
-// three varyings, shaded one fragment at a time; and a MiniSL program that
-// copies a texel to gl_FragColor, which the reference samples with
-// Texture.Sample and converts itself.
+// reference's shading of one fragment: the GLES 1 engine's textured
+// fixed-function program, which the reference computes as drawFixed once
+// did, its colour times one Texture.Sample; a MiniSL program that samples a
+// texture and reads two of its three varyings, shaded one fragment at a
+// time; and a MiniSL program that copies a texel to gl_FragColor, which the
+// reference samples with Texture.Sample and converts itself.
 func refStages(t *testing.T) (stages []gpu.FragShader, shades []refShade, names []string, nvary []int) {
-	shadeFn := func(v []gpu.Vec4) (gpu.Vec4, int) {
-		fetches := 0
-		if v[1][0] > 0.5 {
-			fetches = 2
-		}
-		return gpu.Vec4{v[0][0], v[1][1], v[0][2] * v[1][2], v[0][3]}, fetches
+	fixedVS, err := minisl.Compile(`attribute vec4 a_pos; attribute vec4 a_color; attribute vec2 a_uv;
+varying vec4 v_color; varying vec2 v_uv;
+void main() { gl_Position = a_pos; v_color = a_color; v_uv = a_uv; }`, minisl.Vertex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixedFS, err := minisl.Compile(`uniform sampler2D u_tex; varying vec4 v_color; varying vec2 v_uv;
+void main() { gl_FragColor = v_color * texture2D(u_tex, v_uv); }`, minisl.Fragment)
+	if err != nil {
+		t.Fatal(err)
 	}
 	vs, err := minisl.Compile(`varying vec4 v_a; varying vec4 v_b; varying vec2 v_c;
 void main() { gl_Position = vec4(0.0); v_a = vec4(0.0); v_b = vec4(0.0); v_c = vec2(0.0); }`, minisl.Vertex)
@@ -356,8 +360,8 @@ void main() { gl_FragColor = texture2D(u_tex, v_c * 3.0 - vec2(1.0)); }`, minisl
 	rand.New(rand.NewSource(7)).Read(img.Pix)
 	tex := &gpu.Texture{Img: img, Repeat: true}
 	var binds []*minisl.Binding
-	for _, fs := range []*minisl.Shader{fs, copyFS} {
-		p, err := minisl.Link(vs, fs)
+	for _, pair := range [][2]*minisl.Shader{{fixedVS, fixedFS}, {vs, fs}, {vs, copyFS}} {
+		p, err := minisl.Link(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,19 +377,19 @@ void main() { gl_FragColor = texture2D(u_tex, v_c * 3.0 - vec2(1.0)); }`, minisl
 		}
 		return refBytes(tex.Sample(uv[0], uv[1])), 1
 	}
-	convert := func(v []gpu.Vec4) ([4]uint8, int) {
-		c, n := shadeFn(v)
-		return refBytes(c), n
+	// v_color and v_uv are varyings 0 and 1.
+	modulate := func(v []gpu.Vec4) ([4]uint8, int) {
+		return refBytes(v[0].Mul(tex.Sample(v[1][0], v[1][1]))), 1
 	}
-	return []gpu.FragShader{gpu.FragFn(shadeFn), binds[0], binds[1]},
-		[]refShade{convert, oneAtATime(binds[0]), copyTexel},
-		[]string{"FragFn", "MiniSL", "MiniSL-texel-copy"}, []int{2, 3, 3}
+	return []gpu.FragShader{binds[0], binds[1], binds[2]},
+		[]refShade{modulate, oneAtATime(binds[1]), copyTexel},
+		[]string{"GLES1-textured", "MiniSL", "MiniSL-texel-copy"}, []int{2, 3, 3}
 }
 
 // TestRasterizerMatchesReference holds DrawTriangles to the reference
-// rasterizer on seeded triangle sets, through a FragFn and a MiniSL
-// program, on one worker and on four: the same colour bytes, the same depth
-// bits and the same Stats. It also checks that the sets decide the fill
+// rasterizer on seeded triangle sets, through each of refStages' programs,
+// on one worker and on four: the same colour bytes, the same depth bits and
+// the same Stats. It also checks that the sets decide the fill
 // rule: a reference that owns bottom-right edges instead must disagree.
 func TestRasterizerMatchesReference(t *testing.T) {
 	stages, shades, names, nvary := refStages(t)
