@@ -82,6 +82,45 @@ func TestFarmMultiSessionSmoke(t *testing.T) {
 	}
 }
 
+// TestFarmConcurrentPassmark3D replays four verified passmark-3d sessions on
+// a two-device farm at once, so both devices shade PassMark's GLES 2 scene
+// and GLES 1's fixed-function programs concurrently: the programs linked
+// once per process, and the process-wide free list of shading frames, are
+// shared across devices. Every session must verify and end on the frame the
+// single-stack recording captured. Run under -race, it checks that shading
+// keeps its per-draw and per-span state out of what the devices share.
+func TestFarmConcurrentPassmark3D(t *testing.T) {
+	tr := golden(t, "passmark-3d")
+	f := farm.New(farm.Config{Devices: 2})
+	defer f.Close()
+	var sessions []*farm.Session
+	for i := range 4 {
+		s, err := f.Submit(farm.SessionSpec{Name: fmt.Sprintf("passmark-3d-%d", i), Trace: tr, Verify: true})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		sessions = append(sessions, s)
+	}
+	f.Wait()
+	devices := map[int]int{}
+	for i, s := range sessions {
+		res := s.Result()
+		if res.Err != nil {
+			t.Fatalf("session %d: %v", i, res.Err)
+		}
+		if want := tr.Final.Checksum(); res.Checksum != want {
+			t.Errorf("session %d: farm checksum %08x, single-stack recording %08x", i, res.Checksum, want)
+		}
+		if res.Replay == nil || !res.Replay.VerifyOK() {
+			t.Errorf("session %d: differential verification incomplete: %+v", i, res.Replay)
+		}
+		devices[res.Device]++
+	}
+	if len(devices) != 2 {
+		t.Errorf("sessions ran on %d of 2 devices: %v", len(devices), devices)
+	}
+}
+
 // TestRecycleReclaimsSurfaces checks that a recycled device keeps no
 // IOSurface a finished app left behind. WebKit never releases its tiles;
 // before the recycle reclaimed them, every session's tiles stayed in the

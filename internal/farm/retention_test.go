@@ -10,14 +10,15 @@ import (
 
 // TestFarmRecyclesRetainNothing replays webkit-tiles session after session
 // on a one-device farm, so every session goes through the device's recycle.
-// The live heap after a collection may grow by no more per session than
-// TestReplaysReapTheirProcesses allows a bare stack, measured between the
-// 10th session (process-wide caches are warm by then) and the last, and the
-// device kernel's process table returns to its size before the first.
+// The live heap after a collection may grow by at most 0.05 MB per session,
+// measured between the 10th session (process-wide caches are warm by then)
+// and the last, and the device kernel's process table returns to its size
+// before the first. The recycle retains about 0.001 MB per session; without
+// its IOSurface reclaim, a session retains about 0.25 MB.
 func TestFarmRecyclesRetainNothing(t *testing.T) {
 	const sessions = 40
 	const warm = 10
-	const maxRetainedPerSession = 0.35 * (1 << 20)
+	const maxRetainedPerSession = 0.05 * (1 << 20)
 
 	tr := golden(t, "webkit-tiles")
 	f := farm.New(farm.Config{Devices: 1})

@@ -6,10 +6,13 @@
 // identifier is resolved to a slot index, and the AST is turned into a tree
 // of Go closures that each run one node over a span of invocations at once —
 // one lane per fragment, up to gpu.SpanSize lanes, like a GPU's SIMD group.
-// A frame keeps every slot, constant and temporary in three planes with a
-// lane apiece — components, widths, and references (the matrix or sampler
-// a value points to, with a mask of the lanes that hold one) — so the
-// nodes, most of which produce no reference, move only pointer-free data.
+// Compile types every slot, constant and temporary: a typed cell has one
+// width in every lane and no reference, a draw-uniform one (a constant, a
+// uniform the shader never writes, a node over only those) is held once
+// and read with stride 0, and only the rest keep a width and a reference
+// (the matrix or sampler a value points to, with a mask of the lanes that
+// hold one) per lane. Most nodes therefore fix their widths once per span
+// and move only components.
 // It also keeps a "defined" bit per slot and lane, and per lane a step
 // budget, a fetch count and a runtime error (with a mask of the lanes that
 // faulted), so invocations that diverge (branches, loops, faults) still
@@ -94,6 +97,9 @@ type Shader struct {
 	src        string
 	slots      map[string]int // identifier -> slot
 	written    []bool         // slot-indexed: an assignment or declaration target
+	class      []class        // slot-indexed: how a frame holds the slot (see typeSlots)
+	widths     []uint8        // slot-indexed: a typed slot's width
+	dynamic    int            // nodes and statements compiled to read widths per lane
 	scratch    int            // call-argument cells one run needs
 }
 

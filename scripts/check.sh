@@ -105,6 +105,16 @@ go test ./internal/jsvm -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimiz
 echo "== bench/ tests (pinned virtual times, layer accounting, BENCHMARK.json contract)"
 (cd bench && go test ./...)
 
+echo "== traced bench smoke (each workload, 2 s with -trace 1, must complete with correct=true)"
+# The benchmark exits non-zero when a set-up or warm-up session fails or a
+# run reports correct=false: a session that does not verify, retries that
+# differ from the injected faults, layer self times that miss the wall or
+# virtual time, or a span that crosses its parent or is dropped. bench/ab.sh
+# runs only -trace 0, so the traced runs are checked here.
+for w in replay-2d replay-3d replay-tiles farm-mix; do
+	bash bench/run.sh -workload "$w" -seed 1 -seconds 2 -trace 1 >/dev/null
+done
+
 echo "== batched chaos smoke (faults injected mid-batch via cycadareplay)"
 go run ./cmd/cycadareplay replay -i internal/replay/testdata/passmark-3d.cytr \
 	-batch 16 -n 4 -faults seed=7,rate=0.05 >/dev/null
