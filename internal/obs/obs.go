@@ -118,11 +118,14 @@ func (tr *Tracer) SetEventCap(n int) {
 // buffer hit its cap. A drained tracer (Reset) starts counting afresh.
 func (tr *Tracer) Dropped() int64 { return tr.dropped.Load() }
 
-// AllocPIDSpace reserves a disjoint PID range (multiples of 1000) so that
-// several kernels sharing one tracer — the four harness configurations, say —
-// export non-colliding process IDs.
+// PIDSpace is the width of the PID range AllocPIDSpace reserves.
+const PIDSpace = 1000
+
+// AllocPIDSpace reserves a disjoint PID range (multiples of PIDSpace) so
+// that several kernels sharing one tracer — the four harness
+// configurations, say — export non-colliding process IDs.
 func (tr *Tracer) AllocPIDSpace() int {
-	return int(tr.pids.Add(1)-1) * 1000
+	return int(tr.pids.Add(1)-1) * PIDSpace
 }
 
 // NameProcess attaches a display name to a PID (trace metadata).

@@ -71,10 +71,9 @@ type Kernel struct {
 	plat   vclock.Platform
 	flavor vclock.KernelFlavor
 
-	tracer  *obs.Tracer         // never nil; disabled by default
-	flight  *obs.FlightRecorder // never nil; the always-on black box
-	raster  *gpu.Pool           // never nil; bounds raster/compose parallelism
-	pidBase int                 // offset exported PIDs so kernels sharing a tracer don't collide
+	tracer *obs.Tracer         // never nil; disabled by default
+	flight *obs.FlightRecorder // never nil; the always-on black box
+	raster *gpu.Pool           // never nil; bounds raster/compose parallelism
 
 	// hists is the histogram registry this kernel's frame-health sites
 	// (EGL present, SurfaceFlinger compose, diplomat calls, impersonation
@@ -92,13 +91,18 @@ type Kernel struct {
 	// whole per-site cost is this one atomic load.
 	faults atomic.Pointer[fault.Injector]
 
-	mu       sync.Mutex
-	devices  map[string]Device
-	mach     map[string]MachService
-	binder   map[string]BinderService
-	procs    map[int]*Process
-	nextPID  int
-	syscalls atomic.Int64
+	mu      sync.Mutex
+	devices map[string]Device
+	mach    map[string]MachService
+	binder  map[string]BinderService
+	procs   map[int]*Process
+	nextPID int
+	// Exported PIDs are pidBase + (pid - pidFirst): kernels sharing a
+	// tracer must not collide, and a kernel that has used up its PID
+	// space takes a fresh one rather than running into the next
+	// kernel's.
+	pidBase, pidFirst int
+	syscalls          atomic.Int64
 }
 
 // Config describes a kernel to create.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cycada/internal/obs"
 	"cycada/internal/sim/mem"
 	"cycada/internal/sim/vclock"
 )
@@ -21,6 +22,50 @@ func newDualProc(t *testing.T, k *Kernel) *Process {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestTracePIDsStayInTheirSpace creates more processes on one kernel than
+// a PID space holds, next to a second kernel sharing its tracer: every
+// process's spans must carry a PID of its own in a space of its own
+// kernel, so a consumer that groups spans by PID/obs.PIDSpace never mixes
+// the two.
+func TestTracePIDsStayInTheirSpace(t *testing.T) {
+	tr := obs.New()
+	tr.SetEnabled(true)
+	kernels := map[string]*Kernel{}
+	for _, name := range []string{"a", "b"} {
+		kernels[name] = New(Config{Platform: vclock.Nexus7(), Flavor: vclock.KernelCycada, Tracer: tr})
+	}
+	const n = 2*obs.PIDSpace + 10
+	for i := range n {
+		name := "a"
+		if i%100 == 0 {
+			name = "b"
+		}
+		k := kernels[name]
+		p, err := k.NewProcess("app", PersonaAndroid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := p.NewThread("worker")
+		th.TraceEnd(th.TraceBegin(obs.CatSyscall, name))
+		k.ExitProcess(p)
+	}
+	seen, owner := map[int]bool{}, map[int]string{}
+	for _, ev := range tr.Events() {
+		if seen[ev.PID] {
+			t.Fatalf("PID %d exported for two processes", ev.PID)
+		}
+		seen[ev.PID] = true
+		space := ev.PID / obs.PIDSpace
+		if k, ok := owner[space]; ok && k != ev.Name {
+			t.Fatalf("PID %d: space %d holds processes of kernels %s and %s", ev.PID, space, k, ev.Name)
+		}
+		owner[space] = ev.Name
+	}
+	if len(seen) != n {
+		t.Fatalf("%d distinct traced PIDs, want %d", len(seen), n)
+	}
 }
 
 func TestNewProcessValidation(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cycada/internal/obs"
 	"cycada/internal/sim/mem"
 )
 
@@ -11,10 +12,11 @@ import (
 // Under Cycada a foreign app's process is dual-persona — its threads may
 // execute with either the iOS or the Android persona.
 type Process struct {
-	k    *Kernel
-	pid  int
-	name string
-	mem  *mem.Space
+	k        *Kernel
+	pid      int
+	tracePID int // the PID its spans carry (see Kernel.pidBase)
+	name     string
+	mem      *mem.Space
 
 	personas []Persona
 
@@ -43,11 +45,16 @@ func (k *Kernel) NewProcess(name string, personas ...Persona) (*Process, error) 
 	k.mu.Lock()
 	k.nextPID++
 	pid := k.nextPID
+	if pid-k.pidFirst >= obs.PIDSpace {
+		k.pidBase, k.pidFirst = k.tracer.AllocPIDSpace(), pid-1
+	}
+	tracePID := k.pidBase + pid - k.pidFirst
 	k.mu.Unlock()
 
 	proc := &Process{
 		k:        k,
 		pid:      pid,
+		tracePID: tracePID,
 		name:     name,
 		mem:      mem.NewSpace(),
 		personas: personas,
@@ -56,7 +63,7 @@ func (k *Kernel) NewProcess(name string, personas ...Persona) (*Process, error) 
 	k.mu.Lock()
 	k.procs[pid] = proc
 	k.mu.Unlock()
-	k.tracer.NameProcess(k.pidBase+pid, name)
+	k.tracer.NameProcess(tracePID, name)
 
 	proc.leader = proc.NewThread("main")
 	return proc, nil
@@ -112,7 +119,7 @@ func (p *Process) NewThread(name string) *Thread {
 		t.tls[pe] = newTLSArea()
 	}
 	p.threads[t.tid] = t
-	p.k.tracer.NameThread(p.k.pidBase+p.pid, t.tid, name)
+	p.k.tracer.NameThread(p.tracePID, t.tid, name)
 	return t
 }
 

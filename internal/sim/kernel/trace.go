@@ -23,7 +23,7 @@ func (t *Thread) TraceBegin(cat, name string) obs.Span {
 	if !k.tracer.Enabled() {
 		return obs.Span{}
 	}
-	return k.tracer.Begin(k.pidBase+t.proc.pid, t.tid, cat, name, t.VTime())
+	return k.tracer.Begin(t.proc.tracePID, t.tid, cat, name, t.VTime())
 }
 
 // TraceEnd closes a span at the thread's current virtual time.
