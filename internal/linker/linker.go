@@ -154,6 +154,7 @@ type loadedLib struct {
 	exports *exportImage
 	symbols []Symbol // by export index
 	refs    int
+	closed  bool // its replica namespace was torn down (guarded by Linker.mu)
 	// resolved caches full Dlsym resolutions (own symbols, namespace peers,
 	// shared globals) by callconv.FuncID: one atomic pointer per interned
 	// name, allocated once, at the library's first DlsymID. A hit is an
@@ -474,6 +475,13 @@ var ErrNoSymbol = fmt.Errorf("linker: symbol not found")
 func (l *Linker) Dlsym(h *Handle, sym string) (Symbol, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.dlsymLocked(h, sym)
+}
+
+func (l *Linker) dlsymLocked(h *Handle, sym string) (Symbol, error) {
+	if h.lib.closed {
+		return Symbol{}, fmt.Errorf("dlsym %q in closed %s (ns %d): %w", sym, h.lib.bp.Name, h.lib.ns.id, ErrNoSymbol)
+	}
 	if s, ok := h.lib.symbol(sym); ok {
 		return s, nil
 	}
@@ -506,9 +514,9 @@ func (l *Linker) Dlsym(h *Handle, sym string) (Symbol, error) {
 // DlsymID resolves an interned function against a handle with the same
 // search semantics as Dlsym, but keyed by FuncID and served from a lock-free
 // per-library cache: the hot path is an atomic load and a bounds check. A
-// miss resolves through Dlsym and publishes that one entry. Like the
-// per-diplomat caches this replaces, a cached resolution is stable for the
-// life of the handle's library.
+// miss resolves through Dlsym and publishes that one entry under the
+// linker's lock, so Dlclose, which empties the caches of the libraries it
+// tears down, never races a late entry in.
 func (l *Linker) DlsymID(h *Handle, id callconv.FuncID) (Symbol, error) {
 	lib := h.lib
 	lib.resolveOnce.Do(func() { lib.resolved = make([]atomic.Pointer[Symbol], callconv.Count()) })
@@ -521,14 +529,13 @@ func (l *Linker) DlsymID(h *Handle, id callconv.FuncID) (Symbol, error) {
 	if name == "" {
 		return Symbol{}, fmt.Errorf("dlsym id %d in %s: unknown function id: %w", id, lib.bp.Name, ErrNoSymbol)
 	}
-	s, err := l.Dlsym(h, name)
-	if err != nil {
-		return Symbol{}, err
-	}
-	if int(id) < len(lib.resolved) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s, err := l.dlsymLocked(h, name)
+	if err == nil && int(id) < len(lib.resolved) {
 		lib.resolved[id].Store(&s)
 	}
-	return s, nil
+	return s, err
 }
 
 // MustSym is Dlsym for assembly code where absence is a bug.
@@ -554,13 +561,20 @@ func (l *Linker) Dlclose(h *Handle) error {
 	if lib.refs > 0 || lib.ns == l.global {
 		return nil
 	}
-	// Tear down the whole replica namespace once its root is closed.
+	// Tear down the whole replica namespace once its root is closed. A
+	// handle kept past this resolves nothing: not through Dlsym, and not
+	// through a DlsymID entry cached before.
 	for name, peer := range lib.ns.libs {
 		if fin, ok := peer.inst.(Finalizer); ok {
 			fin.Finalize()
 		}
 		l.proc.Mem().Unmap(peer.mapping)
 		delete(lib.ns.libs, name)
+		peer.closed = true
+		peer.resolveOnce.Do(func() {})
+		for i := range peer.resolved {
+			peer.resolved[i].Store(nil)
+		}
 	}
 	delete(l.replicas, lib.ns.id)
 	return nil
