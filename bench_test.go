@@ -43,7 +43,7 @@ func BenchmarkTable2Census(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		_ = app.Bridge.Census()
+		_ = app.Bridge.Library().Census()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"cycada/internal/core/callconv"
 	"cycada/internal/core/profile"
 	"cycada/internal/linker"
 	"cycada/internal/sim/kernel"
@@ -170,11 +171,14 @@ func TestDataDependentMayNotCallDomestic(t *testing.T) {
 
 func TestMultiDiplomatTarget(t *testing.T) {
 	th, cfg, lib := env(t)
-	d, err := New(cfg, "glDeleteTextures", Multi, nil)
+	dl, err := NewLibrary(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Target = "aegl_help"
+	d, err := dl.AddMulti("glDeleteTextures", "aegl_help", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.Call(th)
 	if len(lib.calls) != 1 || lib.calls[0] != "aegl_help" {
 		t.Fatalf("calls = %v, want the coalesced helper", lib.calls)
@@ -323,13 +327,16 @@ func TestUnimplementedNotProfiled(t *testing.T) {
 	}
 }
 
-func TestRegistryCensus(t *testing.T) {
+func TestLibraryCensus(t *testing.T) {
 	_, cfg, _ := env(t)
-	r := NewRegistry(cfg)
+	r, err := NewLibrary(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.Add("glDoWork", Direct, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Add("glOther", Multi, nil); err != nil {
+	if _, err := r.AddMulti("glOther", "aegl_help", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Add("glDoWork", Direct, nil); err == nil {
@@ -342,8 +349,12 @@ func TestRegistryCensus(t *testing.T) {
 	if c[Direct] != 1 || c[Multi] != 1 {
 		t.Fatalf("census = %v", c)
 	}
-	if _, ok := r.Get("glOther"); !ok {
-		t.Fatal("Get failed")
+	if k, ok := r.Kind("glOther"); !ok || k != Multi {
+		t.Fatalf("Kind(glOther) = %v, %v", k, ok)
+	}
+	d, ok := r.Get("glOther")
+	if !ok || r.ByID(callconv.Intern("glOther")) != d || r.ByID(callconv.Intern("glUnknown")) != nil {
+		t.Fatal("the name and FuncID indexes disagree")
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // libEGLbridge — "the first piece contains all the diplomats used by the iOS
 // code, and avoids linking against [Android] libraries."
 type Backend struct {
-	reg  *diplomat.Registry
-	dips map[string]*diplomat.Diplomat
+	lib *diplomat.Library
 }
 
 // aeglFunctions is the multi-diplomat surface of libEGLbridge, plus
@@ -42,24 +41,22 @@ var aeglFunctions = []string{
 // NewBackend builds the foreign half over a diplomat configuration whose
 // Library handle points at the loaded libEGLbridge.
 func NewBackend(cfg diplomat.Config) (*Backend, error) {
-	reg := diplomat.NewRegistry(cfg)
-	dips := make(map[string]*diplomat.Diplomat, len(aeglFunctions))
+	lib, err := diplomat.NewLibrary(cfg)
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range aeglFunctions {
-		d, err := reg.Add(name, diplomat.Multi, nil)
-		if err != nil {
+		if _, err := lib.Add(name, diplomat.Multi, nil); err != nil {
 			return nil, err
 		}
-		dips[name] = d
 	}
-	return &Backend{reg: reg, dips: dips}, nil
+	return &Backend{lib: lib}, nil
 }
-
-// Registry exposes the diplomat registry (census and tests).
-func (bk *Backend) Registry() *diplomat.Registry { return bk.reg }
 
 // call invokes a diplomat and normalizes its error return.
 func (bk *Backend) call(t *kernel.Thread, name string, args ...any) (any, error) {
-	ret := bk.dips[name].Call(t, args...)
+	d, _ := bk.lib.Get(name)
+	ret := d.Call(t, args...)
 	if err, ok := ret.(error); ok {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ import (
 
 	"cycada/internal/core/callconv"
 	"cycada/internal/core/diplomat"
-	"cycada/internal/fault"
 	"cycada/internal/gles/engine"
 	"cycada/internal/gles/registry"
 	"cycada/internal/ios/applegles"
@@ -48,11 +47,7 @@ type Config struct {
 
 // Bridge is the loaded diplomatic GLES library.
 type Bridge struct {
-	dips  map[string]*diplomat.Diplomat
-	kinds map[string]diplomat.Kind
-	// byID indexes the same diplomats by interned FuncID, so Call and the
-	// batch path replace the per-call map[string] lookup with a slice index.
-	byID []*diplomat.Diplomat
+	lib *diplomat.Library
 
 	// frameSyms is the exported surface: one closure per diplomat.
 	frameSyms map[string]callconv.FrameFn
@@ -61,12 +56,9 @@ type Bridge struct {
 	// replay capture). One atomic load on the hot path when unset.
 	tap atomic.Pointer[tapBox]
 
-	// batcher dispatches whole callconv batches in one impersonation window;
 	// crossings counts persona-boundary windows opened (one per serial call,
 	// one per batch flush) and batchedCalls the calls that rode in batches —
 	// the numerator/denominator of the crossings-per-frame metric.
-	batcher      *diplomat.Batcher
-	lookupByID   func(callconv.FuncID) *diplomat.Diplomat // built once; keeps CallBatch alloc-free
 	crossings    atomic.Uint64
 	batchedCalls atomic.Uint64
 	// batchHist records the flushed batch sizes (frame-health telemetry for
@@ -95,12 +87,12 @@ func (b *Bridge) SetTap(t tap.Tap) {
 // boxed []any view is materialized lazily — only when the record/replay tap
 // is active; with the tap off a direct call completes without a single heap
 // allocation.
-func (b *Bridge) invokeFrame(t *kernel.Thread, d *diplomat.Diplomat, name string, fr *callconv.Frame) any {
+func (b *Bridge) invokeFrame(t *kernel.Thread, d *diplomat.Diplomat, fr *callconv.Frame) any {
 	b.crossings.Add(1)
 	ret := d.CallFrame(t, fr)
 	if box := b.tap.Load(); box != nil {
 		if err, failed := ret.(error); !failed || err == nil {
-			box.t.Call(t, tap.GLES, name, fr.Args(), ret)
+			box.t.Call(t, tap.GLES, d.Name, fr.Args(), ret)
 		}
 	}
 	return ret
@@ -111,29 +103,24 @@ func New(cfg Config) (*Bridge, error) {
 	if cfg.EGLBridge == nil {
 		return nil, fmt.Errorf("glesbridge: missing libEGLbridge handle")
 	}
+	lib, err := diplomat.NewLibrary(cfg.Diplomat)
+	if err != nil {
+		return nil, err
+	}
 	b := &Bridge{
-		dips:    make(map[string]*diplomat.Diplomat, 344),
-		kinds:   make(map[string]diplomat.Kind, 344),
-		batcher: diplomat.NewBatcher(cfg.Diplomat),
+		lib:       lib,
+		frameSyms: make(map[string]callconv.FrameFn, 344),
 		batchHist: cfg.Diplomat.Linker.Proc().Kernel().
 			Histograms().Histogram(BatchHistName),
 	}
-
-	multiCfg := cfg.Diplomat
-	multiCfg.LibraryFor = nil
-	multiCfg.Library = cfg.EGLBridge
-
-	add := func(name string, kind diplomat.Kind, c diplomat.Config, w diplomat.Wrapper, target string) error {
-		d, err := diplomat.New(c, name, kind, w)
+	// add exports a diplomat the library just added.
+	add := func(d *diplomat.Diplomat, err error) error {
 		if err != nil {
 			return err
 		}
-		d.Target = target
-		if _, dup := b.dips[name]; dup {
-			return fmt.Errorf("glesbridge: duplicate diplomat %s", name)
+		b.frameSyms[d.Name] = func(t *kernel.Thread, fr *callconv.Frame) any {
+			return b.invokeFrame(t, d, fr)
 		}
-		b.dips[name] = d
-		b.kinds[name] = kind
 		return nil
 	}
 
@@ -142,7 +129,7 @@ func New(cfg Config) (*Bridge, error) {
 		if !ok {
 			return nil, fmt.Errorf("glesbridge: no indirect mapping for %s", name)
 		}
-		if err := add(name, diplomat.Indirect, cfg.Diplomat, w, ""); err != nil {
+		if err := add(lib.Add(name, diplomat.Indirect, w)); err != nil {
 			return nil, err
 		}
 	}
@@ -151,78 +138,35 @@ func New(cfg Config) (*Bridge, error) {
 		if !ok {
 			return nil, fmt.Errorf("glesbridge: no data-dependent logic for %s", name)
 		}
-		if err := add(name, diplomat.DataDependent, cfg.Diplomat, w, ""); err != nil {
+		if err := add(lib.Add(name, diplomat.DataDependent, w)); err != nil {
 			return nil, err
 		}
 	}
 	// The two multi diplomats coalesce into libEGLbridge (§6).
-	if err := add("glDeleteTextures", diplomat.Multi, multiCfg, nil, "aegl_bridge_delete_textures"); err != nil {
+	if err := add(lib.AddMulti("glDeleteTextures", "aegl_bridge_delete_textures", cfg.EGLBridge)); err != nil {
 		return nil, err
 	}
-	if err := add("glEGLImageTargetTexture2DOES", diplomat.Multi, multiCfg, nil, "aegl_bridge_bind_surface_tex"); err != nil {
+	if err := add(lib.AddMulti("glEGLImageTargetTexture2DOES", "aegl_bridge_bind_surface_tex", cfg.EGLBridge)); err != nil {
 		return nil, err
 	}
 	for _, name := range registry.BridgeUnimplemented() {
-		if err := add(name, diplomat.Unimplemented, cfg.Diplomat, nil, ""); err != nil {
+		if err := add(lib.Add(name, diplomat.Unimplemented, nil)); err != nil {
 			return nil, err
 		}
 	}
 	for _, name := range registry.BridgeDirect() {
-		if _, dup := b.dips[name]; dup {
+		if _, dup := lib.Get(name); dup {
 			continue
 		}
-		if err := add(name, diplomat.Direct, cfg.Diplomat, nil, ""); err != nil {
+		if err := add(lib.Add(name, diplomat.Direct, nil)); err != nil {
 			return nil, err
-		}
-	}
-
-	// Index the surface by interned FuncID: the flat slice Call and the
-	// typed frame path use instead of hashing the name per call.
-	maxID := callconv.FuncID(0)
-	ids := make(map[string]callconv.FuncID, len(b.dips))
-	for name := range b.dips {
-		id := callconv.Intern(name)
-		ids[name] = id
-		if id > maxID {
-			maxID = id
-		}
-	}
-	b.byID = make([]*diplomat.Diplomat, maxID+1)
-	for name, d := range b.dips {
-		b.byID[ids[name]] = d
-	}
-	b.lookupByID = func(id callconv.FuncID) *diplomat.Diplomat {
-		if int(id) < len(b.byID) {
-			return b.byID[id]
-		}
-		return nil
-	}
-	b.frameSyms = make(map[string]callconv.FrameFn, len(b.dips))
-	for name, d := range b.dips {
-		b.frameSyms[name] = func(t *kernel.Thread, fr *callconv.Frame) any {
-			return b.invokeFrame(t, d, name, fr)
 		}
 	}
 	return b, nil
 }
 
-// Kind reports how a function is bridged (Table 2).
-func (b *Bridge) Kind(name string) (diplomat.Kind, bool) {
-	k, ok := b.kinds[name]
-	return k, ok
-}
-
-// Census returns the per-kind diplomat counts — the rows of Table 2.
-func (b *Bridge) Census() map[diplomat.Kind]int {
-	out := map[diplomat.Kind]int{}
-	for _, k := range b.kinds {
-		out[k]++
-	}
-	return out
-}
-
-// Functions reports the total bridged surface (344).
-func (b *Bridge) Functions() int { return len(b.dips) }
+// Library returns the bridge's diplomatic library: its census is Table 2.
+func (b *Bridge) Library() *diplomat.Library { return b.lib }
 
 // Call invokes a bridged function by name with a boxed argument list (trace
 // replay, app code calling by name). The diplomat is found through the
@@ -230,15 +174,16 @@ func (b *Bridge) Functions() int { return len(b.dips) }
 // same path as a linked frame call. A list no frame can carry sets errno
 // EINVAL and returns the bridge's invalid-arguments error.
 func (b *Bridge) Call(t *kernel.Thread, name string, args ...any) any {
-	id, ok := callconv.LookupID(name)
-	if !ok || int(id) >= len(b.byID) || b.byID[id] == nil {
+	id, _ := callconv.LookupID(name)
+	d := b.lib.ByID(id)
+	if d == nil {
 		return fmt.Errorf("glesbridge: %s is not an iOS GLES function", name)
 	}
 	fr, err := callconv.FrameArgs(t, id, args)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %w", kernelEINVAL, name, err)
 	}
-	ret := b.invokeFrame(t, b.byID[id], name, fr)
+	ret := b.invokeFrame(t, d, fr)
 	fr.Release()
 	return ret
 }
@@ -247,50 +192,29 @@ func (b *Bridge) Call(t *kernel.Thread, name string, args ...any) any {
 // histogram registry. Samples are batch lengths, not durations.
 const BatchHistName = "gles-batch-size"
 
-// CallBatch implements callconv.BatchDispatcher: the whole batch decodes and
-// dispatches in append order inside one impersonation window on the batch's
-// owner thread. When the window cannot be opened (an injected batch_flush
-// fault), the batch degrades to per-call windows — same calls, same order,
-// same observable results, just without the amortization — so the fault is
-// transparent to everything above the bridge. Frames stay owned by the
-// batch; the caller releases them via Batch.Release after this returns.
+// CallBatch implements callconv.BatchDispatcher through the library's
+// Dispatch: the whole batch runs in append order inside one impersonation
+// window on the batch's owner thread. When the window cannot be opened (an
+// injected batch_flush fault), each frame crosses in its own window — same
+// calls, same order, same results, just without the amortization. The
+// error follows the serial rule either way, the first error in append
+// order, so the fault is transparent to everything above the bridge.
+// Frames stay owned by the batch; the caller releases them via
+// Batch.Release after this returns.
 func (b *Bridge) CallBatch(t *kernel.Thread, batch *callconv.Batch) error {
-	lookup := b.lookupByID
 	// The tap, when active, observes each frame as its own logical call in
 	// append order — record/replay sees a call stream identical to serial
 	// execution, which is what keeps golden traces byte-identical.
-	var after func(i int, fr *callconv.Frame, ret any)
+	var after func(fr *callconv.Frame, ret any)
 	if box := b.tap.Load(); box != nil {
-		after = func(i int, fr *callconv.Frame, ret any) {
-			if err, failed := ret.(error); !failed || err == nil {
-				box.t.Call(t, tap.GLES, callconv.Name(fr.ID()), fr.Args(), ret)
-			}
+		after = func(fr *callconv.Frame, ret any) {
+			box.t.Call(t, tap.GLES, callconv.Name(fr.ID()), fr.Args(), ret)
 		}
 	}
-	dispatched, err := b.batcher.Dispatch(t, batch, lookup, after)
-	if !dispatched {
-		// Window-open fault absorbed here: re-dispatch serially. Each call
-		// pays its own window (and counts its own crossing), exactly as if
-		// batching were off for this run.
-		var first error
-		if err != nil && !fault.Injected(err) {
-			first = err
-		}
-		for i := 0; i < batch.Len(); i++ {
-			fr := batch.Frame(i)
-			d := lookup(fr.ID())
-			if d == nil {
-				if first == nil {
-					first = fmt.Errorf("glesbridge: %s is not an iOS GLES function", callconv.Name(fr.ID()))
-				}
-				continue
-			}
-			ret := b.invokeFrame(t, d, callconv.Name(fr.ID()), fr)
-			if e, ok := ret.(error); ok && e != nil && first == nil {
-				first = e
-			}
-		}
-		return first
+	windowed, err := b.lib.Dispatch(t, batch, after)
+	if !windowed {
+		b.crossings.Add(uint64(batch.Len()))
+		return err
 	}
 	b.crossings.Add(1)
 	b.batchedCalls.Add(uint64(batch.Len()))

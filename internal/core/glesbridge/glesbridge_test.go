@@ -3,8 +3,10 @@ package glesbridge_test
 import (
 	"testing"
 
+	"cycada/internal/core/callconv"
 	"cycada/internal/core/diplomat"
 	"cycada/internal/core/system"
+	"cycada/internal/fault"
 	"cycada/internal/gles/engine"
 	"cycada/internal/gles/registry"
 	"cycada/internal/ios/eagl"
@@ -33,7 +35,7 @@ func app(t *testing.T) (*system.IOSApp, *kernel.Thread) {
 func TestEveryIOSFunctionIsBridged(t *testing.T) {
 	a, _ := app(t)
 	for _, name := range registry.IOSSurface() {
-		if _, ok := a.Bridge.Kind(name); !ok {
+		if _, ok := a.Bridge.Library().Kind(name); !ok {
 			t.Errorf("%s not bridged", name)
 		}
 	}
@@ -153,7 +155,7 @@ func TestIndirectTexStorage(t *testing.T) {
 	if e := gl.GetError(th); e != engine.NoError {
 		t.Fatalf("storage not allocated: error %#x", e)
 	}
-	if k, _ := a.Bridge.Kind("glTexStorage2DEXT"); k != diplomat.Indirect {
+	if k, _ := a.Bridge.Library().Kind("glTexStorage2DEXT"); k != diplomat.Indirect {
 		t.Fatal("glTexStorage2DEXT not indirect")
 	}
 }
@@ -185,5 +187,32 @@ func TestSymbolsExposeWholeSurface(t *testing.T) {
 	syms := a.Bridge.FrameSymbols()
 	if len(syms) != 344 {
 		t.Fatalf("symbol surface = %d, want 344", len(syms))
+	}
+}
+
+// A batch reports the same error whether its window opened or batch_flush
+// degraded it to serial calls: the first error in append order, here the
+// unbridged frame's.
+func TestCallBatchErrorIndependentOfWindow(t *testing.T) {
+	var errs []string
+	for _, rate := range []float64{0, 1} {
+		a, th := app(t)
+		th.Process().Kernel().SetFaultInjector(fault.NewInjector(fault.Schedule{
+			Rate: rate, Points: []fault.Point{fault.PointBatchFlush},
+		}))
+		batch := callconv.AcquireBatch()
+		batch.SetOwner(th)
+		for _, name := range []string{"glFlush", "glNotAnIOSFunction", "glFlush"} {
+			batch.Append(callconv.Acquire(callconv.Intern(name)))
+		}
+		err := a.Bridge.CallBatch(th, batch)
+		batch.Release()
+		if err == nil {
+			t.Fatalf("batch_flush rate %v: the unbridged frame reported no error", rate)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("windowed batch returned %q, degraded batch %q", errs[0], errs[1])
 	}
 }

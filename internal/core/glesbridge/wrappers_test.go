@@ -53,7 +53,7 @@ func TestIndirectWrappersRejectShortArgs(t *testing.T) {
 	}
 	// The table above must keep covering the full indirect census.
 	for name := range indirectMinArgs {
-		if k, ok := a.Bridge.Kind(name); !ok || k != diplomat.Indirect {
+		if k, ok := a.Bridge.Library().Kind(name); !ok || k != diplomat.Indirect {
 			t.Errorf("%s is not an indirect diplomat (kind %v)", name, k)
 		}
 	}

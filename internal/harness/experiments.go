@@ -47,7 +47,7 @@ func Table2() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	census := app.Bridge.Census()
+	census := app.Bridge.Library().Census()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 2: Cycada iOS OpenGL ES Support Breakdown\n")
 	fmt.Fprintf(&b, "%-32s %9s\n", "Type of Support", "Functions")

@@ -102,6 +102,9 @@ go test ./internal/obs/telemetry -run '^$' -fuzz '^FuzzParseText$' -fuzztime 10s
 echo "== fuzz smoke (jsvm parses page scripts: no panic, step-bounded, JIT and interpreter print and return the same)"
 go test ./internal/jsvm -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
 
+echo "== fuzz smoke (diplomat windows: serial calls and batches under diplomat_panic and batch_flush match the serial model)"
+go test ./internal/core/diplomat -run '^$' -fuzz '^FuzzDiplomatWindows$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2
+
 echo "== bench/ tests (pinned virtual times, layer accounting, BENCHMARK.json contract)"
 (cd bench && go test ./...)
 
