@@ -31,13 +31,19 @@
 // percentiles and rates, device-health gauges), /healthz with the scheduler
 // stats as JSON, /snapshot, and /events streaming per-device flight-recorder
 // incident dumps (watchdog timeouts, quarantines) as SSE.
+//
+// SIGINT or SIGTERM stops admission: the farm drains, reports the sessions
+// it submitted and exits as it would have after the last.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"cycada/internal/farm"
@@ -179,10 +185,12 @@ func run(o options) error {
 		defer win.Stop()
 		fmt.Printf("telemetry: listening on %s\n", srv.URL())
 	}
+	stop, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
 	start := time.Now()
-	handles := make([]*farm.Session, 0, o.sessions)
+	handles := make([]*farm.Session, 0, min(o.sessions, 1024))
 	next := 0 // oldest handle not yet waited on (backpressure)
-	for i := 0; i < o.sessions; i++ {
+	for i := 0; i < o.sessions && stop.Err() == nil; i++ {
 		spec := farm.SessionSpec{
 			Name:    fmt.Sprintf("s%03d", i),
 			Faults:  sched,
@@ -212,19 +220,20 @@ func run(o options) error {
 			next++
 		}
 	}
+	cancel() // admission is over: a second signal ends the drain by default
 	f.Wait()
 	wall := time.Since(start)
 	stats := f.Stats()
 
 	rep := report{
 		Devices:        o.devices,
-		Sessions:       o.sessions,
+		Sessions:       len(handles),
 		Completed:      stats.Completed,
 		Failed:         stats.Failed,
 		Rejected:       stats.Rejected,
 		QueueHighWater: stats.QueueHighWater,
 		WallMs:         float64(wall.Microseconds()) / 1e3,
-		SessionsPerSec: float64(o.sessions) / wall.Seconds(),
+		SessionsPerSec: float64(len(handles)) / wall.Seconds(),
 		Retried:        stats.Retried,
 		TimedOut:       stats.TimedOut,
 		Abandoned:      stats.Abandoned,
@@ -302,7 +311,7 @@ func run(o options) error {
 		}
 	}
 	if failed > 0 && sched == nil {
-		return fmt.Errorf("%d/%d sessions failed", failed, o.sessions)
+		return fmt.Errorf("%d/%d sessions failed", failed, len(handles))
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cycada/internal/core/diplomat"
@@ -358,14 +357,4 @@ func FigProfile(title string, prof *profile.Profiler) string {
 		fmt.Fprintf(&b, "%-36s %8d %7.2f%% %12.1f\n", s.Name, s.Calls, s.Percent, s.Avg().Micros())
 	}
 	return b.String()
-}
-
-// SortedProfileNames lists all profiled function names (tests).
-func SortedProfileNames(prof *profile.Profiler) []string {
-	var names []string
-	for _, s := range prof.Samples() {
-		names = append(names, s.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -3,7 +3,9 @@ package linker
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -112,6 +114,7 @@ func sortedNames(libs map[string]int) []string {
 // TestDLRMatchesModel drives Dlopen, Dlforce, Dlsym, DlsymID and Dlclose in
 // seeded random order against the map model. After every operation the
 // live library images are pairwise disjoint and are exactly the model's,
+// Namespaces lists exactly the model's live namespaces and their libraries,
 // every library's constructor has run once per copy, and every lookup —
 // through Dlsym, a first DlsymID and a cached one — returns the model's
 // instance at an address inside that instance's own image, or fails when
@@ -250,6 +253,13 @@ func TestDLRMatchesModel(t *testing.T) {
 				sort.Strings(mapped)
 				if fmt.Sprint(mapped) != fmt.Sprint(live) {
 					t.Fatalf("step %d: %s: images %v, want %v", step, what, mapped, live)
+				}
+				var wantNS []NamespaceInfo
+				for _, ns := range slices.Sorted(maps.Keys(m.ns)) {
+					wantNS = append(wantNS, NamespaceInfo{ID: ns, Libs: sortedNames(m.ns[ns])})
+				}
+				if got := l.Namespaces(); fmt.Sprint(got) != fmt.Sprint(wantNS) {
+					t.Fatalf("step %d: %s: namespaces %v, want %v", step, what, got, wantNS)
 				}
 				for _, bp := range dlrBlueprints {
 					if got := l.ConstructorRuns(bp.name); got != m.ctorRun[bp.name] {

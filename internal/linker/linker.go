@@ -371,7 +371,11 @@ func (l *Linker) Dlforce(t *kernel.Thread, name string) (*Handle, error) {
 		return nil, fmt.Errorf("dlforce %q: %w", name, err)
 	}
 	lib.refs++
-	l.replicas[ns.id] = ns
+	// A shared library lands in the global namespace and leaves the fresh
+	// one empty and unregistered; its ID is spent either way.
+	if lib.ns == ns {
+		l.replicas[ns.id] = ns
+	}
 	return &Handle{lib: lib}, nil
 }
 

@@ -147,6 +147,20 @@ func (tr *Tracer) NameThread(pid, tid int, name string) {
 	m[tid] = name
 }
 
+// ForgetProcess drops the names of an exited process pid and its threads,
+// so a tracer that outlives many kernels does not keep every process they
+// made. It keeps them while the tracer records or holds spans, which an
+// export labels with them.
+func (tr *Tracer) ForgetProcess(pid int) {
+	if tr.Enabled() || tr.Len() > 0 {
+		return
+	}
+	tr.nameMu.Lock()
+	defer tr.nameMu.Unlock()
+	delete(tr.procNames, pid)
+	delete(tr.threadNames, pid)
+}
+
 // Span is an open span. The zero Span is inert: Active reports false and End
 // is a no-op, so disabled call sites cost nothing beyond the Enabled check.
 type Span struct {

@@ -87,6 +87,31 @@ func TestConcurrentSpansAndReset(t *testing.T) {
 	}
 }
 
+// TestForgetProcessKeepsNamesSpansNeed checks that an exited process's
+// names stay while the tracer records or holds spans, which an export
+// labels with them, and then go, for that process alone.
+func TestForgetProcessKeepsNamesSpansNeed(t *testing.T) {
+	tr := New()
+	for pid := range 2 {
+		tr.NameProcess(pid, "app")
+		tr.NameThread(pid, 1, "main")
+	}
+	tr.SetEnabled(true)
+	tr.Begin(0, 1, CatDiplomat, "call", 0).End(1)
+	tr.ForgetProcess(0)
+	tr.SetEnabled(false)
+	tr.ForgetProcess(0)
+	if procs, threads := tr.names(); len(procs) != 2 || len(threads) != 2 {
+		t.Fatalf("names dropped while the tracer records or holds a span: %v %v", procs, threads)
+	}
+	tr.Reset()
+	tr.ForgetProcess(0)
+	procs, threads := tr.names()
+	if _, ok := procs[0]; ok || threads[0] != nil || procs[1] != "app" || threads[1][1] != "main" {
+		t.Fatalf("after Reset, ForgetProcess(0) left %v %v; want only process 1's names", procs, threads)
+	}
+}
+
 func TestChromeTraceIsValidJSON(t *testing.T) {
 	tr := New()
 	tr.SetEnabled(true)

@@ -23,14 +23,6 @@ func (v Vec4) Sub(o Vec4) Vec4 { return Vec4{v[0] - o[0], v[1] - o[1], v[2] - o[
 // Scale returns v * s.
 func (v Vec4) Scale(s float32) Vec4 { return Vec4{v[0] * s, v[1] * s, v[2] * s, v[3] * s} }
 
-// Mul returns the component-wise product.
-func (v Vec4) Mul(o Vec4) Vec4 { return Vec4{v[0] * o[0], v[1] * o[1], v[2] * o[2], v[3] * o[3]} }
-
-// Dot returns the 4-component dot product.
-func (v Vec4) Dot(o Vec4) float32 {
-	return float32(v[0]*o[0]) + float32(v[1]*o[1]) + float32(v[2]*o[2]) + float32(v[3]*o[3])
-}
-
 // Every product that feeds a sum in this package is written float32(a*b):
 // the conversion rounds the product, which the Go spec says forbids fusing
 // it with the sum into one FMA instruction. amd64 never fuses float32, but

@@ -120,6 +120,9 @@ type stage struct {
 	varyZero  []input       // vertex: varyings zeroed every invocation
 	varyOut   []int         // vertex: slot of each VaryNames entry
 	out       int           // slot of gl_Position or gl_FragColor
+	// fragment: the st.uniforms and VaryNames indexes of the texel the
+	// shader copies, or -1 (see texelCopy)
+	copyUniform, copyVarying int
 }
 
 type uniformSlot struct {
@@ -194,7 +197,39 @@ func newStage(p *Program, sh *Shader) *stage {
 			st.mutable = append(st.mutable, k)
 		}
 	}
+	st.copyUniform, st.copyVarying = st.texelCopy()
 	return st
+}
+
+// texelCopy returns the indexes in st.uniforms and in VaryNames of s and v
+// when st is a fragment stage whose body is the single statement
+// gl_FragColor = texture2D(s, v), with s a draw-uniform sampler and v a
+// varying the shader never writes, which is then typed; otherwise -1, -1.
+// Such a shader cannot fault, and shades each fragment with the texel
+// nearest its v: texture2D's unorm8 channels, which gpu.Pack turns back
+// into the texel's word.
+func (st *stage) texelCopy() (int, int) {
+	sh := st.sh
+	if sh.Kind != Fragment || len(sh.body) != 1 {
+		return -1, -1
+	}
+	as, ok := sh.body[0].(*assignStmt)
+	if !ok || as.slot != st.out || as.swizzle != "" {
+		return -1, -1
+	}
+	call, ok := as.val.(*callExpr)
+	if !ok || call.fn != fnTexture2D || len(call.args) != 2 {
+		return -1, -1
+	}
+	s, ok := call.args[0].(*varExpr)
+	v, ok2 := call.args[1].(*varExpr)
+	if !ok || !ok2 || sh.class[s.slot] != uniCell || sh.class[v.slot] != vecCell || v.slot == st.out {
+		return -1, -1
+	}
+	// Their classes make s only a uniform, and v, not gl_FragColor, a varying.
+	k := slices.IndexFunc(st.uniforms, func(u uniformSlot) bool { return u.slot == s.slot })
+	i := slices.IndexFunc(st.varyIn, func(in input) bool { return in.slot == v.slot })
+	return k, st.varyIn[i].index
 }
 
 // Binding holds one draw's uniform values, in each stage's slot order. Set
@@ -253,6 +288,17 @@ func (b *Binding) Acquire() gpu.Fragment { return b.Frame(Fragment) }
 
 // Release implements gpu.FragShader.
 func (b *Binding) Release(f gpu.Fragment) { f.(*Frame).Release() }
+
+// TexelCopy implements gpu.TexelCopier: the fragment shader copies the
+// texel at v from s (see stage.texelCopy), bound to a texture with an image.
+func (b *Binding) TexelCopy() (*gpu.Texture, int, bool) {
+	fs := b.p.fs
+	if fs.copyUniform < 0 {
+		return nil, 0, false
+	}
+	t := b.fs[fs.copyUniform].Sampler
+	return t, fs.copyVarying, t != nil && t.Img != nil
+}
 
 // Frame is one stage's evaluation state for up to its stage's lane count of
 // invocations at once: one lane per invocation (a single lane for vertices,
@@ -539,17 +585,14 @@ func (f *Frame) loadVarying(in input, n int) {
 
 // Shade implements gpu.Fragment: each of lanes [0, n) runs the shader on
 // the inputs the rasterizer wrote, and the colours returned are the
-// gl_FragColor plane's, packed (gpu.Pack), or the words a texel copy wrote.
-// A lane whose shader faults at run time shades magenta and counts no
-// fetches; its error stays in f.errs.
+// gl_FragColor plane's, packed (gpu.Pack). A lane whose shader faults at
+// run time shades magenta and counts no fetches; its error stays in f.errs.
 func (f *Frame) Shade(n int) ([]uint32, []int) {
 	f.load(n)
 	f.run(n)
 	col := f.col[:n]
-	if !f.st.sh.texelCopy {
-		out, _ := f.planes(f.st.out)
-		gpu.Pack(col, out[:n])
-	}
+	out, _ := f.planes(f.st.out)
+	gpu.Pack(col, out[:n])
 	for m := f.faulted; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		col[l], f.fetches[l] = faultWord, 0
@@ -560,7 +603,7 @@ func (f *Frame) Shade(n int) ([]uint32, []int) {
 // load readies lanes [0, n), whose varying components are written, to run:
 // the widths or zeros of the varyings the shader assigns (Inputs did the
 // others), the uniforms an invocation may have overwritten, and
-// gl_FragColor, unless a texel copy writes the colour words instead.
+// gl_FragColor.
 func (f *Frame) load(n int) {
 	st := f.st
 	for _, in := range st.varyIn {
@@ -569,14 +612,12 @@ func (f *Frame) load(n int) {
 		}
 	}
 	f.restoreUniforms(n)
-	switch {
-	case st.sh.texelCopy:
-	case st.sh.class[st.out] == vecCell:
+	if st.sh.class[st.out] == vecCell {
 		out, _ := f.planes(st.out)
 		clear(out[:n])
-	default:
-		f.fill(st.out, n, Value{Width: 4})
+		return
 	}
+	f.fill(st.out, n, Value{Width: 4})
 }
 
 func widthOf(typ string) int {

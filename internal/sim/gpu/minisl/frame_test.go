@@ -189,11 +189,11 @@ func shadeOne(f *Frame, vary []gpu.Vec4) (gpu.Vec4, int, error) {
 	for i, k := range index {
 		planes[i][0] = vary[k]
 	}
-	col, fetches := f.Shade(1)
+	_, fetches := f.Shade(1)
 	if err := f.errs[0]; err != nil {
 		return gpu.Vec4{}, 0, err
 	}
-	return colourOf(f, 0, col[0]), fetches[0], nil
+	return colourOf(f, 0), fetches[0], nil
 }
 
 // TestFrameReuseIsInvisible runs invocations back to back on one frame:
@@ -294,7 +294,7 @@ void main() {
 // vertex, under every binding of bindingSweep, and each lane must match the
 // reference evaluator.
 func FuzzCompile(f *testing.F) {
-	for _, src := range refShaders(f) {
+	for _, src := range slices.Concat(refShaders(f), copyMisses) {
 		f.Add(src)
 	}
 	tex := refTexture()

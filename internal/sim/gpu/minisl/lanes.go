@@ -44,27 +44,19 @@ var errSteps = &evalError{msg: "shader exceeded step limit"}
 // its expressions at reg 0. A draw-uniform node's temporaries are the same
 // cells of the uniform frame.
 type compiler struct {
-	sh   *Shader
-	t    *typer
-	copy *assignStmt // the statement compiled to a texel copy, if any
-	uni  bool        // compiling a draw-uniform node, which runs in the uniform frame
+	sh  *Shader
+	t   *typer
+	uni bool // compiling a draw-uniform node, which runs in the uniform frame
 }
 
 // compileBody types sh's slots and compiles its parsed body. Every
 // statement run charges a step (see step), but a shader without a for loop
 // runs each of its statements at most once: when it has fewer than
-// defaultMaxSteps, no lane can run out, and it is compiled to charge none. A
-// fragment shader whose last statement is gl_FragColor = texture2D(s, uv),
-// and which names gl_FragColor nowhere else, ends in a texel copy (see
-// texelCopy).
+// defaultMaxSteps, no lane can run out, and it is compiled to charge none.
 func compileBody(sh *Shader) {
 	sh.counted = maxSteps(sh.body) >= defaultMaxSteps
 	c := &compiler{sh: sh, t: typeSlots(sh)}
 	sh.class, sh.widths = c.t.class, c.t.width
-	if sh.Kind == Fragment {
-		c.copy = texelCopyStmt(sh.body, sh.slots[specialOut(Fragment)])
-		sh.texelCopy = c.copy != nil
-	}
 	sh.run = c.block(sh.body)
 }
 
@@ -81,108 +73,6 @@ func maxSteps(body []stmt) int {
 		}
 	}
 	return n
-}
-
-// texelCopyStmt returns body's last statement when it is
-// out = texture2D(s, uv), with no swizzle, and nothing else in body names
-// out; otherwise nil.
-func texelCopyStmt(body []stmt, out int) *assignStmt {
-	if len(body) == 0 {
-		return nil
-	}
-	as, ok := body[len(body)-1].(*assignStmt)
-	if !ok || as.slot != out || as.swizzle != "" {
-		return nil
-	}
-	call, ok := as.val.(*callExpr)
-	if !ok || call.fn != fnTexture2D || len(call.args) != 2 || namesIn(body, out) != 1 {
-		return nil
-	}
-	return as
-}
-
-// namesIn counts the places body names slot s: as a declaration or
-// assignment target, or as a variable read.
-func namesIn(body []stmt, s int) int {
-	n := 0
-	for _, st := range body {
-		n += namesInStmt(st, s)
-	}
-	return n
-}
-
-func namesInStmt(st stmt, s int) int {
-	switch st := st.(type) {
-	case *declStmt:
-		return count(st.slot == s) + namesInExpr(st.init, s)
-	case *assignStmt:
-		return count(st.slot == s) + namesInExpr(st.val, s)
-	case *ifStmt:
-		return namesInExpr(st.cond, s) + namesIn(st.then, s) + namesIn(st.els, s)
-	case *forStmt:
-		return namesInStmt(st.init, s) + namesInExpr(st.cond, s) + namesInStmt(st.post, s) + namesIn(st.body, s)
-	}
-	return 0
-}
-
-func namesInExpr(e expr, s int) int {
-	switch ex := e.(type) {
-	case *varExpr:
-		return count(ex.slot == s)
-	case *swizzleExpr:
-		return namesInExpr(ex.base, s)
-	case *unaryExpr:
-		return namesInExpr(ex.x, s)
-	case *binExpr:
-		return namesInExpr(ex.l, s) + namesInExpr(ex.r, s)
-	case *callExpr:
-		n := 0
-		for _, a := range ex.args {
-			n += namesInExpr(a, s)
-		}
-		return n
-	}
-	return 0 // a constant, or no initializer
-}
-
-// count is 1 for true, 0 for false.
-func count(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// texelCopy compiles the statement gl_FragColor = texture2D(s, uv) that
-// ends a fragment shader naming gl_FragColor nowhere else. gl_FragColor is
-// then zero, of width 4 and no reference, when the statement runs, so the
-// assignment leaves it the texel — unorm8[c] of each of its bytes c — and
-// gpu.Pack turns that back into the texel's word, since unorm(unorm8[c])
-// is c. The node therefore writes each lane's texel word straight into the
-// frame's colour words, and the gl_FragColor plane is neither written nor
-// read. The arguments evaluate, and fetches count, as for any texture2D
-// call.
-func (c *compiler) texelCopy(call *callExpr) stmtFn {
-	base, counted := call.base, c.sh.counted
-	args := c.operands(call.args, 0, base, c.samplerArgs(call))
-	sk := c.t.kind(call.args[0]).class
-	return func(f *Frame, live []uint8) []uint8 {
-		if counted {
-			live = f.step(live)
-		}
-		live = args(f, live)
-		s, uv := f.args[base], f.args[base+1]
-		uc, _ := f.planes(uv)
-		for i := 0; i < len(live); {
-			j, smp := f.samplerRun(s, sk, live, i)
-			smp.Words(f.col, uc, live[i:j])
-			i = j
-		}
-		for _, l := range live {
-			f.fetches[l]++
-		}
-		return live
-	}
 }
 
 // fault records err as lane l's runtime error.
@@ -272,8 +162,6 @@ func (c *compiler) stmt(s stmt) stmtFn {
 		return c.decl(st)
 	case *assignStmt:
 		switch {
-		case st == c.copy:
-			return c.texelCopy(st.val.(*callExpr))
 		case st.swizzle != "":
 			return c.assignComponent(st)
 		case c.sh.class[st.slot] == vecCell:
@@ -685,17 +573,6 @@ func (c *compiler) operands(xs []expr, reg, base int, compile func(expr, int) ex
 	}
 }
 
-// samplerArgs compiles texture2D's arguments: the sampler as it is, and
-// the coordinates in every lane, spread if they are draw-uniform.
-func (c *compiler) samplerArgs(call *callExpr) func(expr, int) exprFn {
-	return func(x expr, reg int) exprFn {
-		if x == call.args[1] && c.t.kind(x).class == uniCell {
-			return spread(c.expr(x, reg))
-		}
-		return c.expr(x, reg)
-	}
-}
-
 // vin is how a typed node reads an operand: its components in every lane,
 // or, for a draw-uniform value, in one lane read with stride 0 (lane mask
 // m = 0); and its width, the same in every lane.
@@ -948,7 +825,14 @@ func (c *compiler) callVec(ex *callExpr, reg int) exprFn {
 		ks[i] = c.t.kind(a).class
 	}
 	if ex.fn == fnTexture2D {
-		args := c.operands(ex.args, reg, base, c.samplerArgs(ex))
+		// The sampler as it is, and the coordinates in every lane: spread
+		// if they are draw-uniform.
+		args := c.operands(ex.args, reg, base, func(x expr, reg int) exprFn {
+			if x == ex.args[1] && c.t.kind(x).class == uniCell {
+				return spread(c.expr(x, reg))
+			}
+			return c.expr(x, reg)
+		})
 		return func(f *Frame, live []uint8) (int, []uint8) {
 			live = args(f, live)
 			s, uv := f.args[base], f.args[base+1]

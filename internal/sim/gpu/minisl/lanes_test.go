@@ -322,14 +322,9 @@ func pack(c gpu.Vec4) uint32 {
 	return w[0]
 }
 
-// colourOf returns the colour lane l shaded in f's last Shade, which
-// returned word for it: the gl_FragColor plane, or, after a texel copy,
-// which writes only the word, the word's channels — bit for bit the texel
-// the plane would have held.
-func colourOf(f *Frame, l int, word uint32) gpu.Vec4 {
-	if f.st.sh.texelCopy {
-		return gpu.RGBA{R: uint8(word), G: uint8(word >> 8), B: uint8(word >> 16), A: uint8(word >> 24)}.Vec()
-	}
+// colourOf returns the colour lane l shaded in f's last Shade: the
+// gl_FragColor plane, which the word Shade returned packs.
+func colourOf(f *Frame, l int) gpu.Vec4 {
 	out, _ := f.planes(f.st.out)
 	return out[l]
 }
@@ -348,8 +343,8 @@ func shadeFragments(f *Frame, vary []gpu.Vec4, stride, n int) (words []uint32, c
 			}
 		}
 		w, fe := f.Shade(m)
-		for l, c := range w {
-			cols = append(cols, colourOf(f, l, c))
+		for l := range w {
+			cols = append(cols, colourOf(f, l))
 		}
 		words, fetches, errs = append(words, w...), append(fetches, fe...), append(errs, f.errs[:m]...)
 	}
@@ -492,41 +487,87 @@ func TestShadersAreTyped(t *testing.T) {
 	}
 }
 
-// lastTexelCopy matches a shader that ends in gl_FragColor = texture2D(s,
-// uv) with no operator in its arguments.
-var lastTexelCopy = regexp.MustCompile(`gl_FragColor = texture2D\(\w+, [\w.()]+\);\s*\}\s*$`)
+// soleTexelCopy matches a shader whose body is the single statement
+// gl_FragColor = texture2D(s, v), with names for both arguments.
+var soleTexelCopy = regexp.MustCompile(`void main\(\) \{\s*gl_FragColor = texture2D\(\w+, \w+\);\s*\}\s*$`)
 
-// TestTexelCopyShape checks which shaders end in a texel copy: the tree's
-// blits, which copy a texture to gl_FragColor and nothing else, and
-// texelCopyShaders do; nearTexelCopyShaders and the tree's other fragment
-// shaders do not. TestSpanMatchesReference holds both kinds to the
-// reference evaluator.
+// copyMisses look like a texel copy that Binding.TexelCopy may report, but
+// are none: the coordinates not a plain varying, a second statement, the
+// varying written, the sampler a varying or a uniform written,
+// coordinates that are a uniform, and coordinates that are gl_FragColor.
+var copyMisses = []string{
+	`varying vec2 v_uv; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_uv * 1.0); }`,
+	`varying vec2 v_uv; uniform sampler2D u_tex;
+void main() { vec4 c = texture2D(u_tex, v_uv); gl_FragColor = c; }`,
+	`varying vec2 v_uv; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_uv); gl_FragColor = texture2D(u_tex, v_uv); }`,
+	`varying vec2 v_uv; uniform sampler2D u_tex;
+void main() { v_uv = v_uv; gl_FragColor = texture2D(u_tex, v_uv); }`,
+	`varying vec2 v_uv; uniform sampler2D u_tex;
+void main() { u_tex = u_tex; gl_FragColor = texture2D(u_tex, v_uv); }`,
+	`varying vec2 v_uv; varying vec2 u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_uv); }`,
+	`uniform vec2 v_uv; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_uv); }`,
+	`varying vec2 v_uv; uniform sampler2D u_tex; uniform vec2 v_uv;
+void main() { gl_FragColor = texture2D(u_tex, v_uv); }`,
+	`varying vec2 v_uv; uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, v_uv).xyzw; }`,
+	`uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, gl_FragColor); }`,
+}
+
+// TestTexelCopyShape checks which programs Binding.TexelCopy reports as
+// copying one texel: the present blit, the PassMark canvas upload and
+// WebKit's tiles, and every shipped shader that is the single statement
+// gl_FragColor = texture2D(s, v); not texelCopyShaders,
+// nearTexelCopyShaders, copyMisses or any other shader; and not even a
+// copy whose sampler is bound to no texture, or to one without an image.
+// The texture and varying it reports must be the bound one and v's.
 func TestTexelCopyShape(t *testing.T) {
-	for _, file := range []string{"../../../core/eglbridge/blit.go", "../../../harness/blit.go"} {
-		if !linkFile(t, file).FS.texelCopy {
-			t.Errorf("%s: the present blit is not a texel copy", file)
+	for _, file := range []string{"../../../core/eglbridge/blit.go", "../../../harness/blit.go", "../../../webkit/browser.go"} {
+		tex := refTexture()
+		got, vary, ok := bindAll(linkFile(t, file), tex).TexelCopy()
+		if !ok || got != tex || vary != 0 {
+			t.Errorf("%s: TexelCopy() = %v, %d, %v; want the bound texture, varying 0, true", file, got, vary, ok)
 		}
 	}
 	want := map[string]bool{}
 	for _, file := range treeShaderFiles {
 		for _, src := range shaderSources(t, file) {
-			want[src] = strings.Count(src, "gl_FragColor") == 1 && lastTexelCopy.MatchString(src)
+			want[src] = soleTexelCopy.MatchString(src)
 		}
 	}
-	for _, src := range texelCopyShaders {
-		want[src] = true
-	}
-	for _, src := range nearTexelCopyShaders {
+	for _, src := range slices.Concat(texelCopyShaders, nearTexelCopyShaders, copyMisses) {
 		want[src] = false
 	}
+	copies := 0
 	for src, w := range want {
 		sh, err := Compile(src, Fragment)
 		if err != nil {
 			continue
 		}
-		if sh.texelCopy != w {
-			t.Errorf("texel copy = %v, want %v:\n%s", sh.texelCopy, w, src)
+		p, ok := withPartner(t, sh)
+		if !ok {
+			continue
 		}
+		tex := refTexture()
+		if _, _, got := bindAll(p, tex).TexelCopy(); got != w {
+			t.Errorf("TexelCopy ok = %v, want %v:\n%s", got, w, src)
+		}
+		if !w {
+			continue
+		}
+		copies++
+		for _, unbound := range []*gpu.Texture{nil, {}} {
+			if _, _, got := bindAll(p, unbound).TexelCopy(); got {
+				t.Errorf("TexelCopy ok with sampler bound to %v:\n%s", unbound, src)
+			}
+		}
+	}
+	if copies < 3 {
+		t.Fatalf("%d shipped shaders copy texels; want the blit, the canvas upload and the tiles at least", copies)
 	}
 }
 
@@ -683,14 +724,14 @@ void main() { gl_Position = vec4(0.0); v_a = vec4(1.0); v_b = vec4(2.0); v_c = v
 	col, _ := f.Shade(gpu.SpanSize)
 	for l, c := range col {
 		want := gpu.Vec4{float32(l), 0.5, -1, 2}
-		if colourOf(f, l, c) != want || c != pack(want) {
-			t.Fatalf("lane %d shaded %v (%08x), want the value written to its plane", l, colourOf(f, l, c), c)
+		if colourOf(f, l) != want || c != pack(want) {
+			t.Fatalf("lane %d shaded %v (%08x), want the value written to its plane", l, colourOf(f, l), c)
 		}
 	}
 	if index, planes = f.Inputs(1); len(index) != 0 || len(planes) != 0 {
 		t.Fatalf("Inputs(1) = %v: v_b is varying 1, which the primitives do not carry", index)
 	}
-	if col, _ = f.Shade(2); col[0] != 0 || col[1] != 0 || colourOf(f, 0, 0) != (gpu.Vec4{}) || colourOf(f, 1, 0) != (gpu.Vec4{}) {
+	if col, _ = f.Shade(2); col[0] != 0 || col[1] != 0 || colourOf(f, 0) != (gpu.Vec4{}) || colourOf(f, 1) != (gpu.Vec4{}) {
 		t.Fatalf("a varying the primitives lack shaded %08x, want zero", col)
 	}
 	// A name the fragment shader reads without declaring it a varying is no
@@ -740,37 +781,46 @@ func BenchmarkShadeSpan(b *testing.B) {
 }
 
 // BenchmarkDrawBlit draws the present blit of §5 — a fullscreen quad
-// sampling a 320x200 texture into a 320x200 target through the shipped
-// MiniSL program — on one worker, and reports the cost per pixel written:
-// rasterization, shading and write-back together.
+// through the shipped MiniSL program into a 320x200 target — on one worker,
+// and reports the cost per pixel written. In copy, the quad samples a
+// 320x200 texture, a 1:1 rectangle that DrawTriangles copies; in raster,
+// it samples a 160x100 one, so rasterization, shading and write-back all
+// run.
 func BenchmarkDrawBlit(b *testing.B) {
 	const w, h = 320, 200
 	p := linkFile(&testing.T{}, "../../../core/eglbridge/blit.go")
-	img := gpu.NewImage(w, h)
-	rand.New(rand.NewSource(1)).Read(img.Pix)
-	bind := bindAll(p, &gpu.Texture{Img: img})
-	pos := []gpu.Vec4{{-1, -1, 0, 1}, {1, -1, 0, 1}, {1, 1, 0, 1}, {-1, 1, 0, 1}}
-	uv := []gpu.Vec4{{0, 1}, {1, 1}, {1, 0}, {0, 0}}
-	verts := make([]gpu.TVert, len(pos))
-	vf := bind.Frame(Vertex)
-	for i := range verts {
-		verts[i].Vary = make([]gpu.Vec4, len(p.VaryNames))
-		var err error
-		if verts[i].Pos, err = vf.RunVertex([]Value{Vec(4, pos[i][:]...), Vec(2, uv[i][:]...)}, verts[i].Vary); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name   string
+		tw, th int
+	}{{"copy", w, h}, {"raster", w / 2, h / 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			img := gpu.NewImage(bc.tw, bc.th)
+			rand.New(rand.NewSource(1)).Read(img.Pix)
+			bind := bindAll(p, &gpu.Texture{Img: img})
+			pos := []gpu.Vec4{{-1, -1, 0, 1}, {1, -1, 0, 1}, {1, 1, 0, 1}, {-1, 1, 0, 1}}
+			uv := []gpu.Vec4{{0, 1}, {1, 1}, {1, 0}, {0, 0}}
+			verts := make([]gpu.TVert, len(pos))
+			vf := bind.Frame(Vertex)
+			for i := range verts {
+				verts[i].Vary = make([]gpu.Vec4, len(p.VaryNames))
+				var err error
+				if verts[i].Pos, err = vf.RunVertex([]Value{Vec(4, pos[i][:]...), Vec(2, uv[i][:]...)}, verts[i].Vary); err != nil {
+					b.Fatal(err)
+				}
+			}
+			vf.Release()
+			tgt := gpu.NewTarget(gpu.NewImage(w, h))
+			var stats gpu.Stats
+			b.ReportAllocs()
+			for b.Loop() {
+				stats = gpu.DrawTriangles(tgt, verts, []int{0, 1, 2, 0, 2, 3}, bind, gpu.RenderState{})
+			}
+			if stats.Pixels != w*h || (bc.tw == w && tgt.Color.Checksum() != img.Checksum()) {
+				b.Fatalf("blit wrote %d pixels, checksum %08x; want %d and the texture's %08x", stats.Pixels, tgt.Color.Checksum(), w*h, img.Checksum())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w*h), "ns/pixel")
+		})
 	}
-	vf.Release()
-	tgt := gpu.NewTarget(gpu.NewImage(w, h))
-	var stats gpu.Stats
-	b.ReportAllocs()
-	for b.Loop() {
-		stats = gpu.DrawTriangles(tgt, verts, []int{0, 1, 2, 0, 2, 3}, bind, gpu.RenderState{})
-	}
-	if stats.Pixels != w*h || tgt.Color.Checksum() != img.Checksum() {
-		b.Fatalf("blit wrote %d pixels, checksum %08x; want %d and the texture's %08x", stats.Pixels, tgt.Color.Checksum(), w*h, img.Checksum())
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w*h), "ns/pixel")
 }
 
 // TestTranscendentalsPinned pins the float32 results of the builtins that

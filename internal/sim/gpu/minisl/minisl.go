@@ -24,12 +24,12 @@
 // takes its own Frame and shades the tile's spans through it: the
 // rasterizer interpolates the varyings the shader reads straight into their
 // slots' component planes (Frame.Inputs), and Frame.Shade hands back each
-// lane's colour as the RGBA8 word the target stores. A shader that ends in
-// gl_FragColor = texture2D(s, uv), and names gl_FragColor nowhere else —
-// the present blit — ends in a texel copy, which writes each texel's word
-// straight into those words without a round trip through floats. A run
-// resets only what an invocation can observe, so shading allocates nothing
-// per vertex, fragment or span.
+// lane's colour as the RGBA8 word the target stores. A fragment shader
+// that is the single statement gl_FragColor = texture2D(s, v) — the present
+// blit, the canvas uploads — tells the rasterizer so (Binding.TexelCopy),
+// which then copies a 1:1 rectangle drawn with it rather than shading it. A
+// run resets only what an invocation can observe, so shading allocates
+// nothing per vertex, fragment or span.
 // glCompileShader/glLinkProgram stay expensive on the virtual clock
 // (proportional to token count — visible as the glLinkProgram spike in
 // Figure 9), and shader-based paths such as Cycada's presentRenderbuffer
@@ -91,7 +91,6 @@ type Shader struct {
 	body       []stmt
 	run        stmtFn  // body, compiled to lane closures
 	counted    bool    // run charges steps: the body may reach the step limit
-	texelCopy  bool    // run ends in a texel copy into the frame's colour words
 	consts     []Value // distinct literals, in cell order after the slots
 	temps      int     // temporary cells, after the constants
 	src        string

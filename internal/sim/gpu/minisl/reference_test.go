@@ -267,7 +267,7 @@ func (f *refFrame) evalBin(ex *binExpr) (Value, error) {
 	case opSub:
 		out = lv.Sub(rv)
 	case opMul:
-		out = lv.Mul(rv)
+		out = gpu.Vec4{lv[0] * rv[0], lv[1] * rv[1], lv[2] * rv[2], lv[3] * rv[3]}
 	case opDiv:
 		for i := 0; i < 4; i++ {
 			if rv[i] != 0 {
@@ -323,8 +323,7 @@ func (f *refFrame) evalCall(ex *callExpr) (Value, error) {
 			return ex.refFail("needs (sampler, vec2)")
 		}
 		f.fetches++
-		c := args[0].Sampler.Sample(args[1].V[0], args[1].V[1])
-		return Value{Width: 4, V: c}, nil
+		return Value{Width: 4, V: refTexel(args[0].Sampler, args[1].V[0], args[1].V[1])}, nil
 	case fnClamp:
 		if len(args) != 3 {
 			return ex.refFail("needs 3 args")
@@ -437,4 +436,27 @@ func refBroadcast(v *Value, w int) gpu.Vec4 {
 		return gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}
 	}
 	return v.V
+}
+
+// refTexel is nearest sampling as GLES defines it, written apart from the
+// gpu package's samplers: u in [i/W, (i+1)/W) reads texel i after the wrap
+// mode (repeat, or clamp to [0, 1]), v=0 is the top row, a texture without
+// an image reads opaque black, and a coordinate that names no texel (NaN)
+// reads transparent black.
+func refTexel(t *gpu.Texture, u, v float32) gpu.Vec4 {
+	if t == nil || t.Img == nil {
+		return gpu.Vec4{0, 0, 0, 1}
+	}
+	if t.Repeat {
+		u -= float32(math.Floor(float64(u)))
+		v -= float32(math.Floor(float64(v)))
+	} else {
+		u, v = min(max(u, 0), 1), min(max(v, 0), 1)
+	}
+	fx, fy := u*float32(t.Img.W), v*float32(t.Img.H)
+	if !(fx >= 0 && fy >= 0) {
+		return gpu.Vec4{}
+	}
+	c := t.Img.At(min(int(fx), t.Img.W-1), min(int(fy), t.Img.H-1))
+	return gpu.Vec4{float32(c.R) / 255, float32(c.G) / 255, float32(c.B) / 255, float32(c.A) / 255}
 }

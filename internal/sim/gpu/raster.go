@@ -3,6 +3,7 @@ package gpu
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -118,6 +119,15 @@ type FragShader interface {
 	Release(Fragment)
 }
 
+// A TexelCopier is a FragShader that knows when it only copies texels: when
+// TexelCopy is ok, tex has an image, and every fragment shades, with one
+// fetch and no fault, the word of tex's texel nearest components 0 and 1 of
+// varying index vary. DrawTriangles copies 1:1 rectangles drawn with it
+// rather than rasterizing them (see copyRect).
+type TexelCopier interface {
+	TexelCopy() (tex *Texture, vary int, ok bool)
+}
+
 // toInt converts f to int the way amd64 does for every input: it truncates
 // toward zero, and returns math.MinInt for NaN, ±Inf and any value outside
 // int's range. Go leaves those conversions implementation-defined — arm64
@@ -137,22 +147,8 @@ type Texture struct {
 	Repeat bool // wrap mode: repeat (true) or clamp-to-edge
 }
 
-// Sample fetches the nearest texel at normalized coordinates (u, v), with
-// v=0 at the top row (matching how the GLES layer uploads data). A nil
-// texture samples opaque black; a coordinate that maps to no texel (NaN)
-// samples transparent black, as Image.At reads outside the image.
-func (t *Texture) Sample(u, v float32) Vec4 {
-	s := t.Sampler()
-	if !s.ok {
-		return unpackRGBA(opaqueBlack).Vec()
-	}
-	return unpackRGBA(s.at(s.texel(u, v))).Vec()
-}
-
 // A Sampler is a texture's sampling terms — its pixels, size and wrap mode
 // — resolved once, so a run of fetches from one texture pays for them once.
-// Texture.Sample, Sample and Words all find a texel through texel and read
-// it through at, so they agree bit for bit.
 type Sampler struct {
 	pix    []byte
 	w, h   int
@@ -177,7 +173,8 @@ const opaqueBlack = 0xff000000
 // where the coordinates map to none. Nearest sampling maps u in
 // [i/W, (i+1)/W) to texel i, which makes a 1:1 fullscreen blit
 // pixel-exact — the property the §9 "pixel for pixel" comparison between
-// Cycada's shader-blit present and the native present relies on.
+// Cycada's shader-blit present and the native present relies on, and the
+// one that lets DrawTriangles copy such a blit's rows (copyRect).
 func (s *Sampler) texel(u, v float32) int {
 	if s.repeat {
 		u = u - float32(math.Floor(float64(u)))
@@ -210,9 +207,12 @@ func (s *Sampler) at(o int) uint32 {
 }
 
 // Sample fetches, for each lane l listed in lanes, the nearest texel at
-// (uv[l][0], uv[l][1]) into dst[l], as Texture.Sample returns it. The
-// texel is written in place, component by component, which spares the
-// caller a copy of a vector assembled moments before.
+// (uv[l][0], uv[l][1]) into dst[l], with v=0 at the top row (matching how
+// the GLES layer uploads data). A texture without an image samples opaque
+// black; a coordinate that maps to no texel (NaN) samples transparent
+// black, as Image.At reads outside the image. The texel is written in
+// place, component by component, which spares the caller a copy of a
+// vector assembled moments before.
 func (s *Sampler) Sample(dst, uv []Vec4, lanes []uint8) {
 	if !s.ok {
 		for _, l := range lanes {
@@ -223,22 +223,6 @@ func (s *Sampler) Sample(dst, uv []Vec4, lanes []uint8) {
 	for _, l := range lanes {
 		c, d := s.at(s.texel(uv[l][0], uv[l][1])), &dst[l]
 		d[0], d[1], d[2], d[3] = unorm8[uint8(c)], unorm8[uint8(c>>8)], unorm8[uint8(c>>16)], unorm8[c>>24]
-	}
-}
-
-// Words fetches, for each lane l listed in lanes, the nearest texel at
-// (uv[l][0], uv[l][1]) into dst[l] as the word Image.Pix holds: Pack of
-// what Sample writes, without the round trip through floats, since
-// unorm(float32(c)/255) is c for every byte c.
-func (s *Sampler) Words(dst []uint32, uv []Vec4, lanes []uint8) {
-	if !s.ok {
-		for _, l := range lanes {
-			dst[l] = opaqueBlack
-		}
-		return
-	}
-	for _, l := range lanes {
-		dst[l] = s.at(s.texel(uv[l][0], uv[l][1]))
 	}
 }
 
@@ -301,7 +285,8 @@ func topLeft(dx, dy float32) bool {
 //
 // Rasterization is tiled: triangles are binned into TileSize-square tiles
 // and tiles render concurrently on st.Pool. Tiles own disjoint pixels, so
-// the output is byte-identical for any worker count.
+// the output is byte-identical for any worker count. A 1:1 texel-copy
+// rectangle is copied instead, with the same pixels and Stats (copyRect).
 func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, st RenderState) Stats {
 	var stats Stats
 	stats.Vertices = len(verts)
@@ -329,6 +314,10 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 	}
 
 	clipX0, clipY0, clipX1, clipY1 := clipBounds(img, st)
+	if n := copyRect(img, screen, indices, frag, st, [4]int{clipX0, clipY0, clipX1, clipY1}); n > 0 {
+		stats.Pixels, stats.TexFetches, stats.ShaderEvals = n, n, n
+		return stats
+	}
 
 	// Triangle setup: winding normalization, bbox clip, fill-rule flags.
 	tris := sc.tris[:0]
@@ -421,6 +410,84 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragShader, s
 		stats.Add(tileStats[i])
 	}
 	return stats
+}
+
+// copyRect copies the texture's rows into img for a 1:1 texel-copy
+// rectangle and returns the pixels written; for any other draw it writes
+// nothing and returns 0. Such a draw shades through a TexelCopier from a
+// texture that is not img; neither blends nor tests depth; is two triangles
+// (six indices) sharing one diagonal of an axis-aligned rectangle with
+// integer screen corners below 2^22 inside clip (inclusive bounds); gives
+// each vertex exactly its corner's value of the copied varying, (0, 0) at
+// the top left to (1, 1) at the bottom right; and is the texture's size,
+// below 2048 pixels a side.
+//
+// Rasterizing such a draw writes exactly the copy. The corners are integers
+// and the pixel centres half-integers, so every edge-function product is
+// an exact multiple of 1/4 below 2^22, and every edge value an exact
+// multiple of 1/2 below 2^23: coverage is exact. No centre lies on an outer
+// edge, and the top-left rule gives each centre on the diagonal to exactly
+// one of the two triangles, so each pixel of the rectangle is shaded once
+// and no other pixel is. With corner values in {0, 1}, u is a sum of
+// non-negative barycentrics and lies within a few ulps of (x−X0+½)/W, so
+// u·W stays far inside texel x−X0 under both clamp and repeat; v likewise
+// picks row y−Y0. Each fragment shades that texel's word with one fetch,
+// so the Stats the caller reports are the rasterizer's too.
+func copyRect(img *Image, screen []sv, indices []int, frag FragShader, st RenderState, clip [4]int) int {
+	tc, ok := frag.(TexelCopier)
+	if !ok || st.Blend != BlendNone || st.DepthTest || len(indices) != 6 {
+		return 0
+	}
+	tex, vary, ok := tc.TexelCopy()
+	if !ok || tex.Img == img {
+		return 0
+	}
+	x0, y0 := screen[indices[0]].x, screen[indices[0]].y
+	x1, y1 := x0, y0
+	for _, i := range indices[1:] {
+		x0, x1 = min(x0, screen[i].x), max(x1, screen[i].x)
+		y0, y1 = min(y0, screen[i].y), max(y1, screen[i].y)
+	}
+	// min and max carry a NaN through, and toInt turns it into no integer.
+	X0, Y0, X1, Y1 := toInt(float64(x0)), toInt(float64(y0)), toInt(float64(x1)), toInt(float64(y1))
+	w, h := X1-X0, Y1-Y0
+	if float32(X0) != x0 || float32(Y0) != y0 || float32(X1) != x1 || float32(Y1) != y1 ||
+		X0 < clip[0] || Y0 < clip[1] || X1-1 > clip[2] || Y1-1 > clip[3] || max(X1, Y1) >= 1<<22 ||
+		w != tex.Img.W || h != tex.Img.H || w <= 0 || h <= 0 || w >= 2048 || h >= 2048 {
+		return 0
+	}
+	// Corner k is (k&1, k>>1) in the rectangle's units. Each triangle must
+	// take three distinct corners, and the corners they leave out must be
+	// opposite, so that the two share a diagonal.
+	var left [2]int
+	for t := range left {
+		seen := 0
+		for _, i := range indices[3*t : 3*t+3] {
+			v, k := screen[i], 0
+			if v.x == x1 {
+				k = 1
+			}
+			if v.y == y1 {
+				k |= 2
+			}
+			if (v.x != x0 && k&1 == 0) || (v.y != y0 && k&2 == 0) || vary >= len(v.vary) ||
+				v.vary[vary][0] != float32(k&1) || v.vary[vary][1] != float32(k>>1) {
+				return 0
+			}
+			seen |= 1 << k
+		}
+		if bits.OnesCount(uint(seen)) != 3 {
+			return 0
+		}
+		left[t] = bits.TrailingZeros(uint(^seen))
+	}
+	if left[0]^left[1] != 3 {
+		return 0
+	}
+	for y := range h {
+		copy(img.Pix[((Y0+y)*img.W+X0)*4:][:w*4], tex.Img.Pix[y*w*4:][:w*4])
+	}
+	return w * h
 }
 
 // setup is a draw's triangle setup and binning storage, pooled so that a

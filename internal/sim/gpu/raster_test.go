@@ -216,6 +216,20 @@ func pack(c Vec4) uint32 {
 	return w[0]
 }
 
+// Sample fetches the nearest texel at normalized coordinates (u, v)
+// through a resolved Sampler, one fetch at a time: what the reference
+// rasterizer and the fixed-function oracle sample with.
+func (t *Texture) Sample(u, v float32) Vec4 {
+	s := t.Sampler()
+	if !s.ok {
+		return unpackRGBA(opaqueBlack).Vec()
+	}
+	return unpackRGBA(s.at(s.texel(u, v))).Vec()
+}
+
+// Mul returns the component-wise product.
+func (v Vec4) Mul(o Vec4) Vec4 { return Vec4{v[0] * o[0], v[1] * o[1], v[2] * o[2], v[3] * o[3]} }
+
 // refSample is Texture.Sample as written before the sampling paths shared
 // texel: the oracle they are held to.
 func refSample(t *Texture, u, v float32) Vec4 {
@@ -241,11 +255,10 @@ func refSample(t *Texture, u, v float32) Vec4 {
 	return Vec4{float32(c.R) / 255, float32(c.G) / 255, float32(c.B) / 255, float32(c.A) / 255}
 }
 
-// TestHoistedSampleMatchesTexture holds Texture.Sample, a resolved
-// Sampler's Sample and its Words to the reference sampler bit for bit over
-// a seeded sweep: repeat and clamp, 1x1 and non-square images, textures
-// without an image, and NaN, ±Inf, negative and huge coordinates. Words
-// must write the word Pack makes of Texture.Sample's texel. It also checks
+// TestHoistedSampleMatchesTexture holds Texture.Sample and a resolved
+// Sampler's Sample to the reference sampler bit for bit over a seeded
+// sweep: repeat and clamp, 1x1 and non-square images, textures without an
+// image, and NaN, ±Inf, negative and huge coordinates. It also checks
 // RGBA.Vec's table against the division.
 func TestHoistedSampleMatchesTexture(t *testing.T) {
 	for c := range 256 {
@@ -280,7 +293,7 @@ func TestHoistedSampleMatchesTexture(t *testing.T) {
 	for l := range lanes {
 		lanes[l] = uint8(l)
 	}
-	uv, got, words := make([]Vec4, len(lanes)), make([]Vec4, len(lanes)), make([]uint32, len(lanes))
+	uv, got := make([]Vec4, len(lanes)), make([]Vec4, len(lanes))
 	same := func(a, b Vec4) bool {
 		for i := range a {
 			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
@@ -295,12 +308,10 @@ func TestHoistedSampleMatchesTexture(t *testing.T) {
 			for l := range uv {
 				uv[l] = Vec4{coord(), coord()}
 				got[l] = Vec4{-7, -7, -7, -7} // Sample must write every component
-				words[l] = 0xdeadbeef
 			}
 			rng.Shuffle(len(lanes), func(i, j int) { lanes[i], lanes[j] = lanes[j], lanes[i] })
 			n := rng.Intn(len(lanes) + 1)
 			s.Sample(got, uv, lanes[:n])
-			s.Words(words, uv, lanes[:n])
 			for _, l := range lanes[:n] {
 				want := refSample(tex, uv[l][0], uv[l][1])
 				if ts := tex.Sample(uv[l][0], uv[l][1]); !same(ts, want) {
@@ -309,12 +320,9 @@ func TestHoistedSampleMatchesTexture(t *testing.T) {
 				if !same(got[l], want) {
 					t.Fatalf("texture %+v at %v: Sampler %v, reference %v", tex, uv[l], got[l], want)
 				}
-				if w := pack(tex.Sample(uv[l][0], uv[l][1])); words[l] != w {
-					t.Fatalf("texture %+v at %v: Words %08x, Pack(Texture.Sample) %08x", tex, uv[l], words[l], w)
-				}
 			}
 			for _, l := range lanes[n:] {
-				if got[l] != (Vec4{-7, -7, -7, -7}) || words[l] != 0xdeadbeef {
+				if got[l] != (Vec4{-7, -7, -7, -7}) {
 					t.Fatalf("Sampler wrote lane %d, which was not listed", l)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"cycada/internal/sim/gpu"
@@ -277,6 +278,58 @@ func refScenes(rng *rand.Rand, nvary int) []refScene {
 	return scenes
 }
 
+// rectScenes returns seeded 1:1 blits of a w x h texture: rectangles whose
+// varying vary runs from (0, 0) at the top left to (1, 1) at the bottom
+// right, nvary varyings a vertex, filling a w x h target or placed in a
+// 128x128 or 100x70 one by a viewport or by their corners, split along
+// either diagonal in either winding, with a scissor rectangle that holds
+// the rectangle, one that cuts it, or none. Drawn without blending or the
+// depth test, such a rectangle is copied rather than rasterized.
+func rectScenes(rng *rand.Rand, w, h, nvary, vary int) []refScene {
+	var scenes []refScene
+	for i := range 12 {
+		sc := refScene{w: w, h: h}
+		x0, y0 := 0, 0
+		corner := func(k int) gpu.Vec4 { return gpu.Vec4{float32(k&1)*2 - 1, 1 - float32(k>>1)*2, 0, 1} }
+		switch i % 3 {
+		case 1:
+			sc.w, sc.h = 100, 70
+			x0, y0 = rng.Intn(sc.w-w+1), rng.Intn(sc.h-h+1)
+			sc.st.Viewport = [4]int{x0, y0, w, h}
+		case 2:
+			// On a 128-pixel axis, NDC steps of 1/64 are whole pixels.
+			sc.w, sc.h = 128, 128
+			x0, y0 = rng.Intn(sc.w-w+1), rng.Intn(sc.h-h+1)
+			corner = func(k int) gpu.Vec4 {
+				return gpu.Vec4{float32(x0+(k&1)*w)/64 - 1, 1 - float32(y0+(k>>1)*h)/64, 0, 1}
+			}
+		}
+		for k := range 4 {
+			v := gpu.TVert{Pos: corner(k), Vary: make([]gpu.Vec4, nvary)}
+			for j := range v.Vary {
+				v.Vary[j] = gpu.Vec4{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()}
+			}
+			v.Vary[vary] = gpu.Vec4{float32(k & 1), float32(k >> 1), rng.Float32(), rng.Float32()}
+			sc.verts = append(sc.verts, v)
+		}
+		sc.indices = [][]int{{0, 1, 3, 0, 3, 2}, {0, 1, 2, 1, 3, 2}, {0, 3, 1, 3, 0, 2}, {1, 0, 2, 2, 3, 1}}[rng.Intn(4)]
+		switch rng.Intn(3) {
+		case 1:
+			sc.st.Scissor = true
+			sc.st.ScissorRect = [4]int{x0, y0, w, h}
+		case 2:
+			sc.st.Scissor = true
+			sc.st.ScissorRect = [4]int{x0 + 1, y0, w, h}
+		}
+		sc.color = make([]byte, sc.w*sc.h*4)
+		rng.Read(sc.color)
+		sc.depth = make([]float32, sc.w*sc.h)
+		sc.name = fmt.Sprintf("rect %d/at (%d,%d) in %dx%d, scissor=%v %v, viewport=%v", i, x0, y0, sc.w, sc.h, sc.st.Scissor, sc.st.ScissorRect, sc.st.Viewport)
+		scenes = append(scenes, sc)
+	}
+	return scenes
+}
+
 // target returns a fresh target holding the scene's initial colour and
 // depth.
 func (sc refScene) target() *gpu.Target {
@@ -323,8 +376,9 @@ func oneAtATime(fs gpu.FragShader) refShade {
 // fixed-function program, which the reference computes as drawFixed once
 // did, its colour times one Texture.Sample; a MiniSL program that samples a
 // texture and reads two of its three varyings, shaded one fragment at a
-// time; and a MiniSL program that copies a texel to gl_FragColor, which the
-// reference samples with Texture.Sample and converts itself.
+// time; and the present blit's MiniSL program, which copies the texel at
+// its varying to gl_FragColor, and which the reference samples with
+// Texture.Sample and converts itself.
 func refStages(t *testing.T) (stages []gpu.FragShader, shades []refShade, names []string, nvary []int) {
 	fixedVS, err := minisl.Compile(`attribute vec4 a_pos; attribute vec4 a_color; attribute vec2 a_uv;
 varying vec4 v_color; varying vec2 v_uv;
@@ -352,7 +406,7 @@ void main() {
 		t.Fatal(err)
 	}
 	copyFS, err := minisl.Compile(`varying vec2 v_c; uniform sampler2D u_tex;
-void main() { gl_FragColor = texture2D(u_tex, v_c * 3.0 - vec2(1.0)); }`, minisl.Fragment)
+void main() { gl_FragColor = texture2D(u_tex, v_c); }`, minisl.Fragment)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,11 +425,7 @@ void main() { gl_FragColor = texture2D(u_tex, v_c * 3.0 - vec2(1.0)); }`, minisl
 	}
 	// v_c is varying 2 of v_a, v_b, v_c.
 	copyTexel := func(v []gpu.Vec4) ([4]uint8, int) {
-		uv := v[2]
-		for i := range 2 {
-			uv[i] = float32(uv[i]*3) - 1 // MiniSL rounds the product
-		}
-		return refBytes(tex.Sample(uv[0], uv[1])), 1
+		return refBytes(tex.Sample(v[2][0], v[2][1])), 1
 	}
 	// v_color and v_uv are varyings 0 and 1.
 	modulate := func(v []gpu.Vec4) ([4]uint8, int) {
@@ -389,21 +439,32 @@ void main() { gl_FragColor = texture2D(u_tex, v_c * 3.0 - vec2(1.0)); }`, minisl
 // TestRasterizerMatchesReference holds DrawTriangles to the reference
 // rasterizer on seeded triangle sets, through each of refStages' programs,
 // on one worker and on four: the same colour bytes, the same depth bits and
-// the same Stats. It also checks that the sets decide the fill
-// rule: a reference that owns bottom-right edges instead must disagree.
+// the same Stats. The texel-copy program also draws rectScenes, and some
+// of those draws must be copied. It also checks that the sets decide the
+// fill rule: a reference that owns bottom-right edges instead must
+// disagree.
 func TestRasterizerMatchesReference(t *testing.T) {
 	stages, shades, names, nvary := refStages(t)
 	for s, stage := range stages {
 		t.Run(names[s], func(t *testing.T) {
-			flipped := 0
-			for _, sc := range refScenes(rand.New(rand.NewSource(int64(s+1))), nvary[s]) {
+			rng := rand.New(rand.NewSource(int64(s + 1)))
+			scenes := refScenes(rng, nvary[s])
+			if names[s] == "MiniSL-texel-copy" {
+				scenes = append(scenes, rectScenes(rng, 7, 5, nvary[s], 2)...)
+			}
+			flipped, copied := 0, 0
+			for _, sc := range scenes {
 				want := sc.target()
 				wantStats := refDraw(want, sc.verts, sc.indices, shades[s], sc.st, topLeftEdge)
 				for _, workers := range []int{1, 4} {
 					got := sc.target()
 					st := sc.st
 					st.Pool = gpu.NewPool(workers)
-					gotStats := gpu.DrawTriangles(got, sc.verts, sc.indices, stage, st)
+					fs := &acquireCount{FragShader: stage}
+					gotStats := gpu.DrawTriangles(got, sc.verts, sc.indices, fs, st)
+					if fs.n.Load() == 0 && wantStats.Pixels > 0 {
+						copied++
+					}
 					if gotStats != wantStats {
 						t.Fatalf("%s, %d workers: stats %+v, reference %+v", sc.name, workers, gotStats, wantStats)
 					}
@@ -420,6 +481,28 @@ func TestRasterizerMatchesReference(t *testing.T) {
 			if flipped == 0 {
 				t.Fatal("no scene depends on the fill rule: a flipped top-left rule would pass")
 			}
+			if names[s] == "MiniSL-texel-copy" && copied == 0 {
+				t.Fatal("no rectangle was copied")
+			}
 		})
 	}
+}
+
+// acquireCount counts the fragments a draw takes from its stage, keeping
+// the stage's TexelCopy where it has one: a copied draw takes none.
+type acquireCount struct {
+	gpu.FragShader
+	n atomic.Int32
+}
+
+func (a *acquireCount) Acquire() gpu.Fragment {
+	a.n.Add(1)
+	return a.FragShader.Acquire()
+}
+
+func (a *acquireCount) TexelCopy() (*gpu.Texture, int, bool) {
+	if tc, ok := a.FragShader.(gpu.TexelCopier); ok {
+		return tc.TexelCopy()
+	}
+	return nil, 0, false
 }

@@ -240,15 +240,6 @@ func (k *Kernel) SetHistograms(hs *obs.Histograms) {
 // health events count into. Never nil.
 func (k *Kernel) Counters() *obs.Counters { return k.counters.Load() }
 
-// SetCounters swaps the kernel's counter registry at runtime (nil restores
-// obs.DefaultCounters); the symmetric operation to SetHistograms.
-func (k *Kernel) SetCounters(cs *obs.Counters) {
-	if cs == nil {
-		cs = obs.DefaultCounters
-	}
-	k.counters.Store(cs)
-}
-
 // RasterPool returns the bounded worker pool the kernel's graphics devices
 // (software GPU tiles, SurfaceFlinger compose) render on.
 func (k *Kernel) RasterPool() *gpu.Pool { return k.raster }
@@ -316,13 +307,15 @@ func (k *Kernel) binderService(name string) (BinderService, error) {
 	return s, nil
 }
 
-// ExitProcess reaps a finished process: the kernel forgets it, so nothing
-// the process built stays reachable through the kernel. Like the rest of
-// teardown it charges no virtual time and counts no syscall. Idempotent.
+// ExitProcess reaps a finished process: the kernel forgets it, and the
+// tracer its names (Tracer.ForgetProcess), so nothing the process built
+// stays reachable through either. Like the rest of teardown it charges no
+// virtual time and counts no syscall. Idempotent.
 func (k *Kernel) ExitProcess(p *Process) {
 	k.mu.Lock()
-	defer k.mu.Unlock()
 	delete(k.procs, p.pid)
+	k.mu.Unlock()
+	k.tracer.ForgetProcess(p.tracePID)
 }
 
 // Processes returns a snapshot of live processes.

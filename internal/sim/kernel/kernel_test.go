@@ -68,6 +68,44 @@ func TestTracePIDsStayInTheirSpace(t *testing.T) {
 	}
 }
 
+// TestExitedProcessesLeaveNoTraceNames reaps processes on a kernel whose
+// tracer is off and empty: the tracer must keep no name of any of them, so
+// a kernel's tracer, shared by every stack a long run boots, does not grow
+// by a few hundred bytes per session. Processes reaped while the tracer
+// records keep their names, which their spans are exported with.
+func TestExitedProcessesLeaveNoTraceNames(t *testing.T) {
+	tr := obs.New()
+	k := New(Config{Platform: vclock.Nexus7(), Flavor: vclock.KernelCycada, Tracer: tr})
+	spawn := func() {
+		p, err := k.NewProcess("app", PersonaAndroid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := p.NewThread("worker")
+		th.TraceEnd(th.TraceBegin(obs.CatSyscall, "call"))
+		k.ExitProcess(p)
+	}
+	names := func() int {
+		var buf strings.Builder
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(buf.String(), `"thread_name"`)
+	}
+	for range 100 {
+		spawn()
+	}
+	if n := names(); n != 0 {
+		t.Fatalf("%d thread names kept after 100 reaped processes", n)
+	}
+	tr.SetEnabled(true)
+	spawn()
+	tr.SetEnabled(false)
+	if n := names(); n != 2 {
+		t.Fatalf("%d thread names kept for a process reaped while tracing; want its 2", n)
+	}
+}
+
 func TestNewProcessValidation(t *testing.T) {
 	k := newCycadaKernel(t)
 	if _, err := k.NewProcess("p"); err == nil {

@@ -164,15 +164,18 @@ echo "== telemetry smoke (farm with -listen: /metrics, /healthz, /snapshot)"
 # Boot a two-device farm with an embedded telemetry server on an ephemeral
 # port, scrape /metrics while it replays and validate the exposition with the
 # Prometheus-text parser (the farm's device-state gauges included), then pipe
-# the JSON endpoints through jsoncheck. The checkers are built first so the
-# scrapes take milliseconds and land while the sessions are still running.
+# the JSON endpoints through jsoncheck. The farm is given far more sessions
+# than it can run during the scrapes, so its server is up for all of them;
+# SIGTERM then stops admission, and the farm drains, reports the sessions it
+# submitted and exits 0. Until then, any exit of this script kills the farm.
 tmpdir=$(mktemp -d)
 go build -o "$tmpdir/promcheck" ./scripts/promcheck
 go build -o "$tmpdir/jsoncheck" ./scripts/jsoncheck.go
 go build -o "$tmpdir/cycadafarm" ./cmd/cycadafarm
-"$tmpdir/cycadafarm" -devices 2 -sessions 32 -trace internal/replay/testdata/passmark-2d.cytr \
+"$tmpdir/cycadafarm" -devices 2 -sessions 1000000 -trace internal/replay/testdata/passmark-2d.cytr \
 	-listen 127.0.0.1:0 >"$tmpdir/farm.log" 2>&1 &
 farmpid=$!
+trap 'kill "$farmpid" 2>/dev/null || true' EXIT
 url=""
 for i in $(seq 1 60); do
 	url=$(awk '/^telemetry: listening on / { print $4; exit }' "$tmpdir/farm.log")
@@ -182,21 +185,21 @@ done
 if [ -z "$url" ]; then
 	echo "telemetry smoke failed: server address never printed" >&2
 	cat "$tmpdir/farm.log" >&2
-	kill "$farmpid" 2>/dev/null || true
 	exit 1
 fi
 if ! "$tmpdir/promcheck" -print "$url/metrics" | grep -q '^cycada_farm_device_state{'; then
 	echo "telemetry smoke failed: /metrics has no cycada_farm_device_state" >&2
-	kill "$farmpid" 2>/dev/null || true
 	exit 1
 fi
 "$tmpdir/promcheck" -raw "$url/healthz" | "$tmpdir/jsoncheck"
 "$tmpdir/promcheck" -raw "$url/snapshot" | "$tmpdir/jsoncheck"
+kill -TERM "$farmpid"
 if ! wait "$farmpid"; then
 	echo "telemetry smoke failed: farm exited non-zero" >&2
 	cat "$tmpdir/farm.log" >&2
 	exit 1
 fi
+trap - EXIT
 if ! grep -q "sessions/sec" "$tmpdir/farm.log"; then
 	echo "telemetry smoke failed: farm summary missing" >&2
 	cat "$tmpdir/farm.log" >&2
