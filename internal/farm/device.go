@@ -228,7 +228,18 @@ func (d *Device) runSession(sys *system.Cycada, s *Session) Result {
 		return res
 	}
 
+	// The device's own work — booting the session's app and tearing it
+	// down, then harvesting and recycling — is spanned in the kernel's
+	// PID space, around and after the body's spans. Only an attempt that
+	// succeeded records them: a failed attempt is retried or reported, and
+	// the device time a session reports (Result.Ran) is that of the
+	// attempt delivered.
+	body := k.TraceBegin(obs.CatFarm, "farm:body")
 	res.Err = d.runBody(sys, s, &res)
+	if res.Err == nil {
+		body.End(0)
+	}
+	recycle := k.TraceBegin(obs.CatFarm, "farm:recycle")
 
 	// Unscope before harvesting: the injector must not outlive its session
 	// (a later session on this device runs fault-free unless it asks), and
@@ -269,6 +280,9 @@ func (d *Device) runSession(sys *system.Cycada, s *Session) Result {
 	// state a fresh boot would present.
 	sys.Android.Flinger.Reset()
 	sys.CoreSurface.Reclaim(sys.Android.Gralloc)
+	if res.Err == nil {
+		recycle.End(0)
+	}
 	res.Ran = time.Since(started)
 	return res
 }

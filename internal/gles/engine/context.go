@@ -55,7 +55,7 @@ type programObj struct {
 	attribs      map[string]int // name -> location
 	uniforms     map[string]int
 	uniformNames []string // location-indexed
-	samplers     []bool   // location-indexed: a sampler2D in either stage
+	uniformTypes []string // location-indexed: the declared type
 	values       map[int]uniformValue
 }
 
@@ -132,6 +132,14 @@ type uniformValue struct {
 	mat *gpu.Mat4
 }
 
+// typ is the MiniSL type a glUniform* call sets.
+func (v uniformValue) typ() string {
+	if v.mat != nil {
+		return "mat4"
+	}
+	return [...]string{"sampler2D", "float", "vec2", "vec3", "vec4"}[v.n]
+}
+
 // Context is a GLES context: "a state container for all GLES objects
 // associated with a given instance of GLES" (paper §2).
 type Context struct {
@@ -206,13 +214,6 @@ func (ctx *Context) SetDefaultTarget(tgt *gpu.Target) {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
 	ctx.defaultTarget = tgt
-}
-
-// DefaultTarget returns the target backing framebuffer 0.
-func (ctx *Context) DefaultTarget() *gpu.Target {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	return ctx.defaultTarget
 }
 
 func (ctx *Context) setErr(e uint32) {

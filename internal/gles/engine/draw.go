@@ -144,7 +144,7 @@ func (ctx *Context) bindUniforms(prog *programObj) *minisl.Binding {
 			continue
 		}
 		switch {
-		case prog.samplers[loc]:
+		case prog.uniformTypes[loc] == "sampler2D":
 			unit := v.i
 			var tex *textureObj
 			if unit >= 0 && unit < len(ctx.boundTex) {
@@ -160,8 +160,6 @@ func (ctx *Context) bindUniforms(prog *programObj) *minisl.Binding {
 			}
 		case v.mat != nil:
 			b.Set(loc, minisl.Mat(*v.mat))
-		case v.n == 0:
-			b.Set(loc, minisl.Float(float32(v.i)))
 		default:
 			b.Set(loc, minisl.Vec(v.n, v.f[:]...))
 		}

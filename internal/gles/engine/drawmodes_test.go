@@ -107,3 +107,36 @@ func TestDrawWithoutProgramSetsError(t *testing.T) {
 		t.Fatalf("error = %#x, want INVALID_OPERATION", e)
 	}
 }
+
+// TestUniformOfAnotherTypeIsRefused sets u_color, a vec4, with each
+// glUniform* call of another type: every one sets GL_INVALID_OPERATION and
+// leaves the value as it was, so the quad still draws red.
+func TestUniformOfAnotherTypeIsRefused(t *testing.T) {
+	l, img, th, loc := setupSolid(t)
+	prog := l.CurrentProgram(th)
+	u := l.GetUniformLocation(th, prog, "u_color")
+	for name, set := range map[string]func(){
+		"glUniform1i":        func() { l.Uniform1i(th, u, 0) },
+		"glUniform1f":        func() { l.Uniform1f(th, u, 0) },
+		"glUniform2f":        func() { l.Uniform2f(th, u, 0, 1) },
+		"glUniform3f":        func() { l.Uniform3f(th, u, 0, 1, 0) },
+		"glUniformMatrix4fv": func() { l.UniformMatrix4fv(th, u, gpu.Identity()) },
+	} {
+		set()
+		if got := l.GetError(th); got != InvalidOperation {
+			t.Fatalf("%s on a vec4: error %#x, want GL_INVALID_OPERATION", name, got)
+		}
+	}
+	l.VertexAttribPointer(th, loc, 4, []float32{-1, -1, 0, 1, 1, -1, 0, 1, -1, 1, 0, 1, 1, 1, 0, 1})
+	l.DrawArrays(th, TriangleStrip, 0, 4)
+	if got := l.GetError(th); got != NoError {
+		t.Fatalf("draw after the refused calls: error %#x", got)
+	}
+	if got := img.At(8, 8); got != (gpu.RGBA{R: 255, A: 255}) {
+		t.Fatalf("quad drew %v, want the red bound before the refused calls", got)
+	}
+	l.Uniform4f(th, u, 0, 1, 0, 1)
+	if got := l.GetError(th); got != NoError {
+		t.Fatalf("glUniform4f on a vec4: error %#x", got)
+	}
+}

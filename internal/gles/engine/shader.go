@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"slices"
-
 	"cycada/internal/sim/gpu"
 	"cycada/internal/sim/gpu/minisl"
 	"cycada/internal/sim/kernel"
@@ -214,16 +212,10 @@ func (l *Lib) LinkProgram(t *kernel.Thread, prog uint32) {
 	for i, d := range linked.VS.Attributes {
 		p.attribs[d.Name] = i
 	}
-	p.uniformNames = linked.UniformNames
+	p.uniformNames, p.uniformTypes = linked.UniformNames, linked.UniformTypes
 	p.uniforms = make(map[string]int, len(p.uniformNames))
-	p.samplers = make([]bool, len(p.uniformNames))
 	for i, n := range p.uniformNames {
 		p.uniforms[n] = i
-	}
-	for _, d := range append(slices.Clip(linked.VS.Uniforms), linked.FS.Uniforms...) {
-		if d.Type == "sampler2D" {
-			p.samplers[p.uniforms[d.Name]] = true
-		}
 	}
 	t.ChargeCPU(t.Costs().ShaderLinkBase + vclock.Duration(linked.Tokens)*t.Costs().ShaderCompileTok)
 }
@@ -352,7 +344,8 @@ func (ctx *Context) currentProgram() *programObj {
 	return ctx.lookupProgram(id)
 }
 
-// Uniform1i implements glUniform1i (sampler unit bindings and ints).
+// Uniform1i implements glUniform1i: MiniSL has no int type, so it binds
+// sampler units only.
 func (l *Lib) Uniform1i(t *kernel.Thread, loc int, v int) {
 	l.enter(t, "glUniform1i")
 	l.setUniform(t, loc, uniformValue{i: v, n: 0})
@@ -388,6 +381,9 @@ func (l *Lib) UniformMatrix4fv(t *kernel.Thread, loc int, m gpu.Mat4) {
 	l.setUniform(t, loc, uniformValue{mat: &m})
 }
 
+// setUniform stores a glUniform* call's value. A call whose type is not
+// the uniform's declaration sets GL_INVALID_OPERATION and leaves the value
+// as it was (GLES 2.0 §2.10.4).
 func (l *Lib) setUniform(t *kernel.Thread, loc int, v uniformValue) {
 	ctx := l.current(t)
 	if ctx == nil {
@@ -400,6 +396,10 @@ func (l *Lib) setUniform(t *kernel.Thread, loc int, v uniformValue) {
 	}
 	if loc < 0 || loc >= len(p.uniformNames) {
 		ctx.setErr(InvalidValue)
+		return
+	}
+	if v.typ() != p.uniformTypes[loc] {
+		ctx.setErr(InvalidOperation)
 		return
 	}
 	p.values[loc] = v

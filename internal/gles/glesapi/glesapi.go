@@ -153,12 +153,6 @@ func (g *GL) call(t *kernel.Thread, fr *callconv.Frame) any {
 	return ret
 }
 
-// Has reports whether the bound library exports an entry point.
-func (g *GL) Has(name string) bool {
-	_, err := g.link.Dlsym(g.h, name)
-	return err == nil
-}
-
 // Call invokes an arbitrary entry point by name (extension functions, replay
 // dispatch). Unlike the typed wrappers — whose shapes are fixed at compile
 // time and may rely on the internal builders' panics — Call is an API

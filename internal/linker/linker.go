@@ -77,16 +77,6 @@ func (c *LoadContext) Dep(name string) Instance {
 	return l.inst
 }
 
-// DepHandle returns a handle to a declared dependency so the instance can
-// later dlsym through it.
-func (c *LoadContext) DepHandle(name string) *Handle {
-	l, ok := c.deps[name]
-	if !ok {
-		panic(fmt.Sprintf("linker: dependency %q not declared by the loading blueprint", name))
-	}
-	return &Handle{lib: l}
-}
-
 // Thread returns the thread performing the load.
 func (c *LoadContext) Thread() *kernel.Thread { return c.thread }
 

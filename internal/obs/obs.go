@@ -35,6 +35,7 @@ const (
 	CatReplay        = "replay"
 	CatFault         = "fault"
 	CatBatch         = "batch"
+	CatFarm          = "farm"
 )
 
 // Event is one finished span.

@@ -209,19 +209,21 @@ func (testFrag) Release(Fragment) {}
 type testFragment struct {
 	fn      testFrag
 	index   []int
+	width   []int
 	planes  [][]Vec4
 	vec     [SpanSize]Vec4
 	col     [SpanSize]uint32
 	fetches [SpanSize]int
 }
 
-func (a *testFragment) Inputs(nvary int) ([]int, [][]Vec4) {
-	a.index, a.planes = nil, nil
+func (a *testFragment) Inputs(nvary int) ([]int, []int, [][]Vec4) {
+	a.index, a.width, a.planes = nil, nil, nil
 	for i := range nvary {
 		a.index = append(a.index, i)
+		a.width = append(a.width, 4)
 		a.planes = append(a.planes, make([]Vec4, SpanSize))
 	}
-	return a.index, a.planes
+	return a.index, a.width, a.planes
 }
 
 func (a *testFragment) Shade(n int) ([]uint32, []int) {

@@ -11,7 +11,9 @@ import (
 // each lane. They run the cells the compiler cannot type (see typeSlots),
 // and, over the uniform frame's one lane, every draw-uniform node. Where a
 // typed node has a kernel, a dynamic one runs it once per group of lanes
-// whose operands have the same widths (see Frame.byWidth).
+// whose operands have the same widths (see Frame.byWidth). A dynamic
+// node's result has no hidden component but zero (see canon), so that its
+// value's every component is the reference evaluator's.
 
 // byWidth calls fn once for each group of the lanes in live in which cells
 // cs (at most four) have the same widths, with those widths. The lanes of
@@ -48,6 +50,14 @@ func (f *Frame) byWidth(cs []int, live []uint8, fn func(ws [4]uint8, g []uint8))
 		}
 		fn(ws, g)
 		todo = rest
+	}
+}
+
+// canon clears cell c's components past its width in each lane in live.
+func (f *Frame) canon(c int, live []uint8) {
+	comp, width := f.planes(c)
+	for _, l := range live {
+		clear(comp[l][width[l]:])
 	}
 }
 
@@ -109,8 +119,7 @@ func (c *compiler) dynamic(e expr, reg int) exprFn {
 				vc, _ := f.planes(v)
 				oc, ow := f.planes(out)
 				for _, l := range live {
-					setSplat(&oc[l], truth(vc[l][0] == 0))
-					ow[l] = 1
+					oc[l], ow[l] = gpu.Vec4{truth(vc[l][0] == 0)}, 1
 				}
 				f.refMask[out] = 0
 				return out, live
@@ -128,6 +137,7 @@ func (c *compiler) dynamic(e expr, reg int) exprFn {
 				}
 				ow[l] = vw[l]
 			}
+			f.canon(out, live)
 			f.refMask[out] = 0
 			return out, live
 		}
@@ -151,8 +161,7 @@ func (c *compiler) binary(ex *binExpr, reg int) exprFn {
 			bc, _ := f.planes(b)
 			oc, ow := f.planes(out)
 			for _, l := range live {
-				setSplat(&oc[l], truth(compare(op, ac[l][0], bc[l][0])))
-				ow[l] = 1
+				oc[l], ow[l] = gpu.Vec4{truth(compare(op, ac[l][0], bc[l][0]))}, 1
 			}
 			f.refMask[out] = 0
 			return out, live
@@ -170,6 +179,7 @@ func (c *compiler) binary(ex *binExpr, reg int) exprFn {
 		f.refMask[out] = 0
 		if am|bm == 0 {
 			f.arith(op, live, a, b, out)
+			f.canon(out, live)
 			return out, live
 		}
 		n := 0
@@ -201,6 +211,7 @@ func (c *compiler) binary(ex *binExpr, reg int) exprFn {
 			live[n] = l
 			n++
 		}
+		f.canon(out, live[:n])
 		return out, live[:n]
 	}
 }
@@ -213,7 +224,7 @@ func (f *Frame) arith(op binOp, live []uint8, a, b, out int) {
 	oc, ow := f.planes(out)
 	f.byWidth([]int{a, b}, live, func(ws [4]uint8, g []uint8) {
 		w := max(ws[0], ws[1])
-		arithVec(op, g, oc, vin{ac, 0xff, ws[0]}, vin{bc, 0xff, ws[1]}, splatMask(ws[0], w), splatMask(ws[1], w))
+		arith(op, oc, vin{ac, 0xff}, vin{bc, 0xff}, int(w), ws[0] == 1 && w > 1, ws[1] == 1 && w > 1, g)
 		for _, l := range g {
 			ow[l] = w
 		}
@@ -237,21 +248,23 @@ func (c *compiler) call(ex *callExpr, reg int) exprFn {
 		oc, ow := f.planes(out)
 		f.byWidth(av, live, func(ws [4]uint8, g []uint8) {
 			var xs [3]vin
+			var iw [3]int
 			for i, a := range av {
-				xs[i] = vin{f.comp[a*f.lanes : (a+1)*f.lanes], 0xff, ws[i]}
+				xs[i], iw[i] = vin{f.comp[a*f.lanes : (a+1)*f.lanes], 0xff}, int(ws[i])
 			}
-			w := kern(oc, xs, g)
+			w := uint8(kern(oc, xs, iw, g))
 			for _, l := range g {
 				ow[l] = w
 			}
 		})
+		f.canon(out, live)
 		f.refMask[out] = 0
 		if normalize {
 			// A zero-length argument comes back whole, reference and all.
 			a := av[0]
 			ac, aw := f.planes(a)
 			for m := f.refMask[a] & laneMask(live); m != 0; m &= m - 1 {
-				if l := bits.TrailingZeros64(m); length(&ac[l], aw[l]) == 0 {
+				if l := bits.TrailingZeros64(m); length(&ac[l], int(aw[l])) == 0 {
 					f.refs[out*f.lanes+l] = f.refs[a*f.lanes+l]
 					f.refMask[out] |= 1 << l
 				}
@@ -274,10 +287,11 @@ func (c *compiler) constructDynamic(ex *callExpr, args func(*Frame, []uint8) []u
 		var faulted uint64
 		f.byWidth(av, live, func(ws [4]uint8, g []uint8) {
 			var xs [4]vin
+			var iw [4]int
 			for i, a := range av {
-				xs[i] = vin{f.comp[a*f.lanes : (a+1)*f.lanes], 0xff, ws[i]}
+				xs[i], iw[i] = vin{f.comp[a*f.lanes : (a+1)*f.lanes], 0xff}, int(ws[i])
 			}
-			src, n := ctorPlan(w, xs[:len(av)], nargs == 1)
+			src, n := ctorPlan(w, iw[:len(av)])
 			for _, l := range g {
 				ow[l] = uint8(w)
 			}
@@ -288,9 +302,13 @@ func (c *compiler) constructDynamic(ex *callExpr, args func(*Frame, []uint8) []u
 				}
 				return
 			}
-			ctorLanes(oc, w, &src, g)
+			for i := range w {
+				copyComp(oc, i, xs[src[i].k], int(src[i].j), g)
+			}
 		})
+		live = dropLanes(live, faulted)
+		f.canon(out, live)
 		f.refMask[out] = 0
-		return out, dropLanes(live, faulted)
+		return out, live
 	}
 }

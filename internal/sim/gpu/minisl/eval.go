@@ -37,16 +37,6 @@ func Mat(m gpu.Mat4) Value { return Value{M: &m} }
 // Sampler makes a sampler value.
 func Sampler(t *gpu.Texture) Value { return Value{Sampler: t} }
 
-// Vec4 returns the value widened to 4 components (vec3 gets w=1 for
-// positions/colors, matching GLSL's common promotion in this simulator).
-func (v Value) Vec4() gpu.Vec4 {
-	out := v.V
-	if v.Width == 3 {
-		out[3] = 1
-	}
-	return out
-}
-
 // Program is a linked vertex+fragment shader pair. Concurrent draws and the
 // tiles of one draw each take a frame of their own, so they shade without
 // sharing evaluation state.
@@ -54,8 +44,10 @@ type Program struct {
 	VS, FS    *Shader
 	VaryNames []string // sorted; defines the varying slot order
 	// UniformNames lists both stages' uniforms, sorted, each name once: the
-	// index order Binding.Set takes.
+	// index order Binding.Set takes. UniformTypes holds each one's declared
+	// type.
 	UniformNames []string
+	UniformTypes []string
 	Tokens       int
 	vs, fs       *stage
 }
@@ -66,8 +58,9 @@ type LinkError struct{ Msg string }
 func (e *LinkError) Error() string { return "link error: " + e.Msg }
 
 // Link validates that every varying the fragment shader reads is written by
-// the vertex shader, assigns varying and uniform indices, and lays out each
-// stage's frame.
+// the vertex shader, and that a uniform both stages declare has one type in
+// both, assigns varying and uniform indices, and lays out each stage's
+// frame.
 func Link(vs, fs *Shader) (*Program, error) {
 	if vs == nil || fs == nil {
 		return nil, &LinkError{Msg: "missing shader"}
@@ -93,12 +86,20 @@ func Link(vs, fs *Shader) (*Program, error) {
 		p.VaryNames = append(p.VaryNames, n)
 	}
 	sort.Strings(p.VaryNames)
-	for _, d := range append(slices.Clip(vs.Uniforms), fs.Uniforms...) {
-		if !slices.Contains(p.UniformNames, d.Name) {
+	types := map[string]string{}
+	for _, d := range slices.Concat(vs.Uniforms, fs.Uniforms) {
+		switch typ, ok := types[d.Name]; {
+		case !ok:
+			types[d.Name] = d.Type
 			p.UniformNames = append(p.UniformNames, d.Name)
+		case typ != d.Type:
+			return nil, &LinkError{Msg: "uniform " + d.Name + " type mismatch"}
 		}
 	}
 	sort.Strings(p.UniformNames)
+	for _, n := range p.UniformNames {
+		p.UniformTypes = append(p.UniformTypes, types[n])
+	}
 	p.vs, p.fs = newStage(p, vs), newStage(p, fs)
 	return p, nil
 }
@@ -182,9 +183,8 @@ func newStage(p *Program, sh *Shader) *stage {
 	for _, d := range sh.Uniforms {
 		i := sort.SearchStrings(p.UniformNames, d.Name)
 		u := uniformSlot{slot: sh.slots[d.Name], zero: zeroOf(d.Type)}
-		if k := st.uniformAt[i]; k >= 0 {
-			st.uniforms[k] = u // a repeated declaration's type wins
-			continue
+		if st.uniformAt[i] >= 0 {
+			continue // a repeated declaration, of the same type
 		}
 		st.uniformAt[i] = len(st.uniforms)
 		st.uniforms = append(st.uniforms, u)
@@ -254,14 +254,34 @@ func (p *Program) Bind() *Binding {
 }
 
 // Set binds uniform i, an index into the program's UniformNames, in every
-// stage that declares it.
-func (b *Binding) Set(i int, v Value) {
+// stage that declares it. A value of another type than the uniform's
+// declaration is refused with an error, as glUniform refuses it, and the
+// uniform keeps its value. Components past the value's width are dropped.
+func (b *Binding) Set(i int, v Value) error {
+	if typ := b.p.UniformTypes[i]; typeOfValue(v) != typeNames[typ] {
+		return fmt.Errorf("minisl: uniform %s is a %s; cannot bind a %v to it", b.p.UniformNames[i], typ, typeOfValue(v))
+	}
+	clear(v.V[v.Width:])
 	if k := b.p.vs.uniformAt[i]; k >= 0 {
 		b.vs[k] = v
 	}
 	if k := b.p.fs.uniformAt[i]; k >= 0 {
 		b.fs[k] = v
 	}
+	return nil
+}
+
+// typeOfValue is the type of an API value: tAny for a width outside 1..4.
+func typeOfValue(v Value) vtype {
+	switch {
+	case v.M != nil:
+		return tMat
+	case v.Width == 0:
+		return tSampler
+	case v.Width >= 1 && v.Width <= 4:
+		return vtype(v.Width)
+	}
+	return tAny
 }
 
 // Frame takes a frame for the given stage, loaded with b's uniforms in
@@ -304,7 +324,9 @@ func (b *Binding) TexelCopy() (*gpu.Texture, int, bool) {
 // invocations at once: one lane per invocation (a single lane for vertices,
 // gpu.SpanSize for fragments). Every slot, constant and temporary of the
 // compiled shader is a cell, kept as its class says (see typeSlots). A
-// typed cell keeps its components per lane and one width for all of them.
+// typed cell keeps the components of its static width per lane; the nodes
+// that read and write it know that width from Compile, and its hidden
+// components hold whatever they held.
 // A dynamic cell keeps its Value in lanes across three planes, cell-major:
 // its components, its width, and its reference — the matrix or sampler it
 // points to — with a mask per cell of the lanes that hold one; reading a
@@ -319,10 +341,9 @@ func (b *Binding) TexelCopy() (*gpu.Texture, int, bool) {
 // counters, the errors, the inputs, the outputs and any uniform the shader
 // overwrites — so one frame runs a tile's spans, or a draw's vertices,
 // without allocating. What no invocation can change is set once: the
-// constants and a typed slot's width at layout, the uniforms when the
-// binding hands out the frame, the width and reference mask of a varying
-// the shader never assigns in Inputs, and a shader that cannot reach the
-// step limit keeps no step counts. A Frame is not safe for concurrent use.
+// constants at layout, the uniforms when the binding hands out the frame,
+// and a shader that cannot reach the step limit keeps no step counts. A
+// Frame is not safe for concurrent use.
 type Frame struct {
 	st      *stage
 	lanes   int
@@ -330,7 +351,6 @@ type Frame struct {
 	width   []uint8    // likewise: Value.Width, of a dynamic cell
 	refs    []ref      // likewise: the reference, where refMask has the lane
 	refMask []uint64   // cell-indexed: the lanes holding a reference
-	cw      []uint8    // cell-indexed: a typed cell's width in every lane
 	u       *Frame     // the uniform frame: one lane, for draw-uniform cells
 	def     []uint64   // slot-indexed: the lanes in which it is defined
 	uni     []Value    // the binding's values for st.uniforms
@@ -340,14 +360,17 @@ type Frame struct {
 	fetches []int
 	errs    []error
 	faulted uint64   // the lanes whose errs entry is set
+	n       int      // the lanes the current run started with
 	col     []uint32 // per lane: the colour word Shade returns
 	live    []uint8  // the lane list a run starts from
 	// Scratch lane lists for byWidth.
 	todo, group []uint8
 	// The fragment inputs of the last Inputs call: the primitives' varying
-	// count, and the indexes and component planes of those the shader reads.
+	// count, and the indexes, widths and component planes of those the
+	// shader reads.
 	nvary    int
 	inIndex  []int
+	inWidth  []int
 	inPlanes [][]gpu.Vec4
 }
 
@@ -381,8 +404,8 @@ func takeFrame() *Frame {
 }
 
 // layout lays f and its uniform frame out for st, reusing their storage
-// where it is large enough, loads the shader's constants into the uniform
-// frame, and gives each typed slot its width.
+// where it is large enough, and loads the shader's constants into the
+// uniform frame.
 func (f *Frame) layout(st *stage) {
 	f.size(st, st.lanes)
 	if f.u == nil {
@@ -394,7 +417,6 @@ func (f *Frame) layout(st *stage) {
 	for k, v := range sh.consts {
 		f.u.fill(len(sh.written)+k, 1, v)
 	}
-	copy(f.cw, sh.widths)
 }
 
 // size sizes f's storage for st's cells in n lanes.
@@ -407,7 +429,6 @@ func (f *Frame) size(st *stage, n int) {
 	f.refs = slices.Grow(f.refs[:0], cells*n)[:cells*n]
 	f.refMask = slices.Grow(f.refMask[:0], cells)[:cells]
 	clear(f.refMask)
-	f.cw = slices.Grow(f.cw[:0], cells)[:cells]
 	f.def = slices.Grow(f.def[:0], len(sh.written))[:len(sh.written)]
 	f.args = slices.Grow(f.args[:0], sh.scratch)[:sh.scratch]
 	f.steps = slices.Grow(f.steps[:0], n)[:n]
@@ -507,6 +528,7 @@ func (f *Frame) run(n int) {
 	f.faulted = 0
 	live := f.live[:n]
 	copy(live, laneIDs[:n])
+	f.n = n
 	if sh.counted {
 		for l := range live {
 			f.steps[l] = defaultMaxSteps
@@ -546,38 +568,39 @@ func (f *Frame) RunVertex(attribs []Value, vary []gpu.Vec4) (gpu.Vec4, error) {
 }
 
 // Inputs implements gpu.Fragment. The varyings the fragment shader reads
-// are its varying slots, and their planes are the slots' component planes,
-// which the rasterizer fills in place. A varying the primitives do not
-// carry (an index at or past nvary) reads as its type's zero. Every lane of
-// a varying the shader never assigns gets its width, or its zero, here,
-// once for all the spans until the next call; load rewrites the others
-// before each span.
-func (f *Frame) Inputs(nvary int) ([]int, [][]gpu.Vec4) {
+// are its varying slots, their widths its declarations', and their planes
+// the slots' component planes, whose declared components the rasterizer
+// fills in place. A varying the primitives do not carry (an index at or
+// past nvary) reads as its type's zero, set here once for all the spans
+// until the next call. A typed varying is read only at its width; load
+// readies the others, which the shader assigns, before each span.
+func (f *Frame) Inputs(nvary int) ([]int, []int, [][]gpu.Vec4) {
 	f.nvary = nvary
-	f.inIndex, f.inPlanes = f.inIndex[:0], f.inPlanes[:0]
+	f.inIndex, f.inWidth, f.inPlanes = f.inIndex[:0], f.inWidth[:0], f.inPlanes[:0]
 	for _, in := range f.st.varyIn {
 		if in.index < nvary {
 			comp, _ := f.planes(in.slot)
 			f.inIndex = append(f.inIndex, in.index)
+			f.inWidth = append(f.inWidth, in.width)
 			f.inPlanes = append(f.inPlanes, comp)
-		}
-		if !f.st.sh.written[in.slot] {
-			f.loadVarying(in, f.lanes)
+		} else if !f.st.sh.written[in.slot] {
+			f.fill(in.slot, f.lanes, in.zero)
 		}
 	}
-	return f.inIndex, f.inPlanes
+	return f.inIndex, f.inWidth, f.inPlanes
 }
 
-// loadVarying readies lanes [0, n) of a fragment input whose components
-// the rasterizer writes: its width, and no reference; or, for a varying
-// the primitives lack, its zero.
+// loadVarying readies lanes [0, n) of a fragment input the shader assigns:
+// its width, no hidden component but zero and no reference, or, for a
+// varying the primitives lack, its zero.
 func (f *Frame) loadVarying(in input, n int) {
 	if in.index >= f.nvary {
 		f.fill(in.slot, n, in.zero)
 		return
 	}
-	_, width := f.planes(in.slot)
+	comp, width := f.planes(in.slot)
 	for l := range n {
+		clear(comp[l][in.width:])
 		width[l] = uint8(in.width)
 	}
 	f.refMask[in.slot] &^= lanesBelow(n)
@@ -620,40 +643,14 @@ func (f *Frame) load(n int) {
 	f.fill(st.out, n, Value{Width: 4})
 }
 
-func widthOf(typ string) int {
-	switch typ {
-	case "float":
-		return 1
-	case "vec2":
-		return 2
-	case "vec3":
-		return 3
-	default:
-		return 4
-	}
-}
+// widthOf is a vector type's width: 0 for mat4 and sampler2D.
+func widthOf(typ string) int { return typeNames[typ].width() }
 
 func zeroOf(typ string) Value {
-	switch typ {
-	case "mat4":
+	if typ == "mat4" {
 		return Mat(gpu.Identity())
-	case "sampler2D":
-		return Value{}
-	default:
-		return Value{Width: widthOf(typ)}
 	}
-}
-
-// setSplat writes x to every component of d.
-func setSplat(d *gpu.Vec4, x float32) { d[0], d[1], d[2], d[3] = x, x, x, x }
-
-// splatMask is the component index mask for reading a value of width w as
-// one of width to: x[i&m] is x[0] when a scalar splats, else x[i].
-func splatMask(w, to uint8) int {
-	if w == 1 && to > 1 {
-		return 0
-	}
-	return 3
+	return Value{Width: widthOf(typ)}
 }
 
 func swizzleIndex(c rune) uint8 {

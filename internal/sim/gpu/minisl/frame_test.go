@@ -96,42 +96,49 @@ func bindAll(p *Program, tex *gpu.Texture) *Binding {
 	return b
 }
 
-// bindingSweep returns bindAll's binding and, for each uniform that is not a
-// sampler, bindings that give it another value than its declared type: a
-// vector of each width 1 to 4 (with components beyond the width set, as
-// Vec leaves them) and a scalar that splats, then a matrix where a vector is
-// declared and a vector where a matrix is declared. The engine binds
-// whatever a glUniform call gave, without a type check, so a shader must
-// run on each as the reference does.
-func bindingSweep(p *Program, tex *gpu.Texture) []*Binding {
-	bs := []*Binding{bindAll(p, tex)}
-	decls := slices.Concat(p.VS.Uniforms, p.FS.Uniforms)
-	for i, n := range p.UniformNames {
-		typ := ""
-		for _, d := range decls {
-			if d.Name == n {
-				typ = d.Type
-			}
-		}
-		if typ == "sampler2D" {
-			continue
-		}
-		vals := []Value{Float(-0.625)}
-		for w := 1; w <= 4; w++ {
-			vals = append(vals, Vec(w, 0.375, -1.5, 2.25, 0.125))
-		}
-		if typ == "mat4" {
-			vals = append(vals, Vec(4, 0.5, 0.25, -0.75, 1))
-		} else {
-			vals = append(vals, Mat(gpu.Identity().Translate(0.25, -0.5, 2)))
-		}
-		for _, v := range vals {
-			b := bindAll(p, tex)
-			b.Set(i, v)
-			bs = append(bs, b)
+// bindings returns bindAll's binding and one that gives every uniform
+// but the samplers another value of its declared type.
+func bindings(p *Program, tex *gpu.Texture) []*Binding {
+	b := bindAll(p, tex)
+	for i, typ := range p.UniformTypes {
+		switch typ {
+		case "sampler2D":
+		case "mat4":
+			b.Set(i, Mat(gpu.Identity().Translate(0.25, -0.5, 2)))
+		default:
+			b.Set(i, Vec(widthOf(typ), 0.375, -1.5, 2.25, 0.125))
 		}
 	}
-	return bs
+	return []*Binding{bindAll(p, tex), b}
+}
+
+// otherTypes returns a value of each type but typ: a scalar, vectors of
+// width 2 to 4, a matrix and a sampler.
+func otherTypes(typ string, tex *gpu.Texture) []Value {
+	var out []Value
+	for _, v := range []Value{Float(-0.625), Vec(2, 0.375, -1.5), Vec(3, 0.375, -1.5, 2.25), Vec(4, 0.375, -1.5, 2.25, 0.125),
+		Mat(gpu.Identity().Translate(0.25, -0.5, 2)), Sampler(tex)} {
+		if typeOfValue(v) != typeNames[typ] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// checkRefusals binds, to every uniform of b's program, a value of each
+// other type than its declaration's: Set must refuse each one with an
+// error and leave every uniform as it was.
+func checkRefusals(t *testing.T, b *Binding, tex *gpu.Texture) {
+	t.Helper()
+	for i, typ := range b.p.UniformTypes {
+		for _, v := range otherTypes(typ, tex) {
+			vs, fs := slices.Clone(b.vs), slices.Clone(b.fs)
+			if err := b.Set(i, v); err == nil || !slices.Equal(vs, b.vs) || !slices.Equal(fs, b.fs) {
+				t.Fatalf("Set(%s %s, %+v) = %v, and the binding changed: %v; want an error and no change",
+					typ, b.p.UniformNames[i], v, err, !slices.Equal(vs, b.vs) || !slices.Equal(fs, b.fs))
+			}
+		}
+	}
 }
 
 func testTexture() *gpu.Texture {
@@ -166,7 +173,7 @@ func TestRunFragmentDoesNotAllocate(t *testing.T) {
 				t.Fatalf("shading one fragment allocates %v times, want 0", n)
 			}
 			span := func() {
-				index, planes := f.Inputs(len(vary))
+				index, _, planes := f.Inputs(len(vary))
 				for i, k := range index {
 					for l := range planes[i] {
 						planes[i][l] = vary[k]
@@ -185,7 +192,7 @@ func TestRunFragmentDoesNotAllocate(t *testing.T) {
 // as a span of one. It returns gl_FragColor (colourOf) and the fetch count,
 // or the runtime error and neither.
 func shadeOne(f *Frame, vary []gpu.Vec4) (gpu.Vec4, int, error) {
-	index, planes := f.Inputs(len(vary))
+	index, _, planes := f.Inputs(len(vary))
 	for i, k := range index {
 		planes[i][0] = vary[k]
 	}
@@ -289,12 +296,13 @@ void main() {
 
 // FuzzCompile compiles arbitrary source, links it with a minimal partner
 // shader, binds every uniform, and runs it twice on one frame: it must never
-// panic, and reusing the frame must not change the result. A fragment shader
-// then shades one span of distinct varyings, and a vertex shader one more
-// vertex, under every binding of bindingSweep, and each lane must match the
-// reference evaluator.
+// panic, and reusing the frame must not change the result. Binding a value
+// of another type to any uniform must be refused (checkRefusals). A
+// fragment shader then shades one span of distinct varyings, and a vertex
+// shader one more vertex, under each binding of bindings, and each lane's
+// declared components must match the reference evaluator's.
 func FuzzCompile(f *testing.F) {
-	for _, src := range slices.Concat(refShaders(f), copyMisses) {
+	for _, src := range slices.Concat(refShaders(f), copyMisses, rejectedSources(), []string{everyUniformType}) {
 		f.Add(src)
 	}
 	tex := refTexture()
@@ -305,6 +313,7 @@ func FuzzCompile(f *testing.F) {
 				return // repeated varyings of differing types do not link
 			}
 			b := bindAll(p, tex)
+			checkRefusals(t, b, tex)
 			fr := b.Frame(Fragment)
 			vary := make([]gpu.Vec4, len(p.VaryNames))
 			for i := range vary {
@@ -323,7 +332,7 @@ func FuzzCompile(f *testing.F) {
 				l := float32(i/max(stride, 1)) / lanes
 				span[i] = gpu.Vec4{l, 1 - l, 2*l - 0.5, float32(i%4) - l}
 			}
-			for _, b := range bindingSweep(p, tex) {
+			for _, b := range bindings(p, tex) {
 				checkSpan(t, b, span, stride, lanes)
 			}
 		}
@@ -333,6 +342,7 @@ func FuzzCompile(f *testing.F) {
 				return // repeated varyings of differing types do not link
 			}
 			b := bindAll(p, tex)
+			checkRefusals(t, b, tex)
 			fr := b.Frame(Vertex)
 			attribs := make([]Value, len(vs.Attributes))
 			for i := range attribs {
@@ -349,7 +359,7 @@ func FuzzCompile(f *testing.F) {
 			if !same {
 				t.Fatalf("frame reuse changed the result: (%v, %v, %v) then (%v, %v, %v)", p1, v1, e1, p2, v2, e2)
 			}
-			for _, b := range bindingSweep(p, tex) {
+			for _, b := range bindings(p, tex) {
 				checkVertex(t, b, attribs)
 			}
 		}
@@ -357,8 +367,11 @@ func FuzzCompile(f *testing.F) {
 }
 
 // sameVec compares bit patterns, so NaN results compare equal.
-func sameVec(a, b gpu.Vec4) bool {
-	for i := range a {
+func sameVec(a, b gpu.Vec4) bool { return sameComps(a, b, 4) }
+
+// sameComps compares components [0, w) as sameVec does.
+func sameComps(a, b gpu.Vec4, w int) bool {
+	for i := range w {
 		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return false
 		}

@@ -14,13 +14,16 @@ import (
 // fragment. A lane leaves the list the moment it faults, with its error
 // recorded, and every later node skips it; that keeps each invocation's
 // semantics exactly those of running it alone. Compile first types every
-// cell (typing.go), and each node is built for its operands' classes. A
-// typed node reads each operand's width once per span, fixes its splat
-// masks, and runs its lanes without a width or reference in sight. A node
-// over draw-uniform operands only runs once per span, in the one lane of
-// the frame's uniform frame, and a typed node reads its result there with
-// stride 0. Only a node over a dynamic operand reads a width, and tests a
-// reference, in every lane.
+// expression and cell (typing.go), and each node is built for its
+// operands' classes and static types. A typed node's widths are constants
+// of its closure: it computes only the components its type declares, one
+// component at a time over its lanes, with no width, splat mask or
+// reference in sight. A node over draw-uniform operands only runs once per
+// span, in the one lane of the frame's uniform frame, and a typed node
+// reads its result there with stride 0, one component for all its lanes.
+// Only a node over a dynamic operand reads a width, and tests a reference,
+// in every lane; its result, like every value the reference evaluator
+// computes, has no hidden component but zero.
 
 // An exprFn evaluates an expression in the lanes listed in live. It returns
 // the cell that holds the value in each of them, and the lanes that did not
@@ -47,16 +50,21 @@ type compiler struct {
 	sh  *Shader
 	t   *typer
 	uni bool // compiling a draw-uniform node, which runs in the uniform frame
+	// dest, when not -1, is the typed slot the statement being compiled
+	// stores its value to: the value's node writes it there itself rather
+	// than to temporary 0 (see value).
+	dest int
 }
 
-// compileBody types sh's slots and compiles its parsed body. Every
-// statement run charges a step (see step), but a shader without a for loop
-// runs each of its statements at most once: when it has fewer than
-// defaultMaxSteps, no lane can run out, and it is compiled to charge none.
+// compileBody types sh's slots and expressions, checking the width rules,
+// and compiles its parsed body. Every statement run charges a step (see
+// step), but a shader without a for loop runs each of its statements at
+// most once: when it has fewer than defaultMaxSteps, no lane can run out,
+// and it is compiled to charge none.
 func compileBody(sh *Shader) {
 	sh.counted = maxSteps(sh.body) >= defaultMaxSteps
-	c := &compiler{sh: sh, t: typeSlots(sh)}
-	sh.class, sh.widths = c.t.class, c.t.width
+	c := &compiler{sh: sh, t: typeSlots(sh), dest: -1}
+	sh.class, sh.typ = c.t.class, c.t.typ
 	sh.run = c.block(sh.body)
 }
 
@@ -110,6 +118,9 @@ func (f *Frame) defined(live []uint8, def uint64, err error) []uint8 {
 
 // temp returns the cell of temporary reg.
 func (c *compiler) temp(reg int) int {
+	if reg == 0 && c.dest >= 0 {
+		return c.dest
+	}
 	c.sh.temps = max(c.sh.temps, reg+1)
 	return len(c.sh.written) + len(c.sh.consts) + reg
 }
@@ -197,42 +208,41 @@ func (c *compiler) stmt(s stmt) stmtFn {
 	}
 }
 
-// declVec compiles a declaration of a typed slot: the value is stored as
-// the declared width holds it (see store).
+// declVec compiles a declaration of a typed slot: the value is stored at
+// the declared width (see store).
 func (c *compiler) declVec(st *declStmt) stmtFn {
-	slot, w, counted := st.slot, uint8(st.width), c.sh.counted
+	slot, w, counted := st.slot, st.typ.width(), c.sh.counted
 	if st.init == nil {
 		return func(f *Frame, live []uint8) []uint8 {
 			if counted {
 				live = f.step(live)
 			}
 			dc, _ := f.planes(slot)
-			var mask uint64
 			for _, l := range live {
 				dc[l] = gpu.Vec4{}
-				mask |= 1 << l
 			}
-			f.def[slot] |= mask
+			f.def[slot] |= f.mask(live)
 			return live
 		}
 	}
-	init, k := c.expr(st.init, 0), c.t.kind(st.init).class
+	init, store := c.value(slot, w, st.init)
 	return func(f *Frame, live []uint8) []uint8 {
 		if counted {
 			live = f.step(live)
 		}
 		var v int
 		v, live = init(f, live)
-		f.def[slot] |= f.store(slot, w, f.in(v, k), live)
+		store(f, v, live)
+		f.def[slot] |= f.mask(live)
 		return live
 	}
 }
 
 // assignVec compiles an assignment to a whole typed slot, which holds no
-// matrix to fault on: the value is stored as the slot's width holds it.
+// matrix to fault on: the value is stored at the slot's width.
 func (c *compiler) assignVec(st *assignStmt) stmtFn {
-	slot, w, counted := st.slot, c.sh.widths[st.slot], c.sh.counted
-	val, k := c.expr(st.val, 0), c.t.kind(st.val).class
+	slot, counted := st.slot, c.sh.counted
+	val, store := c.value(slot, c.t.typ[slot].width(), st.val)
 	errUndeclared := &evalError{line: st.line, msg: "assignment to undeclared " + st.name}
 	return func(f *Frame, live []uint8) []uint8 {
 		if counted {
@@ -241,29 +251,77 @@ func (c *compiler) assignVec(st *assignStmt) stmtFn {
 		var v int
 		v, live = val(f, live)
 		live = f.defined(live, f.def[slot], errUndeclared)
-		f.store(slot, w, f.in(v, k), live)
+		store(f, v, live)
 		return live
 	}
 }
 
-// store writes x to typed slot s, of width w, in the lanes in live, as
-// coerce does: a scalar splats, any other value is copied. It returns the
-// lanes' mask.
-func (f *Frame) store(s int, w uint8, x vin, live []uint8) uint64 {
-	dc, _ := f.planes(s)
-	var mask uint64
-	if x.w == 1 && w > 1 {
-		for _, l := range live {
-			setSplat(&dc[l], x.at(l)[0])
-			mask |= 1 << l
+// value compiles e, the value of a statement that stores it to typed slot
+// s of width w, and the store. A typed node of width w that does not read
+// s writes its components to s itself, and the store has nothing left to
+// do: the node reads every operand component before it writes the
+// component it computes, and a lane it writes but the statement faults
+// never reads s again.
+func (c *compiler) value(s, w int, e expr) (exprFn, func(f *Frame, v int, live []uint8)) {
+	k := c.t.kind(e)
+	switch e.(type) {
+	case *varExpr, *numExpr:
+	default:
+		if k.class == vecCell && k.t.width() == w && !reads(e, s) {
+			c.dest = s
+			fn := c.expr(e, 0)
+			c.dest = -1
+			return fn, func(*Frame, int, []uint8) {}
 		}
-		return mask
 	}
-	for _, l := range live {
-		dc[l] = *x.at(l)
-		mask |= 1 << l
+	splat := k.t == tFloat && w > 1
+	return c.expr(e, 0), func(f *Frame, v int, live []uint8) {
+		f.store(s, w, f.in(v, k.class), splat, live)
 	}
-	return mask
+}
+
+// reads reports whether e reads slot s.
+func reads(e expr, s int) bool {
+	switch ex := e.(type) {
+	case *varExpr:
+		return ex.slot == s
+	case *swizzleExpr:
+		return reads(ex.base, s)
+	case *unaryExpr:
+		return reads(ex.x, s)
+	case *binExpr:
+		return reads(ex.l, s) || reads(ex.r, s)
+	case *callExpr:
+		for _, a := range ex.args {
+			if reads(a, s) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// mask is the mask of the lanes in live: every lane of the run when live
+// holds as many as it does.
+func (f *Frame) mask(live []uint8) uint64 {
+	if len(live) == f.n {
+		return lanesBelow(f.n)
+	}
+	return laneMask(live)
+}
+
+// store writes x to typed slot s, of width w, in the lanes in live: a
+// scalar splats to the w components when splat is set; any other value has
+// width w (see typer.store) and is copied whole.
+func (f *Frame) store(s, w int, x vin, splat bool, live []uint8) {
+	dc := f.plane(s)
+	if !splat {
+		copyLanes(dc, x, live)
+		return
+	}
+	for i := range w {
+		copyComp(dc, i, x, 0, live)
+	}
 }
 
 // assignComponent compiles a swizzle write, which stores one component and
@@ -302,7 +360,7 @@ func (c *compiler) assignComponent(st *assignStmt) stmtFn {
 
 // decl compiles a declaration of a dynamic slot.
 func (c *compiler) decl(st *declStmt) stmtFn {
-	slot, zero, width, counted := st.slot, st.zero, uint8(st.width), c.sh.counted
+	slot, zero, width, counted := st.slot, st.zero, uint8(st.typ.width()), c.sh.counted
 	c.sh.dynamic++
 	if st.init == nil {
 		zr, zm := ref{zero.M, zero.Sampler}, uint64(0)
@@ -409,14 +467,19 @@ func (c *compiler) assign(st *assignStmt) stmtFn {
 // width to holds them, and returns the width written and whether the
 // value's reference, if any, comes along. A variable of width 0 (a matrix
 // or a sampler) takes the value whole; any other takes its own width, and
-// a scalar splats to it, leaving its reference behind.
+// a scalar splats to it, with no hidden component but zero, leaving its
+// reference behind.
 func coerce(d, c *gpu.Vec4, w, to uint8) (uint8, bool) {
 	switch {
 	case to == 0:
 		*d = *c
 		return w, true
 	case w == 1 && to > 1:
-		setSplat(d, c[0])
+		x := c[0]
+		*d = gpu.Vec4{}
+		for i := range to {
+			d[i] = x
+		}
 		return to, false
 	default:
 		*d = *c
@@ -505,21 +568,23 @@ func (c *compiler) uniform(e expr, reg int) exprFn {
 }
 
 // operand compiles x as a dynamic node reads it: with a width and a
-// reference in every lane. A typed value gets its cell's width in each
-// lane and no reference; a draw-uniform one is spread over the lanes, in
-// the same cell of the frame (see spread).
+// reference in every lane, and no hidden component but zero. A typed value
+// gets its static width in each lane, its hidden components cleared, and
+// no reference; a draw-uniform one is spread over the lanes, in the same
+// cell of the frame (see spread).
 func (c *compiler) operand(x expr, reg int) exprFn {
 	fn := c.expr(x, reg)
 	if c.uni {
 		return fn
 	}
-	switch c.t.kind(x).class {
+	switch k := c.t.kind(x); k.class {
 	case vecCell:
+		w := uint8(k.t.width())
 		return func(f *Frame, live []uint8) (int, []uint8) {
 			v, live := fn(f, live)
-			_, dw := f.planes(v)
-			w := f.cw[v]
+			dc, dw := f.planes(v)
 			for _, l := range live {
+				clear(dc[l][w:])
 				dw[l] = w
 			}
 			f.refMask[v] = 0
@@ -573,86 +638,76 @@ func (c *compiler) operands(xs []expr, reg, base int, compile func(expr, int) ex
 	}
 }
 
-// vin is how a typed node reads an operand: its components in every lane,
-// or, for a draw-uniform value, in one lane read with stride 0 (lane mask
-// m = 0); and its width, the same in every lane.
+// vin is how a node reads an operand: its components in every lane, or,
+// for a draw-uniform value, in one lane read with stride 0 (lane mask
+// m = 0). Its width is fixed at compile time for a typed node, and per
+// group of lanes for a dynamic one.
 type vin struct {
 	c []gpu.Vec4
 	m uint8
-	w uint8
 }
 
 // at returns the operand's components in lane l.
 func (x vin) at(l uint8) *gpu.Vec4 { return &x.c[l&x.m] }
 
-// in returns how a typed node reads cell v, of class k. A dynamic cell's
-// width is not kept per cell; only nodes that read no width take one.
+// in returns how a typed node reads cell v, of class k: in the lanes of
+// the run, or with stride 0.
 func (f *Frame) in(v int, k class) vin {
 	if k == uniCell {
-		u := f.u
-		return vin{u.comp[v : v+1], 0, u.width[v]}
+		return vin{f.u.comp[v : v+1], 0}
 	}
-	lo := v * f.lanes
-	return vin{f.comp[lo : lo+f.lanes], 0xff, f.cw[v]}
+	return vin{f.plane(v), 0xff}
 }
 
-// uniMatrix returns the matrix a draw-uniform operand holds, or nil.
-func (f *Frame) uniMatrix(v int, k class) *gpu.Mat4 {
-	if k != uniCell || f.u.refMask[v]&1 == 0 {
-		return nil
-	}
-	return f.u.refs[v].M
+// plane returns cell c's components in the lanes of the run.
+func (f *Frame) plane(c int) []gpu.Vec4 {
+	lo := c * f.lanes
+	return f.comp[lo : lo+f.n]
 }
 
-// typed compiles a node whose result is typed: one width in every lane,
-// and no reference.
+// typed compiles a node whose result is typed: its static width in every
+// lane, and no reference. Only its declared components are computed.
 func (c *compiler) typed(e expr, reg int) exprFn {
 	switch ex := e.(type) {
 	case *swizzleExpr:
 		base, out, idx := c.expr(ex.base, reg+1), c.temp(reg), ex.idx[:ex.n]
-		w := uint8(len(idx))
 		return func(f *Frame, live []uint8) (int, []uint8) {
 			var b int
 			b, live = base(f, live)
 			bc, _ := f.planes(b)
-			oc, _ := f.planes(out)
-			for _, l := range live {
-				x, d := &bc[l], &oc[l]
-				*d = gpu.Vec4{}
-				for i, k := range idx {
-					d[i] = x[k]
+			oc := f.plane(out)
+			for i, k := range idx {
+				for _, l := range live {
+					oc[l][i] = bc[l][k]
 				}
 			}
-			f.cw[out] = w
 			return out, live
 		}
 	case *unaryExpr:
-		x, out, k := c.expr(ex.x, reg+1), c.temp(reg), c.t.kind(ex.x).class
+		x, out, k := c.expr(ex.x, reg+1), c.temp(reg), c.t.kind(ex.x)
 		if ex.not {
 			return func(f *Frame, live []uint8) (int, []uint8) {
 				var v int
 				v, live = x(f, live)
-				a := f.in(v, k)
-				oc, _ := f.planes(out)
+				a := f.in(v, k.class)
+				oc := f.plane(out)
 				for _, l := range live {
-					setSplat(&oc[l], truth(a.at(l)[0] == 0))
+					oc[l][0] = truth(a.at(l)[0] == 0)
 				}
-				f.cw[out] = 1
 				return out, live
 			}
 		}
+		w := k.t.width()
 		return func(f *Frame, live []uint8) (int, []uint8) {
 			var v int
 			v, live = x(f, live)
-			a := f.in(v, k)
-			oc, _ := f.planes(out)
-			for _, l := range live {
-				s, d := a.at(l), &oc[l]
-				for i := range d {
-					d[i] = s[i] * -1
+			ac, _ := f.planes(v)
+			oc := f.plane(out)
+			for i := range w {
+				for _, l := range live {
+					oc[l][i] = ac[l][i] * -1
 				}
 			}
-			f.cw[out] = a.w
 			return out, live
 		}
 	case *binExpr:
@@ -663,123 +718,162 @@ func (c *compiler) typed(e expr, reg int) exprFn {
 	panic(fmt.Sprintf("minisl: no typed node for %T", e))
 }
 
-// binaryVec compiles a typed comparison or arithmetic node. The operands
-// are typed or draw-uniform; a draw-uniform one may hold a matrix, which
-// turns the node, for the whole span, into mat*vec or a fault.
+// binaryVec compiles a typed comparison or arithmetic node over typed or
+// draw-uniform operands; a draw-uniform matrix times a vector is mat*vec.
 func (c *compiler) binaryVec(ex *binExpr, reg int) exprFn {
 	lhs, rhs, out, op := c.expr(ex.l, reg+1), c.expr(ex.r, reg+2), c.temp(reg), ex.op
-	lk, rk := c.t.kind(ex.l).class, c.t.kind(ex.r).class
+	lk, rk := c.t.kind(ex.l), c.t.kind(ex.r)
 	if op >= opLT {
 		return func(f *Frame, live []uint8) (int, []uint8) {
 			var a, b int
 			a, live = lhs(f, live)
 			b, live = rhs(f, live)
-			x, y := f.in(a, lk), f.in(b, rk)
-			oc, _ := f.planes(out)
+			x, y := f.in(a, lk.class), f.in(b, rk.class)
+			oc := f.plane(out)
 			for _, l := range live {
-				setSplat(&oc[l], truth(compare(op, x.at(l)[0], y.at(l)[0])))
+				oc[l][0] = truth(compare(op, x.at(l)[0], y.at(l)[0]))
 			}
-			f.cw[out] = 1
 			return out, live
 		}
 	}
-	errMatOp := &evalError{line: ex.line, msg: "matrices support only *"}
-	errVecMat := &evalError{line: ex.line, msg: "vec*mat not supported; use mat*vec"}
+	wx, wy := lk.t.width(), rk.t.width()
+	if lk.t == tMat {
+		return func(f *Frame, live []uint8) (int, []uint8) {
+			var a, b int
+			a, live = lhs(f, live)
+			b, live = rhs(f, live)
+			m, y := f.u.refs[a].M, f.in(b, rk.class)
+			oc := f.plane(out)
+			for _, l := range live {
+				var v gpu.Vec4
+				copy(v[:wy], y.at(l)[:wy])
+				oc[l] = m.MulVec(widen(v, uint8(wy)))
+			}
+			return out, live
+		}
+	}
+	w := max(wx, wy)
+	sx, sy := wx == 1 && w > 1, wy == 1 && w > 1
 	return func(f *Frame, live []uint8) (int, []uint8) {
 		var a, b int
 		a, live = lhs(f, live)
 		b, live = rhs(f, live)
-		x, y := f.in(a, lk), f.in(b, rk)
-		oc, _ := f.planes(out)
-		if mx, my := f.uniMatrix(a, lk), f.uniMatrix(b, rk); mx != nil || my != nil {
-			switch {
-			case op != opMul:
-				return out, f.faultAll(live, errMatOp)
-			case my != nil:
-				return out, f.faultAll(live, errVecMat)
-			}
-			for _, l := range live {
-				oc[l] = mx.MulVec(widen(*y.at(l), y.w))
-			}
-			f.cw[out] = 4
-			return out, live
-		}
-		w := max(x.w, y.w)
-		f.cw[out] = w
-		arithVec(op, live, oc, x, y, splatMask(x.w, w), splatMask(y.w, w))
+		oc := f.plane(out)
+		arith(op, oc, f.in(a, lk.class), f.in(b, rk.class), w, sx, sy, live)
 		return out, live
 	}
 }
 
-// arithVec writes x op y to o in the lanes listed in live, reading x's
-// components through mask mx and y's through my (see splatMask). A
-// draw-uniform operand is splatted once, and a lane's scalar once per lane,
-// so each lane computes on whole vectors.
-func arithVec(op binOp, live []uint8, o []gpu.Vec4, x, y vin, mx, my int) {
-	xc, yc := x.c, y.c
-	switch {
-	case x.m == 0: // and y is read per lane
-		u := splatted(&xc[0], mx)
-		if my == 0 {
-			for _, l := range live {
-				b := splatted(&yc[l], 0)
-				op.apply(&o[l], &u, &b)
-			}
-			return
+// arith writes x op y to components [0, w) of o in the lanes listed in
+// live; an operand marked to splat (sx, sy) is a scalar. Products, which
+// the shipped shaders compute, run a loop of their own per component.
+func arith(op binOp, o []gpu.Vec4, x, y vin, w int, sx, sy bool, live []uint8) {
+	if op == opMul && w > 1 && dense(o, live) && (x.m == 0 && sy || y.m == 0 && sx) {
+		scaleLanes(o, x, y, w)
+		return
+	}
+	for i := range w {
+		xi, yi := i, i
+		if sx {
+			xi = 0
+		}
+		if sy {
+			yi = 0
+		}
+		if op == opMul {
+			mulLanes(o, i, x, xi, y, yi, live)
+			continue
 		}
 		for _, l := range live {
-			op.apply(&o[l], &u, &yc[l])
-		}
-	case y.m == 0: // and x is read per lane
-		u := splatted(&yc[0], my)
-		if mx == 0 {
-			for _, l := range live {
-				a := splatted(&xc[l], 0)
-				op.apply(&o[l], &a, &u)
-			}
-			return
-		}
-		for _, l := range live {
-			op.apply(&o[l], &xc[l], &u)
-		}
-	case mx == 3 && my == 3:
-		for _, l := range live {
-			op.apply(&o[l], &xc[l], &yc[l])
-		}
-	default:
-		for _, l := range live {
-			a, b := splatted(&xc[l], mx), splatted(&yc[l], my)
-			op.apply(&o[l], &a, &b)
+			o[l][i&3] = op.apply(x.at(l)[xi&3], y.at(l)[yi&3])
 		}
 	}
 }
 
-// splatted returns x read through component mask m (see splatMask).
-func splatted(x *gpu.Vec4, m int) gpu.Vec4 {
-	if m == 0 {
-		return gpu.Vec4{x[0], x[0], x[0], x[0]}
+// scaleLanes writes x * y, a draw-uniform vector times a per-lane scalar or
+// the other way round, to components [0, w) of every lane of o, a lane at a
+// time.
+func scaleLanes(o []gpu.Vec4, x, y vin, w int) {
+	if x.m == 0 {
+		u, c := x.c[0], y.c[:len(o)]
+		for l := range c {
+			s, d := c[l][0], &o[l]
+			switch w {
+			case 2:
+				d[0], d[1] = u[0]*s, u[1]*s
+			case 3:
+				d[0], d[1], d[2] = u[0]*s, u[1]*s, u[2]*s
+			default:
+				d[0], d[1], d[2], d[3] = u[0]*s, u[1]*s, u[2]*s, u[3]*s
+			}
+		}
+		return
 	}
-	return *x
+	u, c := y.c[0], x.c[:len(o)]
+	for l := range c {
+		s, d := c[l][0], &o[l]
+		switch w {
+		case 2:
+			d[0], d[1] = s*u[0], s*u[1]
+		case 3:
+			d[0], d[1], d[2] = s*u[0], s*u[1], s*u[2]
+		default:
+			d[0], d[1], d[2], d[3] = s*u[0], s*u[1], s*u[2], s*u[3]
+		}
+	}
 }
 
-// apply writes a op b to d, component by component. Division by a zero
-// component gives zero.
-func (op binOp) apply(d, a, b *gpu.Vec4) {
+// apply is a op b, for an arithmetic operator.
+func (op binOp) apply(a, b float32) float32 {
 	switch op {
 	case opAdd:
-		d[0], d[1], d[2], d[3] = a[0]+b[0], a[1]+b[1], a[2]+b[2], a[3]+b[3]
+		return a + b
 	case opSub:
-		d[0], d[1], d[2], d[3] = a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
+		return a - b
 	case opMul:
-		d[0], d[1], d[2], d[3] = a[0]*b[0], a[1]*b[1], a[2]*b[2], a[3]*b[3]
+		return a * b
+	}
+	return div(a, b)
+}
+
+// dense reports whether live lists every lane of o: distinct lanes below
+// len(o), as many as it has. A loop over such lanes runs over o itself, in
+// order, and reads a draw-uniform operand's component once for them all.
+func dense(o []gpu.Vec4, live []uint8) bool { return len(live) == len(o) }
+
+// mulLanes writes component i of x * y to o, reading component xi of x and
+// yi of y, in the lanes listed in live.
+func mulLanes(o []gpu.Vec4, i int, x vin, xi int, y vin, yi int, live []uint8) {
+	i, xi, yi = i&3, xi&3, yi&3
+	switch {
+	case !dense(o, live):
+		for _, l := range live {
+			o[l][i] = x.at(l)[xi] * y.at(l)[yi]
+		}
+	case x.m == 0:
+		a, yc := x.c[0][xi], y.c[:len(o)]
+		for l := range yc {
+			o[l][i] = a * yc[l][yi]
+		}
+	case y.m == 0:
+		b, xc := y.c[0][yi], x.c[:len(o)]
+		for l := range xc {
+			o[l][i] = xc[l][xi] * b
+		}
 	default:
-		for i := range d {
-			d[i] = 0
-			if b[i] != 0 {
-				d[i] = a[i] / b[i]
-			}
+		xc, yc := x.c[:len(o)], y.c[:len(o)]
+		for l := range xc {
+			o[l][i] = xc[l][xi] * yc[l][yi]
 		}
 	}
+}
+
+// div is a / b, or zero where b is zero.
+func div(a, b float32) float32 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }
 
 // arity maps each builtin of fixed arity to its argument count and the
@@ -821,8 +915,10 @@ func (c *compiler) callVec(ex *callExpr, reg int) exprFn {
 		}
 	}
 	ks := make([]class, nargs)
+	ws := make([]int, nargs)
 	for i, a := range ex.args {
-		ks[i] = c.t.kind(a).class
+		k := c.t.kind(a)
+		ks[i], ws[i] = k.class, k.t.width()
 	}
 	if ex.fn == fnTexture2D {
 		// The sampler as it is, and the coordinates in every lane: spread
@@ -837,7 +933,7 @@ func (c *compiler) callVec(ex *callExpr, reg int) exprFn {
 			live = args(f, live)
 			s, uv := f.args[base], f.args[base+1]
 			uc, _ := f.planes(uv)
-			oc, _ := f.planes(out)
+			oc := f.plane(out)
 			for i := 0; i < len(live); {
 				j, smp := f.samplerRun(s, ks[0], live, i)
 				smp.Sample(oc, uc, live[i:j])
@@ -846,231 +942,245 @@ func (c *compiler) callVec(ex *callExpr, reg int) exprFn {
 			for _, l := range live {
 				f.fetches[l]++
 			}
-			f.cw[out] = 4
 			return out, live
 		}
 	}
 	args := c.operands(ex.args, reg, base, c.expr)
 	if ex.fn <= fnVec4 {
-		return c.construct(ex, args, ks, out)
+		return c.construct(ex, args, ks, ws, out)
 	}
-	kern := kernel(ex.fn)
+	kern, kw := kernel(ex.fn), [3]int(append(ws, 0, 0)[:3])
 	return func(f *Frame, live []uint8) (int, []uint8) {
 		live = args(f, live)
 		var xs [3]vin
 		for i, a := range f.args[base : base+nargs] {
 			xs[i] = f.in(a, ks[i])
 		}
-		oc, _ := f.planes(out)
-		f.cw[out] = kern(oc, xs, live)
+		oc := f.plane(out)
+		kern(oc, xs, kw, live)
 		return out, live
 	}
 }
 
-// A kernelFn computes a builtin that cannot fault once its arguments xs
-// have evaluated, in the lanes listed in live, into o, and returns the
-// result's width. Typed nodes run it once per span, dynamic ones once per
-// group of lanes whose arguments have the same widths.
-type kernelFn func(o []gpu.Vec4, xs [3]vin, live []uint8) uint8
+// A kernelFn computes a builtin that cannot fault once its arguments xs,
+// of widths ws, have evaluated, in the lanes listed in live, into the
+// components of o the result declares, and returns the result's width. A
+// scalar second argument splats. Typed nodes run it once per span, at
+// widths fixed at compile time; dynamic ones once per group of lanes whose
+// arguments have the same widths.
+type kernelFn func(o []gpu.Vec4, xs [3]vin, ws [3]int, live []uint8) int
 
 // kernel returns the kernel of fn, a builtin of fixed arity other than
 // texture2D.
 func kernel(fn builtin) kernelFn {
 	switch fn {
 	case fnClamp:
-		return func(o []gpu.Vec4, xs [3]vin, live []uint8) uint8 {
-			x, lo, hi := xs[0], xs[1], xs[2]
-			if lo.m|hi.m == 0 {
-				lo, hi := lo.c[0][0], hi.c[0][0]
-				for _, l := range live {
-					a, d := x.at(l), &o[l]
-					for i := range d {
-						d[i] = minf(maxf(a[i], lo), hi)
+		return func(o []gpu.Vec4, xs [3]vin, ws [3]int, live []uint8) int {
+			x, lo, hi, w := xs[0], xs[1], xs[2], ws[0]
+			if x.m != 0 && lo.m|hi.m == 0 && dense(o, live) {
+				xc, lo, hi := x.c[:len(o)], lo.c[0][0], hi.c[0][0]
+				for i := range w {
+					for l := range xc {
+						o[l][i] = minf(maxf(xc[l][i], lo), hi)
 					}
 				}
-				return x.w
+				return w
 			}
-			for _, l := range live {
-				a, d, lo, hi := x.at(l), &o[l], lo.at(l)[0], hi.at(l)[0]
-				for i := range d {
-					d[i] = minf(maxf(a[i], lo), hi)
+			for i := range w {
+				for _, l := range live {
+					o[l][i] = minf(maxf(x.at(l)[i], lo.at(l)[0]), hi.at(l)[0])
 				}
 			}
-			return x.w
+			return w
 		}
 	case fnMin, fnMax, fnPow:
-		return func(o []gpu.Vec4, xs [3]vin, live []uint8) uint8 {
-			x, y := xs[0], xs[1]
-			mb := splatMask(y.w, x.w)
-			for _, l := range live {
-				a, b, d := x.at(l), y.at(l), &o[l]
-				for i := range d {
+		return func(o []gpu.Vec4, xs [3]vin, ws [3]int, live []uint8) int {
+			x, y, w := xs[0], xs[1], ws[0]
+			for i := range w {
+				j := splat(i, ws[1])
+				for _, l := range live {
+					a, b := x.at(l)[i], y.at(l)[j]
 					switch fn {
 					case fnMin:
-						d[i] = minf(a[i], b[i&mb])
+						o[l][i] = minf(a, b)
 					case fnMax:
-						d[i] = maxf(a[i], b[i&mb])
+						o[l][i] = maxf(a, b)
 					default:
-						d[i] = float32(math.Pow(float64(a[i]), float64(b[i&mb])))
+						o[l][i] = float32(math.Pow(float64(a), float64(b)))
 					}
 				}
 			}
-			return x.w
+			return w
 		}
 	case fnDot:
-		return func(o []gpu.Vec4, xs [3]vin, live []uint8) uint8 {
+		return func(o []gpu.Vec4, xs [3]vin, ws [3]int, live []uint8) int {
 			x, y := xs[0], xs[1]
 			for _, l := range live {
 				a, b := x.at(l), y.at(l)
 				var s float32
-				for i := range x.w {
-					s += float32(a[i] * b[i])
+				for i := range ws[0] {
+					s += float32(a[i] * b[splat(i, ws[1])])
 				}
-				setSplat(&o[l], s)
+				o[l][0] = s
 			}
 			return 1
 		}
 	case fnMix:
-		return func(o []gpu.Vec4, xs [3]vin, live []uint8) uint8 {
-			x, y, z := xs[0], xs[1], xs[2]
-			mb := splatMask(y.w, x.w)
-			for _, l := range live {
-				a, b, d, t := x.at(l), y.at(l), &o[l], z.at(l)[0]
-				for i := range d {
-					d[i] = float32(a[i]*(1-t)) + float32(b[i&mb]*t)
+		return func(o []gpu.Vec4, xs [3]vin, ws [3]int, live []uint8) int {
+			x, y, z, w := xs[0], xs[1], xs[2], ws[0]
+			for i := range w {
+				j := splat(i, ws[1])
+				for _, l := range live {
+					t := z.at(l)[0]
+					o[l][i] = float32(x.at(l)[i]*(1-t)) + float32(y.at(l)[j]*t)
 				}
 			}
-			return x.w
+			return w
 		}
 	case fnFract, fnFloor, fnAbs, fnSin, fnCos:
-		return func(o []gpu.Vec4, xs [3]vin, live []uint8) uint8 {
-			x := xs[0]
-			for _, l := range live {
-				a, d := x.at(l), &o[l]
-				for i := range d {
-					d[i] = unaryMath(fn, a[i])
+		return func(o []gpu.Vec4, xs [3]vin, ws [3]int, live []uint8) int {
+			x, w := xs[0], ws[0]
+			for i := range w {
+				for _, l := range live {
+					o[l][i] = unaryMath(fn, x.at(l)[i])
 				}
 			}
-			return x.w
+			return w
 		}
 	default: // fnLength, fnNormalize
 		normalize := fn == fnNormalize
-		return func(o []gpu.Vec4, xs [3]vin, live []uint8) uint8 {
-			x := xs[0]
+		return func(o []gpu.Vec4, xs [3]vin, ws [3]int, live []uint8) int {
+			x, w := xs[0], ws[0]
 			for _, l := range live {
 				a, d := x.at(l), &o[l]
-				n := length(a, x.w)
+				n := length(a, w)
 				switch {
 				case !normalize:
-					setSplat(d, n)
+					d[0] = n
 				case n == 0:
 					*d = *a
 				default:
 					k := 1 / n
-					for i := range d {
+					for i := range w {
 						d[i] = a[i] * k
 					}
 				}
 			}
 			if normalize {
-				return x.w
+				return w
 			}
 			return 1
 		}
 	}
 }
 
+// splat is the component of an argument of width w that result component i
+// reads: i, or 0 for a scalar, which splats.
+func splat(i, w int) int {
+	if w == 1 {
+		return 0
+	}
+	return i
+}
+
 // construct compiles a typed vec2/vec3/vec4: the arguments' components, in
 // order, fill the vector, and a single scalar argument splats. Every width
-// is fixed for the span, so which argument component fills which result
-// component is decided once, and a call short of components faults every
-// lane.
-func (c *compiler) construct(ex *callExpr, args func(*Frame, []uint8) []uint8, ks []class, out int) exprFn {
-	w, base, nargs := int(ex.fn-fnVec2)+2, ex.base, len(ex.args)
-	short := shortErrors(ex, w)
+// is fixed at compile time, so which argument component fills which result
+// component is too, and a call short of components faults every lane.
+func (c *compiler) construct(ex *callExpr, args func(*Frame, []uint8) []uint8, ks []class, ws []int, out int) exprFn {
+	w, base := int(ex.fn-fnVec2)+2, ex.base
+	src, n := ctorPlan(w, ws[:min(len(ws), 4)])
+	if n < w {
+		err := shortErrors(ex, w)[n]
+		return func(f *Frame, live []uint8) (int, []uint8) {
+			return out, f.faultAll(args(f, live), err)
+		}
+	}
+	// When the first argument is read per lane and fills the first p
+	// components, each lane copies it whole, and the rest are set after.
+	p := 0
+	for p < w && ks[0] == vecCell && src[p] == (ctorSource{0, uint8(p)}) {
+		p++
+	}
 	return func(f *Frame, live []uint8) (int, []uint8) {
 		live = args(f, live)
 		var xs [4]vin
-		av := f.args[base : base+nargs]
-		for i, a := range av[:min(nargs, 4)] {
-			xs[i] = f.in(a, ks[i])
+		for i := range min(len(ks), 4) {
+			xs[i] = f.in(f.args[base+i], ks[i])
 		}
-		src, n := ctorPlan(w, xs[:min(nargs, 4)], nargs == 1)
-		if n < w {
-			return out, f.faultAll(live, short[n])
+		oc := f.plane(out)
+		if p > 0 {
+			copyLanes(oc, xs[0], live)
 		}
-		oc, _ := f.planes(out)
-		ctorLanes(oc, w, &src, live)
-		f.cw[out] = uint8(w)
+		for i := p; i < w; i++ {
+			copyComp(oc, i, xs[src[i].k], int(src[i].j), live)
+		}
 		return out, live
 	}
 }
 
 // A ctorSource is where a constructor takes one result component from:
-// component j of an argument read through lane mask m (see vin).
-type ctorSource struct {
-	c    []gpu.Vec4
-	m, j uint8
-}
+// component j of argument k.
+type ctorSource struct{ k, j uint8 }
 
-// ctorPlan returns, for a constructor of width w over its first arguments
-// xs (no later one can supply a component: each supplies at least one),
-// the source of each result component, and how many the arguments supply.
-// A single scalar argument splats; a width-0 argument reads as a scalar.
-func ctorPlan(w int, xs []vin, single bool) (src [4]ctorSource, n int) {
-	for _, x := range xs {
-		aw := int(max(x.w, 1))
-		if single && aw == 1 {
+// ctorPlan returns, for a constructor of width w over its first arguments,
+// of widths ws (no later one can supply a component: each supplies at
+// least one), the source of each result component, and how many the
+// arguments supply. A single scalar argument splats; a width-0 argument
+// reads as a scalar.
+func ctorPlan(w int, ws []int) (src [4]ctorSource, n int) {
+	for k, aw := range ws {
+		aw = max(aw, 1)
+		if len(ws) == 1 && aw == 1 {
 			for n < w {
-				src[n] = ctorSource{x.c, x.m, 0}
+				src[n] = ctorSource{uint8(k), 0}
 				n++
 			}
 			break
 		}
 		for j := 0; j < aw && n < w; j++ {
-			src[n] = ctorSource{x.c, x.m, uint8(j)}
+			src[n] = ctorSource{uint8(k), uint8(j)}
 			n++
 		}
 	}
 	return src, n
 }
 
-// ctorLanes writes, in the lanes listed in live, the vector of width w that
-// src describes, with zero components beyond w.
-func ctorLanes(o []gpu.Vec4, w int, src *[4]ctorSource, live []uint8) {
-	// When the first argument read per lane fills components [0, k) and
-	// every later component is draw-uniform, a lane copies that argument
-	// whole and sets the rest from a template.
-	var tmpl gpu.Vec4
-	k := 0
-	for k < w && src[k].m != 0 && src[k].j == uint8(k) && &src[k].c[0] == &src[0].c[0] {
-		k++
-	}
-	for i := k; i < w; i++ {
-		if src[i].m != 0 {
-			k = -1
-			break
-		}
-		tmpl[i] = src[i].c[0][src[i].j]
-	}
-	if k > 0 {
-		a := src[0].c
+// copyComp writes component j of x to component i of o in the lanes listed
+// in live.
+func copyComp(o []gpu.Vec4, i int, x vin, j int, live []uint8) {
+	i, j = i&3, j&3
+	switch {
+	case !dense(o, live):
 		for _, l := range live {
-			d := &o[l]
-			*d = a[l]
-			for i := k; i < 4; i++ {
-				d[i] = tmpl[i]
-			}
+			o[l][i] = x.at(l)[j]
 		}
-		return
+	case x.m == 0:
+		v := x.c[0][j]
+		for l := range o {
+			o[l][i] = v
+		}
+	default:
+		xc := x.c[:len(o)]
+		for l := range xc {
+			o[l][i] = xc[l][j]
+		}
 	}
-	for _, l := range live {
-		d := &o[l]
-		*d = gpu.Vec4{}
-		for i := range w {
-			s := &src[i]
-			d[i] = s.c[l&s.m][s.j]
+}
+
+// copyLanes copies x whole to o in the lanes listed in live.
+func copyLanes(o []gpu.Vec4, x vin, live []uint8) {
+	switch {
+	case !dense(o, live):
+		for _, l := range live {
+			o[l] = *x.at(l)
 		}
+	case x.m == 0:
+		for l := range o {
+			o[l] = x.c[0]
+		}
+	default:
+		copy(o, x.c)
 	}
 }
 
@@ -1103,7 +1213,7 @@ func unaryMath(fn builtin, x32 float32) float32 {
 
 // length is the Euclidean length of a's first w components, summed in
 // float64.
-func length(a *gpu.Vec4, w uint8) float32 {
+func length(a *gpu.Vec4, w int) float32 {
 	var s float64
 	for i := range w {
 		s += float64(float64(a[i]) * float64(a[i]))
@@ -1119,8 +1229,8 @@ func truth(b bool) float32 {
 	return 0
 }
 
-// widen returns components c of width w as a vec4: a vec3 gets w=1, as
-// Value.Vec4 does.
+// widen returns components c of width w as a vec4: a vec3 is a point,
+// with w=1, and the rest of c is kept.
 func widen(c gpu.Vec4, w uint8) gpu.Vec4 {
 	if w == 3 {
 		c[3] = 1

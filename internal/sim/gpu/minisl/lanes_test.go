@@ -67,16 +67,15 @@ void main() {
   gl_FragColor = vec4(q, q);
   if (v_a.w > 0.2) { gl_FragColor.y = -q; }
 }`,
-	// Raw float conditions, a declaration without an initializer, and
-	// components beyond a value's width, which a wider write exposes.
+	// Raw float conditions, and a declaration without an initializer.
 	`varying vec4 v_a;
 void main() {
   float k;
   vec2 s = vec2(v_a.x);
   if (v_a.x - 0.5) { k = v_a.y; } else { k = -v_a.y; }
   for (float i = v_a.z - 1.0; i; i = 0.0) { k += 1.0; }
-  gl_FragColor = s;
-  if (v_a.w > 0.5) { vec3 t = v_a.xyz; gl_FragColor = t; }
+  gl_FragColor = vec4(s, s);
+  if (v_a.w > 0.5) { vec3 t = v_a.xyz; gl_FragColor = vec4(t, 1.0); }
   gl_FragColor.x = k;
 }`,
 	// Every builtin, with operands that differ per lane.
@@ -334,7 +333,7 @@ func colourOf(f *Frame, l int) gpu.Vec4 {
 // rasterizer does, and returns each one's colour word, colour (colourOf),
 // fetch count and runtime error.
 func shadeFragments(f *Frame, vary []gpu.Vec4, stride, n int) (words []uint32, cols []gpu.Vec4, fetches []int, errs []error) {
-	index, planes := f.Inputs(stride)
+	index, _, planes := f.Inputs(stride)
 	for base := 0; base < n; base += gpu.SpanSize {
 		m := min(gpu.SpanSize, n-base)
 		for i, k := range index {
@@ -374,8 +373,8 @@ func checkSpan(t *testing.T, b *Binding, vary []gpu.Vec4, stride, n int) {
 	}
 }
 
-// checkVertex runs one vertex and compares gl_Position, the varyings and
-// the error with the reference evaluator.
+// checkVertex runs one vertex and compares gl_Position, the varyings' declared
+// components and the error with the reference evaluator.
 func checkVertex(t *testing.T, b *Binding, attribs []Value) {
 	t.Helper()
 	n := len(b.p.VaryNames)
@@ -385,8 +384,9 @@ func checkVertex(t *testing.T, b *Binding, attribs []Value) {
 	fr.Release()
 	wpos, werr := refRunVertex(b, attribs, want)
 	same := sameVec(pos, wpos) && errString(err) == errString(werr)
-	for i := range got {
-		same = same && (err != nil || sameVec(got[i], want[i]))
+	for i, name := range b.p.VaryNames {
+		k := slices.IndexFunc(b.p.VS.Varyings, func(d Decl) bool { return d.Name == name })
+		same = same && (err != nil || sameComps(got[i], want[i], widthOf(b.p.VS.Varyings[k].Type)))
 	}
 	if !same {
 		t.Fatalf("vertex: got (%v, %v, %v), reference (%v, %v, %v)", pos, got, err, wpos, want, werr)
@@ -396,9 +396,8 @@ func checkVertex(t *testing.T, b *Binding, attribs []Value) {
 // TestSpanMatchesReference holds the lane evaluator to the reference tree
 // walker, lane by lane: every shader the tree ships and the divergent ones,
 // over spans of 1, 7, 64 and 65 fragments (one more than a frame's lanes)
-// with seeded random varyings, and then over spans of 7 and 65 under each
-// binding of bindingSweep, which binds uniforms at widths and kinds other
-// than their declared types.
+// with seeded random varyings, and then over spans of 7 and 65 with other
+// uniform values (bindings).
 func TestSpanMatchesReference(t *testing.T) {
 	tex := refTexture()
 	for i, src := range refShaders(t) {
@@ -417,7 +416,7 @@ func TestSpanMatchesReference(t *testing.T) {
 			}
 			b := bindAll(p, tex)
 			if sh.Kind == Vertex {
-				for _, b := range bindingSweep(p, tex) {
+				for _, b := range bindings(p, tex) {
 					for range 16 {
 						attribs := make([]Value, len(p.VS.Attributes))
 						for a, v := range randomVaryings(rng, len(attribs), 1) {
@@ -432,7 +431,7 @@ func TestSpanMatchesReference(t *testing.T) {
 			for _, n := range []int{1, 7, gpu.SpanSize, gpu.SpanSize + 1} {
 				checkSpan(t, b, randomVaryings(rng, n, stride), stride, n)
 			}
-			for _, b := range bindingSweep(p, tex)[1:] {
+			for _, b := range bindings(p, tex)[1:] {
 				for _, n := range []int{7, gpu.SpanSize + 1} {
 					checkSpan(t, b, randomVaryings(rng, n, stride), stride, n)
 				}
@@ -444,7 +443,9 @@ func TestSpanMatchesReference(t *testing.T) {
 // TestShadersAreTyped checks which cells keep a width and a reference per
 // lane. Every fragment shader the programs ship — PassMark's complex scene,
 // the texel copies and GLES 1's two programs among them — compiles with
-// none, and no dynamic node. The divergent shaders still reach the dynamic
+// none, and no dynamic node: the static type of every slot and every
+// expression, and so every width, is fixed at Compile. The divergent
+// shaders still reach the dynamic
 // nodes through each construct the compiler cannot type: a slot declared
 // with two widths on divergent paths, a mat4 or sampler2D local, which
 // takes its value's width, and a slot that holds a matrix in some lanes and
@@ -467,6 +468,17 @@ func TestShadersAreTyped(t *testing.T) {
 			if sh.dynamic != 0 {
 				t.Errorf("%s: %d dynamic nodes in\n%s", file, sh.dynamic, src)
 			}
+			for name, s := range sh.slots {
+				if sh.typ[s] == tAny {
+					t.Errorf("%s: %s has no static type in\n%s", file, name, src)
+				}
+			}
+			ty := typeSlots(sh)
+			forExprs(sh.body, func(e expr) {
+				if k := ty.kind(e); k.class == dynCell || k.t == tAny {
+					t.Errorf("%s: an expression of kind %+v, whose width Compile does not fix, in\n%s", file, k, src)
+				}
+			})
 		}
 	}
 	for _, tc := range []struct{ marker, slot string }{
@@ -485,6 +497,42 @@ func TestShadersAreTyped(t *testing.T) {
 				i, tc.slot, sh.class[sh.slots[tc.slot]], sh.dynamic)
 		}
 	}
+}
+
+// forExprs calls fn on every expression of body, at every depth.
+func forExprs(body []stmt, fn func(expr)) {
+	var visit func(e expr)
+	visit = func(e expr) {
+		if e == nil {
+			return
+		}
+		fn(e)
+		switch ex := e.(type) {
+		case *swizzleExpr:
+			visit(ex.base)
+		case *unaryExpr:
+			visit(ex.x)
+		case *binExpr:
+			visit(ex.l)
+			visit(ex.r)
+		case *callExpr:
+			for _, a := range ex.args {
+				visit(a)
+			}
+		}
+	}
+	walk(body, func(s stmt) {
+		switch st := s.(type) {
+		case *declStmt:
+			visit(st.init)
+		case *assignStmt:
+			visit(st.val)
+		case *ifStmt:
+			visit(st.cond)
+		case *forStmt:
+			visit(st.cond)
+		}
+	})
 }
 
 // soleTexelCopy matches a shader whose body is the single statement
@@ -682,7 +730,7 @@ void main() {
 }`, Fragment))
 	fr := bindAll(p, refTexture()).Frame(Fragment)
 	defer fr.Release()
-	_, planes := fr.Inputs(1)
+	_, _, planes := fr.Inputs(1)
 	copy(planes[0], []gpu.Vec4{{0.1, 0.1, 0}, {0.1, 0.1, 1}, {0.9, 0.9, 0}})
 	col, fetches := fr.Shade(3)
 	if len(col) != 3 || len(fetches) != 3 {
@@ -699,56 +747,99 @@ void main() {
 }
 
 // TestInputsAreTheVaryingsRead checks that a fragment stage hands the
-// rasterizer a plane only for the varyings its shader reads: of three
-// varyings, a shader reading the second gets that plane alone, and what is
-// written there is what it shades. A varying the primitives do not carry
-// gets no plane and reads as zero, and a name the shader does not declare a
-// varying gets none either.
+// rasterizer a plane only for the varyings its shader reads, at the widths
+// it declares them with: of three varyings, a shader reading the second, a
+// vec2, gets that plane alone, with width 2, and what is written to the
+// plane's first two components is what it shades, whatever the others
+// hold. A varying the primitives do not carry gets no plane and reads as
+// zero, and a name the shader does not declare a varying gets none either.
 func TestInputsAreTheVaryingsRead(t *testing.T) {
-	vs := compile(t, `varying vec4 v_a; varying vec4 v_b; varying vec4 v_c;
-void main() { gl_Position = vec4(0.0); v_a = vec4(1.0); v_b = vec4(2.0); v_c = vec4(3.0); }`, Vertex)
-	fs := compile(t, `varying vec4 v_b; void main() { gl_FragColor = v_b; }`, Fragment)
+	vs := compile(t, `varying vec4 v_a; varying vec2 v_b; varying float v_c;
+void main() { gl_Position = vec4(0.0); v_a = vec4(1.0); v_b = vec2(2.0); v_c = 3.0; }`, Vertex)
+	fs := compile(t, `varying vec2 v_b; void main() { gl_FragColor = vec4(v_b, v_b); }`, Fragment)
 	p, err := Link(vs, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := p.Bind().Frame(Fragment)
 	defer f.Release()
-	index, planes := f.Inputs(3)
-	if len(index) != 1 || index[0] != 1 || len(planes) != 1 || len(planes[0]) != gpu.SpanSize {
-		t.Fatalf("Inputs(3) = %v and %d planes, want [1] and one plane of %d lanes", index, len(planes), gpu.SpanSize)
+	index, width, planes := f.Inputs(3)
+	if !slices.Equal(index, []int{1}) || !slices.Equal(width, []int{2}) || len(planes) != 1 || len(planes[0]) != gpu.SpanSize {
+		t.Fatalf("Inputs(3) = %v, widths %v and %d planes, want [1], [2] and one plane of %d lanes", index, width, len(planes), gpu.SpanSize)
 	}
 	for l := range planes[0] {
-		planes[0][l] = gpu.Vec4{float32(l), 0.5, -1, 2}
+		planes[0][l] = gpu.Vec4{float32(l), 0.5, float32(math.NaN()), float32(l)}
 	}
 	col, _ := f.Shade(gpu.SpanSize)
 	for l, c := range col {
-		want := gpu.Vec4{float32(l), 0.5, -1, 2}
+		want := gpu.Vec4{float32(l), 0.5, float32(l), 0.5}
 		if colourOf(f, l) != want || c != pack(want) {
-			t.Fatalf("lane %d shaded %v (%08x), want the value written to its plane", l, colourOf(f, l), c)
+			t.Fatalf("lane %d shaded %v (%08x), want the components written to its plane", l, colourOf(f, l), c)
 		}
 	}
-	if index, planes = f.Inputs(1); len(index) != 0 || len(planes) != 0 {
+	if index, _, planes = f.Inputs(1); len(index) != 0 || len(planes) != 0 {
 		t.Fatalf("Inputs(1) = %v: v_b is varying 1, which the primitives do not carry", index)
 	}
 	if col, _ = f.Shade(2); col[0] != 0 || col[1] != 0 || colourOf(f, 0) != (gpu.Vec4{}) || colourOf(f, 1) != (gpu.Vec4{}) {
 		t.Fatalf("a varying the primitives lack shaded %08x, want zero", col)
 	}
+	// Every width a varying can be declared with is reported.
+	p, err = Link(vs, compile(t, `varying vec4 v_a; varying vec2 v_b; varying float v_c;
+void main() { gl_FragColor = v_a + vec4(v_b, v_c, 1.0); }`, Fragment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := p.Bind().Frame(Fragment)
+	defer h.Release()
+	if index, width, _ = h.Inputs(3); !slices.Equal(index, []int{0, 1, 2}) || !slices.Equal(width, []int{4, 2, 1}) {
+		t.Fatalf("Inputs(3) = %v, widths %v; want [0 1 2] and [4 2 1]", index, width)
+	}
 	// A name the fragment shader reads without declaring it a varying is no
 	// input, even when the vertex shader writes a varying of that name.
-	p, err = Link(vs, compile(t, `varying vec4 v_b; void main() { gl_FragColor = v_b + v_c; }`, Fragment))
+	p, err = Link(vs, compile(t, `varying vec2 v_b; void main() { gl_FragColor = vec4(v_b + v_c, v_b); }`, Fragment))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := p.Bind().Frame(Fragment)
 	defer g.Release()
-	if index, _ = g.Inputs(3); len(index) != 1 || index[0] != 1 {
+	if index, _, _ = g.Inputs(3); len(index) != 1 || index[0] != 1 {
 		t.Fatalf("Inputs(3) = %v, want [1]: v_c is not declared", index)
 	}
 	if g.Shade(1); g.errs[0] == nil || !strings.Contains(g.errs[0].Error(), "undefined variable v_c") {
 		t.Fatalf("reading undeclared v_c: error %v, want undefined variable", g.errs[0])
 	}
 }
+
+// TestBindingRefusesOtherTypes checks that Set refuses a value whose type
+// is not the uniform's declaration — as glUniform does — and leaves the
+// binding as it was, for every uniform of the shipped programs and of a
+// shader declaring one uniform of each type.
+func TestBindingRefusesOtherTypes(t *testing.T) {
+	tex := refTexture()
+	fs := compile(t, everyUniformType, Fragment)
+	p, ok := withPartner(t, fs)
+	if !ok {
+		t.Fatal("does not link")
+	}
+	progs := []*Program{p}
+	for _, file := range treeShaderFiles[:6] {
+		progs = append(progs, linkFile(t, file))
+	}
+	for _, p := range progs {
+		b := bindAll(p, tex)
+		checkRefusals(t, b, tex)
+	}
+	if len(p.UniformTypes) != 6 {
+		t.Fatalf("%v: want a uniform of each of the six types", p.UniformTypes)
+	}
+}
+
+// everyUniformType declares a uniform of each type, and reads them all.
+const everyUniformType = `uniform float u_f; uniform vec2 u_2; uniform vec3 u_3; uniform vec4 u_4;
+uniform mat4 u_m; uniform sampler2D u_s; varying vec4 v_a;
+void main() {
+  gl_FragColor = u_m * (texture2D(u_s, v_a.xy + u_2) + vec4(u_3, u_f) * u_4);
+}`
 
 // BenchmarkShadeSpan shades full spans with the shaders the workloads run:
 // the present blit, PassMark's complex scene and the WebKit tile shader.
@@ -765,7 +856,7 @@ func BenchmarkShadeSpan(b *testing.B) {
 			defer f.Release()
 			stride := len(p.VaryNames)
 			vary := randomVaryings(rand.New(rand.NewSource(1)), gpu.SpanSize, stride)
-			index, planes := f.Inputs(stride)
+			index, _, planes := f.Inputs(stride)
 			for i, k := range index {
 				for l := range planes[i] {
 					planes[i][l] = vary[l*stride+k]
@@ -821,6 +912,48 @@ func BenchmarkDrawBlit(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w*h), "ns/pixel")
 		})
 	}
+}
+
+// BenchmarkDrawComplex3D draws PassMark's complex 3D scene on one worker:
+// a field of depth-tested quads through the shipped complexVS/complexFS,
+// each quad's shade varying from corner to corner, into a 320x200 target.
+// It reports the cost per fragment shaded, which covers the whole
+// interpolate, shade and pack path of the rasterizer.
+func BenchmarkDrawComplex3D(b *testing.B) {
+	const w, h, grid = 320, 200, 6
+	p := linkFile(&testing.T{}, "../../../workloads/passmark/passmark.go")
+	bind := bindAll(p, nil)
+	var verts []gpu.TVert
+	var idx []int
+	vf := bind.Frame(Vertex)
+	for q := range grid * grid {
+		// Quads of the grid overlap their neighbours, nearer ones later.
+		x0, y0 := -1+1.6*float32(q%grid)/grid, -1+1.6*float32(q/grid)/grid
+		z := 0.9 - float32(q)/(grid*grid)
+		base := len(verts)
+		for k := range 4 {
+			pos := Vec(4, x0+0.5*float32(k&1), y0+0.5*float32(k>>1), z, 1)
+			v := gpu.TVert{Vary: make([]gpu.Vec4, len(p.VaryNames))}
+			var err error
+			if v.Pos, err = vf.RunVertex([]Value{pos, Float(float32(k) / 3)}, v.Vary); err != nil {
+				b.Fatal(err)
+			}
+			verts = append(verts, v)
+		}
+		idx = append(idx, base, base+1, base+2, base+1, base+3, base+2)
+	}
+	vf.Release()
+	tgt := gpu.NewTarget(gpu.NewImage(w, h))
+	var stats gpu.Stats
+	b.ReportAllocs()
+	for b.Loop() {
+		tgt.ClearDepth(1)
+		stats = gpu.DrawTriangles(tgt, verts, idx, bind, gpu.RenderState{DepthTest: true})
+	}
+	if stats.ShaderEvals == 0 {
+		b.Fatal("no fragment shaded")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stats.ShaderEvals), "ns/fragment")
 }
 
 // TestTranscendentalsPinned pins the float32 results of the builtins that

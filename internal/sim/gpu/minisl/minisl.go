@@ -6,13 +6,16 @@
 // identifier is resolved to a slot index, and the AST is turned into a tree
 // of Go closures that each run one node over a span of invocations at once —
 // one lane per fragment, up to gpu.SpanSize lanes, like a GPU's SIMD group.
-// Compile types every slot, constant and temporary: a typed cell has one
-// width in every lane and no reference, a draw-uniform one (a constant, a
-// uniform the shader never writes, a node over only those) is held once
-// and read with stride 0, and only the rest keep a width and a reference
-// (the matrix or sampler a value points to, with a mask of the lanes that
-// hold one) per lane. Most nodes therefore fix their widths once per span
-// and move only components.
+// Compile types every expression as GLSL ES 1.00 does, and rejects a
+// program that reads a component past a value's declared width where
+// widths are known (see typing.go). It classes every slot, constant and
+// temporary: a typed cell has its static width in every lane and no
+// reference, a draw-uniform one (a constant, a uniform the shader never
+// writes, a node over only those) is held once and read with stride 0, and
+// only the rest keep a width and a reference (the matrix or sampler a
+// value points to, with a mask of the lanes that hold one) per lane. A
+// typed node computes only its declared components, at widths fixed at
+// compile time.
 // It also keeps a "defined" bit per slot and lane, and per lane a step
 // budget, a fetch count and a runtime error (with a mask of the lanes that
 // faulted), so invocations that diverge (branches, loops, faults) still
@@ -22,8 +25,9 @@
 // once per run of lanes that share it (gpu.Texture.Sampler). A draw binds
 // its uniforms into slot order once (Program.Bind); each raster tile then
 // takes its own Frame and shades the tile's spans through it: the
-// rasterizer interpolates the varyings the shader reads straight into their
-// slots' component planes (Frame.Inputs), and Frame.Shade hands back each
+// rasterizer interpolates the varyings the shader reads, at their declared
+// widths, straight into their slots' component planes (Frame.Inputs), and
+// Frame.Shade hands back each
 // lane's colour as the RGBA8 word the target stores. A fragment shader
 // that is the single statement gl_FragColor = texture2D(s, v) — the present
 // blit, the canvas uploads — tells the rasterizer so (Binding.TexelCopy),
@@ -42,7 +46,8 @@
 // reads; calls to the builtins texture2D, vec2, vec3, vec4, clamp, min, max,
 // dot, mix, fract, floor, abs, sin, cos, pow, length, normalize; and the
 // specials gl_Position (vertex) and gl_FragColor (fragment). A `precision`
-// statement is accepted and ignored.
+// statement is accepted and ignored. A uniform is bound at its declared
+// type only (Binding.Set).
 package minisl
 
 import (
@@ -97,7 +102,7 @@ type Shader struct {
 	slots      map[string]int // identifier -> slot
 	written    []bool         // slot-indexed: an assignment or declaration target
 	class      []class        // slot-indexed: how a frame holds the slot (see typeSlots)
-	widths     []uint8        // slot-indexed: a typed slot's width
+	typ        []vtype        // slot-indexed: the slot's static type
 	dynamic    int            // nodes and statements compiled to read widths per lane
 	scratch    int            // call-argument cells one run needs
 }
@@ -123,10 +128,12 @@ func (e *CompileError) Error() string {
 type stmt interface{ isStmt() }
 
 type declStmt struct {
-	slot  int
-	zero  Value // the declared type's zero value
-	width int   // coercion width of the declared type; 0 for mat4/sampler2D
-	init  expr  // may be nil
+	slot int
+	name string
+	typ  vtype
+	zero Value // the declared type's zero value
+	init expr  // may be nil
+	line int
 }
 
 type assignStmt struct {
@@ -169,8 +176,10 @@ type varExpr struct {
 
 type swizzleExpr struct {
 	base expr
+	text string
 	idx  [4]uint8 // component indices
 	n    int      // swizzle length
+	line int
 }
 
 type binOp uint8
@@ -352,11 +361,6 @@ type parser struct {
 	consts   map[uint32]int // literal bits -> index into sh.consts
 }
 
-var typeNames = map[string]bool{
-	"float": true, "vec2": true, "vec3": true, "vec4": true,
-	"mat4": true, "sampler2D": true,
-}
-
 // specialOut names each stage's built-in output.
 func specialOut(k Kind) string {
 	if k == Vertex {
@@ -365,20 +369,31 @@ func specialOut(k Kind) string {
 	return "gl_FragColor"
 }
 
-// Compile compiles MiniSL source into a Shader.
-func Compile(src string, kind Kind) (*Shader, error) {
+// Compile compiles MiniSL source into a Shader. A parse or type error
+// panics with its *CompileError (see fail), which Compile returns.
+func Compile(src string, kind Kind) (sh *Shader, err error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			ce, ok := r.(*CompileError)
+			if !ok {
+				panic(r)
+			}
+			sh, err = nil, ce
+		}
+	}()
 	p := &parser{toks: toks, sh: &Shader{Kind: kind, Tokens: len(toks), src: src, slots: map[string]int{}}, consts: map[uint32]int{}}
 	p.slot(specialOut(kind))
-	if err := p.parseTop(); err != nil {
-		return nil, err
-	}
+	p.parseTop()
 	compileBody(p.sh)
 	return p.sh, nil
 }
+
+// fail aborts the compilation with a CompileError at line.
+func fail(line int, msg string) { panic(&CompileError{Line: line, Msg: msg}) }
 
 // slot resolves an identifier to its frame slot, allocating one on first use.
 func (p *parser) slot(name string) int {
@@ -391,16 +406,18 @@ func (p *parser) slot(name string) int {
 	return s
 }
 
-// constant returns a literal, numbered once per distinct value.
+// constant returns a literal, numbered once per distinct value. Like every
+// value a shader computes, it has no hidden component but zero.
 func (p *parser) constant(f float32) *numExpr {
+	v := Vec(1, f)
 	bits := math.Float32bits(f)
 	k, ok := p.consts[bits]
 	if !ok {
 		k = len(p.sh.consts)
 		p.consts[bits] = k
-		p.sh.consts = append(p.sh.consts, Float(f))
+		p.sh.consts = append(p.sh.consts, v)
 	}
-	return &numExpr{v: Float(f), k: k}
+	return &numExpr{v: v, k: k}
 }
 
 // target resolves an assignment or declaration target.
@@ -421,16 +438,18 @@ func (p *parser) accept(kind, text string) bool {
 	return false
 }
 
-func (p *parser) expect(kind, text string) (token, error) {
+// expect consumes a token of kind with text (any text when empty), or
+// fails.
+func (p *parser) expect(kind, text string) token {
 	t := p.cur()
 	if t.kind != kind || (text != "" && t.text != text) {
-		return t, &CompileError{Line: t.line, Msg: fmt.Sprintf("expected %q, found %q", text, t.text)}
+		fail(t.line, fmt.Sprintf("expected %q, found %q", text, t.text))
 	}
 	p.pos++
-	return t, nil
+	return t
 }
 
-func (p *parser) parseTop() error {
+func (p *parser) parseTop() {
 	for p.cur().kind != "eof" {
 		t := p.cur()
 		switch {
@@ -440,25 +459,22 @@ func (p *parser) parseTop() error {
 			}
 		case t.text == "attribute" || t.text == "uniform" || t.text == "varying":
 			qual := p.next().text
-			typ, err := p.expect("ident", "")
-			if err != nil {
-				return err
+			typ := p.expect("ident", "")
+			if _, ok := typeNames[typ.text]; !ok {
+				fail(typ.line, "unknown type "+typ.text)
 			}
-			if !typeNames[typ.text] {
-				return &CompileError{Line: typ.line, Msg: "unknown type " + typ.text}
-			}
-			name, err := p.expect("ident", "")
-			if err != nil {
-				return err
-			}
-			if _, err := p.expect("punct", ";"); err != nil {
-				return err
-			}
+			name := p.expect("ident", "")
+			p.expect("punct", ";")
 			d := Decl{Name: name.text, Type: typ.text}
+			for _, prev := range slices.Concat(p.sh.Attributes, p.sh.Uniforms, p.sh.Varyings) {
+				if prev.Name == d.Name && prev.Type != d.Type {
+					fail(name.line, "redefinition of "+d.Name+" with another type")
+				}
+			}
 			switch qual {
 			case "attribute":
 				if p.sh.Kind != Vertex {
-					return &CompileError{Line: name.line, Msg: "attribute in fragment shader"}
+					fail(name.line, "attribute in fragment shader")
 				}
 				p.sh.Attributes = append(p.sh.Attributes, d)
 			case "uniform":
@@ -469,300 +485,194 @@ func (p *parser) parseTop() error {
 			p.slot(d.Name)
 		case t.text == "void":
 			p.pos++
-			if _, err := p.expect("ident", "main"); err != nil {
-				return err
-			}
-			if _, err := p.expect("punct", "("); err != nil {
-				return err
-			}
-			if _, err := p.expect("punct", ")"); err != nil {
-				return err
-			}
-			body, err := p.parseBlock()
-			if err != nil {
-				return err
-			}
-			p.sh.body = body
+			p.expect("ident", "main")
+			p.expect("punct", "(")
+			p.expect("punct", ")")
+			p.sh.body = p.parseBlock()
 		default:
-			return &CompileError{Line: t.line, Msg: "unexpected token " + t.text}
+			fail(t.line, "unexpected token "+t.text)
 		}
 	}
 	if p.sh.body == nil {
-		return &CompileError{Line: 1, Msg: "no main function"}
+		fail(1, "no main function")
 	}
-	return nil
 }
 
-func (p *parser) parseBlock() ([]stmt, error) {
-	if _, err := p.expect("punct", "{"); err != nil {
-		return nil, err
-	}
+func (p *parser) parseBlock() []stmt {
+	p.expect("punct", "{")
 	var out []stmt
 	for !p.accept("punct", "}") {
 		if p.cur().kind == "eof" {
-			return nil, &CompileError{Line: p.cur().line, Msg: "unterminated block"}
+			fail(p.cur().line, "unterminated block")
 		}
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		out = append(out, p.parseStmt())
 	}
-	return out, nil
+	return out
 }
 
-func (p *parser) parseStmt() (stmt, error) {
-	t := p.cur()
-	switch {
-	case t.text == "if":
+// parenExpr parses a parenthesized expression.
+func (p *parser) parenExpr() expr {
+	p.expect("punct", "(")
+	e := p.parseExpr()
+	p.expect("punct", ")")
+	return e
+}
+
+func (p *parser) parseStmt() stmt {
+	switch p.cur().text {
+	case "if":
 		p.pos++
-		if _, err := p.expect("punct", "("); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("punct", ")"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		var els []stmt
+		st := &ifStmt{cond: p.parenExpr(), then: p.parseBlock()}
 		if p.accept("ident", "else") {
-			els, err = p.parseBlock()
-			if err != nil {
-				return nil, err
-			}
+			st.els = p.parseBlock()
 		}
-		return &ifStmt{cond: cond, then: then, els: els}, nil
-	case t.text == "for":
+		return st
+	case "for":
 		p.pos++
-		if _, err := p.expect("punct", "("); err != nil {
-			return nil, err
-		}
-		init, err := p.parseSimpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("punct", ";"); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("punct", ";"); err != nil {
-			return nil, err
-		}
-		post, err := p.parseSimpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("punct", ")"); err != nil {
-			return nil, err
-		}
-		body, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		return &forStmt{init: init, cond: cond, post: post, body: body}, nil
-	default:
-		s, err := p.parseSimpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("punct", ";"); err != nil {
-			return nil, err
-		}
-		return s, nil
+		p.expect("punct", "(")
+		st := &forStmt{init: p.parseSimpleStmt()}
+		p.expect("punct", ";")
+		st.cond = p.parseExpr()
+		p.expect("punct", ";")
+		st.post = p.parseSimpleStmt()
+		p.expect("punct", ")")
+		st.body = p.parseBlock()
+		return st
 	}
+	s := p.parseSimpleStmt()
+	p.expect("punct", ";")
+	return s
 }
 
 // parseSimpleStmt parses a declaration or assignment without the trailing
 // semicolon (shared by for-headers and expression statements).
-func (p *parser) parseSimpleStmt() (stmt, error) {
-	t := p.cur()
-	if typeNames[t.text] {
+func (p *parser) parseSimpleStmt() stmt {
+	if ty, ok := typeNames[p.cur().text]; ok {
 		typ := p.next().text
-		name, err := p.expect("ident", "")
-		if err != nil {
-			return nil, err
-		}
+		name := p.expect("ident", "")
 		var init expr
 		if p.accept("punct", "=") {
-			init, err = p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
+			init = p.parseExpr()
 		}
-		d := &declStmt{slot: p.target(name.text), zero: zeroOf(typ), init: init}
-		if typ != "mat4" && typ != "sampler2D" {
-			d.width = widthOf(typ)
-		}
-		return d, nil
+		return &declStmt{slot: p.target(name.text), name: name.text, typ: ty, zero: zeroOf(typ), init: init, line: name.line}
 	}
-	name, err := p.expect("ident", "")
-	if err != nil {
-		return nil, err
-	}
+	name := p.expect("ident", "")
 	sw := ""
 	if p.accept("punct", ".") {
-		swt, err := p.expect("ident", "")
-		if err != nil {
-			return nil, err
-		}
+		swt := p.expect("ident", "")
 		if !validSwizzle(swt.text) {
-			return nil, &CompileError{Line: swt.line, Msg: "invalid swizzle ." + swt.text}
+			fail(swt.line, "invalid swizzle ."+swt.text)
 		}
 		sw = swt.text
 	}
 	slot := p.target(name.text)
 	self := &varExpr{slot: slot, name: name.text, line: name.line}
 	// Compound assignment and increment forms.
-	op := p.cur().text
-	switch op {
+	st := &assignStmt{slot: slot, name: name.text, swizzle: sw, line: name.line}
+	switch op := p.cur().text; op {
 	case "=", "+=", "-=", "*=", "/=":
 		p.pos++
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
+		st.val = p.parseExpr()
 		if op != "=" {
-			val = &binExpr{op: binOps[op[:1]], l: self, r: val, line: name.line}
+			st.val = &binExpr{op: binOps[op[:1]], l: self, r: st.val, line: name.line}
 		}
-		return &assignStmt{slot: slot, name: name.text, swizzle: sw, val: val, line: name.line}, nil
 	case "++", "--":
 		p.pos++
 		o := opAdd
 		if op == "--" {
 			o = opSub
 		}
-		return &assignStmt{
-			slot: slot, name: name.text, swizzle: sw, line: name.line,
-			val: &binExpr{op: o, l: self, r: p.constant(1), line: name.line},
-		}, nil
+		st.val = &binExpr{op: o, l: self, r: p.constant(1), line: name.line}
+	default:
+		fail(name.line, "expected assignment after "+name.text)
 	}
-	return nil, &CompileError{Line: name.line, Msg: "expected assignment after " + name.text}
+	return st
 }
 
 // Expression grammar: cmp > addsub > muldiv > unary > postfix > primary.
-func (p *parser) parseExpr() (expr, error) { return p.parseCmp() }
+func (p *parser) parseExpr() expr { return p.parseCmp() }
 
-func (p *parser) parseCmp() (expr, error) {
+func (p *parser) parseCmp() expr {
 	return p.parseBinary(p.parseAdd, "<", ">", "<=", ">=", "==", "!=")
 }
 
-func (p *parser) parseAdd() (expr, error) { return p.parseBinary(p.parseMul, "+", "-") }
+func (p *parser) parseAdd() expr { return p.parseBinary(p.parseMul, "+", "-") }
 
-func (p *parser) parseMul() (expr, error) { return p.parseBinary(p.parseUnary, "*", "/") }
+func (p *parser) parseMul() expr { return p.parseBinary(p.parseUnary, "*", "/") }
 
 // parseBinary parses a left-associative chain of operand separated by any of
 // ops.
-func (p *parser) parseBinary(operand func() (expr, error), ops ...string) (expr, error) {
-	l, err := operand()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseBinary(operand func() expr, ops ...string) expr {
+	l := operand()
 	for p.cur().kind == "punct" && slices.Contains(ops, p.cur().text) {
 		t := p.next()
-		r, err := operand()
-		if err != nil {
-			return nil, err
-		}
-		l = &binExpr{op: binOps[t.text], l: l, r: r, line: t.line}
+		l = &binExpr{op: binOps[t.text], l: l, r: operand(), line: t.line}
 	}
-	return l, nil
+	return l
 }
 
-func (p *parser) parseUnary() (expr, error) {
+func (p *parser) parseUnary() expr {
 	if p.cur().kind == "punct" && (p.cur().text == "-" || p.cur().text == "!") {
 		op := p.next().text
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{not: op == "!", x: x}, nil
+		return &unaryExpr{not: op == "!", x: p.parseUnary()}
 	}
 	return p.parsePostfix()
 }
 
-func (p *parser) parsePostfix() (expr, error) {
-	e, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parsePostfix() expr {
+	e := p.parsePrimary()
 	for p.accept("punct", ".") {
-		sw, err := p.expect("ident", "")
-		if err != nil {
-			return nil, err
-		}
+		sw := p.expect("ident", "")
 		if !validSwizzle(sw.text) {
-			return nil, &CompileError{Line: sw.line, Msg: "invalid swizzle ." + sw.text}
+			fail(sw.line, "invalid swizzle ."+sw.text)
 		}
-		s := &swizzleExpr{base: e, n: len(sw.text)}
+		s := &swizzleExpr{base: e, text: sw.text, n: len(sw.text), line: sw.line}
 		for i, c := range sw.text {
 			s.idx[i] = swizzleIndex(c)
 		}
 		e = s
 	}
-	return e, nil
+	return e
 }
 
-func (p *parser) parsePrimary() (expr, error) {
+func (p *parser) parsePrimary() expr {
 	t := p.cur()
 	switch {
 	case t.kind == "num":
 		p.pos++
-		return p.constant(t.num), nil
+		return p.constant(t.num)
 	case t.kind == "ident":
 		p.pos++
 		if p.accept("punct", "(") {
 			return p.parseCall(t)
 		}
-		return &varExpr{slot: p.slot(t.text), name: t.text, line: t.line}, nil
+		return &varExpr{slot: p.slot(t.text), name: t.text, line: t.line}
 	case t.kind == "punct" && t.text == "(":
-		p.pos++
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("punct", ")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	default:
-		return nil, &CompileError{Line: t.line, Msg: "unexpected token " + t.text}
+		return p.parenExpr()
 	}
+	fail(t.line, "unexpected token "+t.text)
+	return nil
 }
 
 // parseCall parses a call's arguments after its opening parenthesis. An
 // argument's cell is kept in the frame's argument cells once evaluated, so
 // calls nested inside argument k start their own arguments at base+k: every
 // argument still pending is above them, every finished one below.
-func (p *parser) parseCall(fn token) (expr, error) {
+func (p *parser) parseCall(fn token) expr {
 	c := &callExpr{fn: builtins[fn.text], name: fn.text, base: p.callBase, line: fn.line}
-	defer func() { p.callBase = c.base }()
 	if !p.accept("punct", ")") {
 		for {
 			p.callBase = c.base + len(c.args)
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			c.args = append(c.args, a)
+			c.args = append(c.args, p.parseExpr())
 			if p.accept("punct", ")") {
 				break
 			}
-			if _, err := p.expect("punct", ","); err != nil {
-				return nil, err
-			}
+			p.expect("punct", ",")
 		}
 	}
+	p.callBase = c.base
 	p.sh.scratch = max(p.sh.scratch, c.base+len(c.args))
-	return c, nil
+	return c
 }
 
 func validSwizzle(s string) bool {

@@ -99,7 +99,7 @@ func TestCompileErrors(t *testing.T) {
 		{"number-double-point", "void main(){ gl_FragColor = vec4(1..5); }", Fragment, "bad number 1..5"},
 		{"bad-swizzle-write", "void main(){ vec4 v = vec4(1.0); v.q = 1.0; gl_FragColor = v; }", Fragment, "invalid swizzle .q"},
 	}
-	for _, tc := range cases {
+	for _, tc := range append(cases, widthErrors...) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Compile(tc.src, tc.kind)
 			if err == nil {

@@ -11,7 +11,11 @@ import (
 // it shaded in lanes, kept as the oracle the lane evaluator is held to. It
 // walks the parsed AST for one invocation at a time, on a fresh frame of its
 // own, and shares nothing with the compiled closures but the AST, the
-// stage layout and the Value helpers.
+// stage layout and the Value helpers. It computes every component of every
+// value, and then clears those past the value's width (canon): a value it
+// computes has no hidden component but zero, so the lanes, which compute
+// only declared components, agree with it wherever a hidden component can
+// be read at all — in a dynamic cell, whose width Compile cannot know.
 
 // refFrame is one invocation's state: a Value and a defined bit per slot,
 // and the step and fetch counters.
@@ -46,7 +50,7 @@ func refRunFragment(b *Binding, vary []gpu.Vec4) (gpu.Vec4, int, error) {
 	f := newRefFrame(st)
 	for _, in := range st.varyIn {
 		if in.index < len(vary) {
-			f.vals[in.slot] = Value{Width: in.width, V: vary[in.index]}
+			f.vals[in.slot] = canon(Value{Width: in.width, V: vary[in.index]})
 		} else {
 			f.vals[in.slot] = in.zero
 		}
@@ -106,8 +110,8 @@ func (f *refFrame) runStmt(s stmt) error {
 				return err
 			}
 			v = iv
-			if st.width > 0 {
-				v = refCoerceWidth(iv, st.width)
+			if w := st.typ.width(); w > 0 {
+				v = refCoerceWidth(iv, w)
 			}
 		}
 		f.vals[st.slot], f.def[st.slot] = v, true
@@ -172,6 +176,12 @@ func (f *refFrame) runStmt(s stmt) error {
 	}
 }
 
+// canon clears v's components past its width.
+func canon(v Value) Value {
+	clear(v.V[min(v.Width, 4):])
+	return v
+}
+
 func (f *refFrame) eval(x expr) (Value, error) {
 	switch ex := x.(type) {
 	case *numExpr:
@@ -181,6 +191,14 @@ func (f *refFrame) eval(x expr) (Value, error) {
 			return Value{}, &evalError{line: ex.line, msg: "undefined variable " + ex.name}
 		}
 		return f.vals[ex.slot], nil
+	}
+	v, err := f.evalNode(x)
+	return canon(v), err
+}
+
+// evalNode evaluates an operator or a call.
+func (f *refFrame) evalNode(x expr) (Value, error) {
+	switch ex := x.(type) {
 	case *swizzleExpr:
 		base, err := f.eval(ex.base)
 		if err != nil {
@@ -252,7 +270,11 @@ func (f *refFrame) evalBin(ex *binExpr) (Value, error) {
 		case l.M != nil && r.M != nil:
 			return Mat(l.M.MulMat(*r.M)), nil
 		case l.M != nil:
-			return Value{Width: 4, V: l.M.MulVec(r.Vec4())}, nil
+			v := r.V
+			if r.Width == 3 {
+				v[3] = 1 // a vec3 is a point
+			}
+			return Value{Width: 4, V: l.M.MulVec(v)}, nil
 		default:
 			return Value{}, &evalError{line: ex.line, msg: "vec*mat not supported; use mat*vec"}
 		}
@@ -355,9 +377,10 @@ func (f *refFrame) evalCall(ex *callExpr) (Value, error) {
 		if len(args) != 2 {
 			return ex.refFail("needs 2 args")
 		}
+		b := refBroadcast(&args[1], args[0].Width)
 		var s float32
 		for i := 0; i < args[0].Width; i++ {
-			s += args[0].V[i] * args[1].V[i]
+			s += args[0].V[i] * b[i]
 		}
 		return Float(s), nil
 	case fnMix:
@@ -424,7 +447,7 @@ func (f *refFrame) evalCall(ex *callExpr) (Value, error) {
 // does: a scalar splats.
 func refCoerceWidth(v Value, w int) Value {
 	if v.Width == 1 && w > 1 {
-		return Value{Width: w, V: gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}}
+		return canon(Value{Width: w, V: gpu.Vec4{v.V[0], v.V[0], v.V[0], v.V[0]}})
 	}
 	v.Width = w
 	return v

@@ -95,8 +95,10 @@ const SpanSize = 64
 // Fragment shades spans of fragments, one lane per fragment, from input
 // planes it owns, so the rasterizer interpolates straight into them. For
 // primitives whose vertices carry nvary varyings, Inputs returns the
-// varyings the stage reads, by index, and a plane of SpanSize lanes for
-// each: fragment l's value of varying index[i] goes to planes[i][l]. Shade
+// varyings the stage reads, by index, the width the stage declares each
+// with, and a plane of SpanSize lanes for each: components [0, width[i])
+// of fragment l's value of varying index[i] go to planes[i][l], and the
+// stage reads no other component of the plane. Shade
 // then shades lanes [0, n) and returns lane l's colour in col[l], as the
 // RGBA8 word Image.Pix holds (Pack's conversion of a normalized colour),
 // and its texture fetches in fetches[l]; both stay valid until the next
@@ -104,7 +106,7 @@ const SpanSize = 64
 // depend on each other, so an implementation may shade them in any order,
 // or all at once.
 type Fragment interface {
-	Inputs(nvary int) (index []int, planes [][]Vec4)
+	Inputs(nvary int) (index, width []int, planes [][]Vec4)
 	Shade(n int) (col []uint32, fetches []int)
 }
 
@@ -509,14 +511,15 @@ var setups = sync.Pool{New: func() any { return new(setup) }}
 // Each triangle's covered fragments that pass the depth test are collected
 // into spans of up to SpanSize: a fragment's pixel offset goes to the span,
 // and the varyings the shader reads are interpolated straight into its
-// input planes. Every span is shaded with one Shade call, then blended and
-// counted in raster order. A triangle's spans are flushed before the next
-// triangle starts: triangles may overlap, and blending is order-dependent.
+// input planes, each at the width the shader declares it with. Every span
+// is shaded with one Shade call, then blended and counted in raster order.
+// A triangle's spans are flushed before the next triangle starts:
+// triangles may overlap, and blending is order-dependent.
 // Within one triangle every pixel is visited once, so writing its depth at
 // test time and its colour at the flush is the same as writing both at once.
 func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, tx1, ty1 int, frag Fragment, mode BlendMode, out *Stats) {
 	var sp span
-	var index []int
+	var index, width []int
 	var planes [][]Vec4
 	nvary, n := -1, 0 // n: the fragments pending in sp
 	for _, ti := range bin {
@@ -536,7 +539,7 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 		}
 		if len(tr.a.vary) != nvary {
 			nvary = len(tr.a.vary)
-			index, planes = frag.Inputs(nvary)
+			index, width, planes = frag.Inputs(nvary)
 		}
 		va, vb, vc := tr.a.vary, tr.b.vary[:nvary], tr.c.vary[:nvary]
 		for y := minY; y <= maxY; y++ {
@@ -574,12 +577,13 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 				}
 				sp.off[n] = di
 				for i, vi := range index {
-					a, b, c := &va[vi], &vb[vi], &vc[vi]
-					planes[i][n] = Vec4{
-						float32(a[0]*w0) + float32(b[0]*w1) + float32(c[0]*w2),
-						float32(a[1]*w0) + float32(b[1]*w1) + float32(c[1]*w2),
-						float32(a[2]*w0) + float32(b[2]*w1) + float32(c[2]*w2),
-						float32(a[3]*w0) + float32(b[3]*w1) + float32(c[3]*w2),
+					a, b, c, p := &va[vi], &vb[vi], &vc[vi], &planes[i][n]
+					if width[i] == 1 {
+						p[0] = float32(a[0]*w0) + float32(b[0]*w1) + float32(c[0]*w2)
+						continue
+					}
+					for k := range width[i] {
+						p[k] = float32(a[k]*w0) + float32(b[k]*w1) + float32(c[k]*w2)
 					}
 				}
 				if n++; n == SpanSize {
@@ -689,7 +693,7 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragShader, st Re
 	var sp span
 	shade := frag.Acquire()
 	defer frag.Release(shade)
-	index, planes := shade.Inputs(nvary)
+	index, width, planes := shade.Inputs(nvary)
 	for i := 0; i+1 < len(indices); i += 2 {
 		va := toScreen(verts[indices[i]], vp)
 		vb := toScreen(verts[indices[i+1]], vp)
@@ -720,12 +724,9 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragShader, st Re
 				depth[di] = z
 			}
 			for i, vi := range index {
-				a, b := &va.vary[vi], &vb.vary[vi]
-				planes[i][0] = Vec4{
-					float32(a[0]*(1-t)) + float32(b[0]*t),
-					float32(a[1]*(1-t)) + float32(b[1]*t),
-					float32(a[2]*(1-t)) + float32(b[2]*t),
-					float32(a[3]*(1-t)) + float32(b[3]*t),
+				a, b, p := &va.vary[vi], &vb.vary[vi], &planes[i][0]
+				for k := range width[i] {
+					p[k] = float32(a[k]*(1-t)) + float32(b[k]*t)
 				}
 			}
 			// A span of one: the step's pixel, shaded and written at once.

@@ -361,9 +361,9 @@ func oneAtATime(fs gpu.FragShader) refShade {
 	return func(vary []gpu.Vec4) ([4]uint8, int) {
 		f := fs.Acquire()
 		defer fs.Release(f)
-		index, planes := f.Inputs(len(vary))
+		index, width, planes := f.Inputs(len(vary))
 		for i, k := range index {
-			planes[i][0] = vary[k]
+			copy(planes[i][0][:width[i]], vary[k][:width[i]])
 		}
 		col, fetches := f.Shade(1)
 		c := col[0]

@@ -16,6 +16,21 @@ import "cycada/internal/obs"
 // name while tracing is off.
 func (t *Thread) TraceEnabled() bool { return t.proc.k.tracer.Enabled() }
 
+// TraceBegin opens a span of work the kernel's device does outside every
+// process — readying or recycling the stack between sessions. It is filed
+// under PID 0 of the kernel's current PID space, which no process takes,
+// and carries no virtual time: close it with End(0). Returns the inert
+// zero Span while tracing is disabled.
+func (k *Kernel) TraceBegin(cat, name string) obs.Span {
+	if !k.tracer.Enabled() {
+		return obs.Span{}
+	}
+	k.mu.Lock()
+	pid := k.pidBase
+	k.mu.Unlock()
+	return k.tracer.Begin(pid, 0, cat, name, 0)
+}
+
 // TraceBegin opens a span on this thread. Returns the inert zero Span while
 // tracing is disabled.
 func (t *Thread) TraceBegin(cat, name string) obs.Span {

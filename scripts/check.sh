@@ -137,6 +137,9 @@ go test -run='^$' -bench='BenchmarkShadeSpan' -benchtime=1x ./internal/sim/gpu/m
 echo "== bench smoke (320x200 present blit through MiniSL)"
 go test -run='^$' -bench='BenchmarkDrawBlit' -benchtime=1x ./internal/sim/gpu/minisl
 
+echo "== bench smoke (PassMark's 3D quad field through the rasterizer and complexFS)"
+go test -run='^$' -bench='BenchmarkDrawComplex3D' -benchtime=1x ./internal/sim/gpu/minisl
+
 echo "== obs overhead gate (fully-disabled observability within 3% of baseline)"
 # The always-compiled-in observability layer (tracer + flight recorder +
 # frame-health histograms) must cost nothing when off: the fully-disabled
