@@ -92,7 +92,7 @@ func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count
 			feeds[i], data[i] = a, ctx.attribData(a)
 		}
 	}
-	attrs := make([]minisl.Value, len(decls))
+	attrs := make([]gpu.Vec4, len(decls))
 	nvary := len(prog.linked.VaryNames)
 	varys := make([]gpu.Vec4, count*nvary)
 	verts := make([]gpu.TVert, count)
@@ -101,15 +101,15 @@ func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count
 	for i := 0; i < count; i++ {
 		vi := first + i
 		for j, a := range feeds {
-			v := minisl.Vec(4, 0, 0, 0, 1)
+			// The components a pointer of a.size lacks read (0, 0, 0, 1)
+			// (GLES 2.0 §2.7); the shader reads its declared width.
+			attrs[j] = gpu.Vec4{0, 0, 0, 1}
 			if a != nil {
-				v.Width = a.size
 				base := vi * a.size
 				for c := 0; c < a.size && base+c < len(data[j]); c++ {
-					v.V[c] = data[j][base+c]
+					attrs[j][c] = data[j][base+c]
 				}
 			}
-			attrs[j] = v
 		}
 		vary := varys[i*nvary : (i+1)*nvary : (i+1)*nvary]
 		pos, err := vf.RunVertex(attrs, vary)

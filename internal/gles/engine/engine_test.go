@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -293,6 +294,99 @@ func TestProgrammableDrawTextured(t *testing.T) {
 
 	if got := img.At(4, 4); got.B != 255 {
 		t.Fatalf("pixel = %v, want blue from texture", got)
+	}
+}
+
+// colourVS hands an attribute, as the shader reads it, to colourFS.
+const colourVS = `
+attribute vec4 a_pos;
+attribute vec4 a_col;
+varying vec4 v_col;
+void main() { gl_Position = a_pos; v_col = a_col; }
+`
+
+const colourFS = `
+varying vec4 v_col;
+void main() { gl_FragColor = v_col; }
+`
+
+// TestAttributeWidths feeds attributes from pointers of another size than
+// their declaration (GLES 2.0 §2.7). A vec4 fed by a size-2 or size-3
+// pointer reads the missing components as (z, w) = (0, 1): it draws what a
+// size-4 pointer holding them draws. A vec2 fed by a size-4 pointer reads
+// its first two components: it draws what a size-2 pointer draws. A
+// disabled attribute reads (0, 0, 0, 1).
+func TestAttributeWidths(t *testing.T) {
+	_, th, l := newEnv(t)
+	ctx := mustCtx(t, l, th, 2)
+	img := attachTarget(ctx, 8, 8)
+	tex := make([]byte, 4*4*4)
+	for i := range tex {
+		tex[i] = byte(37 * i)
+	}
+	l.BindTexture(th, Texture2D, l.GenTextures(th, 1)[0])
+	l.TexImage2D(th, 4, 4, gpu.FormatRGBA8888, tex)
+	textured, coloured := buildProgram(t, l, th, testVS, testFS), buildProgram(t, l, th, colourVS, colourFS)
+	// draw draws the quad through prog, each attribute from its pointer
+	// (size, data), or disabled when data is nil, and returns the pixels.
+	type ptr struct {
+		size int
+		data []float32
+	}
+	draw := func(prog uint32, attribs map[string]ptr) []byte {
+		t.Helper()
+		l.ClearColor(th, 0.5, 0.5, 0.5, 0.5)
+		l.Clear(th, ColorBufferBit)
+		l.UseProgram(th, prog)
+		for name, a := range attribs {
+			loc := l.GetAttribLocation(th, prog, name)
+			if a.data == nil {
+				l.DisableVertexAttribArray(th, loc)
+				continue
+			}
+			l.VertexAttribPointer(th, loc, a.size, a.data)
+			l.EnableVertexAttribArray(th, loc)
+		}
+		if loc := l.GetUniformLocation(th, prog, "u_tex"); loc >= 0 {
+			l.Uniform1i(th, loc, 0)
+		}
+		l.DrawElements(th, Triangles, quadIdx)
+		if e := l.GetError(th); e != NoError {
+			t.Fatalf("GL error %#x", e)
+		}
+		return append([]byte(nil), img.Pix...)
+	}
+	// keep returns the first n of every 4 components of v.
+	keep := func(v []float32, n int) []float32 {
+		var out []float32
+		for i := 0; i < len(v); i += 4 {
+			out = append(out, v[i:i+n]...)
+		}
+		return out
+	}
+	pos4 := []float32{-1, -1, 0, 1, 1, -1, 0, 1, 1, 0.5, 0, 1, -0.5, 1, 0, 1}
+	uv4 := []float32{0, 1, 7, -3, 1, 1, -2, 9, 1, 0, 0.5, 5, 0, 0, 3, 3}
+	want := draw(textured, map[string]ptr{"a_pos": {4, pos4}, "a_uv": {2, keep(uv4, 2)}})
+	for name, got := range map[string][]byte{
+		"a_pos of size 2": draw(textured, map[string]ptr{"a_pos": {2, keep(pos4, 2)}, "a_uv": {2, keep(uv4, 2)}}),
+		"a_pos of size 3": draw(textured, map[string]ptr{"a_pos": {3, keep(pos4, 3)}, "a_uv": {2, keep(uv4, 2)}}),
+		"a_uv of size 4":  draw(textured, map[string]ptr{"a_pos": {4, pos4}, "a_uv": {4, uv4}}),
+	} {
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drew other pixels than the declared width's pointer", name)
+		}
+	}
+	zero := draw(textured, map[string]ptr{"a_pos": {4, pos4}, "a_uv": {2, make([]float32, 8)}})
+	if got := draw(textured, map[string]ptr{"a_pos": {4, pos4}, "a_uv": {}}); !bytes.Equal(got, zero) {
+		t.Error("a disabled vec2 drew other pixels than (0, 0)")
+	}
+	draw(coloured, map[string]ptr{"a_pos": {4, pos4}, "a_col": {}})
+	if got := img.At(4, 4); got != (gpu.RGBA{A: 255}) {
+		t.Errorf("a disabled vec4 shaded %v, want (0, 0, 0, 1)", got)
+	}
+	draw(coloured, map[string]ptr{"a_pos": {4, pos4}, "a_col": {1, []float32{1, 1, 1, 1}}})
+	if got := img.At(4, 4); got != (gpu.RGBA{R: 255, A: 255}) {
+		t.Errorf("a vec4 fed by a size-1 pointer of 1s shaded %v, want (1, 0, 0, 1)", got)
 	}
 }
 

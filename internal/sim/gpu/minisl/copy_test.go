@@ -82,7 +82,7 @@ func (q blitQuad) vertices(t *testing.T, b *Binding) ([]gpu.TVert, []int) {
 	for i, k := range corners {
 		verts[i].Vary = make([]gpu.Vec4, len(b.p.VaryNames))
 		var err error
-		if verts[i].Pos, err = vf.RunVertex([]Value{Vec(4, q.pos[k][:]...), Vec(2, q.uv[k][0], q.uv[k][1])}, verts[i].Vary); err != nil {
+		if verts[i].Pos, err = vf.RunVertex([]gpu.Vec4{q.pos[k], q.uv[k]}, verts[i].Vary); err != nil {
 			t.Fatal(err)
 		}
 	}

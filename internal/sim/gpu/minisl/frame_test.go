@@ -197,7 +197,7 @@ func shadeOne(f *Frame, vary []gpu.Vec4) (gpu.Vec4, int, error) {
 		planes[i][0] = vary[k]
 	}
 	_, fetches := f.Shade(1)
-	if err := f.errs[0]; err != nil {
+	if err := f.err(0); err != nil {
 		return gpu.Vec4{}, 0, err
 	}
 	return colourOf(f, 0), fetches[0], nil
@@ -224,18 +224,17 @@ func TestFrameReuseIsInvisible(t *testing.T) {
 	}
 
 	t.Run("local-declared-on-skipped-branch", func(t *testing.T) {
-		for _, tc := range []struct{ use, want string }{
-			{"gl_FragColor = vec4(t);", "undefined variable t"},
-			{"t = 0.5; gl_FragColor = vec4(1.0);", "assignment to undeclared t"},
-		} {
-			src := "varying float v_take; void main(){ if (v_take > 0.5) { float t = 0.25; } " + tc.use + " }"
-			_, _, errs := run(t, src, nil, taken, skipped)
-			if errs[0] != nil {
-				t.Fatalf("%s: first invocation: %v", tc.use, errs[0])
-			}
-			if errs[1] == nil || !strings.Contains(errs[1].Error(), tc.want) {
-				t.Fatalf("%s: second invocation err = %v, want %q", tc.use, errs[1], tc.want)
-			}
+		// A local is in scope only in its block: using it after the block
+		// is a compile error. One declared before the branch and assigned
+		// on it reads its zero in an invocation that skips the branch.
+		checkStatic(t, "local-read-after-block", "local-written-after-block")
+		cols, _, errs := run(t, "varying float v_take; void main(){ float t; if (v_take > 0.5) { t = 0.25; } gl_FragColor = vec4(t); }",
+			nil, taken, skipped)
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatal(errs)
+		}
+		if cols[0][0] != 0.25 || cols[1][0] != 0 {
+			t.Fatalf("colors = %v, want 0.25 then zero", cols)
 		}
 	})
 
@@ -250,7 +249,10 @@ func TestFrameReuseIsInvisible(t *testing.T) {
 	})
 
 	t.Run("overwritten-uniform-is-rebound", func(t *testing.T) {
-		cols, _, errs := run(t, "uniform float u_a; void main(){ u_a = u_a + 1.0; gl_FragColor = vec4(u_a); }",
+		// A uniform is read-only: a local of its name shadows it, and its
+		// initializer reads the uniform.
+		checkStatic(t, "uniform-written")
+		cols, _, errs := run(t, "uniform float u_a; void main(){ float u_a = u_a + 1.0; gl_FragColor = vec4(u_a); }",
 			map[string]Value{"u_a": Float(2)}, nil, nil)
 		if errs[0] != nil || errs[1] != nil {
 			t.Fatal(errs)
@@ -344,9 +346,9 @@ func FuzzCompile(f *testing.F) {
 			b := bindAll(p, tex)
 			checkRefusals(t, b, tex)
 			fr := b.Frame(Vertex)
-			attribs := make([]Value, len(vs.Attributes))
+			attribs := make([]gpu.Vec4, len(vs.Attributes))
 			for i := range attribs {
-				attribs[i] = Vec(4, 0.5, 0.25, 0, 1)
+				attribs[i] = gpu.Vec4{0.5, 0.25, 0, 1}
 			}
 			v1, v2 := make([]gpu.Vec4, len(p.VaryNames)), make([]gpu.Vec4, len(p.VaryNames))
 			p1, e1 := fr.RunVertex(attribs, v1)

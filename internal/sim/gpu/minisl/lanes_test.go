@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -16,21 +17,26 @@ import (
 )
 
 // divergentShaders send the lanes of one span down different paths: branches
-// that declare locals some lanes never see, loops of lane-dependent length,
-// a runaway loop some lanes enter, and per-lane type and matrix errors.
+// that declare locals some lanes never see, shadowing names of other types,
+// loops of lane-dependent length, a runaway loop some lanes enter, and
+// matrix products and swizzle writes in some lanes only. What used to fault
+// per lane here is a compile error now (staticErrors).
 var divergentShaders = []string{
-	// A local declared on a branch this lane did not take, read and written.
+	// A local declared on a branch this lane did not take, shadowing one
+	// read after the block.
 	`varying vec4 v_a;
 void main() {
   float x = v_a.x;
+  float t = v_a.w;
   if (v_a.y > 0.5) { float t = v_a.z; x = x + t; } else { x = x * 2.0; }
   if (v_a.w > 1.0) { gl_FragColor = vec4(t); } else { gl_FragColor = vec4(x, v_a.y, 0.5, 1.0); }
 }`,
 	`varying vec4 v_a;
 void main() {
-  if (v_a.x > 0.7) { float t = 1.0; }
+  float t = 0.25;
+  if (v_a.x > 0.7) { float t = 1.0; t = t * v_a.z; gl_FragColor.z = t; }
   if (v_a.y > 0.3) { t = 0.5; }
-  gl_FragColor = vec4(v_a.x, v_a.y, 0.0, 1.0);
+  gl_FragColor = vec4(v_a.x, v_a.y, gl_FragColor.z, t);
 }`,
 	// Lane-dependent trip counts, fetches inside the loop, and a runaway
 	// loop for some lanes.
@@ -52,20 +58,19 @@ void main() {
   for (float i = 0.0; i < v_a.x * 20000.0; i += 1.0) { n += 1.0; n += 1.0; }
   gl_FragColor = vec4(n / 40000.0);
 }`,
-	// Matrix errors in some lanes only.
+	// Matrix products in some lanes only, one of them of gl_FragColor
+	// itself.
 	`varying vec4 v_a;
 uniform mat4 u_m;
 void main() {
-  if (v_a.x > 0.5) { gl_FragColor = vec4((u_m + u_m) * vec4(1.0)); } else { gl_FragColor = u_m * v_a; }
-  if (v_a.y > 1.2) { gl_FragColor = v_a * u_m; }
-  if (v_a.z > 1.4) { u_m = 1.0; }
+  if (v_a.x > 0.5) { gl_FragColor = (u_m * u_m) * vec4(1.0); } else { gl_FragColor = u_m * v_a; }
+  if (v_a.y > 1.2) { gl_FragColor = u_m * gl_FragColor; }
 }`,
-	// One slot, two widths: a constructor short of components in some lanes.
+	// One name, two widths: a float on one branch and a vec2 on the other.
 	`varying vec4 v_a;
 void main() {
-  if (v_a.x > 0.5) { float q = v_a.y; } else { vec2 q = v_a.zw; }
-  gl_FragColor = vec4(q, q);
-  if (v_a.w > 0.2) { gl_FragColor.y = -q; }
+  if (v_a.x > 0.5) { float q = v_a.y; gl_FragColor = vec4(q, q, q, 1.0); } else { vec2 q = v_a.zw; gl_FragColor = vec4(q, q); }
+  if (v_a.w > 0.2) { gl_FragColor.y = -gl_FragColor.x; }
 }`,
 	// Raw float conditions, and a declaration without an initializer.
 	`varying vec4 v_a;
@@ -91,51 +96,47 @@ void main() {
   float s = sin(v_a.y) * cos(v_a.z) + pow(abs(v_a.x), 2.0) + floor(v_a.w * 3.0);
   gl_FragColor = vec4(min(m.x, d), max(m.y, s), n.x + fract(s), !(d < 0.5));
 }`,
-	// One slot, a matrix in some lanes and a vector in others: mat*vec and
-	// vec*vec through one node, a matrix assigned into a vector variable
-	// (which then holds it), and a scalar assigned over that matrix.
+	// One name, a matrix in some scopes and a vector in another, and a
+	// mat4 declared without an initializer: the identity.
 	`varying vec4 v_a;
 uniform mat4 u_m;
 void main() {
-  if (v_a.x > 0.5) { mat4 q = u_m * u_m; } else { vec4 q = v_a; }
-  gl_FragColor = q * v_a;
-  if (v_a.y > 0.5) { gl_FragColor = q; }
+  vec4 q = v_a;
+  if (v_a.x > 0.5) { mat4 q = u_m * u_m; gl_FragColor = q * v_a; } else { gl_FragColor = q * v_a; }
+  if (v_a.y > 0.5) { mat4 q; gl_FragColor = q * gl_FragColor; }
   if (v_a.z > 0.5) { gl_FragColor = 1.0; }
   gl_FragColor = gl_FragColor * vec4(0.5);
 }`,
-	// mat4 locals rewritten inside a divergent if: a matrix product in some
-	// lanes, a scalar-to-matrix fault in others, and normalize handing a
-	// matrix back whole into a vector variable.
+	// mat4 locals rewritten inside a divergent if: a product in some lanes,
+	// a copy of another local in others.
 	`varying vec4 v_a;
 uniform mat4 u_m;
 void main() {
   mat4 m = u_m;
   mat4 k;
   vec4 p = v_a;
-  if (v_a.x > 0.3) { p = m * v_a; m = m * m; k = k * m; } else { if (v_a.w > 1.0) { m = v_a.x; } }
-  if (v_a.y > 0.6) { p = normalize(m); }
+  if (v_a.x > 0.3) { p = m * v_a; m = m * m; k = k * m; } else { if (v_a.w > 1.0) { m = k; } }
+  if (v_a.y > 0.6) { p = normalize(m * p); }
   gl_FragColor = p * vec4(0.5) + m * v_a + k * v_a;
 }`,
-	// A matrix, a sampler and a vector sharing slots: sampling through a
-	// lane that holds no sampler, a scalar declared from a reference, then
-	// splatted (which drops it), matrices read as vectors, and a sampler
-	// assigned over a matrix (a fault) or over a sampler.
+	// A matrix local that differs per lane times sampled texels and
+	// varyings, and rewritten after its last read.
 	`varying vec4 v_a;
 uniform mat4 u_m;
 uniform sampler2D u_tex;
 void main() {
-  if (v_a.x > 0.5) { mat4 s = u_m; } else { sampler2D s = u_tex; }
-  vec4 c = texture2D(s, v_a.yz) + texture2D(u_tex, v_a.zw);
-  float k = s;
+  mat4 s = u_m;
+  if (v_a.x > 0.5) { s = s * u_m; }
+  vec4 c = texture2D(u_tex, v_a.yz) + texture2D(u_tex, v_a.zw);
+  float k = c.x;
   vec4 d = k;
-  if (v_a.y > 1.0) { d = s; }
-  if (v_a.z > 0.8) { d = k; }
-  gl_FragColor = c + d.xyzw * (s * v_a) + d * v_a + vec4(dot(d, v_a), length(s), s.x, 1.0);
-  if (v_a.w > 1.2) { s = u_tex; }
+  if (v_a.y > 1.0) { d = s * c; }
+  gl_FragColor = c + d.xyzw * (s * v_a) + d * v_a + vec4(dot(d, v_a), length(c), k, 1.0);
+  if (v_a.w > 1.2) { s = u_m; }
 }`,
-	// A temporary that held a matrix in some lanes, reused by a node whose
-	// result is a vector: that node must clear the lanes' reference. Each
-	// such node yields 1 or a copy, so p keeps its information.
+	// Matrix products in some lanes between vector nodes of every kind
+	// that reuse the same temporaries. Each such node yields 1 or a copy,
+	// so p keeps its information.
 	`varying vec4 v_a;
 uniform mat4 u_m;
 uniform sampler2D u_tex;
@@ -155,50 +156,49 @@ void main() {
   p = clamp(p, 0.0, 1.0) * p + texture2D(u_tex, p.xy) * v_a;
   gl_FragColor = p;
 }`,
-	// A varying the shader redeclares with another width, or assigns a
-	// matrix: the next span must still read it as the rasterizer wrote it.
+	// A varying a block shadows with a local of another width, which its
+	// initializer reads.
 	`varying vec4 v_a;
 uniform mat4 u_m;
 void main() {
   vec4 c = v_a * 0.5;
-  if (v_a.x > -0.4) { float v_a = v_a.y; }
-  if (v_a.z > 0.5) { v_a = u_m; }
+  if (v_a.x > -0.4) { float v_a = v_a.y; c = c * v_a; }
+  if (v_a.z > 0.5) { c = u_m * c; }
   gl_FragColor = c + v_a * vec4(1.0, 2.0, 3.0, 4.0);
 }`,
-	// Swizzle writes that fault in some lanes: to a local another branch
-	// declared, and to more than one component.
+	// Single-component swizzle writes on divergent paths, to a local and to
+	// gl_FragColor.
 	`varying vec4 v_a;
 void main() {
-  if (v_a.x > 0.5) { vec4 t = v_a; }
-  t.y = v_a.z;
+  vec4 t = v_a;
+  if (v_a.x > 0.5) { t.y = v_a.z; }
   gl_FragColor = v_a;
-  if (v_a.y > 0.8) { gl_FragColor.xy = v_a.zw; }
+  if (v_a.y > 0.8) { gl_FragColor.x = v_a.w; gl_FragColor.y = t.x; }
   gl_FragColor.w = t.y;
 }`,
 }
 
 // texelCopyShaders end in a texel copy (see texelCopy): after divergent
-// statements, a loop, faults in the arguments, a sampler that differs or is
-// missing per lane, a matrix or a vector for a sampler, and coordinates
-// that are negative, huge, infinite or NaN.
+// statements, a loop and the step limit in some lanes, with coordinates
+// that are negative, huge, infinite or NaN, that come out of a matrix
+// product, or that are draw-uniform.
 var texelCopyShaders = []string{
 	`varying vec4 v_a;
 uniform sampler2D u_tex;
 void main() {
   vec2 uv = v_a.xy;
-  if (v_a.z > 0.5) { uv = uv * -3.0; } else { uv = uv * 1e30; }
-  if (v_a.w > 1.5) { uv = uv * 1e30 * 1e30; }
+  if (v_a.z > 0.5) { uv = uv * -3.0; } else { uv = uv * 1000000000000000000000000000000.0; }
+  if (v_a.w > 1.5) { uv = uv * 1000000000000000000000000000000.0 * 1000000000000000000000000000000.0; }
   if (v_a.w > 1.8) { uv = uv - uv; }
   gl_FragColor = texture2D(u_tex, uv);
 }`,
 	`varying vec4 v_a;
 uniform sampler2D u_tex;
-uniform mat4 u_m;
 void main() {
-  if (v_a.x > 0.6) { sampler2D s = u_tex; }
-  if (v_a.x < 0.2) { mat4 s = u_m; }
-  if (v_a.y > 1.5) { vec4 s = v_a; }
-  gl_FragColor = texture2D(s, v_a.zw * 4.0 - vec2(2.0));
+  vec2 uv = v_a.zw * 4.0 - vec2(2.0);
+  if (v_a.x > 0.6) { uv = uv.yx; }
+  if (v_a.x < 0.2) { vec2 uv = v_a.xy; }
+  gl_FragColor = texture2D(u_tex, uv);
 }`,
 	`varying vec4 v_a;
 uniform sampler2D u_tex;
@@ -206,27 +206,31 @@ void main() {
   float k = 0.0;
   for (float i = 0.0; i < v_a.x * 3.0; i += 1.0) { k += 0.25; }
   if (v_a.w > 1.5) { for (float j = 0.0; j < 1.0; j *= 1.0) { k += 1.0; } }
-  if (v_a.y > 1.0) { float q = v_a.z; } else { vec2 q = v_a.zw; }
+  vec2 q = v_a.zw;
+  if (v_a.y > 1.0) { q = vec2(v_a.z); }
   gl_FragColor = texture2D(u_tex, vec4(q, q).xy + vec2(k));
 }`,
 	`varying vec4 v_a;
 uniform sampler2D u_tex;
 void main() {
-  if (v_a.x > 0.5) { float t = v_a.y; }
+  float t = v_a.z;
+  if (v_a.x > 0.5) { t = v_a.y; }
   gl_FragColor = texture2D(u_tex, vec2(t, v_a.z));
 }`,
 	`varying vec4 v_a;
 uniform sampler2D u_tex;
 uniform mat4 u_m;
-void main() { gl_FragColor = texture2D(u_m, v_a.xy); }`,
+void main() { gl_FragColor = texture2D(u_tex, (u_m * v_a).xy); }`,
 	`varying vec4 v_a;
-void main() { gl_FragColor = texture2D(v_a, v_a.xy); }`,
+uniform sampler2D u_tex;
+void main() { gl_FragColor = texture2D(u_tex, vec2(0.25, 0.75)); }`,
 }
 
 // nearTexelCopyShaders look like a texel copy but must run the general
 // path: gl_FragColor read before or after the copy, or inside its
 // arguments, written a second time, written through a swizzle, texture2D
-// inside arithmetic, the wrong argument count, and the copy not last.
+// inside arithmetic, coordinates built from a varying, and the copy not
+// last.
 var nearTexelCopyShaders = []string{
 	`varying vec4 v_a; uniform sampler2D u_tex;
 void main() { gl_FragColor = texture2D(u_tex, v_a.xy); vec4 k = gl_FragColor; }`,
@@ -247,7 +251,7 @@ void main() { gl_FragColor = texture2D(u_tex, v_a.xy) * 1.0; }`,
 	`varying vec4 v_a; uniform sampler2D u_tex;
 void main() { gl_FragColor = texture2D(u_tex, v_a.xy) + vec4(0.0); }`,
 	`varying vec4 v_a; uniform sampler2D u_tex;
-void main() { gl_FragColor = texture2D(u_tex); }`,
+void main() { gl_FragColor = texture2D(u_tex, vec2(v_a.x, v_a.y)); }`,
 	`varying vec4 v_a; uniform sampler2D u_tex;
 void main() { gl_FragColor = texture2D(u_tex, v_a.xy); float k = v_a.x; }`,
 	`varying vec4 v_a; uniform sampler2D u_tex;
@@ -323,10 +327,7 @@ func pack(c gpu.Vec4) uint32 {
 
 // colourOf returns the colour lane l shaded in f's last Shade: the
 // gl_FragColor plane, which the word Shade returned packs.
-func colourOf(f *Frame, l int) gpu.Vec4 {
-	out, _ := f.planes(f.st.out)
-	return out[l]
-}
+func colourOf(f *Frame, l int) gpu.Vec4 { return f.comp[f.st.out*f.lanes+l] }
 
 // shadeFragments shades the n fragments in vary, stride varyings apiece in
 // VaryNames order, through f's Inputs and Shade a span at a time, as the
@@ -343,9 +344,9 @@ func shadeFragments(f *Frame, vary []gpu.Vec4, stride, n int) (words []uint32, c
 		}
 		w, fe := f.Shade(m)
 		for l := range w {
-			cols = append(cols, colourOf(f, l))
+			cols, errs = append(cols, colourOf(f, l)), append(errs, f.err(l))
 		}
-		words, fetches, errs = append(words, w...), append(fetches, fe...), append(errs, f.errs[:m]...)
+		words, fetches = append(words, w...), append(fetches, fe...)
 	}
 	return words, cols, fetches, errs
 }
@@ -375,7 +376,7 @@ func checkSpan(t *testing.T, b *Binding, vary []gpu.Vec4, stride, n int) {
 
 // checkVertex runs one vertex and compares gl_Position, the varyings' declared
 // components and the error with the reference evaluator.
-func checkVertex(t *testing.T, b *Binding, attribs []Value) {
+func checkVertex(t *testing.T, b *Binding, attribs []gpu.Vec4) {
 	t.Helper()
 	n := len(b.p.VaryNames)
 	got, want := make([]gpu.Vec4, n), make([]gpu.Vec4, n)
@@ -418,11 +419,7 @@ func TestSpanMatchesReference(t *testing.T) {
 			if sh.Kind == Vertex {
 				for _, b := range bindings(p, tex) {
 					for range 16 {
-						attribs := make([]Value, len(p.VS.Attributes))
-						for a, v := range randomVaryings(rng, len(attribs), 1) {
-							attribs[a] = Vec(widthOf(p.VS.Attributes[a].Type), v[:]...)
-						}
-						checkVertex(t, b, attribs)
+						checkVertex(t, b, randomVaryings(rng, len(p.VS.Attributes), 1))
 					}
 				}
 				return
@@ -440,99 +437,46 @@ func TestSpanMatchesReference(t *testing.T) {
 	}
 }
 
-// TestShadersAreTyped checks which cells keep a width and a reference per
-// lane. Every fragment shader the programs ship — PassMark's complex scene,
-// the texel copies and GLES 1's two programs among them — compiles with
-// none, and no dynamic node: the static type of every slot and every
-// expression, and so every width, is fixed at Compile. The divergent
-// shaders still reach the dynamic
-// nodes through each construct the compiler cannot type: a slot declared
-// with two widths on divergent paths, a mat4 or sampler2D local, which
-// takes its value's width, and a slot that holds a matrix in some lanes and
-// a vector in others.
+// otherTestShaderFiles are the test files of other packages that run
+// MiniSL programs through the GLES engine.
+var otherTestShaderFiles = []string{
+	"../../../gles/engine/engine_test.go",
+	"../../../gles/engine/drawmodes_test.go",
+	"../../../core/glesbridge/glesbridge_test.go",
+	"../../../core/system/system_test.go",
+}
+
+// vertexSource matches a source that declares an attribute or writes
+// gl_Position: a vertex shader.
+var vertexSource = regexp.MustCompile(`\battribute\b|gl_Position\s*=`)
+
+// TestShadersAreTyped compiles every program the tree runs — each shipped
+// shader, GLES 1's fixed-function programs, and the test programs other
+// packages draw with — as its own kind: every one is statically typed, as
+// GLSL ES 1.00 requires, so Compile fixes the type, the class and the width
+// of every cell and every expression. This package's own test sources,
+// deliberate compile errors among them, are checked where they are used.
 func TestShadersAreTyped(t *testing.T) {
-	for _, file := range append(slices.Clone(treeShaderFiles), fixedFunctionFile) {
-		if strings.HasSuffix(file, "_test.go") {
+	files := slices.Concat(treeShaderFiles, []string{fixedFunctionFile}, otherTestShaderFiles)
+	n := 0
+	for _, file := range files {
+		if filepath.Dir(file) == "." {
 			continue
 		}
 		for _, src := range shaderSources(t, file) {
-			sh, err := Compile(src, Fragment)
-			if err != nil {
-				continue // a vertex shader
+			kind := Fragment
+			if vertexSource.MatchString(src) {
+				kind = Vertex
 			}
-			for name, s := range sh.slots {
-				if sh.class[s] == dynCell {
-					t.Errorf("%s: %s is dynamic in\n%s", file, name, src)
-				}
+			if _, err := Compile(src, kind); err != nil {
+				t.Errorf("%s: %v compile: %v in\n%s", file, kind, err, src)
 			}
-			if sh.dynamic != 0 {
-				t.Errorf("%s: %d dynamic nodes in\n%s", file, sh.dynamic, src)
-			}
-			for name, s := range sh.slots {
-				if sh.typ[s] == tAny {
-					t.Errorf("%s: %s has no static type in\n%s", file, name, src)
-				}
-			}
-			ty := typeSlots(sh)
-			forExprs(sh.body, func(e expr) {
-				if k := ty.kind(e); k.class == dynCell || k.t == tAny {
-					t.Errorf("%s: an expression of kind %+v, whose width Compile does not fix, in\n%s", file, k, src)
-				}
-			})
+			n++
 		}
 	}
-	for _, tc := range []struct{ marker, slot string }{
-		{"{ float q = v_a.y; } else { vec2 q = v_a.zw; }", "q"},
-		{"mat4 k;", "k"},
-		{"{ mat4 q = u_m * u_m; } else { vec4 q = v_a; }", "q"},
-		{"if (v_a.x > 0.5) { mat4 s = u_m; } else { sampler2D s = u_tex; }", "s"},
-	} {
-		i := slices.IndexFunc(divergentShaders, func(src string) bool { return strings.Contains(src, tc.marker) })
-		if i < 0 {
-			t.Fatalf("no divergent shader holds %q", tc.marker)
-		}
-		sh := compile(t, divergentShaders[i], Fragment)
-		if sh.class[sh.slots[tc.slot]] != dynCell || sh.dynamic == 0 {
-			t.Errorf("divergent shader %d: %s is of class %d, with %d dynamic nodes; want a dynamic slot and nodes",
-				i, tc.slot, sh.class[sh.slots[tc.slot]], sh.dynamic)
-		}
+	if n < 20 {
+		t.Fatalf("%d sources checked; the tree runs more", n)
 	}
-}
-
-// forExprs calls fn on every expression of body, at every depth.
-func forExprs(body []stmt, fn func(expr)) {
-	var visit func(e expr)
-	visit = func(e expr) {
-		if e == nil {
-			return
-		}
-		fn(e)
-		switch ex := e.(type) {
-		case *swizzleExpr:
-			visit(ex.base)
-		case *unaryExpr:
-			visit(ex.x)
-		case *binExpr:
-			visit(ex.l)
-			visit(ex.r)
-		case *callExpr:
-			for _, a := range ex.args {
-				visit(a)
-			}
-		}
-	}
-	walk(body, func(s stmt) {
-		switch st := s.(type) {
-		case *declStmt:
-			visit(st.init)
-		case *assignStmt:
-			visit(st.val)
-		case *ifStmt:
-			visit(st.cond)
-		case *forStmt:
-			visit(st.cond)
-		}
-	})
 }
 
 // soleTexelCopy matches a shader whose body is the single statement
@@ -540,9 +484,11 @@ func forExprs(body []stmt, fn func(expr)) {
 var soleTexelCopy = regexp.MustCompile(`void main\(\) \{\s*gl_FragColor = texture2D\(\w+, \w+\);\s*\}\s*$`)
 
 // copyMisses look like a texel copy that Binding.TexelCopy may report, but
-// are none: the coordinates not a plain varying, a second statement, the
-// varying written, the sampler a varying or a uniform written,
-// coordinates that are a uniform, and coordinates that are gl_FragColor.
+// are none: the coordinates not a plain varying, a second statement,
+// coordinates that are a uniform, a swizzled copy, and coordinates that
+// are gl_FragColor. (Writing the varying or
+// the sampler, or declaring the sampler a varying, is a compile error:
+// staticErrors.)
 var copyMisses = []string{
 	`varying vec2 v_uv; uniform sampler2D u_tex;
 void main() { gl_FragColor = texture2D(u_tex, v_uv * 1.0); }`,
@@ -550,15 +496,7 @@ void main() { gl_FragColor = texture2D(u_tex, v_uv * 1.0); }`,
 void main() { vec4 c = texture2D(u_tex, v_uv); gl_FragColor = c; }`,
 	`varying vec2 v_uv; uniform sampler2D u_tex;
 void main() { gl_FragColor = texture2D(u_tex, v_uv); gl_FragColor = texture2D(u_tex, v_uv); }`,
-	`varying vec2 v_uv; uniform sampler2D u_tex;
-void main() { v_uv = v_uv; gl_FragColor = texture2D(u_tex, v_uv); }`,
-	`varying vec2 v_uv; uniform sampler2D u_tex;
-void main() { u_tex = u_tex; gl_FragColor = texture2D(u_tex, v_uv); }`,
-	`varying vec2 v_uv; varying vec2 u_tex;
-void main() { gl_FragColor = texture2D(u_tex, v_uv); }`,
 	`uniform vec2 v_uv; uniform sampler2D u_tex;
-void main() { gl_FragColor = texture2D(u_tex, v_uv); }`,
-	`varying vec2 v_uv; uniform sampler2D u_tex; uniform vec2 v_uv;
 void main() { gl_FragColor = texture2D(u_tex, v_uv); }`,
 	`varying vec2 v_uv; uniform sampler2D u_tex;
 void main() { gl_FragColor = texture2D(u_tex, v_uv).xyzw; }`,
@@ -675,8 +613,11 @@ func TestStepBound(t *testing.T) {
 }
 
 // TestReleasedFrameHoldsNoPointer checks that a pooled frame keeps nothing
-// alive: after Release, no cell — uniform, local or temporary, of the frame
-// or of its uniform frame — holds a matrix or a texture.
+// alive: a frame holds matrices by value, in its cells, and reaches a
+// texture only through its binding's values, which Release drops, in the
+// frame and in its uniform frame. No field of a Frame but those and its
+// stage, the linked program's layout, can hold a pointer to a matrix or a
+// texture.
 func TestReleasedFrameHoldsNoPointer(t *testing.T) {
 	p, _ := withPartner(t, compile(t, `varying vec4 v_a;
 uniform mat4 u_m;
@@ -692,41 +633,87 @@ void main() {
 	if _, _, _, errs := shadeFragments(f, vary, len(p.VaryNames), gpu.SpanSize); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	held := 0
-	for _, r := range f.refs {
-		if r != (ref{}) {
-			held++
-		}
-	}
-	if held == 0 {
-		t.Fatal("the shader left no reference in its frame to clear")
+	if f.uni == nil {
+		t.Fatal("the frame holds no binding to drop")
 	}
 	f.Release()
-	for _, g := range []*Frame{f, f.u} {
-		for i, r := range g.refs {
-			if r != (ref{}) {
-				t.Fatalf("released frame (%d lanes) still holds %+v in cell %d, lane %d", g.lanes, r, i/g.lanes, i%g.lanes)
-			}
-		}
-		for c, m := range g.refMask {
-			if m != 0 {
-				t.Fatalf("released frame's (%d lanes) cell %d still marks lanes %x as references", g.lanes, c, m)
-			}
-		}
-	}
-	if f.uni != nil {
+	if f.uni != nil || f.u.uni != nil {
 		t.Fatal("released frame still holds its binding's uniforms")
+	}
+	ft := reflect.TypeOf(Frame{})
+	for i := range ft.NumField() {
+		if fd := ft.Field(i); fd.Name != "uni" && fd.Name != "st" && reaches(fd.Type, map[reflect.Type]bool{}) {
+			t.Errorf("Frame.%s (%v) can hold a matrix or a texture", fd.Name, fd.Type)
+		}
 	}
 }
 
-// TestShadeSpanFaultsPerLane checks the rasterizer's view of a span: a
-// faulting lane shades magenta and counts no fetches, and its neighbours
-// shade normally.
+// reaches reports whether a value of type t can hold a pointer to a matrix
+// or a texture, other than through a Frame, whose fields the test checks.
+func reaches(t reflect.Type, seen map[reflect.Type]bool) bool {
+	if seen[t] || t == reflect.TypeOf(Frame{}) {
+		return false
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Pointer:
+		e := t.Elem()
+		return e == reflect.TypeOf(gpu.Mat4{}) || e == reflect.TypeOf(gpu.Texture{}) || reaches(e, seen)
+	case reflect.Slice, reflect.Array:
+		return reaches(t.Elem(), seen)
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if reaches(t.Field(i).Type, seen) {
+				return true
+			}
+		}
+	case reflect.Interface, reflect.Map, reflect.Func, reflect.Chan:
+		return true
+	}
+	return false
+}
+
+// TestRunVertexDoesNotAllocate holds the vertex path to zero allocations
+// once the frame is warm: PassMark's complexVS, the eglbridge, harness and
+// WebKit blit shaders, a uniform mat4 times an attribute, and matrix
+// products per vertex.
+func TestRunVertexDoesNotAllocate(t *testing.T) {
+	var progs []*Program
+	for _, file := range []string{
+		"../../../workloads/passmark/passmark.go",
+		"../../../core/eglbridge/blit.go",
+		"../../../harness/blit.go",
+		"../../../webkit/browser.go",
+	} {
+		progs = append(progs, linkFile(t, file))
+	}
+	for _, src := range []string{quadVS, `attribute vec4 a_pos; uniform mat4 u_a; uniform mat4 u_b; varying vec4 v;
+void main() { mat4 m = u_a * u_b; m = m * u_a; gl_Position = (m * m) * a_pos; v = u_b * gl_Position; }`} {
+		p, _ := withPartner(t, compile(t, src, Vertex))
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		f := bindAll(p, testTexture()).Frame(Vertex)
+		attribs := randomVaryings(rand.New(rand.NewSource(1)), len(p.VS.Attributes), 1)
+		vary := make([]gpu.Vec4, len(p.VaryNames))
+		if _, err := f.RunVertex(attribs, vary); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { f.RunVertex(attribs, vary) }); n != 0 {
+			t.Errorf("a vertex allocates %v times, want 0:\n%s", n, p.VS.Source())
+		}
+		f.Release()
+	}
+}
+
+// TestShadeSpanFaultsPerLane checks the rasterizer's view of a span: a lane
+// that runs out of steps shades magenta and counts no fetches, and its
+// neighbours shade normally.
 func TestShadeSpanFaultsPerLane(t *testing.T) {
 	p, _ := withPartner(t, compile(t, `varying vec4 v_a; uniform sampler2D u_tex;
 void main() {
   gl_FragColor = texture2D(u_tex, v_a.xy);
-  if (v_a.z > 0.5) { gl_FragColor = undefined_var; }
+  if (v_a.z > 0.5) { for (float i = 0.0; i < 1.0; i *= 1.0) { gl_FragColor.x = i; } }
 }`, Fragment))
 	fr := bindAll(p, refTexture()).Frame(Fragment)
 	defer fr.Release()
@@ -736,12 +723,12 @@ void main() {
 	if len(col) != 3 || len(fetches) != 3 {
 		t.Fatalf("Shade(3) returned %d colours and %d fetch counts", len(col), len(fetches))
 	}
-	if col[1] != faultWord || fetches[1] != 0 {
-		t.Fatalf("faulting lane shaded (%08x, %d), want magenta and 0 fetches", col[1], fetches[1])
+	if col[1] != faultWord || fetches[1] != 0 || fr.err(1) != errSteps {
+		t.Fatalf("faulting lane shaded (%08x, %d, %v), want magenta, 0 fetches and the step limit", col[1], fetches[1], fr.err(1))
 	}
 	for _, i := range []int{0, 2} {
-		if col[i] == faultWord || fetches[i] != 1 {
-			t.Fatalf("lane %d shaded (%08x, %d), want a texel and 1 fetch", i, col[i], fetches[i])
+		if col[i] == faultWord || fetches[i] != 1 || fr.err(i) != nil {
+			t.Fatalf("lane %d shaded (%08x, %d, %v), want a texel and 1 fetch", i, col[i], fetches[i], fr.err(i))
 		}
 	}
 }
@@ -752,7 +739,7 @@ void main() {
 // vec2, gets that plane alone, with width 2, and what is written to the
 // plane's first two components is what it shades, whatever the others
 // hold. A varying the primitives do not carry gets no plane and reads as
-// zero, and a name the shader does not declare a varying gets none either.
+// zero.
 func TestInputsAreTheVaryingsRead(t *testing.T) {
 	vs := compile(t, `varying vec4 v_a; varying vec2 v_b; varying float v_c;
 void main() { gl_Position = vec4(0.0); v_a = vec4(1.0); v_b = vec2(2.0); v_c = 3.0; }`, Vertex)
@@ -794,20 +781,9 @@ void main() { gl_FragColor = v_a + vec4(v_b, v_c, 1.0); }`, Fragment))
 	if index, width, _ = h.Inputs(3); !slices.Equal(index, []int{0, 1, 2}) || !slices.Equal(width, []int{4, 2, 1}) {
 		t.Fatalf("Inputs(3) = %v, widths %v; want [0 1 2] and [4 2 1]", index, width)
 	}
-	// A name the fragment shader reads without declaring it a varying is no
-	// input, even when the vertex shader writes a varying of that name.
-	p, err = Link(vs, compile(t, `varying vec2 v_b; void main() { gl_FragColor = vec4(v_b + v_c, v_b); }`, Fragment))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := p.Bind().Frame(Fragment)
-	defer g.Release()
-	if index, _, _ = g.Inputs(3); len(index) != 1 || index[0] != 1 {
-		t.Fatalf("Inputs(3) = %v, want [1]: v_c is not declared", index)
-	}
-	if g.Shade(1); g.errs[0] == nil || !strings.Contains(g.errs[0].Error(), "undefined variable v_c") {
-		t.Fatalf("reading undeclared v_c: error %v, want undefined variable", g.errs[0])
-	}
+	// A name the fragment shader reads without declaring it is no input,
+	// even when the vertex shader writes a varying of that name: it is a
+	// compile error (staticErrors).
 }
 
 // TestBindingRefusesOtherTypes checks that Set refuses a value whose type
@@ -895,7 +871,7 @@ func BenchmarkDrawBlit(b *testing.B) {
 			for i := range verts {
 				verts[i].Vary = make([]gpu.Vec4, len(p.VaryNames))
 				var err error
-				if verts[i].Pos, err = vf.RunVertex([]Value{Vec(4, pos[i][:]...), Vec(2, uv[i][:]...)}, verts[i].Vary); err != nil {
+				if verts[i].Pos, err = vf.RunVertex([]gpu.Vec4{pos[i], uv[i]}, verts[i].Vary); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -932,10 +908,10 @@ func BenchmarkDrawComplex3D(b *testing.B) {
 		z := 0.9 - float32(q)/(grid*grid)
 		base := len(verts)
 		for k := range 4 {
-			pos := Vec(4, x0+0.5*float32(k&1), y0+0.5*float32(k>>1), z, 1)
+			pos := gpu.Vec4{x0 + 0.5*float32(k&1), y0 + 0.5*float32(k>>1), z, 1}
 			v := gpu.TVert{Vary: make([]gpu.Vec4, len(p.VaryNames))}
 			var err error
-			if v.Pos, err = vf.RunVertex([]Value{pos, Float(float32(k) / 3)}, v.Vary); err != nil {
+			if v.Pos, err = vf.RunVertex([]gpu.Vec4{pos, {float32(k) / 3}}, v.Vary); err != nil {
 				b.Fatal(err)
 			}
 			verts = append(verts, v)

@@ -2,52 +2,50 @@
 // for the simulated GPU's programmable (GLES 2) pipeline.
 //
 // The real system hands shader source to a closed vendor compiler inside
-// libGLESv2; the simulation compiles a GLSL subset once, at Compile: every
-// identifier is resolved to a slot index, and the AST is turned into a tree
-// of Go closures that each run one node over a span of invocations at once —
-// one lane per fragment, up to gpu.SpanSize lanes, like a GPU's SIMD group.
-// Compile types every expression as GLSL ES 1.00 does, and rejects a
-// program that reads a component past a value's declared width where
-// widths are known (see typing.go). It classes every slot, constant and
-// temporary: a typed cell has its static width in every lane and no
-// reference, a draw-uniform one (a constant, a uniform the shader never
-// writes, a node over only those) is held once and read with stride 0, and
-// only the rest keep a width and a reference (the matrix or sampler a
-// value points to, with a mask of the lanes that hold one) per lane. A
-// typed node computes only its declared components, at widths fixed at
-// compile time.
-// It also keeps a "defined" bit per slot and lane, and per lane a step
-// budget, a fetch count and a runtime error (with a mask of the lanes that
-// faulted), so invocations that diverge (branches, loops, faults) still
-// behave exactly as if each ran alone. A shader without a loop cannot reach
-// the step limit unless it has that many statements, so it is compiled to
-// keep no step budget at all. texture2D resolves a texture's sampling terms
-// once per run of lanes that share it (gpu.Texture.Sampler). A draw binds
-// its uniforms into slot order once (Program.Bind); each raster tile then
-// takes its own Frame and shades the tile's spans through it: the
-// rasterizer interpolates the varyings the shader reads, at their declared
-// widths, straight into their slots' component planes (Frame.Inputs), and
-// Frame.Shade hands back each
-// lane's colour as the RGBA8 word the target stores. A fragment shader
-// that is the single statement gl_FragColor = texture2D(s, v) — the present
-// blit, the canvas uploads — tells the rasterizer so (Binding.TexelCopy),
-// which then copies a 1:1 rectangle drawn with it rather than shading it. A
-// run resets only what an invocation can observe, so shading allocates
-// nothing per vertex, fragment or span.
+// libGLESv2; the simulation compiles a GLSL subset once, at Compile. Names
+// are scoped by block as in GLSL ES 1.00, every declaration gets a cell of
+// its own, and every expression a static type (see typing.go): a program
+// GLSL ES 1.00 would reject — a name read outside its scope, a write to a
+// uniform, a component read past a value's width, a call of the wrong
+// arity, matrix arithmetic other than mat4*mat4 and mat4*vec4 — fails to
+// compile. The AST is then turned into a tree of Go closures that each run
+// one node over a span of invocations at once — one lane per fragment, up
+// to gpu.SpanSize lanes, like a GPU's SIMD group. A cell is draw-uniform
+// (a constant, a uniform, a node over only those), held once and read with
+// stride 0, or typed: the components of its static width in every lane. A
+// node computes only its declared components, at widths fixed at compile
+// time. Per lane, a frame keeps a step budget and a fetch count; the step
+// limit, the only fault left at run time, takes a lane out of the span, so
+// invocations that diverge (branches, loops, the step limit) still behave
+// exactly as if each ran alone. A shader without a loop cannot reach the
+// step limit unless it has that many statements, so it is compiled to keep
+// no step budget at all. A draw binds its uniforms once (Program.Bind);
+// each raster tile then takes its own Frame and shades the tile's spans
+// through it: the rasterizer interpolates the varyings the shader reads,
+// at their declared widths, straight into their cells' component planes
+// (Frame.Inputs), and Frame.Shade hands back each lane's
+// colour as the RGBA8 word the target stores. A fragment shader that is
+// the single statement gl_FragColor = texture2D(s, v) — the present blit,
+// the canvas uploads — tells the rasterizer so (Binding.TexelCopy), which
+// then copies a 1:1 rectangle drawn with it rather than shading it. A run
+// resets only what an invocation can observe, so shading allocates nothing
+// per vertex, fragment or span.
 // glCompileShader/glLinkProgram stay expensive on the virtual clock
 // (proportional to token count — visible as the glLinkProgram spike in
 // Figure 9), and shader-based paths such as Cycada's presentRenderbuffer
 // blit do real per-pixel work.
 //
 // Supported subset: global declarations with the attribute / uniform /
-// varying qualifiers; types float, vec2, vec3, vec4, mat4, sampler2D;
-// `void main() { ... }`; local declarations, assignment, if/else, for;
-// arithmetic on scalars/vectors/matrices with scalar broadcast; swizzle
-// reads; calls to the builtins texture2D, vec2, vec3, vec4, clamp, min, max,
-// dot, mix, fract, floor, abs, sin, cos, pow, length, normalize; and the
-// specials gl_Position (vertex) and gl_FragColor (fragment). A `precision`
-// statement is accepted and ignored. A uniform is bound at its declared
-// type only (Binding.Set).
+// varying qualifiers; types float, vec2, vec3, vec4, mat4 (not for
+// attributes and varyings) and sampler2D (uniforms only); `void main() {
+// ... }`; local declarations, assignment, if/else, for; arithmetic on
+// scalars and vectors with scalar broadcast, and mat4*mat4 and mat4*vec4;
+// swizzle reads and single-component swizzle writes; calls to the builtins
+// texture2D, vec2, vec3, vec4, clamp, min, max, dot, mix, fract, floor,
+// abs, sin, cos, pow, length, normalize; and the specials gl_Position
+// (vertex) and gl_FragColor (fragment). A `precision` statement is
+// accepted and ignored. A uniform is bound at its declared type only
+// (Binding.Set).
 package minisl
 
 import (
@@ -58,6 +56,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"cycada/internal/sim/gpu"
 )
 
 // Kind distinguishes vertex and fragment shaders.
@@ -83,10 +83,9 @@ type Decl struct {
 	Type string // "float", "vec2".."vec4", "mat4", "sampler2D"
 }
 
-// Shader is a compiled shader. Compile resolves every identifier the source
-// names — its declarations, its locals, the stage's special output and any
-// name it only reads — to a slot index, so evaluation runs over a frame's
-// flat planes instead of looking names up.
+// Shader is a compiled shader. Compile resolves every name the source reads
+// or writes to the cell of the declaration in scope, so evaluation runs over
+// a frame's flat planes instead of looking names up.
 type Shader struct {
 	Kind       Kind
 	Attributes []Decl
@@ -94,17 +93,15 @@ type Shader struct {
 	Varyings   []Decl
 	Tokens     int // total token count (drives compile cost)
 	body       []stmt
-	run        stmtFn  // body, compiled to lane closures
-	counted    bool    // run charges steps: the body may reach the step limit
-	consts     []Value // distinct literals, in cell order after the slots
-	temps      int     // temporary cells, after the constants
-	src        string
-	slots      map[string]int // identifier -> slot
-	written    []bool         // slot-indexed: an assignment or declaration target
-	class      []class        // slot-indexed: how a frame holds the slot (see typeSlots)
-	typ        []vtype        // slot-indexed: the slot's static type
-	dynamic    int            // nodes and statements compiled to read widths per lane
-	scratch    int            // call-argument cells one run needs
+	run        stmtFn // body, compiled to lane closures
+	counted    bool   // run charges steps: the body may reach the step limit
+	// consts are the literals and the zero values of declarations without
+	// an initializer, each in its cell of the uniform frame.
+	consts  []*numExpr
+	cells   int // cells of the variables, constants and matrix products
+	temps   int // temporary cells, after those
+	src     string
+	globals map[string]variable // the global scope: the declarations and the stage's special output
 }
 
 // Source returns the original source text.
@@ -122,26 +119,19 @@ func (e *CompileError) Error() string {
 
 // ---- AST ----
 //
-// Identifiers are slot indices into the invocation's frame; the name stays
-// only for runtime error messages.
+// Every node carries its kind (see typing.go), and every variable is the
+// cell of its declaration.
 
 type stmt interface{ isStmt() }
 
-type declStmt struct {
-	slot int
-	name string
-	typ  vtype
-	zero Value // the declared type's zero value
-	init expr  // may be nil
-	line int
-}
-
+// assignStmt stores val to the variable at cell, of type t: the whole
+// value, or, when comp >= 0, component comp alone, from val's first. A
+// declaration is an assignment to its fresh cell.
 type assignStmt struct {
-	slot    int
-	name    string
-	swizzle string // optional single-component write target, e.g. "x"
-	val     expr
-	line    int
+	cell int
+	t    vtype
+	comp int
+	val  expr
 }
 
 type ifStmt struct {
@@ -156,30 +146,29 @@ type forStmt struct {
 	body []stmt
 }
 
-func (*declStmt) isStmt()   {}
 func (*assignStmt) isStmt() {}
 func (*ifStmt) isStmt()     {}
 func (*forStmt) isStmt()    {}
 
-type expr interface{ isExpr() }
+type expr interface{ info() kind }
 
+// numExpr is a constant: a literal, or a declaration's zero value.
 type numExpr struct {
-	v Value
-	k int // index into the shader's constants
+	kind
+	v    Value
+	cell int
 }
 
 type varExpr struct {
-	slot int
-	name string
-	line int
+	kind
+	cell int
 }
 
 type swizzleExpr struct {
+	kind
 	base expr
-	text string
 	idx  [4]uint8 // component indices
 	n    int      // swizzle length
-	line int
 }
 
 type binOp uint8
@@ -197,28 +186,34 @@ const (
 	opNE
 )
 
-var binOps = map[string]binOp{
-	"+": opAdd, "-": opSub, "*": opMul, "/": opDiv,
-	"<": opLT, ">": opGT, "<=": opLE, ">=": opGE, "==": opEQ, "!=": opNE,
-}
+var opNames = [...]string{"+", "-", "*", "/", "<", ">", "<=", ">=", "==", "!="}
+
+var binOps = func() map[string]binOp {
+	m := map[string]binOp{}
+	for op, name := range opNames {
+		m[name] = binOp(op)
+	}
+	return m
+}()
 
 type binExpr struct {
+	kind
 	op   binOp
 	l, r expr
-	line int
+	cell int // mat4*mat4: the product's own four cells
 }
 
 type unaryExpr struct {
+	kind
 	not bool // '!' rather than '-'
 	x   expr
 }
 
-// builtin identifies a callee; an unknown name fails only when the call runs.
+// builtin identifies a callee.
 type builtin uint8
 
 const (
-	fnUnknown builtin = iota
-	fnVec2
+	fnVec2 builtin = iota
 	fnVec3
 	fnVec4
 	fnTexture2D
@@ -245,19 +240,10 @@ var builtins = map[string]builtin{
 }
 
 type callExpr struct {
+	kind
 	fn   builtin
-	name string
 	args []expr
-	base int // the arguments' offset in the frame's argument cells
-	line int
 }
-
-func (*numExpr) isExpr()     {}
-func (*varExpr) isExpr()     {}
-func (*swizzleExpr) isExpr() {}
-func (*binExpr) isExpr()     {}
-func (*unaryExpr) isExpr()   {}
-func (*callExpr) isExpr()    {}
 
 // ---- Lexer ----
 
@@ -357,8 +343,18 @@ type parser struct {
 	toks     []token
 	pos      int
 	sh       *Shader
-	callBase int            // argument-cell offset for the arguments of the next call parsed
-	consts   map[uint32]int // literal bits -> index into sh.consts
+	scopes   []map[string]variable // the global scope first, the innermost last
+	consts   map[uint32]*numExpr   // literal bits -> constant
+	identity *numExpr              // the zero value of a mat4 declaration
+}
+
+// variable is a declared name: its cell and kind, and, for one the shader
+// may not write — a uniform, an attribute, a fragment shader's varying —
+// its qualifier.
+type variable struct {
+	kind
+	cell     int
+	readOnly string
 }
 
 // specialOut names each stage's built-in output.
@@ -385,9 +381,11 @@ func Compile(src string, kind Kind) (sh *Shader, err error) {
 			sh, err = nil, ce
 		}
 	}()
-	p := &parser{toks: toks, sh: &Shader{Kind: kind, Tokens: len(toks), src: src, slots: map[string]int{}}, consts: map[uint32]int{}}
-	p.slot(specialOut(kind))
+	p := &parser{toks: toks, sh: &Shader{Kind: kind, Tokens: len(toks), src: src}, consts: map[uint32]*numExpr{}}
+	p.scopes = []map[string]variable{{}}
+	p.declare(specialOut(kind), 1, tVec4, vecCell, "")
 	p.parseTop()
+	p.sh.globals = p.scopes[0]
 	compileBody(p.sh)
 	return p.sh, nil
 }
@@ -395,36 +393,68 @@ func Compile(src string, kind Kind) (sh *Shader, err error) {
 // fail aborts the compilation with a CompileError at line.
 func fail(line int, msg string) { panic(&CompileError{Line: line, Msg: msg}) }
 
-// slot resolves an identifier to its frame slot, allocating one on first use.
-func (p *parser) slot(name string) int {
-	if s, ok := p.sh.slots[name]; ok {
-		return s
+// alloc returns the first of the cells a value of type t takes: a matrix
+// four, its columns, and every other type one.
+func (p *parser) alloc(t vtype) int {
+	c := p.sh.cells
+	p.sh.cells++
+	if t == tMat {
+		p.sh.cells += 3
 	}
-	s := len(p.sh.written)
-	p.sh.slots[name] = s
-	p.sh.written = append(p.sh.written, false)
-	return s
+	return c
+}
+
+// declare gives name, declared at line, a cell in the innermost scope.
+func (p *parser) declare(name string, line int, t vtype, c class, readOnly string) variable {
+	scope := p.scopes[len(p.scopes)-1]
+	if _, ok := scope[name]; ok {
+		fail(line, "redefinition of "+name)
+	}
+	v := variable{kind: kind{c, t}, cell: p.alloc(t), readOnly: readOnly}
+	scope[name] = v
+	return v
+}
+
+// lookup resolves a name to the innermost declaration of it in scope.
+func (p *parser) lookup(name token) variable {
+	for i := len(p.scopes) - 1; i >= 0; i-- {
+		if v, ok := p.scopes[i][name.text]; ok {
+			return v
+		}
+	}
+	fail(name.line, "undeclared identifier "+name.text)
+	return variable{}
 }
 
 // constant returns a literal, numbered once per distinct value. Like every
 // value a shader computes, it has no hidden component but zero.
 func (p *parser) constant(f float32) *numExpr {
-	v := Vec(1, f)
 	bits := math.Float32bits(f)
-	k, ok := p.consts[bits]
-	if !ok {
-		k = len(p.sh.consts)
-		p.consts[bits] = k
-		p.sh.consts = append(p.sh.consts, v)
+	if e, ok := p.consts[bits]; ok {
+		return e
 	}
-	return &numExpr{v: v, k: k}
+	e := p.newConst(Vec(1, f))
+	p.consts[bits] = e
+	return e
 }
 
-// target resolves an assignment or declaration target.
-func (p *parser) target(name string) int {
-	s := p.slot(name)
-	p.sh.written[s] = true
-	return s
+func (p *parser) newConst(v Value) *numExpr {
+	t := typeOfValue(v)
+	e := &numExpr{kind: kind{uniCell, t}, v: v, cell: p.alloc(t)}
+	p.sh.consts = append(p.sh.consts, e)
+	return e
+}
+
+// zero returns the value a declaration of type t without an initializer
+// holds: zero, splatted, or the identity matrix.
+func (p *parser) zero(t vtype) *numExpr {
+	if t != tMat {
+		return p.constant(0)
+	}
+	if p.identity == nil {
+		p.identity = p.newConst(Mat(gpu.Identity()))
+	}
+	return p.identity
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -458,31 +488,7 @@ func (p *parser) parseTop() {
 				p.pos++
 			}
 		case t.text == "attribute" || t.text == "uniform" || t.text == "varying":
-			qual := p.next().text
-			typ := p.expect("ident", "")
-			if _, ok := typeNames[typ.text]; !ok {
-				fail(typ.line, "unknown type "+typ.text)
-			}
-			name := p.expect("ident", "")
-			p.expect("punct", ";")
-			d := Decl{Name: name.text, Type: typ.text}
-			for _, prev := range slices.Concat(p.sh.Attributes, p.sh.Uniforms, p.sh.Varyings) {
-				if prev.Name == d.Name && prev.Type != d.Type {
-					fail(name.line, "redefinition of "+d.Name+" with another type")
-				}
-			}
-			switch qual {
-			case "attribute":
-				if p.sh.Kind != Vertex {
-					fail(name.line, "attribute in fragment shader")
-				}
-				p.sh.Attributes = append(p.sh.Attributes, d)
-			case "uniform":
-				p.sh.Uniforms = append(p.sh.Uniforms, d)
-			case "varying":
-				p.sh.Varyings = append(p.sh.Varyings, d)
-			}
-			p.slot(d.Name)
+			p.parseGlobal()
 		case t.text == "void":
 			p.pos++
 			p.expect("ident", "main")
@@ -498,8 +504,46 @@ func (p *parser) parseTop() {
 	}
 }
 
+// parseGlobal parses an attribute, uniform or varying declaration. Only a
+// vertex shader's varyings, its outputs, may be written.
+func (p *parser) parseGlobal() {
+	qual := p.next().text
+	typ := p.expect("ident", "")
+	t, ok := typeNames[typ.text]
+	if !ok {
+		fail(typ.line, "unknown type "+typ.text)
+	}
+	name := p.expect("ident", "")
+	p.expect("punct", ";")
+	if qual == "attribute" && p.sh.Kind != Vertex {
+		fail(name.line, "attribute in fragment shader")
+	}
+	if qual != "uniform" && !t.vector() {
+		fail(name.line, fmt.Sprintf("%s %s: only float and vectors can be %ss", qual, name.text, qual))
+	}
+	c, readOnly := vecCell, qual
+	switch {
+	case qual == "uniform":
+		c = uniCell
+	case qual == "varying" && p.sh.Kind == Vertex:
+		readOnly = ""
+	}
+	p.declare(name.text, name.line, t, c, readOnly)
+	d := Decl{Name: name.text, Type: typ.text}
+	switch qual {
+	case "attribute":
+		p.sh.Attributes = append(p.sh.Attributes, d)
+	case "uniform":
+		p.sh.Uniforms = append(p.sh.Uniforms, d)
+	default:
+		p.sh.Varyings = append(p.sh.Varyings, d)
+	}
+}
+
+// parseBlock parses a block, a scope of its own.
 func (p *parser) parseBlock() []stmt {
 	p.expect("punct", "{")
+	p.scopes = append(p.scopes, map[string]variable{})
 	var out []stmt
 	for !p.accept("punct", "}") {
 		if p.cur().kind == "eof" {
@@ -507,14 +551,15 @@ func (p *parser) parseBlock() []stmt {
 		}
 		out = append(out, p.parseStmt())
 	}
+	p.scopes = p.scopes[:len(p.scopes)-1]
 	return out
 }
 
-// parenExpr parses a parenthesized expression.
-func (p *parser) parenExpr() expr {
-	p.expect("punct", "(")
+// parseCondition parses a condition, which reads its first component.
+func (p *parser) parseCondition() expr {
+	line := p.cur().line
 	e := p.parseExpr()
-	p.expect("punct", ")")
+	operands(line, "condition", e.info().t)
 	return e
 }
 
@@ -522,21 +567,27 @@ func (p *parser) parseStmt() stmt {
 	switch p.cur().text {
 	case "if":
 		p.pos++
-		st := &ifStmt{cond: p.parenExpr(), then: p.parseBlock()}
+		p.expect("punct", "(")
+		st := &ifStmt{cond: p.parseCondition()}
+		p.expect("punct", ")")
+		st.then = p.parseBlock()
 		if p.accept("ident", "else") {
 			st.els = p.parseBlock()
 		}
 		return st
 	case "for":
+		// The names the header declares are in scope until the loop ends.
 		p.pos++
 		p.expect("punct", "(")
+		p.scopes = append(p.scopes, map[string]variable{})
 		st := &forStmt{init: p.parseSimpleStmt()}
 		p.expect("punct", ";")
-		st.cond = p.parseExpr()
+		st.cond = p.parseCondition()
 		p.expect("punct", ";")
 		st.post = p.parseSimpleStmt()
 		p.expect("punct", ")")
 		st.body = p.parseBlock()
+		p.scopes = p.scopes[:len(p.scopes)-1]
 		return st
 	}
 	s := p.parseSimpleStmt()
@@ -545,46 +596,63 @@ func (p *parser) parseStmt() stmt {
 }
 
 // parseSimpleStmt parses a declaration or assignment without the trailing
-// semicolon (shared by for-headers and expression statements).
+// semicolon (shared by for-headers and expression statements). A declared
+// name is in scope from the end of its declaration on, so its initializer
+// reads the name as declared outside.
 func (p *parser) parseSimpleStmt() stmt {
-	if ty, ok := typeNames[p.cur().text]; ok {
-		typ := p.next().text
+	if t, ok := typeNames[p.cur().text]; ok {
+		p.pos++
 		name := p.expect("ident", "")
+		if t == tSampler {
+			fail(name.line, "sampler2D "+name.text+": samplers are uniforms only")
+		}
 		var init expr
 		if p.accept("punct", "=") {
 			init = p.parseExpr()
+		} else {
+			init = p.zero(t)
 		}
-		return &declStmt{slot: p.target(name.text), name: name.text, typ: ty, zero: zeroOf(typ), init: init, line: name.line}
+		checkStore(name.line, t, init.info().t, name.text)
+		v := p.declare(name.text, name.line, t, vecCell, "")
+		return &assignStmt{cell: v.cell, t: t, comp: -1, val: init}
 	}
 	name := p.expect("ident", "")
-	sw := ""
+	v := p.lookup(name)
+	st := &assignStmt{cell: v.cell, t: v.t, comp: -1}
 	if p.accept("punct", ".") {
-		swt := p.expect("ident", "")
-		if !validSwizzle(swt.text) {
-			fail(swt.line, "invalid swizzle ."+swt.text)
+		sw := p.expect("ident", "")
+		if !validSwizzle(sw.text) {
+			fail(sw.line, "invalid swizzle ."+sw.text)
 		}
-		sw = swt.text
+		if len(sw.text) != 1 {
+			fail(sw.line, "only single-component swizzle writes supported")
+		}
+		operands(sw.line, "swizzle", v.t)
+		checkSwizzle(sw.line, v.t, sw.text)
+		st.comp = int(swizzleIndex(rune(sw.text[0])))
 	}
-	slot := p.target(name.text)
-	self := &varExpr{slot: slot, name: name.text, line: name.line}
+	if v.readOnly != "" {
+		fail(name.line, "cannot assign to "+v.readOnly+" "+name.text)
+	}
 	// Compound assignment and increment forms.
-	st := &assignStmt{slot: slot, name: name.text, swizzle: sw, line: name.line}
+	self := &varExpr{kind: v.kind, cell: v.cell}
 	switch op := p.cur().text; op {
 	case "=", "+=", "-=", "*=", "/=":
 		p.pos++
 		st.val = p.parseExpr()
 		if op != "=" {
-			st.val = &binExpr{op: binOps[op[:1]], l: self, r: st.val, line: name.line}
+			st.val = p.binary(binOps[op[:1]], self, st.val, name.line)
 		}
 	case "++", "--":
 		p.pos++
-		o := opAdd
-		if op == "--" {
-			o = opSub
-		}
-		st.val = &binExpr{op: o, l: self, r: p.constant(1), line: name.line}
+		st.val = p.binary(binOps[op[:1]], self, p.constant(1), name.line)
 	default:
 		fail(name.line, "expected assignment after "+name.text)
+	}
+	if st.comp < 0 {
+		checkStore(name.line, v.t, st.val.info().t, name.text)
+	} else {
+		operands(name.line, "assignment", st.val.info().t)
 	}
 	return st
 }
@@ -606,15 +674,15 @@ func (p *parser) parseBinary(operand func() expr, ops ...string) expr {
 	l := operand()
 	for p.cur().kind == "punct" && slices.Contains(ops, p.cur().text) {
 		t := p.next()
-		l = &binExpr{op: binOps[t.text], l: l, r: operand(), line: t.line}
+		l = p.binary(binOps[t.text], l, operand(), t.line)
 	}
 	return l
 }
 
 func (p *parser) parseUnary() expr {
 	if p.cur().kind == "punct" && (p.cur().text == "-" || p.cur().text == "!") {
-		op := p.next().text
-		return &unaryExpr{not: op == "!", x: p.parseUnary()}
+		op := p.next()
+		return unary(op.text == "!", p.parseUnary(), op.line)
 	}
 	return p.parsePostfix()
 }
@@ -626,11 +694,7 @@ func (p *parser) parsePostfix() expr {
 		if !validSwizzle(sw.text) {
 			fail(sw.line, "invalid swizzle ."+sw.text)
 		}
-		s := &swizzleExpr{base: e, text: sw.text, n: len(sw.text), line: sw.line}
-		for i, c := range sw.text {
-			s.idx[i] = swizzleIndex(c)
-		}
-		e = s
+		e = swizzle(e, sw)
 	}
 	return e
 }
@@ -646,33 +710,31 @@ func (p *parser) parsePrimary() expr {
 		if p.accept("punct", "(") {
 			return p.parseCall(t)
 		}
-		return &varExpr{slot: p.slot(t.text), name: t.text, line: t.line}
+		v := p.lookup(t)
+		return &varExpr{kind: v.kind, cell: v.cell}
 	case t.kind == "punct" && t.text == "(":
-		return p.parenExpr()
+		p.pos++
+		e := p.parseExpr()
+		p.expect("punct", ")")
+		return e
 	}
 	fail(t.line, "unexpected token "+t.text)
 	return nil
 }
 
-// parseCall parses a call's arguments after its opening parenthesis. An
-// argument's cell is kept in the frame's argument cells once evaluated, so
-// calls nested inside argument k start their own arguments at base+k: every
-// argument still pending is above them, every finished one below.
+// parseCall parses a call's arguments after its opening parenthesis.
 func (p *parser) parseCall(fn token) expr {
-	c := &callExpr{fn: builtins[fn.text], name: fn.text, base: p.callBase, line: fn.line}
+	var args []expr
 	if !p.accept("punct", ")") {
 		for {
-			p.callBase = c.base + len(c.args)
-			c.args = append(c.args, p.parseExpr())
+			args = append(args, p.parseExpr())
 			if p.accept("punct", ")") {
 				break
 			}
 			p.expect("punct", ",")
 		}
 	}
-	p.callBase = c.base
-	p.sh.scratch = max(p.sh.scratch, c.base+len(c.args))
-	return c
+	return call(fn, args)
 }
 
 func validSwizzle(s string) bool {

@@ -2,6 +2,7 @@ package minisl
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,14 +84,10 @@ func TestCompileCollectsDeclarations(t *testing.T) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	cases := []struct {
-		name, src string
-		kind      Kind
-		wantIn    string
-	}{
+	cases := []compileError{
 		{"no-main", "uniform float u;", Fragment, "no main"},
 		{"bad-type", "uniform floatx u;", Fragment, "unknown type"},
-		{"attr-in-fs", "attribute vec4 a;void main(){gl_FragColor = vec4(1.0);}", Fragment, "attribute in fragment"},
+		{"attr-in-fs", "attribute vec4 a;void main(){gl_Position = a;}", Fragment, "attribute in fragment"},
 		{"bad-char", "void main(){ @ }", Fragment, "unexpected character"},
 		{"unterminated", "void main(){ gl_FragColor = vec4(1.0);", Fragment, "unterminated"},
 		{"bad-swizzle", "void main(){ vec4 v = vec4(1.0); gl_FragColor = v.qq; }", Fragment, "invalid swizzle"},
@@ -99,7 +96,7 @@ func TestCompileErrors(t *testing.T) {
 		{"number-double-point", "void main(){ gl_FragColor = vec4(1..5); }", Fragment, "bad number 1..5"},
 		{"bad-swizzle-write", "void main(){ vec4 v = vec4(1.0); v.q = 1.0; gl_FragColor = v; }", Fragment, "invalid swizzle .q"},
 	}
-	for _, tc := range append(cases, widthErrors...) {
+	for _, tc := range slices.Concat(cases, widthErrors, staticErrors) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Compile(tc.src, tc.kind)
 			if err == nil {
@@ -136,7 +133,7 @@ func TestVertexShaderTransforms(t *testing.T) {
 	f := bind(p, map[string]Value{"u_mvp": Mat(mvp)}).Frame(Vertex)
 	defer f.Release()
 	vary := make([]gpu.Vec4, len(p.VaryNames))
-	pos, err := f.RunVertex([]Value{Vec(4, 0.5, 0, 0, 1), Vec(2, 0.25, 0.75)}, vary)
+	pos, err := f.RunVertex([]gpu.Vec4{{0.5, 0, 0, 1}, {0.25, 0.75}}, vary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,25 +287,27 @@ void main() {
 	}
 }
 
+// TestRuntimeErrors checks the one fault left at run time, the step limit,
+// reached in a loop's body, in a loop's post statement, in a nested loop,
+// in a loop inside a branch, and in a loop whose condition never turns
+// false. Everything else that used to fault at run time — an undeclared
+// name, a matrix sum, a call of the wrong arity or of no builtin — is a
+// compile error (staticErrors).
 func TestRuntimeErrors(t *testing.T) {
 	vs := compile(t, "void main(){gl_Position = vec4(0.0);}", Vertex)
 	for _, src := range []string{
-		"void main(){ gl_FragColor = undefined_var; }",
-		"void main(){ undeclared = vec4(1.0); }",
-		"uniform mat4 u_m; void main(){ gl_FragColor = vec4((u_m + u_m) * vec4(1.0)); }",
-		"void main(){ gl_FragColor = texture2D(1.0); }",
-		"void main(){ gl_FragColor = nosuchfn(1.0); }",
+		"void main(){ float x = 0.0; for (float i = 0.0; i < 1.0; i *= 1.0) { x += 1.0; } gl_FragColor = vec4(x); }",
+		"void main(){ for (float i = 0.0; i < 1.0; i -= 1.0) { } gl_FragColor = vec4(1.0); }",
+		"void main(){ float x = 0.0; for (float i = 0.0; i < 400.0; i += 1.0) { for (float j = 0.0; j < 400.0; j += 1.0) { x += 1.0; } } gl_FragColor = vec4(x); }",
+		"void main(){ if (1.0 > 0.0) { for (float i = 0.0; i == i; i += 1.0) { } } gl_FragColor = vec4(1.0); }",
+		"void main(){ float x = 0.0; for (float i = 0.0; i < 1.0; x += 1.0) { vec4 c = vec4(x); } gl_FragColor = vec4(x); }",
 	} {
-		fs, err := Compile(src, Fragment)
-		if err != nil {
-			continue // some of these are compile errors on stricter days; fine
-		}
-		p, err := Link(vs, fs)
+		p, err := Link(vs, compile(t, src, Fragment))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := runFragment(p, nil, nil); err == nil {
-			t.Errorf("no runtime error for %q", src)
+		if _, _, err := runFragment(p, nil, nil); err != errSteps {
+			t.Errorf("runtime error %v for %q, want the step limit", err, src)
 		}
 	}
 }

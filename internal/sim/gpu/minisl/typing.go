@@ -1,24 +1,20 @@
 package minisl
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
-// Compile types every expression and every cell of a shader's frame before
-// it builds the closures. Static types hold MiniSL to GLSL ES 1.00's rules on
-// widths, so that no value's components past its declared width — its
-// hidden components — are read where widths are known at compile time, and
-// a typed node computes only its declared components.
+// The parser types every expression as it builds it, as GLSL ES 1.00 does,
+// and fails the compilation on a program GLSL ES 1.00 rejects. Every width
+// is then known at compile time: no value's components past its declared
+// width — its hidden components — are ever read, and a node computes only
+// its declared components.
 
 // vtype is an expression's static type: a width for float and vec2..vec4,
-// or one of the reference types. tAny is a value whose type is not fixed at
-// compile time: a name declared with two types, or none.
+// or mat4 or sampler2D. The zero vtype is no type: the type of an API value
+// of a width outside 1..4.
 type vtype uint8
 
 const (
-	tAny vtype = iota
-	tFloat
+	tFloat vtype = iota + 1
 	tVec2
 	tVec3
 	tVec4
@@ -54,19 +50,17 @@ func (t vtype) String() string { return vtypeNames[t] }
 type class uint8
 
 const (
-	// uniCell is draw-uniform: one value for every lane of every span,
-	// held in the single lane of the frame's uniform frame (Frame.u) with
-	// its width and reference, and read with stride 0.
+	// uniCell is draw-uniform: one value for every lane of every span, held
+	// in the single lane of the frame's uniform frame (Frame.u) and read
+	// with stride 0. Constants and uniforms are draw-uniform, and so is a
+	// node over only draw-uniform operands, but texture2D, whose fetches
+	// count per lane.
 	uniCell class = iota
-	// vecCell holds the components of its static width in every lane, and
-	// no reference in any lane.
+	// vecCell is typed: the components of its static width in every lane.
 	vecCell
-	// dynCell holds components, a width and a reference in every lane.
-	dynCell
 )
 
-// The classes are ordered so that a node over operands of classes a and b
-// is, unless its result fixes its own width, of class max(a, b).
+// A node over operands of classes a and b is of class max(a, b).
 
 // kind is an expression's class and static type.
 type kind struct {
@@ -74,153 +68,23 @@ type kind struct {
 	t vtype
 }
 
-// Roles a slot has at entry.
-const (
-	roleUniform = 1 << iota
-	roleAttrib
-	roleVarying
-	roleOut
-)
+func (k kind) info() kind { return k }
 
-// typer holds each slot's static type and class, and each expression's
-// static type and class.
-type typer struct {
-	class []class // slot-indexed
-	typ   []vtype // slot-indexed
-	types map[expr]vtype
-	memo  map[expr]class
-}
-
-// typeSlots types sh's slots and expressions; a broken width rule fails
-// the compilation.
-//
-// A slot's static type is the type every declaration of it gives it —
-// gl_FragColor and gl_Position are vec4 — or tAny. A uniform the shader
-// never writes is draw-uniform. A slot is typed when its static type is a
-// vector and it never holds a reference: gl_FragColor and gl_Position, a
-// varying that a fragment shader only reads, a vertex shader's varying or a
-// local, and only while every value written to it whole is typed or a
-// draw-uniform vector. Everything else is dynamic: an attribute (its width
-// comes with each vertex), a uniform the shader writes, a slot of two roles
-// or of type tAny, and a mat4 or sampler2D local, which takes its value's
-// width.
-func typeSlots(sh *Shader) *typer {
-	n := len(sh.written)
-	t := &typer{class: make([]class, n), typ: make([]vtype, n), types: map[expr]vtype{}}
-	roles := make([]uint8, n)
-	seen, conflict := make([]bool, n), make([]bool, n)
-	declare := func(s int, ty vtype) {
-		switch {
-		case !seen[s]:
-			t.typ[s], seen[s] = ty, true
-		case t.typ[s] != ty:
-			conflict[s] = true
-		}
-	}
-	out := sh.slots[specialOut(sh.Kind)]
-	roles[out] |= roleOut
-	declare(out, tVec4)
-	for _, ds := range []struct {
-		decls []Decl
-		role  uint8
-	}{{sh.Uniforms, roleUniform}, {sh.Attributes, roleAttrib}, {sh.Varyings, roleVarying}} {
-		for _, d := range ds.decls {
-			s := sh.slots[d.Name]
-			roles[s] |= ds.role
-			declare(s, typeNames[d.Type])
-		}
-	}
-	walk(sh.body, func(s stmt) {
-		if d, ok := s.(*declStmt); ok {
-			declare(d.slot, d.typ)
-		}
-	})
-	for s, r := range roles {
-		if conflict[s] {
-			t.typ[s] = tAny
-		}
-		vec := t.typ[s].vector()
-		switch {
-		case r == roleUniform && !sh.written[s]:
-			t.class[s] = uniCell
-		case vec && (r == roleOut || r == 0 || r == roleVarying && !(sh.Kind == Fragment && sh.written[s])):
-			t.class[s] = vecCell
-		default:
-			t.class[s] = dynCell
-		}
-	}
-	t.check(sh.body)
-	// Writes demote slots, which can make other values dynamic.
-	for changed := true; changed; {
-		changed = false
-		t.memo = map[expr]class{}
-		walk(sh.body, func(s stmt) {
-			slot, val := -1, expr(nil)
-			switch st := s.(type) {
-			case *declStmt:
-				slot, val = st.slot, st.init
-			case *assignStmt:
-				if st.swizzle == "" {
-					slot, val = st.slot, st.val
-				}
-			}
-			if val == nil || t.class[slot] != vecCell {
-				return
-			}
-			if k := t.kind(val); k.class == dynCell || k.class == uniCell && !k.t.vector() {
-				t.class[slot] = dynCell
-				changed = true
-			}
-		})
-	}
-	t.memo = map[expr]class{}
-	return t
-}
-
-// walk calls fn on every statement of body, at every depth.
-func walk(body []stmt, fn func(stmt)) {
-	for _, s := range body {
-		fn(s)
-		switch st := s.(type) {
-		case *ifStmt:
-			walk(st.then, fn)
-			walk(st.els, fn)
-		case *forStmt:
-			walk([]stmt{st.init, st.post}, fn)
-			walk(st.body, fn)
+// operands fails the compilation unless each of ts is float or a vector:
+// mat4 has only its products, and a sampler2D is only texture2D's first
+// argument.
+func operands(line int, what string, ts ...vtype) {
+	for _, t := range ts {
+		if !t.vector() {
+			fail(line, fmt.Sprintf("%s: a %v operand", what, t))
 		}
 	}
 }
 
-// check types every statement of body: a vector stored whole into a slot
-// of another vector type, unless it is a scalar, which splats, and a
-// component written past its slot's type, break the rules, as do the
-// expressions typeOf rejects.
-func (t *typer) check(body []stmt) {
-	walk(body, func(s stmt) {
-		switch st := s.(type) {
-		case *declStmt:
-			if st.init != nil {
-				checkStore(st.line, st.typ, t.typeOf(st.init), st.name)
-			}
-		case *assignStmt:
-			v, to := t.typeOf(st.val), t.typ[st.slot]
-			if st.swizzle == "" {
-				checkStore(st.line, to, v, st.name)
-			} else if to.vector() {
-				checkSwizzle(st.line, to, st.swizzle)
-			}
-		case *ifStmt:
-			t.typeOf(st.cond)
-		case *forStmt:
-			t.typeOf(st.cond)
-		}
-	})
-}
-
-// checkStore checks a value of type v stored whole into a slot of type to.
+// checkStore checks a value of type v stored whole into a variable of type
+// to: it must be of that type, or a scalar, which splats to a vector.
 func checkStore(line int, to, v vtype, name string) {
-	if to.vector() && v.vector() && v != to && v != tFloat {
+	if v != to && !(to.vector() && v == tFloat) {
 		fail(line, fmt.Sprintf("cannot store %v in %v %s", v, to, name))
 	}
 }
@@ -239,7 +103,7 @@ func checkSwizzle(line int, b vtype, sw string) {
 func checkWidths(line int, what string, ts ...vtype) {
 	w := tFloat
 	for _, ty := range ts {
-		if !ty.vector() || ty == tFloat {
+		if ty == tFloat {
 			continue
 		}
 		if w != tFloat && ty != w {
@@ -249,136 +113,112 @@ func checkWidths(line int, what string, ts ...vtype) {
 	}
 }
 
+func swizzle(base expr, sw token) *swizzleExpr {
+	b := base.info()
+	operands(sw.line, "swizzle", b.t)
+	checkSwizzle(sw.line, b.t, sw.text)
+	s := &swizzleExpr{kind: kind{b.class, vtype(len(sw.text))}, base: base, n: len(sw.text)}
+	for i, c := range sw.text {
+		s.idx[i] = swizzleIndex(c)
+	}
+	return s
+}
+
+// unary types -x, of x's type, or !x, a float.
+func unary(not bool, x expr, line int) *unaryExpr {
+	k := x.info()
+	operands(line, "operator", k.t)
+	if not {
+		k.t = tFloat
+	}
+	return &unaryExpr{kind: k, not: not, x: x}
+}
+
+// binary types l op r: a comparison is a float; arithmetic over vectors of
+// one width, or a scalar and a vector, has the wider type; a matrix has
+// only mat4*mat4, a mat4 in four cells of its own, and mat4*vec4.
+func (p *parser) binary(op binOp, l, r expr, line int) *binExpr {
+	lt, rt := l.info().t, r.info().t
+	e := &binExpr{kind: kind{class: max(l.info().class, r.info().class)}, op: op, l: l, r: r}
+	switch {
+	case op == opMul && lt == tMat && rt == tMat:
+		e.t, e.cell = tMat, p.alloc(tMat)
+	case op == opMul && lt == tMat && rt == tVec4:
+		e.t = tVec4
+	case lt == tMat || rt == tMat:
+		fail(line, fmt.Sprintf("%v %s %v: matrices have only mat4*mat4 and mat4*vec4", lt, opNames[op], rt))
+	default:
+		operands(line, "operator", lt, rt)
+		e.t = tFloat
+		if op < opLT {
+			checkWidths(line, "operator", lt, rt)
+			e.t = max(lt, rt)
+		}
+	}
+	return e
+}
+
+// arity maps each builtin of fixed arity to its argument count and the
+// message a call with another count fails with.
+var arity = map[builtin]struct {
+	n   int
+	msg string
+}{
+	fnTexture2D: {2, "needs (sampler, vec2)"},
+	fnClamp:     {3, "needs 3 args"}, fnMix: {3, "needs 3 args"},
+	fnMin: {2, "needs 2 args"}, fnMax: {2, "needs 2 args"}, fnPow: {2, "needs 2 args"}, fnDot: {2, "needs 2 args"},
+	fnFract: {1, "needs 1 arg"}, fnFloor: {1, "needs 1 arg"}, fnAbs: {1, "needs 1 arg"}, fnSin: {1, "needs 1 arg"},
+	fnCos: {1, "needs 1 arg"}, fnLength: {1, "needs 1 arg"}, fnNormalize: {1, "needs 1 arg"},
+}
+
 // componentWise lists the builtins whose vector arguments must have one
 // width.
 var componentWise = map[builtin]bool{fnClamp: true, fnMin: true, fnMax: true, fnPow: true, fnMix: true, fnDot: true}
 
-// typeOf returns e's static type, and fails the compilation when e breaks
-// a width rule. A swizzle, a comparison, ! and texture2D fix their own
-// type. Any other node with an operand that is not a vector is of type
-// tAny, but mat4*mat4 (a mat4) and a mat4 times a vector (a vec4): the
-// rest of matrix arithmetic faults when it runs.
-func (t *typer) typeOf(e expr) vtype {
-	if ty, ok := t.types[e]; ok {
-		return ty
+// call types a builtin call. texture2D samples a sampler2D at vector
+// coordinates, a vec4; a constructor needs its width's components; every
+// other builtin takes floats and vectors, and returns a float (dot,
+// length) or its first argument's type.
+func call(fn token, args []expr) *callExpr {
+	b, ok := builtins[fn.text]
+	if !ok {
+		fail(fn.line, fn.text+": unknown function")
 	}
-	var ty vtype
-	switch ex := e.(type) {
-	case *numExpr:
-		ty = tFloat
-	case *varExpr:
-		ty = t.typ[ex.slot]
-	case *swizzleExpr:
-		if b := t.typeOf(ex.base); b.vector() {
-			checkSwizzle(ex.line, b, ex.text)
-		}
-		ty = vtype(ex.n)
-	case *unaryExpr:
-		ty = tFloat
-		if x := t.typeOf(ex.x); !ex.not {
-			ty = x
-			if !x.vector() {
-				ty = tAny
-			}
-		}
-	case *binExpr:
-		l, r := t.typeOf(ex.l), t.typeOf(ex.r)
-		switch {
-		case ex.op >= opLT:
-			ty = tFloat
-		case l.vector() && r.vector():
-			checkWidths(ex.line, "operator", l, r)
-			ty = max(l, r)
-		case ex.op == opMul && l == tMat && r == tMat:
-			ty = tMat
-		case ex.op == opMul && l == tMat && r.vector():
-			ty = tVec4
-		default:
-			ty = tAny
-		}
-	case *callExpr:
-		args := make([]vtype, len(ex.args))
-		for i, a := range ex.args {
-			args[i] = t.typeOf(a)
-		}
-		switch {
-		case ex.fault() != "":
-			ty = tAny
-		case ex.fn == fnTexture2D:
-			if args[1] == tFloat {
-				fail(ex.line, "texture2D: float coordinates; needs a vec2")
-			}
-			ty = tVec4
-		case slices.ContainsFunc(args, func(a vtype) bool { return !a.vector() }):
-			ty = tAny
-		case ex.fn <= fnVec4:
-			ty = vtype(ex.fn-fnVec2) + tVec2
-		case ex.fn == fnDot || ex.fn == fnLength:
-			ty = tFloat
-		default:
-			ty = args[0]
-		}
-		if componentWise[ex.fn] && ex.fault() == "" {
-			checkWidths(ex.line, ex.name, args...)
-		}
+	if a, ok := arity[b]; ok && len(args) != a.n {
+		fail(fn.line, fn.text+": "+a.msg)
 	}
-	t.types[e] = ty
-	return ty
-}
-
-// kind returns e's kind. A node over draw-uniform operands only is itself
-// draw-uniform, except texture2D, whose fetches count per lane. A node with
-// a dynamic operand is dynamic, except those whose result has a width of
-// its own whatever the operands': a swizzle, a comparison, !, texture2D and
-// a call that faults on its arity. Every other node is typed if its static
-// type is a vector, and so its operands' widths are fixed too (see typeOf);
-// else it is dynamic too.
-func (t *typer) kind(e expr) kind {
-	ty := t.typeOf(e)
-	if c, ok := t.memo[e]; ok {
-		return kind{c, ty}
+	e := &callExpr{fn: b, args: args}
+	ts := make([]vtype, len(args))
+	for i, a := range args {
+		ts[i] = a.info().t
+		e.class = max(e.class, a.info().class)
 	}
-	var c class
-	fixedResult := false
-	switch ex := e.(type) {
-	case *numExpr:
-		c = uniCell
-	case *varExpr:
-		c = t.class[ex.slot]
-	case *swizzleExpr:
-		c, fixedResult = fixed(t.kind(ex.base).class), true
-	case *unaryExpr:
-		c, fixedResult = t.kind(ex.x).class, ex.not
-		if ex.not {
-			c = fixed(c)
+	switch {
+	case b == fnTexture2D:
+		if ts[0] != tSampler {
+			fail(fn.line, "texture2D: needs (sampler, vec2)")
 		}
-	case *binExpr:
-		c, fixedResult = max(t.kind(ex.l).class, t.kind(ex.r).class), ex.op >= opLT
-		if fixedResult {
-			c = fixed(c)
+		operands(fn.line, fn.text, ts[1])
+		if ts[1] == tFloat {
+			fail(fn.line, "texture2D: float coordinates; needs a vec2")
 		}
-	case *callExpr:
-		c = uniCell
-		for _, a := range ex.args {
-			c = max(c, t.kind(a).class)
+		e.kind = kind{vecCell, tVec4}
+		return e
+	case b <= fnVec4:
+		operands(fn.line, fn.text, ts...)
+		e.t = vtype(b-fnVec2) + tVec2
+		if _, n := ctorPlan(e.t.width(), ts[:min(len(ts), 4)]); n < e.t.width() {
+			fail(fn.line, fmt.Sprintf("%s: needs %d components, got %d", fn.text, e.t.width(), n))
 		}
-		if ex.fn == fnTexture2D || ex.fault() != "" {
-			c, fixedResult = vecCell, true
-		}
+		return e
 	}
-	if c == vecCell && !fixedResult && !ty.vector() {
-		c = dynCell
+	operands(fn.line, fn.text, ts...)
+	if componentWise[b] {
+		checkWidths(fn.line, fn.text, ts...)
 	}
-	t.memo[e] = c
-	return kind{c, ty}
-}
-
-// fixed is the class of a node whose result has the same width in every
-// lane and no reference, over operands of class c: draw-uniform if they
-// are, else typed.
-func fixed(c class) class {
-	if c == uniCell {
-		return uniCell
+	e.t = ts[0]
+	if b == fnDot || b == fnLength {
+		e.t = tFloat
 	}
-	return vecCell
+	return e
 }

@@ -22,8 +22,8 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/engine ./internal/farm ./internal/obs/... ./internal/linker"
-go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/engine ./internal/farm ./internal/obs/... ./internal/linker
+echo "== go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/... ./internal/farm ./internal/obs/... ./internal/linker"
+go test -race ./internal/core/... ./internal/replay/... ./internal/android/egl ./internal/android/sflinger ./internal/sim/gpu/... ./internal/gles/... ./internal/farm ./internal/obs/... ./internal/linker
 
 echo "== chaos smoke (fault-injection invariants under -race, serial and batched)"
 go test -race ./internal/replay -run 'TestChaos' -chaos.seeds=8
